@@ -13,8 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .conference import normalize, paley_conference
 from .constructions import (
@@ -42,7 +40,7 @@ from .graphs import signed_adjacency
 from .partition import is_equitable, quotient_matrix, verify_quotient_identity
 from .reproduce import example_ids, run_example
 from .search import min_rho
-from .spectra import check_good_signing, eigenvalues_symmetric
+from .spectra import _rho, check_good_signing, eigenvalues_symmetric
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -147,15 +145,12 @@ def _cmd_verify(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.matrix:
         a = load_matrix(args.matrix)
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix must be symmetric")
     elif args.signed:
         a = signed_adjacency(load_signed_graph(args.signed))
     else:
         a = load_graph(args.graph).adjacency()
     eig = eigenvalues_symmetric(a)
-    rho = float(max(-eig[0], eig[-1], 0.0)) if eig.size else 0.0
-    sys.stdout.write(dumps_json({"eigenvalues": list(eig), "rho": rho}))
+    sys.stdout.write(dumps_json({"eigenvalues": list(eig), "rho": float(_rho(eig))}))
     return EXIT_OK
 
 

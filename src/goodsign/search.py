@@ -7,6 +7,11 @@ distinct cycle-sign vectors and are pairwise inequivalent. The tree is built
 by BFS from vertex 0 with neighbours in ascending order, and patterns follow
 binary-counter order on the sorted non-tree edges (bit set means -1), so the
 enumeration and all tie-breaking are deterministic.
+
+Classes are evaluated in chunks: one vectorised scatter writes a chunk's sign
+patterns into copies of the base adjacency, and one batched ``eigvalsh`` call
+yields their spectral radii. A chunk's matrices take at most ``CHUNK_BYTES``,
+so memory does not grow with the number of classes.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ from typing import Iterator
 import numpy as np
 
 from .graphs import Edge, Graph, SignedGraph, _canon
-from .spectra import VERDICT_TOLERANCE, _spectral_radius_inplace, good_signing_bound
+from .spectra import VERDICT_TOLERANCE, _eigvalsh, _rho, good_signing_bound
 
 DEFAULT_MAX_FREE_EDGES = 24
+CHUNK_BYTES = 1 << 20
 
 
 class SearchSpaceError(ValueError):
@@ -86,13 +92,21 @@ def _guarded_free_edges(g: Graph, max_free_edges: int) -> list[Edge]:
     return free
 
 
-def _class_rho(base: np.ndarray, free: list[Edge], index: int, work: np.ndarray) -> float:
-    np.copyto(work, base)
-    for i, (u, v) in enumerate(free):
-        if (index >> i) & 1:
-            work[u, v] = -1.0
-            work[v, u] = -1.0
-    return _spectral_radius_inplace(work)
+def _class_rhos(g: Graph, free: list[Edge], lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, rhos)`` for consecutive chunks of the class indices ``[lo, hi)``."""
+    base = g.adjacency().astype(np.float64)
+    rows = np.array([u for u, _ in free], dtype=np.intp)
+    cols = np.array([v for _, v in free], dtype=np.intp)
+    shifts = np.arange(len(free))
+    chunk = max(1, CHUNK_BYTES // base.nbytes)
+    stack = np.empty((min(chunk, hi - lo),) + base.shape)
+    for start in range(lo, hi, chunk):
+        mats = stack[: min(chunk, hi - start)]
+        mats[:] = base
+        signs = 1.0 - 2.0 * ((np.arange(start, start + len(mats))[:, None] >> shifts) & 1)
+        mats[:, rows, cols] = signs
+        mats[:, cols, rows] = signs
+        yield start, _rho(_eigvalsh(mats))
 
 
 def find_good_signing(
@@ -101,11 +115,10 @@ def find_good_signing(
     """First enumerated signing class meeting the bound, or None after exhaustion."""
     bound, _ = good_signing_bound(g, mode)
     free = _guarded_free_edges(g, max_free_edges)
-    base = g.adjacency().astype(np.float64)
-    work = np.empty_like(base)
-    for index in range(1 << len(free)):
-        if _class_rho(base, free, index, work) <= bound + VERDICT_TOLERANCE:
-            return _signing_for_index(g, free, index)
+    for start, rhos in _class_rhos(g, free, 0, 1 << len(free)):
+        good = np.flatnonzero(rhos <= bound + VERDICT_TOLERANCE)
+        if good.size:
+            return _signing_for_index(g, free, start + int(good[0]))
     return None
 
 
@@ -120,6 +133,24 @@ class SearchResult:
     bound_used: float
 
 
+def _near_ties(g: Graph, free: list[Edge], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    # Classes of [lo, hi) that can still win the tie-break, as (indices, rhos)
+    # in index order with strictly decreasing rho: a class never beats an
+    # earlier one with the same or smaller rho, and one above the running
+    # minimum plus the tolerance never wins.
+    indices = np.empty(0, dtype=np.int64)
+    rhos = np.empty(0)
+    for start, chunk in _class_rhos(g, free, lo, hi):
+        floor = rhos[-1] if rhos.size else np.inf
+        before = np.minimum.accumulate(np.concatenate(([floor], chunk[:-1])))
+        new = np.flatnonzero(chunk < before)
+        indices = np.concatenate((indices, start + new))
+        rhos = np.concatenate((rhos, chunk[new]))
+        keep = rhos <= rhos[-1] + VERDICT_TOLERANCE
+        indices, rhos = indices[keep], rhos[keep]
+    return indices, rhos
+
+
 def min_rho(
     g: Graph,
     mode: str = "regular",
@@ -128,38 +159,31 @@ def min_rho(
 ) -> SearchResult:
     """Exact minimum of the spectral radius over every switching class.
 
-    Deterministic: classes are scanned in binary-counter order and ties keep
-    the smallest class index, so the result does not depend on ``jobs``. The
-    class space is split into disjoint index ranges evaluated concurrently;
-    the (rho, index) lexicographic-min reduction is associative and
-    order-independent.
+    Deterministic: the winner is the smallest class index (binary-counter
+    order) whose rho lies within ``VERDICT_TOLERANCE`` of the minimum, and
+    ``best_rho`` is that class's own rho, so roundoff among near-equal radii
+    and ``jobs`` cannot change the result. The class space is split into
+    ``jobs`` disjoint index ranges evaluated concurrently; each keeps its
+    near-tie candidates, which are merged and filtered by the global minimum.
     """
     bound, _ = good_signing_bound(g, mode)
     free = _guarded_free_edges(g, max_free_edges)
     total = 1 << len(free)
-    base = g.adjacency().astype(np.float64)
-
-    def scan(lo: int, hi: int) -> tuple[float, int]:
-        work = np.empty_like(base)
-        best = (np.inf, -1)
-        for index in range(lo, hi):
-            rho = _class_rho(base, free, index, work)
-            if rho < best[0]:
-                best = (rho, index)
-        return best
-
     jobs = max(1, int(jobs))
     if jobs == 1 or total < 4 * jobs:
-        best_rho, best_index = scan(0, total)
+        found = [_near_ties(g, free, 0, total)]
     else:
         step = (total + jobs - 1) // jobs
         ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda r: scan(*r), ranges))
-        best_rho, best_index = min(chunks)
+            found = list(pool.map(lambda r: _near_ties(g, free, *r), ranges))
+    indices = np.concatenate([i for i, _ in found])
+    rhos = np.concatenate([r for _, r in found])
+    winner = int(np.flatnonzero(rhos <= rhos.min() + VERDICT_TOLERANCE)[0])
+    best_rho = float(rhos[winner])
     return SearchResult(
-        best_rho=float(best_rho),
-        best_signing=_signing_for_index(g, free, best_index),
+        best_rho=best_rho,
+        best_signing=_signing_for_index(g, free, int(indices[winner])),
         classes_examined=total,
         good_found=bool(best_rho <= bound + VERDICT_TOLERANCE),
         bound_used=float(bound),

@@ -1,13 +1,15 @@
-"""Dense symmetric eigensolver and spectral verdicts for edge signings.
+"""Dense symmetric eigenvalues and spectral verdicts for edge signings.
 
-The solver is a cyclic Jacobi iteration on an owned copy of the matrix:
-unconditionally stable for symmetric input, no convergence tuning, and the
-matrices in this package are small. Convergence is declared when the
-off-diagonal Frobenius norm drops below ``1e-12`` times the initial Frobenius
-norm; a hard cap of 64 sweeps guards against stalls.
+Every eigenvalue and spectral radius in the package comes from one seam,
+``_eigvalsh``: LAPACK's symmetric solver through ``numpy.linalg.eigvalsh``,
+on a single matrix or on a stack of them. Eigenvalues within ``1e-12`` times
+``max(1, rho)`` of zero are reported as exactly ``0.0``, so printed spectra
+do not carry solver roundoff.
 
-The inner kernel is JIT-compiled with numba when available and falls back to
-the identical pure-Python loop otherwise.
+``jacobi_diagonalize`` is an independent cyclic Jacobi solver in plain
+Python, kept as the reference the seam is tested against. Convergence is
+declared when the off-diagonal Frobenius norm drops below ``1e-12`` times the
+initial Frobenius norm; a hard cap of 64 sweeps guards against stalls.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .graphs import Graph, SignedGraph, is_bipartite, signed_adjacency
 JACOBI_RELATIVE_TOLERANCE = 1e-12
 JACOBI_MAX_SWEEPS = 64
 VERDICT_TOLERANCE = 1e-9
+ZERO_SNAP_TOLERANCE = 1e-12
 
 GOOD = "good"
 NOT_GOOD = "not_good"
@@ -54,11 +57,16 @@ def _jacobi_sweeps(a, rel_tol, max_sweeps):
                 apq = a[p, q]
                 if apq == 0.0:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
+                h = a[q, q] - a[p, p]
+                if abs(h) + 100.0 * abs(apq) == abs(h):
+                    # |theta| beyond ~1e16: theta*theta would overflow, and
+                    # t = 1/(2*theta) is exact to working precision.
+                    t = apq / h
                 else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
+                    theta = 0.5 * h / apq
+                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
                 app = a[p, p]
@@ -78,14 +86,6 @@ def _jacobi_sweeps(a, rel_tol, max_sweeps):
         sweeps += 1
 
 
-try:  # pragma: no cover - exercised implicitly everywhere
-    from numba import njit
-
-    _jacobi_sweeps = njit(cache=True, nogil=True)(_jacobi_sweeps)
-except ImportError:  # pragma: no cover
-    pass
-
-
 @dataclass(frozen=True)
 class JacobiResult:
     """Eigenvalues plus convergence diagnostics of one Jacobi run."""
@@ -103,12 +103,7 @@ def jacobi_diagonalize(a: np.ndarray) -> JacobiResult:
     Raises ``ValueError`` for non-square or non-symmetric input and
     ``JacobiConvergenceError`` if 64 sweeps do not reach the norm target.
     """
-    m = np.asarray(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.array_equal(m, m.T):
-        raise ValueError("matrix must be symmetric")
-    work = m.astype(np.float64, copy=True)
+    work = _symmetric(a).astype(np.float64, copy=True)
     sweeps, off, fro = _jacobi_sweeps(work, JACOBI_RELATIVE_TOLERANCE, JACOBI_MAX_SWEEPS)
     if off > JACOBI_RELATIVE_TOLERANCE * fro:
         raise JacobiConvergenceError(
@@ -118,30 +113,41 @@ def jacobi_diagonalize(a: np.ndarray) -> JacobiResult:
     return JacobiResult(tuple(float(x) for x in eig), int(sweeps), float(off), float(fro))
 
 
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    m = np.asarray(a)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.array_equal(m, m.T):
+        raise ValueError("matrix must be symmetric")
+    return m
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    # The one eigen seam: ascending eigenvalues of an (n, n) matrix or of each
+    # matrix in a (B, n, n) stack. LAPACK reads only the lower triangle, so
+    # callers validate symmetry first.
+    return np.linalg.eigvalsh(a)
+
+
+def _rho(eig: np.ndarray) -> np.ndarray:
+    # The spectral radius max |lambda| along the last axis; 0 for no eigenvalues.
+    return np.abs(eig).max(axis=-1, initial=0.0)
+
+
 def eigenvalues_symmetric(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, as float64."""
-    return np.array(jacobi_diagonalize(a).eigenvalues, dtype=np.float64)
+    """All eigenvalues of a symmetric matrix, ascending, as float64.
+
+    Raises ``ValueError`` for non-square or non-symmetric input. Values within
+    ``ZERO_SNAP_TOLERANCE * max(1, rho)`` of zero are returned as ``0.0``.
+    """
+    eig = _eigvalsh(_symmetric(a))
+    eig[np.abs(eig) <= ZERO_SNAP_TOLERANCE * max(1.0, float(_rho(eig)))] = 0.0
+    return eig
 
 
 def spectral_radius(a: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
-    eig = eigenvalues_symmetric(a)
-    if eig.size == 0:
-        return 0.0
-    return float(max(-eig[0], eig[-1], 0.0))
-
-
-def _spectral_radius_inplace(work: np.ndarray) -> float:
-    # Hot path for the exhaustive search: destroys `work`, skips validation.
-    sweeps, off, fro = _jacobi_sweeps(work, JACOBI_RELATIVE_TOLERANCE, JACOBI_MAX_SWEEPS)
-    if off > JACOBI_RELATIVE_TOLERANCE * fro:
-        raise JacobiConvergenceError(
-            f"no convergence after {sweeps} sweeps: off-diagonal norm {off:.3e}"
-        )
-    d = np.diagonal(work)
-    if d.size == 0:
-        return 0.0
-    return float(max(-d.min(), d.max(), 0.0))
+    return float(_rho(eigenvalues_symmetric(a)))
 
 
 def multisets_close(a, b, tol: float) -> bool:
@@ -221,7 +227,7 @@ def check_good_signing(sg: SignedGraph, mode: str = "regular") -> SpectralReport
     """
     bound, degree = good_signing_bound(sg.graph, mode)
     eig = eigenvalues_symmetric(signed_adjacency(sg))
-    rho = float(max(-eig[0], eig[-1], 0.0)) if eig.size else 0.0
+    rho = float(_rho(eig))
     verdict = GOOD if rho <= bound + VERDICT_TOLERANCE else NOT_GOOD
     return SpectralReport(
         eigenvalues=tuple(float(x) for x in eig),

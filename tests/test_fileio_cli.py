@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from goodsign.cli import run
+from goodsign.conference import paley_conference
+from goodsign.constructions import sign_complete_from_conference
 from goodsign.fileio import (
     dumps_json,
     graph_from_json_dict,
@@ -164,6 +166,19 @@ def test_cli_spectrum_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first  # byte-identical
     data = json.loads(first)
     assert abs(data["rho"] - 2.0) < 1e-9
+
+
+def test_cli_spectrum_prints_exact_zeros(tmp_path, capsys):
+    # roundoff-level zero eigenvalues print as 0.0 whatever the solver returns
+    g = write_json(tmp_path / "c4g.json", graph_to_json_dict(cycle_graph(4)))
+    assert run(["spectrum", "--graph", g]) == 0
+    assert json.loads(capsys.readouterr().out)["eigenvalues"] == [-2.0, 0.0, 0.0, 2.0]
+    sg = sign_complete_from_conference(paley_conference(13), 3)
+    s = write_json(tmp_path / "s17.json", signed_graph_to_json_dict(sg))
+    assert run(["spectrum", "--signed", s]) == 0
+    out = capsys.readouterr().out
+    assert "e-1" not in out
+    assert json.loads(out)["eigenvalues"].count(0.0) == 1
 
 
 def test_cli_spectrum_of_conference_matrix(tmp_path, capsys):

@@ -14,14 +14,16 @@ from goodsign.graphs import (
     petersen_graph,
     signed_adjacency,
 )
+from goodsign import search
 from goodsign.search import (
     SearchSpaceError,
+    _free_edges,
     enumerate_signing_classes,
     find_good_signing,
     min_rho,
     signing_class_count,
 )
-from goodsign.spectra import spectral_radius
+from goodsign.spectra import jacobi_diagonalize, spectral_radius
 
 RNG = np.random.default_rng(424242)
 
@@ -39,6 +41,21 @@ def brute_force_min_rho(g):
         eig = np.linalg.eigvalsh(a)
         best = min(best, max(-eig[0], eig[-1]))
     return best
+
+
+def class_index(g, sg):
+    """Position of a tree-normalised representative in the enumeration order."""
+    free, _ = _free_edges(g)
+    return sum(1 << i for i, e in enumerate(free) if sg.signs[e] == -1)
+
+
+def class_rhos(g):
+    """Oracle: LAPACK rho of every enumerated class, one matrix at a time."""
+    rhos = []
+    for sg in enumerate_signing_classes(g):
+        eig = np.linalg.eigvalsh(signed_adjacency(sg).astype(float))
+        rhos.append(max(-eig[0], eig[-1]))
+    return np.array(rhos)
 
 
 def test_class_counts():
@@ -162,3 +179,46 @@ def test_min_rho_not_above_any_enumerated_class():
     best = min_rho(g).best_rho
     for sg in enumerate_signing_classes(g):
         assert best <= spectral_radius(signed_adjacency(sg)) + 1e-12
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_min_rho_k7_tie_break_keeps_smallest_index(jobs):
+    # 840 of K7's 32768 classes lie within 1e-9 of rho = 3, spread over
+    # several float values; the smallest of their indices is 1749.
+    g = complete_graph(7)
+    result = min_rho(g, jobs=jobs)
+    assert class_index(g, result.best_signing) == 1749
+    assert abs(result.best_rho - 3.0) < 1e-9
+    assert abs(spectral_radius(signed_adjacency(result.best_signing)) - result.best_rho) < 1e-12
+    reference = jacobi_diagonalize(signed_adjacency(result.best_signing)).eigenvalues
+    assert abs(max(-reference[0], reference[-1]) - result.best_rho) < 1e-9
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), petersen_graph(), complete_graph(6)])
+def test_min_rho_winner_is_smallest_near_tie_index(g):
+    rhos = class_rhos(g)
+    expected = int(np.flatnonzero(rhos <= rhos.min() + 1e-9)[0])
+    for jobs in (1, 2):
+        result = min_rho(g, jobs=jobs)
+        assert class_index(g, result.best_signing) == expected
+        assert abs(result.best_rho - rhos[expected]) < 1e-12
+
+
+def test_results_do_not_depend_on_chunk_size(monkeypatch):
+    g = petersen_graph()
+    whole = min_rho(g)
+    first_good = find_good_signing(g)
+    for classes_per_chunk in (1, 3, 7):
+        monkeypatch.setattr(search, "CHUNK_BYTES", classes_per_chunk * 8 * g.n * g.n)
+        for jobs in (1, 3):
+            result = min_rho(g, jobs=jobs)
+            assert result.best_rho == whole.best_rho
+            assert result.best_signing.signs == whole.best_signing.signs
+        assert find_good_signing(g).signs == first_good.signs
+
+
+def test_find_good_signing_returns_first_good_index():
+    g = complete_graph(6)
+    rhos = class_rhos(g)
+    expected = int(np.flatnonzero(rhos <= 2 * math.sqrt(4) + 1e-9)[0])
+    assert class_index(g, find_good_signing(g)) == expected

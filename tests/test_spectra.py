@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodsign.conference import core_matrix, paley_conference
+from goodsign.constructions import sign_complete_from_conference
 from goodsign.graphs import (
     Graph,
     SignedGraph,
@@ -16,8 +18,11 @@ from goodsign.graphs import (
     signed_adjacency,
 )
 from goodsign.refdata import reference_matrix
+from goodsign.search import enumerate_signing_classes
 from goodsign.spectra import (
     JACOBI_RELATIVE_TOLERANCE,
+    _eigvalsh,
+    _rho,
     check_good_signing,
     check_ramanujan,
     eigenvalues_symmetric,
@@ -56,9 +61,50 @@ def test_bundled_lift_spectrum():
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34])
 def test_jacobi_matches_lapack_oracle(n):
     m = rand_symmetric(n)
-    ours = eigenvalues_symmetric(m)
     oracle = np.linalg.eigvalsh(m)  # independent reference path
-    assert np.max(np.abs(ours - oracle)) < 1e-9
+    assert np.max(np.abs(eigenvalues_symmetric(m) - oracle)) < 1e-9
+    assert np.max(np.abs(np.array(jacobi_diagonalize(m).eigenvalues) - oracle)) < 1e-9
+
+
+def package_matrices():
+    c5, c13 = paley_conference(5), paley_conference(13)
+    mats = [core_matrix(c5), core_matrix(c13), reference_matrix("lift8")]
+    for c in (c5, c13):
+        mats += [signed_adjacency(sign_complete_from_conference(c, case)) for case in (1, 2, 3)]
+    return mats + [petersen_graph().adjacency(), cycle_graph(4).adjacency()]
+
+
+def test_eigenvalues_agree_with_jacobi_reference():
+    for m in package_matrices():
+        reference = np.array(jacobi_diagonalize(m).eigenvalues)
+        assert np.max(np.abs(eigenvalues_symmetric(m) - reference)) < 1e-9
+        assert abs(spectral_radius(m) - np.max(np.abs(reference))) < 1e-9
+
+
+def test_jacobi_large_theta_raises_no_overflow():
+    # Petersen's class matrices drive theta past 1e154, where theta*theta overflowed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sg in enumerate_signing_classes(petersen_graph()):
+            a = signed_adjacency(sg)
+            ours = np.array(jacobi_diagonalize(a).eigenvalues)
+            assert np.max(np.abs(ours - np.linalg.eigvalsh(a.astype(float)))) < 1e-9
+
+
+def test_near_zero_eigenvalues_are_exact_zeros():
+    # LAPACK returns about +-3e-17 for the two zero eigenvalues of the 4-cycle
+    assert eigenvalues_symmetric(cycle_graph(4).adjacency()).tolist() == [-2.0, 0.0, 0.0, 2.0]
+    core = eigenvalues_symmetric(core_matrix(paley_conference(13)))
+    assert list(core).count(0.0) == 1
+    assert eigenvalues_symmetric(np.diag([1e-6, 1.0])).tolist() == [1e-6, 1.0]
+
+
+def test_batched_seam_matches_single_matrices():
+    mats = np.stack([rand_symmetric(6) for _ in range(5)])
+    batched = _eigvalsh(mats)
+    for m, eig in zip(mats, batched):
+        assert np.array_equal(eig, _eigvalsh(m))
+    assert np.array_equal(_rho(batched), [max(-e[0], e[-1]) for e in batched])
 
 
 @settings(max_examples=60, deadline=None)
