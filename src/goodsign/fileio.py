@@ -19,13 +19,11 @@ import numpy as np
 
 from .graphs import Graph, SignedGraph
 from .partition import Partition
-from .spectra import JACOBI_RELATIVE_TOLERANCE, VERDICT_TOLERANCE
-
-SPECTRAL_MULTISET_TOLERANCE = 1e-8
+from .spectra import SPECTRAL_MULTISET_TOLERANCE, VERDICT_TOLERANCE, ZERO_SNAP_TOLERANCE
 
 DEFAULT_TOLERANCES = {
     "verdict": VERDICT_TOLERANCE,
-    "jacobi_relative": JACOBI_RELATIVE_TOLERANCE,
+    "zero_snap": ZERO_SNAP_TOLERANCE,
     "spectral_multiset": SPECTRAL_MULTISET_TOLERANCE,
 }
 

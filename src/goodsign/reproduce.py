@@ -27,10 +27,14 @@ from .constructions import (
 from .graphs import Graph, SignedGraph, entrywise_product, is_bipartite, signed_adjacency, verify_decomposition
 from .partition import is_equitable, quotient_eigenvalues, quotient_matrix, verify_quotient_identity
 from .refdata import reference_matrix
-from .spectra import check_good_signing, eigenvalues_symmetric, multisets_close, spectral_radius
-
-MULTISET_TOL = 1e-8
-VALUE_TOL = 1e-9
+from .spectra import (
+    SPECTRAL_MULTISET_TOLERANCE,
+    VERDICT_TOLERANCE,
+    check_good_signing,
+    eigenvalues_symmetric,
+    multisets_close,
+    spectral_radius,
+)
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,7 @@ def _case_checks(case: int, reference_name: str | None) -> tuple[list[ReproCheck
                 multisets_close(
                     quotient_eigenvalues(b),
                     case_quotient_eigenvalues(case, n),
-                    VALUE_TOL,
+                    VERDICT_TOLERANCE,
                 ),
             )
         )
@@ -163,7 +167,7 @@ def _example_k7() -> ReproReport:
     checks.append(
         _check(
             "spectral radius (1+sqrt(41))/2",
-            abs(report.rho - expected_rho) <= VALUE_TOL,
+            abs(report.rho - expected_rho) <= VERDICT_TOLERANCE,
             f"rho = {report.rho:.9f}",
         )
     )
@@ -182,7 +186,7 @@ def _example_k8() -> ReproReport:
     sg = sign_complete_from_conference(paley_conference(5), 2)
     report = check_good_signing(sg, mode="regular")
     checks.append(
-        _check("spectral radius 5", abs(report.rho - 5.0) <= VALUE_TOL, f"rho = {report.rho:.9f}")
+        _check("spectral radius 5", abs(report.rho - 5.0) <= VERDICT_TOLERANCE, f"rho = {report.rho:.9f}")
     )
     checks.append(
         _check(
@@ -207,7 +211,7 @@ def _example_k9() -> ReproReport:
     checks.append(
         _check(
             "spectral radius sqrt(21)",
-            abs(report.rho - expected_rho) <= VALUE_TOL,
+            abs(report.rho - expected_rho) <= VERDICT_TOLERANCE,
             f"rho = {report.rho:.9f}",
         )
     )
@@ -246,9 +250,9 @@ def _example_cycle_cover() -> ReproReport:
     checks.append(
         _check(
             "part signings are good for degree 2",
-            abs(rho1 - math.sqrt(3)) <= VALUE_TOL
-            and abs(rho2 - math.sqrt(3)) <= VALUE_TOL
-            and rho1 <= 2 + VALUE_TOL,
+            abs(rho1 - math.sqrt(3)) <= VERDICT_TOLERANCE
+            and abs(rho2 - math.sqrt(3)) <= VERDICT_TOLERANCE
+            and rho1 <= 2 + VERDICT_TOLERANCE,
             f"part rho = {rho1:.6f}",
         )
     )
@@ -258,7 +262,7 @@ def _example_cycle_cover() -> ReproReport:
     checks.append(
         _check(
             "product rho within twice the part maximum",
-            rho <= bound + VALUE_TOL,
+            rho <= bound + VERDICT_TOLERANCE,
             f"rho {rho:.6f} <= {bound:.6f}",
         )
     )
@@ -290,7 +294,7 @@ def _example_unsigned_lift() -> ReproReport:
     checks.append(
         _check(
             "lift spectrum is the union of base and pairing spectra",
-            multisets_close(lift_eig, merged, MULTISET_TOL),
+            multisets_close(lift_eig, merged, SPECTRAL_MULTISET_TOLERANCE),
         )
     )
     return ReproReport("unsigned-lift", tuple(checks))
@@ -324,7 +328,7 @@ def _example_aphi() -> ReproReport:
     checks.append(
         _check(
             "spectrum matches closed form",
-            multisets_close(spectrum, expected, VALUE_TOL),
+            multisets_close(spectrum, expected, VERDICT_TOLERANCE),
             "{-(1+sqrt(17))/2, -2, -1, 0, 1, 1, (sqrt(17)-1)/2, 2}",
         )
     )
@@ -332,7 +336,7 @@ def _example_aphi() -> ReproReport:
     checks.append(
         _check(
             "spectral radius (1+sqrt(17))/2",
-            abs(report.rho - (1 + s17) / 2) <= VALUE_TOL,
+            abs(report.rho - (1 + s17) / 2) <= VERDICT_TOLERANCE,
             f"rho = {report.rho:.9f}",
         )
     )

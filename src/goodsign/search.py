@@ -8,10 +8,22 @@ by BFS from vertex 0 with neighbours in ascending order, and patterns follow
 binary-counter order on the sorted non-tree edges (bit set means -1), so the
 enumeration and all tie-breaking are deterministic.
 
+Negation pairing: rho(-sigma) = rho(sigma), and negating every sign maps
+class ``i`` to class ``i ^ mask``, where ``mask`` holds the bits of the free
+edges whose fundamental cycle is odd (both endpoints at the same BFS depth
+parity); ``mask`` is 0 exactly when the graph is bipartite. Otherwise only
+the classes with bit ``mask.bit_length() - 1`` clear are evaluated. That bit
+is the highest one where ``i`` and ``i ^ mask`` differ, so these are the
+smaller index of each pair, and the smallest near-tie index and the first
+good index always lie among them: pairing skips half the eigensolves and
+cannot change a winner. ``classes_examined`` still counts every class, since
+a skipped class is covered by its negation.
+
 Classes are evaluated in chunks: one vectorised scatter writes a chunk's sign
 patterns into copies of the base adjacency, and one batched ``eigvalsh`` call
-yields their spectral radii. A chunk's matrices take at most ``CHUNK_BYTES``,
-so memory does not grow with the number of classes.
+yields their spectral radii. Chunks start at 32 classes and double up to
+``CHUNK_BYTES`` of matrices, so ``find_good_signing`` stops soon after an
+early good class and memory does not grow with the number of classes.
 """
 
 from __future__ import annotations
@@ -34,28 +46,36 @@ class SearchSpaceError(ValueError):
     """Raised when the number of free edges exceeds the search guard."""
 
 
-def _bfs_tree_edges(g: Graph) -> set[Edge]:
+def _bfs_tree_edges(g: Graph) -> tuple[set[Edge], list[int]]:
+    """The BFS spanning tree from vertex 0 and every vertex's depth in it."""
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    seen = {0}
+    depth = [-1] * g.n
+    depth[0] = 0
     tree: set[Edge] = set()
     queue = deque([0])
     while queue:
         u = queue.popleft()
         for v in g.neighbors(u):
-            if v not in seen:
-                seen.add(v)
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
                 tree.add(_canon(u, v))
                 queue.append(v)
-    if len(seen) != g.n:
+    if min(depth) < 0:
         raise ValueError("graph must be connected")
-    return tree
+    return tree, depth
 
 
-def _free_edges(g: Graph) -> tuple[list[Edge], set[Edge]]:
-    tree = _bfs_tree_edges(g)
+def _free_edges(g: Graph) -> tuple[list[Edge], int]:
+    """The non-tree edges in enumeration order, and the negation mask.
+
+    Bit ``i`` of the mask is set when ``free[i]`` closes an odd cycle with
+    the tree, so negating every sign maps class ``index`` to ``index ^ mask``.
+    """
+    tree, depth = _bfs_tree_edges(g)
     free = [e for e in g.edge_list if e not in tree]
-    return free, tree
+    mask = sum(1 << i for i, (u, v) in enumerate(free) if depth[u] % 2 == depth[v] % 2)
+    return free, mask
 
 
 def _signing_for_index(g: Graph, free: list[Edge], index: int) -> SignedGraph:
@@ -83,30 +103,53 @@ def enumerate_signing_classes(g: Graph) -> Iterator[SignedGraph]:
         yield _signing_for_index(g, free, index)
 
 
-def _guarded_free_edges(g: Graph, max_free_edges: int) -> list[Edge]:
-    free, _ = _free_edges(g)
+def _guarded_free_edges(g: Graph, max_free_edges: int) -> tuple[list[Edge], int]:
+    free, mask = _free_edges(g)
     if len(free) > max_free_edges:
         raise SearchSpaceError(
             f"{len(free)} free edges exceed the guard of {max_free_edges}"
         )
-    return free
+    return free, mask
 
 
-def _class_rhos(g: Graph, free: list[Edge], lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, rhos)`` for consecutive chunks of the class indices ``[lo, hi)``."""
+def _evaluated_count(free: list[Edge], mask: int) -> int:
+    # One class per negation pair, or every class on a bipartite graph.
+    return 1 << (len(free) - bool(mask))
+
+
+def _chunk_classes(g: Graph) -> int:
+    return max(1, CHUNK_BYTES // (8 * g.n * g.n))
+
+
+def _class_rhos(
+    g: Graph, free: list[Edge], mask: int, lo: int, hi: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(indices, rhos)`` for consecutive chunks of positions ``[lo, hi)``.
+
+    Position ``p`` is the ``p``-th evaluated class: ``p`` with a zero bit
+    inserted at the top bit of ``mask`` (at ``len(free)``, above every index,
+    when ``mask`` is 0), so indices increase with positions.
+    """
     base = g.adjacency().astype(np.float64)
     rows = np.array([u for u, _ in free], dtype=np.intp)
     cols = np.array([v for _, v in free], dtype=np.intp)
     shifts = np.arange(len(free))
-    chunk = max(1, CHUNK_BYTES // base.nbytes)
-    stack = np.empty((min(chunk, hi - lo),) + base.shape)
-    for start in range(lo, hi, chunk):
-        mats = stack[: min(chunk, hi - start)]
+    low = (1 << (mask.bit_length() - 1 if mask else len(free))) - 1
+    cap = _chunk_classes(g)
+    size = min(32, cap)
+    stack = np.empty((min(cap, hi - lo),) + base.shape)
+    start = lo
+    while start < hi:
+        positions = np.arange(start, min(start + size, hi))
+        indices = ((positions & ~low) << 1) | (positions & low)
+        mats = stack[: len(indices)]
         mats[:] = base
-        signs = 1.0 - 2.0 * ((np.arange(start, start + len(mats))[:, None] >> shifts) & 1)
+        signs = 1.0 - 2.0 * ((indices[:, None] >> shifts) & 1)
         mats[:, rows, cols] = signs
         mats[:, cols, rows] = signs
-        yield start, _rho(_eigvalsh(mats))
+        yield indices, _rho(_eigvalsh(mats))
+        start += len(indices)
+        size = min(2 * size, cap)
 
 
 def find_good_signing(
@@ -114,11 +157,11 @@ def find_good_signing(
 ) -> SignedGraph | None:
     """First enumerated signing class meeting the bound, or None after exhaustion."""
     bound, _ = good_signing_bound(g, mode)
-    free = _guarded_free_edges(g, max_free_edges)
-    for start, rhos in _class_rhos(g, free, 0, 1 << len(free)):
+    free, mask = _guarded_free_edges(g, max_free_edges)
+    for indices, rhos in _class_rhos(g, free, mask, 0, _evaluated_count(free, mask)):
         good = np.flatnonzero(rhos <= bound + VERDICT_TOLERANCE)
         if good.size:
-            return _signing_for_index(g, free, start + int(good[0]))
+            return _signing_for_index(g, free, int(indices[good[0]]))
     return None
 
 
@@ -133,18 +176,20 @@ class SearchResult:
     bound_used: float
 
 
-def _near_ties(g: Graph, free: list[Edge], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    # Classes of [lo, hi) that can still win the tie-break, as (indices, rhos)
-    # in index order with strictly decreasing rho: a class never beats an
-    # earlier one with the same or smaller rho, and one above the running
-    # minimum plus the tolerance never wins.
+def _near_ties(
+    g: Graph, free: list[Edge], mask: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # Classes at positions [lo, hi) that can still win the tie-break, as
+    # (indices, rhos) in index order with strictly decreasing rho: a class
+    # never beats an earlier one with the same or smaller rho, and one above
+    # the running minimum plus the tolerance never wins.
     indices = np.empty(0, dtype=np.int64)
     rhos = np.empty(0)
-    for start, chunk in _class_rhos(g, free, lo, hi):
+    for chunk_indices, chunk in _class_rhos(g, free, mask, lo, hi):
         floor = rhos[-1] if rhos.size else np.inf
         before = np.minimum.accumulate(np.concatenate(([floor], chunk[:-1])))
         new = np.flatnonzero(chunk < before)
-        indices = np.concatenate((indices, start + new))
+        indices = np.concatenate((indices, chunk_indices[new]))
         rhos = np.concatenate((rhos, chunk[new]))
         keep = rhos <= rhos[-1] + VERDICT_TOLERANCE
         indices, rhos = indices[keep], rhos[keep]
@@ -162,21 +207,21 @@ def min_rho(
     Deterministic: the winner is the smallest class index (binary-counter
     order) whose rho lies within ``VERDICT_TOLERANCE`` of the minimum, and
     ``best_rho`` is that class's own rho, so roundoff among near-equal radii
-    and ``jobs`` cannot change the result. The class space is split into
-    ``jobs`` disjoint index ranges evaluated concurrently; each keeps its
+    and ``jobs`` cannot change the result. The evaluated classes are split
+    into at most ``jobs`` disjoint ranges, each holding at least one full
+    ``CHUNK_BYTES`` chunk, and evaluated concurrently; each range keeps its
     near-tie candidates, which are merged and filtered by the global minimum.
     """
     bound, _ = good_signing_bound(g, mode)
-    free = _guarded_free_edges(g, max_free_edges)
-    total = 1 << len(free)
-    jobs = max(1, int(jobs))
-    if jobs == 1 or total < 4 * jobs:
-        found = [_near_ties(g, free, 0, total)]
+    free, mask = _guarded_free_edges(g, max_free_edges)
+    count = _evaluated_count(free, mask)
+    parts = min(max(1, int(jobs)), count // _chunk_classes(g))
+    if parts <= 1:
+        found = [_near_ties(g, free, mask, 0, count)]
     else:
-        step = (total + jobs - 1) // jobs
-        ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            found = list(pool.map(lambda r: _near_ties(g, free, *r), ranges))
+        ranges = [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            found = list(pool.map(lambda r: _near_ties(g, free, mask, *r), ranges))
     indices = np.concatenate([i for i, _ in found])
     rhos = np.concatenate([r for _, r in found])
     winner = int(np.flatnonzero(rhos <= rhos.min() + VERDICT_TOLERANCE)[0])
@@ -184,7 +229,7 @@ def min_rho(
     return SearchResult(
         best_rho=best_rho,
         best_signing=_signing_for_index(g, free, int(indices[winner])),
-        classes_examined=total,
+        classes_examined=1 << len(free),
         good_found=bool(best_rho <= bound + VERDICT_TOLERANCE),
         bound_used=float(bound),
     )

@@ -25,6 +25,7 @@ JACOBI_RELATIVE_TOLERANCE = 1e-12
 JACOBI_MAX_SWEEPS = 64
 VERDICT_TOLERANCE = 1e-9
 ZERO_SNAP_TOLERANCE = 1e-12
+SPECTRAL_MULTISET_TOLERANCE = 1e-8
 
 GOOD = "good"
 NOT_GOOD = "not_good"

@@ -92,7 +92,7 @@ def test_run_manifest_sidecar(tmp_path):
     data = json.loads(side.read_text())
     assert data["command"] == "conference"
     assert data["parameters"] == {"q": 5}
-    assert set(data["tolerances"]) == {"verdict", "jacobi_relative", "spectral_multiset"}
+    assert set(data["tolerances"]) == {"verdict", "zero_snap", "spectral_multiset"}
 
 
 # -- command line --------------------------------------------------------------

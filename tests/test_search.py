@@ -10,6 +10,7 @@ from goodsign.graphs import (
     SignedGraph,
     complete_graph,
     cycle_graph,
+    is_bipartite,
     path_graph,
     petersen_graph,
     signed_adjacency,
@@ -18,6 +19,7 @@ from goodsign import search
 from goodsign.search import (
     SearchSpaceError,
     _free_edges,
+    _signing_for_index,
     enumerate_signing_classes,
     find_good_signing,
     min_rho,
@@ -26,6 +28,21 @@ from goodsign.search import (
 from goodsign.spectra import jacobi_diagonalize, spectral_radius
 
 RNG = np.random.default_rng(424242)
+
+K44 = Graph.from_edges(8, [(u, 4 + v) for u in range(4) for v in range(4)])
+Q3 = Graph.from_edges(8, [(v, v ^ (1 << b)) for v in range(8) for b in range(3) if v < v ^ (1 << b)])
+
+
+def random_4_regular_8(seed):
+    """A seeded connected simple 4-regular graph on 8 vertices (pairing model)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        pairs = rng.permutation(np.repeat(np.arange(8), 4)).reshape(-1, 2)
+        edges = {(int(min(p)), int(max(p))) for p in pairs}
+        if len(edges) == 16 and all(u != v for u, v in edges):
+            g = Graph.from_edges(8, sorted(edges))
+            if g.is_connected():
+                return g
 
 
 def brute_force_min_rho(g):
@@ -194,14 +211,34 @@ def test_min_rho_k7_tie_break_keeps_smallest_index(jobs):
     assert abs(max(-reference[0], reference[-1]) - result.best_rho) < 1e-9
 
 
-@pytest.mark.parametrize("g", [complete_graph(4), petersen_graph(), complete_graph(6)])
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_graph(4),
+        petersen_graph(),
+        complete_graph(6),
+        cycle_graph(5),
+        complete_graph(5),
+        K44,
+        Q3,
+        random_4_regular_8(7),
+    ],
+)
 def test_min_rho_winner_is_smallest_near_tie_index(g):
+    # Also the first good index: negation pairing must keep both.
     rhos = class_rhos(g)
     expected = int(np.flatnonzero(rhos <= rhos.min() + 1e-9)[0])
     for jobs in (1, 2):
         result = min_rho(g, jobs=jobs)
         assert class_index(g, result.best_signing) == expected
         assert abs(result.best_rho - rhos[expected]) < 1e-12
+        assert result.classes_examined == rhos.size
+    good = np.flatnonzero(rhos <= 2 * math.sqrt(g.regular_degree - 1) + 1e-9)
+    found = find_good_signing(g)
+    if good.size:
+        assert class_index(g, found) == int(good[0])
+    else:
+        assert found is None
 
 
 def test_results_do_not_depend_on_chunk_size(monkeypatch):
@@ -222,3 +259,70 @@ def test_find_good_signing_returns_first_good_index():
     rhos = class_rhos(g)
     expected = int(np.flatnonzero(rhos <= 2 * math.sqrt(4) + 1e-9)[0])
     assert class_index(g, find_good_signing(g)) == expected
+
+
+@pytest.mark.parametrize(
+    "g, bipartite",
+    [
+        (cycle_graph(4), True),
+        (cycle_graph(6), True),
+        (K44, True),
+        (Q3, True),
+        (cycle_graph(5), False),
+        (complete_graph(4), False),
+        (complete_graph(6), False),
+        (petersen_graph(), False),
+    ],
+)
+def test_negation_mask_is_zero_exactly_on_bipartite_graphs(g, bipartite):
+    _, mask = _free_edges(g)
+    assert (mask == 0) == bipartite == (is_bipartite(g) is not None)
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5), petersen_graph()])
+def test_negation_maps_class_to_index_xor_mask(g):
+    free, mask = _free_edges(g)
+    for i in range(1 << len(free)):
+        negated = _signing_for_index(g, free, i).negated()
+        assert signing_equivalence(g, negated, _signing_for_index(g, free, i ^ mask)) is not None
+
+
+def test_find_good_signing_stops_early(monkeypatch):
+    evaluated = []
+
+    def counting_eigvalsh(mats):
+        evaluated.append(len(mats))
+        return np.linalg.eigvalsh(mats)
+
+    monkeypatch.setattr(search, "_eigvalsh", counting_eigvalsh)
+    g = complete_graph(6)
+    assert find_good_signing(g) is not None
+    assert sum(evaluated) < 128 < signing_class_count(g)
+
+
+def test_thread_pool_only_for_large_class_spaces(monkeypatch):
+    # A stand-in executor that records its worker count and runs serially.
+    workers = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(search, "ThreadPoolExecutor", RecordingPool)
+    min_rho(complete_graph(6), jobs=2)  # 512 evaluated classes, one chunk
+    assert workers == []
+    k7 = complete_graph(7)
+    assert class_index(k7, min_rho(k7, jobs=2).best_signing) == 1749
+    assert workers == [2]
+    # Never more workers than full chunks: 16384 evaluated classes of K7.
+    assert class_index(k7, min_rho(k7, jobs=10**6).best_signing) == 1749
+    assert workers == [2, 16384 // search._chunk_classes(k7)]
