@@ -11,7 +11,6 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .graphs import (
     Edge,
     Graph,
     SignedGraph,
+    _bfs_forest,
     _canon,
     complete_graph,
     lexicographic_product,
@@ -212,16 +212,8 @@ def two_lift_signed(g: Graph, sigma: SignedGraph, sigma_prime: SignedGraph) -> S
         g, {e: sigma.signs[e] * sigma_prime.signs[e] for e in g.edge_list}
     )
     lifted = two_lift(g, tau)
-    signs: dict[Edge, int] = {}
-    pairing = lift_pairing(tau)
-    for u, v in g.edge_list:
-        s = sigma_prime.signs[(u, v)]
-        if (u, v) in pairing.crossed:
-            signs[_canon(2 * u, 2 * v + 1)] = s
-            signs[_canon(2 * u + 1, 2 * v)] = s
-        else:
-            signs[_canon(2 * u, 2 * v)] = s
-            signs[_canon(2 * u + 1, 2 * v + 1)] = s
+    # Both lifted edges of uv join the cells of u and v.
+    signs = {(x, y): sigma_prime.signs[(x // 2, y // 2)] for x, y in lifted.edge_list}
     return SignedGraph(lifted, signs)
 
 
@@ -232,26 +224,18 @@ def pair_cell_partition(n: int) -> Partition:
 
 def _switching_propagate(
     g: Graph, target: dict[Edge, int]
-) -> tuple[list[int] | None, Edge | None, list[int]]:
-    # BFS per component: fix the root to +1, force d_v = d_u * target(uv) along
-    # tree edges, and report the first non-tree edge that contradicts.
-    d = [0] * g.n
-    parent = [-1] * g.n
-    for root in range(g.n):
-        if d[root] != 0:
-            continue
-        d[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                t = target[_canon(u, v)]
-                if d[v] == 0:
-                    d[v] = d[u] * t
-                    parent[v] = u
-                    queue.append(v)
-                elif d[u] * d[v] != t:
-                    return None, _canon(u, v), parent
+) -> tuple[list[int], Edge | None, list[int]]:
+    # Fix every BFS root to +1, force d_v = d_u * target(uv) along the tree
+    # edges, and report the first edge in BFS scan order that contradicts.
+    order, parent, _ = _bfs_forest(g)
+    d = [1] * g.n
+    for v in order:
+        if parent[v] >= 0:
+            d[v] = d[parent[v]] * target[_canon(parent[v], v)]
+    for u in order:
+        for v in g.neighbors(u):
+            if d[u] * d[v] != target[_canon(u, v)]:
+                return d, _canon(u, v), parent
     return d, None, parent
 
 
@@ -273,7 +257,6 @@ def signing_equivalence(
     d, conflict, _ = _switching_propagate(g, _sign_targets(g, sigma, sigma_prime))
     if conflict is not None:
         return None
-    assert d is not None
     return np.array(d, dtype=np.int64)
 
 
@@ -285,7 +268,7 @@ def switching_witness_cycle(
     ``None`` when the signings are switching-equivalent. The cycle is returned
     as a vertex sequence; consecutive vertices (and last-to-first) are edges.
     """
-    d, conflict, parent = _switching_propagate(g, _sign_targets(g, sigma, sigma_prime))
+    _, conflict, parent = _switching_propagate(g, _sign_targets(g, sigma, sigma_prime))
     if conflict is None:
         return None
     u, v = conflict

@@ -10,7 +10,7 @@ checks, ``float64`` only where an eigensolver needs them.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -99,17 +99,7 @@ class Graph:
         return self.degrees[0]
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.n
+        return self.n > 0 and _bfs_forest(self)[1].count(-1) == 1
 
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix as an exact ``int64`` array."""
@@ -272,28 +262,45 @@ def lexicographic_product(g: Graph, h: Graph) -> Graph:
     return Graph.from_edges(g.n * k, edges)
 
 
+def _bfs_forest(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """The BFS forest of g: ``(order, parent, depth)``.
+
+    One tree per connected component, rooted at the component's smallest
+    vertex, with neighbours taken in ascending order. ``order`` lists the
+    vertices as visited, ``parent[v]`` is -1 exactly at a root, and
+    ``depth[v]`` counts tree edges up to the root.
+    """
+    parent = [-1] * g.n
+    depth = [-1] * g.n
+    order: list[int] = []
+    for root in range(g.n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v in g.neighbors(u):
+                if depth[v] < 0:
+                    depth[v] = depth[u] + 1
+                    parent[v] = u
+                    order.append(v)
+    return order, parent, depth
+
+
 def is_bipartite(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Return a bipartition ``(side0, side1)`` when one exists, else ``None``.
 
-    Colouring is per connected component, rooted at the smallest unvisited
-    vertex, so the result is deterministic.
+    The sides are the depth parities in the BFS forest (roots on side 0), so
+    the result is deterministic.
     """
-    color = [-1] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    side0 = tuple(v for v in range(g.n) if color[v] == 0)
-    side1 = tuple(v for v in range(g.n) if color[v] == 1)
+    _, _, depth = _bfs_forest(g)
+    if any(depth[u] % 2 == depth[v] % 2 for u, v in g.edge_list):
+        return None
+    side0 = tuple(v for v in range(g.n) if depth[v] % 2 == 0)
+    side1 = tuple(v for v in range(g.n) if depth[v] % 2 == 1)
     return side0, side1
 
 

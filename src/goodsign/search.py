@@ -3,8 +3,10 @@
 The spectral radius is invariant under switching (a +-1 diagonal similarity),
 so it suffices to fix a spanning tree's edges to +1 and enumerate the
 2^(|E|-n+1) sign patterns on the non-tree edges: distinct patterns have
-distinct cycle-sign vectors and are pairwise inequivalent. The tree is built
-by BFS from vertex 0 with neighbours in ascending order, and patterns follow
+distinct cycle-sign vectors and are pairwise inequivalent. The tree is the
+package's one BFS forest (``graphs._bfs_forest``: each component rooted at
+its smallest vertex, neighbours taken in ascending order), which on a
+connected graph is one tree rooted at vertex 0. Patterns follow
 binary-counter order on the sorted non-tree edges (bit set means -1), so the
 enumeration and all tie-breaking are deterministic.
 
@@ -21,21 +23,22 @@ a skipped class is covered by its negation.
 
 Classes are evaluated in chunks: one vectorised scatter writes a chunk's sign
 patterns into copies of the base adjacency, and one batched ``eigvalsh`` call
-yields their spectral radii. Chunks start at 32 classes and double up to
-``CHUNK_BYTES`` of matrices, so ``find_good_signing`` stops soon after an
-early good class and memory does not grow with the number of classes.
+yields their spectral radii. Chunks hold at most ``CHUNK_BYTES`` of
+matrices, so memory does not grow with the number of classes.
+``find_good_signing`` starts at 32 classes and doubles, so it stops soon
+after an early good class; ``min_rho`` never stops early and starts at the
+full chunk size.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .graphs import Edge, Graph, SignedGraph, _canon
+from .graphs import Edge, Graph, SignedGraph, _bfs_forest, _canon
 from .spectra import VERDICT_TOLERANCE, _eigvalsh, _rho, good_signing_bound
 
 DEFAULT_MAX_FREE_EDGES = 24
@@ -46,33 +49,18 @@ class SearchSpaceError(ValueError):
     """Raised when the number of free edges exceeds the search guard."""
 
 
-def _bfs_tree_edges(g: Graph) -> tuple[set[Edge], list[int]]:
-    """The BFS spanning tree from vertex 0 and every vertex's depth in it."""
-    if g.n == 0:
-        raise ValueError("graph has no vertices")
-    depth = [-1] * g.n
-    depth[0] = 0
-    tree: set[Edge] = set()
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if depth[v] < 0:
-                depth[v] = depth[u] + 1
-                tree.add(_canon(u, v))
-                queue.append(v)
-    if min(depth) < 0:
-        raise ValueError("graph must be connected")
-    return tree, depth
-
-
 def _free_edges(g: Graph) -> tuple[list[Edge], int]:
     """The non-tree edges in enumeration order, and the negation mask.
 
     Bit ``i`` of the mask is set when ``free[i]`` closes an odd cycle with
     the tree, so negating every sign maps class ``index`` to ``index ^ mask``.
     """
-    tree, depth = _bfs_tree_edges(g)
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
+    _, parent, depth = _bfs_forest(g)
+    if parent.count(-1) > 1:
+        raise ValueError("graph must be connected")
+    tree = {_canon(p, v) for v, p in enumerate(parent) if p >= 0}
     free = [e for e in g.edge_list if e not in tree]
     mask = sum(1 << i for i, (u, v) in enumerate(free) if depth[u] % 2 == depth[v] % 2)
     return free, mask
@@ -122,9 +110,12 @@ def _chunk_classes(g: Graph) -> int:
 
 
 def _class_rhos(
-    g: Graph, free: list[Edge], mask: int, lo: int, hi: int
+    g: Graph, free: list[Edge], mask: int, lo: int, hi: int, first: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(indices, rhos)`` for consecutive chunks of positions ``[lo, hi)``.
+
+    The first chunk holds ``first`` classes, and each next one twice as many,
+    up to ``_chunk_classes(g)``.
 
     Position ``p`` is the ``p``-th evaluated class: ``p`` with a zero bit
     inserted at the top bit of ``mask`` (at ``len(free)``, above every index,
@@ -136,7 +127,7 @@ def _class_rhos(
     shifts = np.arange(len(free))
     low = (1 << (mask.bit_length() - 1 if mask else len(free))) - 1
     cap = _chunk_classes(g)
-    size = min(32, cap)
+    size = min(first, cap)
     stack = np.empty((min(cap, hi - lo),) + base.shape)
     start = lo
     while start < hi:
@@ -158,7 +149,7 @@ def find_good_signing(
     """First enumerated signing class meeting the bound, or None after exhaustion."""
     bound, _ = good_signing_bound(g, mode)
     free, mask = _guarded_free_edges(g, max_free_edges)
-    for indices, rhos in _class_rhos(g, free, mask, 0, _evaluated_count(free, mask)):
+    for indices, rhos in _class_rhos(g, free, mask, 0, _evaluated_count(free, mask), 32):
         good = np.flatnonzero(rhos <= bound + VERDICT_TOLERANCE)
         if good.size:
             return _signing_for_index(g, free, int(indices[good[0]]))
@@ -185,7 +176,7 @@ def _near_ties(
     # the running minimum plus the tolerance never wins.
     indices = np.empty(0, dtype=np.int64)
     rhos = np.empty(0)
-    for chunk_indices, chunk in _class_rhos(g, free, mask, lo, hi):
+    for chunk_indices, chunk in _class_rhos(g, free, mask, lo, hi, _chunk_classes(g)):
         floor = rhos[-1] if rhos.size else np.inf
         before = np.minimum.accumulate(np.concatenate(([floor], chunk[:-1])))
         new = np.flatnonzero(chunk < before)

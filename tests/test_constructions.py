@@ -24,6 +24,7 @@ from goodsign.graphs import (
     complete_graph,
     cycle_graph,
     is_bipartite,
+    petersen_graph,
     signed_adjacency,
 )
 from goodsign.partition import is_equitable, quotient_eigenvalues, quotient_matrix
@@ -350,7 +351,20 @@ def test_witness_cycle_has_differing_sign_product():
         prod_plus *= plus.sign(u, v)
         prod_minus *= minus_one.sign(u, v)
     assert prod_plus != prod_minus
+    assert cycle == (2, 1, 0, 3)
     assert switching_witness_cycle(c4, plus, plus) is None
+    # Petersen: flipping non-tree edge (7, 9) yields its fundamental cycle;
+    # flipping tree edge (5, 8) makes several edges contradict, and the
+    # witness closes at the first in BFS scan order, (6, 8), not at (3, 8),
+    # the first in the sorted edge list.
+    pet = petersen_graph()
+    pet_plus = SignedGraph.all_plus(pet)
+    for edge, witness in (((7, 9), (7, 5, 0, 4, 9)), ((5, 8), (6, 1, 0, 5, 8))):
+        signs = dict(pet_plus.signs)
+        signs[edge] = -1
+        flipped = SignedGraph(pet, signs)
+        assert signing_equivalence(pet, pet_plus, flipped) is None
+        assert switching_witness_cycle(pet, pet_plus, flipped) == witness
 
 
 def test_equivalence_per_component():
@@ -359,9 +373,18 @@ def test_equivalence_per_component():
     switched = sigma.switched([1, -1, -1, 1])
     d = signing_equivalence(g, sigma, switched)
     assert d is not None
+    assert d.tolist() == [1, -1, 1, -1]  # every component's root fixed to +1
     assert np.array_equal(
         np.diag(d) @ signed_adjacency(sigma) @ np.diag(d), signed_adjacency(switched)
     )
+    # Two triangles, equal on the first and differing in sign product on the second.
+    triangles = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    plus = SignedGraph.all_plus(triangles)
+    signs = dict(plus.signs)
+    signs[(3, 4)] = -1
+    one_flip = SignedGraph(triangles, signs)
+    assert signing_equivalence(triangles, plus, one_flip) is None
+    assert switching_witness_cycle(triangles, plus, one_flip) == (4, 3, 5)
 
 
 def test_equivalence_rejects_mismatched_graphs():

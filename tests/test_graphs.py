@@ -108,6 +108,7 @@ def test_is_bipartite():
 def test_bipartition_is_proper_coloring():
     g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
     side0, side1 = is_bipartite(g)
+    assert (side0, side1) == ((0, 2, 4, 6), (1, 3, 5))  # BFS depth parity, roots on side 0
     assert sorted(side0 + side1) == list(range(7))
     for u, v in g.edge_list:
         assert (u in side0) != (v in side0)

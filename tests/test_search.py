@@ -96,6 +96,8 @@ def test_representatives_fix_tree_edges_to_plus():
         for e, s in sg.signs.items():
             if e not in free:
                 assert s == 1
+    # Petersen's BFS tree leaves six free edges, each closing an odd cycle.
+    assert _free_edges(petersen_graph()) == ([(2, 3), (2, 7), (3, 8), (6, 8), (6, 9), (7, 9)], 63)
 
 
 @pytest.mark.parametrize("g", [cycle_graph(4), cycle_graph(6), complete_graph(4)])
@@ -298,6 +300,10 @@ def test_find_good_signing_stops_early(monkeypatch):
     g = complete_graph(6)
     assert find_good_signing(g) is not None
     assert sum(evaluated) < 128 < signing_class_count(g)
+    # min_rho never stops early, so K4,4's 512 classes fill one full chunk.
+    evaluated.clear()
+    min_rho(K44)
+    assert evaluated == [512]
 
 
 def test_thread_pool_only_for_large_class_spaces(monkeypatch):
