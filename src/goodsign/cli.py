@@ -16,11 +16,10 @@ from pathlib import Path
 from . import __version__
 from .conference import normalize, paley_conference
 from .constructions import (
+    _switching_equivalence,
     lex_k2_signing,
     lex_k4_signing,
     sign_complete_from_conference,
-    signing_equivalence,
-    switching_witness_cycle,
     two_lift_signed,
 )
 from .fileio import (
@@ -37,7 +36,7 @@ from .fileio import (
     signed_graph_to_json_dict,
 )
 from .graphs import signed_adjacency
-from .partition import is_equitable, quotient_matrix, verify_quotient_identity
+from .partition import NotEquitableError, quotient_matrix, verify_quotient_identity
 from .reproduce import example_ids, run_example
 from .search import min_rho
 from .spectra import _rho, check_good_signing, eigenvalues_symmetric
@@ -123,14 +122,11 @@ def _cmd_lift2(args) -> int:
 def _cmd_equiv(args) -> int:
     sigma = load_signed_graph(args.sigma)
     sigma_prime = load_signed_graph(args.sigma_prime)
-    d = signing_equivalence(sigma.graph, sigma, sigma_prime)
+    d, cycle = _switching_equivalence(sigma.graph, sigma, sigma_prime)
     if d is not None:
-        sys.stdout.write(dumps_json({"equivalent": True, "diagonal": [int(x) for x in d]}))
+        sys.stdout.write(dumps_json({"equivalent": True, "diagonal": d.tolist()}))
         return EXIT_OK
-    cycle = switching_witness_cycle(sigma.graph, sigma, sigma_prime)
-    sys.stdout.write(
-        dumps_json({"equivalent": False, "witness_cycle": list(cycle or ())})
-    )
+    sys.stdout.write(dumps_json({"equivalent": False, "witness_cycle": list(cycle)}))
     return EXIT_FALSE
 
 
@@ -157,32 +153,20 @@ def _cmd_spectrum(args) -> int:
 def _cmd_partition_check(args) -> int:
     sg = load_signed_graph(args.signed)
     p = load_partition(args.partition)
-    equitable, witness = is_equitable(sg, p)
-    if not equitable:
-        sys.stdout.write(
-            dumps_json(
-                {
-                    "equitable": False,
-                    "witness": {
-                        "cell": witness.cell,
-                        "target_cell": witness.target_cell,
-                        "vertices": [witness.vertex_a, witness.vertex_b],
-                        "degrees": [witness.degree_a, witness.degree_b],
-                    },
-                }
-            )
-        )
+    try:
+        b = quotient_matrix(sg, p)
+    except NotEquitableError as exc:
+        w = exc.witness
+        witness = {
+            "cell": w.cell,
+            "target_cell": w.target_cell,
+            "vertices": [w.vertex_a, w.vertex_b],
+            "degrees": [w.degree_a, w.degree_b],
+        }
+        sys.stdout.write(dumps_json({"equitable": False, "witness": witness}))
         return EXIT_FALSE
-    b = quotient_matrix(sg, p)
-    sys.stdout.write(
-        dumps_json(
-            {
-                "equitable": True,
-                "quotient": b.matrix.tolist(),
-                "identity_holds": verify_quotient_identity(sg, p, b),
-            }
-        )
-    )
+    identity = verify_quotient_identity(sg, p, b)
+    sys.stdout.write(dumps_json({"equitable": True, "quotient": b.matrix.tolist(), "identity_holds": identity}))
     return EXIT_OK
 
 

@@ -22,8 +22,8 @@ from .graphs import (
     SignedGraph,
     _bfs_forest,
     _canon,
+    _lex_pairs,
     complete_graph,
-    lexicographic_product,
     verify_decomposition,
 )
 from .partition import Partition
@@ -125,17 +125,10 @@ def lex_k2_signing(g: Graph, h1: SignedGraph, h2: SignedGraph) -> SignedGraph:
             f"shared={report.shared_edges} missing={report.missing_edges} "
             f"foreign={report.foreign_edges}"
         )
-    product = lexicographic_product(g, Graph(2, frozenset()))
-    signs: dict[Edge, int] = {}
-    for (x, y), s in h1.signs.items():
-        for i in range(2):
-            for j in range(2):
-                signs[_canon(2 * x + i, 2 * y + j)] = s
-    for (x, y), s in h2.signs.items():
-        for i in range(2):
-            for j in range(2):
-                signs[_canon(2 * x + i, 2 * y + j)] = s if i == j else -s
-    return SignedGraph(product, signs)
+    both = {**h1.signs, **h2.signs}
+    s = np.array([both[e] for e in g.edge_list], dtype=np.int64)[:, None]
+    crossed = np.array([e in h2.signs for e in g.edge_list], dtype=bool)[:, None] & ~np.eye(2, dtype=bool).ravel()
+    return _signed_lex(g, 2, np.where(crossed, -s, s))
 
 
 def lex_k4_signing(g: Graph, sigma: SignedGraph) -> SignedGraph:
@@ -149,13 +142,18 @@ def lex_k4_signing(g: Graph, sigma: SignedGraph) -> SignedGraph:
     """
     if sigma.graph != g:
         raise ValueError("signing is not on the given base graph")
-    product = lexicographic_product(g, Graph(4, frozenset()))
-    signs: dict[Edge, int] = {}
-    for (x, y), s in sigma.signs.items():
-        for i in range(4):
-            for j in range(4):
-                signs[_canon(4 * x + i, 4 * y + j)] = -s if i == j else s
-    return SignedGraph(product, signs)
+    s = np.fromiter(sigma.signs.values(), np.int64, len(sigma.signs))  # edge_list order
+    return _signed_lex(g, 4, s[:, None] * (1 - 2 * np.eye(4, dtype=np.int64).ravel()))
+
+
+def _signed_lex(g: Graph, k: int, signs: np.ndarray) -> SignedGraph:
+    """The product of g with the edgeless k-vertex graph, signed ``signs[e, k*i + j]``
+    on the edge (k*x + i, k*y + j) of the e-th base edge xy."""
+    pairs = _lex_pairs(g, k)
+    order = np.lexsort(pairs.T[::-1])  # sorted edges take SignedGraph's no-rewrite path
+    us, vs = pairs[order].T.tolist()
+    edges = list(zip(us, vs))
+    return SignedGraph(Graph(k * g.n, frozenset(edges)), dict(zip(edges, signs.ravel()[order].tolist())))
 
 
 @dataclass(frozen=True)
@@ -222,27 +220,35 @@ def pair_cell_partition(n: int) -> Partition:
     return Partition.from_cells([(2 * u, 2 * u + 1) for u in range(n)])
 
 
-def _switching_propagate(
-    g: Graph, target: dict[Edge, int]
-) -> tuple[list[int], Edge | None, list[int]]:
+def _switching_equivalence(
+    g: Graph, sigma: SignedGraph, sigma_prime: SignedGraph
+) -> tuple[np.ndarray | None, tuple[int, ...] | None]:
+    """``(d, None)`` for equivalent signings, else ``(None, witness cycle)``."""
+    if sigma.graph != g or sigma_prime.graph != g:
+        raise ValueError("both signings must be on the given graph")
+    target = {e: sigma.signs[e] * sigma_prime.signs[e] for e in g.edge_list}
     # Fix every BFS root to +1, force d_v = d_u * target(uv) along the tree
-    # edges, and report the first edge in BFS scan order that contradicts.
+    # edges; the first edge in BFS scan order that contradicts closes the
+    # witness cycle through the tree.
     order, parent, _ = _bfs_forest(g)
     d = [1] * g.n
     for v in order:
         if parent[v] >= 0:
             d[v] = d[parent[v]] * target[_canon(parent[v], v)]
-    for u in order:
-        for v in g.neighbors(u):
-            if d[u] * d[v] != target[_canon(u, v)]:
-                return d, _canon(u, v), parent
-    return d, None, parent
-
-
-def _sign_targets(g: Graph, sigma: SignedGraph, sigma_prime: SignedGraph) -> dict[Edge, int]:
-    if sigma.graph != g or sigma_prime.graph != g:
-        raise ValueError("both signings must be on the given graph")
-    return {e: sigma.signs[e] * sigma_prime.signs[e] for e in g.edge_list}
+    scan = (_canon(u, v) for u in order for v in g.neighbors(u))
+    conflict = next((e for e in scan if d[e[0]] * d[e[1]] != target[e]), None)
+    if conflict is None:
+        return np.array(d, dtype=np.int64), None
+    u, v = conflict
+    chain_u = [u]
+    while parent[chain_u[-1]] != -1:
+        chain_u.append(parent[chain_u[-1]])
+    on_u = {x: i for i, x in enumerate(chain_u)}
+    chain_v = [v]
+    while chain_v[-1] not in on_u:
+        chain_v.append(parent[chain_v[-1]])
+    meet = chain_v[-1]
+    return None, tuple(chain_u[: on_u[meet] + 1] + list(reversed(chain_v[:-1])))
 
 
 def signing_equivalence(
@@ -254,10 +260,7 @@ def signing_equivalence(
     same sign product under both; equivalence preserves the spectrum since the
     switching is a similarity transform. Returns ``None`` when inequivalent.
     """
-    d, conflict, _ = _switching_propagate(g, _sign_targets(g, sigma, sigma_prime))
-    if conflict is not None:
-        return None
-    return np.array(d, dtype=np.int64)
+    return _switching_equivalence(g, sigma, sigma_prime)[0]
 
 
 def switching_witness_cycle(
@@ -268,17 +271,4 @@ def switching_witness_cycle(
     ``None`` when the signings are switching-equivalent. The cycle is returned
     as a vertex sequence; consecutive vertices (and last-to-first) are edges.
     """
-    _, conflict, parent = _switching_propagate(g, _sign_targets(g, sigma, sigma_prime))
-    if conflict is None:
-        return None
-    u, v = conflict
-    chain_u = [u]
-    while parent[chain_u[-1]] != -1:
-        chain_u.append(parent[chain_u[-1]])
-    on_u = {x: i for i, x in enumerate(chain_u)}
-    chain_v = [v]
-    while chain_v[-1] not in on_u:
-        chain_v.append(parent[chain_v[-1]])
-    meet = chain_v[-1]
-    cycle = chain_u[: on_u[meet] + 1] + list(reversed(chain_v[:-1]))
-    return tuple(cycle)
+    return _switching_equivalence(g, sigma, sigma_prime)[1]

@@ -3,8 +3,10 @@
 Graph JSON: ``{"n": int, "edges": [[u, v], ...]}``; signed graphs carry
 ``[[u, v, s], ...]`` with s in {-1, 1}; partitions are
 ``{"cells": [[v, ...], ...]}``. Matrices travel as plain text with
-newline-separated rows and space-separated entries. Floats are printed at 12
-significant digits so identical inputs give byte-identical outputs.
+newline-separated rows and space-separated entries. :func:`dumps_json` emits
+the bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` with every
+float first rounded to 12 significant digits, so identical inputs give
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -33,25 +36,34 @@ def fmt12(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def round12(obj: Any) -> Any:
-    """Recursively round floats to 12 significant digits for stable JSON."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return float(fmt12(obj))
-    if isinstance(obj, (np.floating,)):
-        return float(fmt12(float(obj)))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round12(v) for v in obj]
-    return obj
-
-
 def dumps_json(obj: Any) -> str:
-    return json.dumps(round12(obj), sort_keys=True, indent=2) + "\n"
+    return _encode(obj, "") + "\n"
+
+
+def _encode(obj: Any, pad: str) -> str:
+    """JSON text of obj with its closing bracket at indent ``pad``."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        body = sep.join(
+            json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " + _encode(v, inner)
+            for k, v in sorted(obj.items())
+        )
+        return "{\n" + inner + body + "\n" + pad + "}" if obj else "{}"
+    if not isinstance(obj, (list, tuple)):
+        if isinstance(obj, (float, np.floating)):
+            obj = float(fmt12(obj))
+        return json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
+    types = set(map(type, obj))
+    if types == {int}:  # bools, floats and numpy scalars take the general path
+        body = sep.join(map(str, obj))
+    elif types == {list} and len(set(map(len, obj))) == 1 and set(map(type, chain.from_iterable(obj))) == {int}:
+        # equal-length rows of ints, such as an edge list: one %-format call
+        row = "[\n" + inner + "  " + (sep + "  ").join(["%d"] * len(obj[0])) + "\n" + inner + "]"
+        body = sep.join([row] * len(obj)) % tuple(chain.from_iterable(obj))
+    else:
+        body = sep.join([_encode(x, inner) for x in obj])
+    return "[\n" + inner + body + "\n" + pad + "]" if obj else "[]"
 
 
 # -- graphs ------------------------------------------------------------------
@@ -68,7 +80,7 @@ def graph_from_json_dict(d: dict) -> Graph:
 def signed_graph_to_json_dict(sg: SignedGraph) -> dict:
     return {
         "n": sg.graph.n,
-        "edges": [[u, v, sg.signs[(u, v)]] for u, v in sg.graph.edge_list],
+        "edges": [[u, v, s] for (u, v), s in sg.signs.items()],
     }
 
 
@@ -115,11 +127,8 @@ def load_partition(path: str | Path) -> Partition:
 def matrix_to_text(a: np.ndarray) -> str:
     """Rows newline-separated, entries space-separated; integers stay integers."""
     m = np.asarray(a)
-    if np.issubdtype(m.dtype, np.integer):
-        rows = [" ".join(str(int(x)) for x in row) for row in m]
-    else:
-        rows = [" ".join(fmt12(x) for x in row) for row in m]
-    return "\n".join(rows) + "\n"
+    entry = str if np.issubdtype(m.dtype, np.integer) else fmt12
+    return "\n".join(" ".join(map(entry, row)) for row in m.tolist()) + "\n"
 
 
 def matrix_from_text(text: str) -> np.ndarray:

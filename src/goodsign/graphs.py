@@ -13,8 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,7 +54,9 @@ class Graph:
     @cached_property
     def edge_list(self) -> tuple[Edge, ...]:
         """Edges in sorted order; the canonical iteration order everywhere."""
-        return tuple(sorted(self.edges))
+        edges = list(self.edges)
+        uv = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
+        return tuple(map(edges.__getitem__, np.lexsort((uv[1::2], uv[0::2])).tolist()))
 
     @cached_property
     def _adjacency_lists(self) -> tuple[tuple[int, ...], ...]:
@@ -103,11 +106,7 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix as an exact ``int64`` array."""
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v in self.edges:
-            a[u, v] = 1
-            a[v, u] = 1
-        return a
+        return _symmetric_matrix(self.n, self.edges, 1)
 
 
 @dataclass(frozen=True)
@@ -118,17 +117,19 @@ class SignedGraph:
     signs: Mapping[Edge, int]
 
     def __post_init__(self) -> None:
-        fixed = {}
-        for (u, v), s in self.signs.items():
-            e = _canon(int(u), int(v))
-            if int(s) not in (-1, 1):
-                raise ValueError(f"sign of edge {e} must be -1 or +1, got {s}")
-            fixed[e] = int(s)
-        if set(fixed) != self.graph.edges:
-            raise ValueError("sign map must cover exactly the edge set")
+        raw = self.signs
+        values = list(map(int, raw.values()))
+        if not set(values) <= {-1, 1}:
+            (u, v), s = next((k, s) for k, s, x in zip(raw, raw.values(), values) if x not in (-1, 1))
+            raise ValueError(f"sign of edge {_canon(int(u), int(v))} must be -1 or +1, got {s}")
+        edges = self.graph.edge_list
+        if list(raw) != list(edges):  # keys that are already the sorted edges need no rewriting
+            fixed = {_canon(int(u), int(v)): s for (u, v), s in zip(raw, values)}
+            if fixed.keys() != self.graph.edges:
+                raise ValueError("sign map must cover exactly the edge set")
+            values = list(map(fixed.__getitem__, edges))
         # deterministic ordering, read-only view
-        ordered = {e: fixed[e] for e in self.graph.edge_list}
-        object.__setattr__(self, "signs", MappingProxyType(ordered))
+        object.__setattr__(self, "signs", MappingProxyType(dict(zip(edges, values))))
 
     @staticmethod
     def from_signs(graph: Graph, signs: Mapping[Edge, int]) -> "SignedGraph":
@@ -137,12 +138,12 @@ class SignedGraph:
     @staticmethod
     def from_edge_triples(n: int, triples: Iterable[Sequence[int]]) -> "SignedGraph":
         """Build a signed graph from ``(u, v, sign)`` triples."""
-        signs = {}
+        signs: dict[Edge, int] = {}
         for u, v, s in triples:
-            e = _canon(int(u), int(v))
-            if e in signs and signs[e] != int(s):
+            u, v, s = int(u), int(v), int(s)
+            e = (u, v) if u < v else (v, u)  # _canon, inlined in this per-edge loop
+            if signs.setdefault(e, s) != s:
                 raise ValueError(f"conflicting signs for edge {e}")
-            signs[e] = int(s)
         return SignedGraph(Graph(n, frozenset(signs)), signs)
 
     @staticmethod
@@ -196,11 +197,14 @@ class SignedGraph:
 
 def signed_adjacency(sg: SignedGraph) -> np.ndarray:
     """Signed adjacency matrix: ``sign(uv)`` on edges, 0 elsewhere, exact ``int64``."""
-    n = sg.graph.n
+    return _symmetric_matrix(sg.graph.n, sg.signs.keys(), np.fromiter(sg.signs.values(), np.int64, len(sg.signs)))
+
+
+def _symmetric_matrix(n: int, edges: Collection[Edge], values: int | np.ndarray) -> np.ndarray:
+    """``n x n`` int64 matrix holding ``values`` at (u, v) and (v, u) for each edge, 0 elsewhere."""
+    uv = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
     a = np.zeros((n, n), dtype=np.int64)
-    for (u, v), s in sg.signs.items():
-        a[u, v] = s
-        a[v, u] = s
+    a[uv[:, 0], uv[:, 1]] = a[uv[:, 1], uv[:, 0]] = values
     return a
 
 
@@ -251,15 +255,18 @@ def lexicographic_product(g: Graph, h: Graph) -> Graph:
     bit for bit.
     """
     k = h.n
-    edges = []
-    for x, z in g.edge_list:
-        for y in range(k):
-            for t in range(k):
-                edges.append((x * k + y, z * k + t))
-    for x in range(g.n):
-        for y, t in h.edge_list:
-            edges.append((x * k + y, x * k + t))
-    return Graph.from_edges(g.n * k, edges)
+    us, vs = _lex_pairs(g, k).T.tolist()
+    inner = [(x * k + y, x * k + t) for x in range(g.n) for y, t in h.edge_list]
+    return Graph(g.n * k, frozenset([*zip(us, vs), *inner]))
+
+
+def _lex_pairs(g: Graph, k: int) -> np.ndarray:
+    """The edges ``(k*x + i, k*z + j)`` that join the k copies of x and of z for
+    each edge xz of g, one row each: base edges in ``edge_list`` order, then
+    (i, j) row-major."""
+    ij = np.stack(np.divmod(np.arange(k * k), k), axis=1)
+    ends = k * np.array(g.edge_list, dtype=np.int64).reshape(-1, 1, 2)
+    return (ends + ij).reshape(-1, 2)
 
 
 def _bfs_forest(g: Graph) -> tuple[list[int], list[int], list[int]]:

@@ -104,16 +104,31 @@ def is_equitable(sg: SignedGraph, p: Partition) -> tuple[bool, EquitabilityWitne
 
     On failure the witness names the offending cell pair and vertex pair.
     """
+    witness = _quotient_and_witness(sg, p)[1]
+    return witness is None, witness
+
+
+def _quotient_and_witness(
+    sg: SignedGraph, p: Partition
+) -> tuple[np.ndarray, EquitabilityWitness | None]:
+    """B, the first row of ``D = A @ P`` in each cell, and the first witness.
+
+    ``D[u, j] = d(u, C_j)`` in exact integers, so the partition is equitable
+    exactly when D's rows are constant within each cell. The witness is the
+    first (cell, target cell, vertex) in that order whose degree differs from
+    the cell's first vertex.
+    """
     if p.n != sg.graph.n:
         raise ValueError("partition does not cover the graph's vertex set")
+    d = signed_adjacency(sg) @ characteristic_matrix(p)
+    b = d[[cell[0] for cell in p.cells]]
     for i, cell in enumerate(p.cells):
-        for j, target in enumerate(p.cells):
-            first = signed_degree(sg, cell[0], target)
-            for u in cell[1:]:
-                d = signed_degree(sg, u, target)
-                if d != first:
-                    return False, EquitabilityWitness(i, j, cell[0], u, first, d)
-    return True, None
+        bad = d[list(cell)] != b[i]
+        if bad.any():
+            j = int(bad.any(axis=0).argmax())
+            u = cell[int(bad[:, j].argmax())]
+            return b, EquitabilityWitness(i, j, cell[0], u, int(b[i, j]), int(d[u, j]))
+    return b, None
 
 
 def characteristic_matrix(p: Partition, n: int | None = None) -> np.ndarray:
@@ -124,8 +139,7 @@ def characteristic_matrix(p: Partition, n: int | None = None) -> np.ndarray:
         raise ValueError(f"partition covers {p.n} vertices, not {n}")
     m = np.zeros((n, p.size), dtype=np.int64)
     for j, cell in enumerate(p.cells):
-        for v in cell:
-            m[v, j] = 1
+        m[list(cell), j] = 1
     return m
 
 
@@ -148,14 +162,9 @@ def quotient_matrix(sg: SignedGraph, p: Partition) -> QuotientMatrix:
     Raises :class:`NotEquitableError` when the partition is not equitable;
     the quotient is undefined in that case, and nothing is averaged silently.
     """
-    ok, witness = is_equitable(sg, p)
-    if not ok:
-        assert witness is not None
+    b, witness = _quotient_and_witness(sg, p)
+    if witness is not None:
         raise NotEquitableError(witness)
-    b = np.zeros((p.size, p.size), dtype=np.int64)
-    for i, cell in enumerate(p.cells):
-        for j, target in enumerate(p.cells):
-            b[i, j] = signed_degree(sg, cell[0], target)
     return QuotientMatrix(b, p)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -394,3 +395,40 @@ def test_equivalence_rejects_mismatched_graphs():
             SignedGraph.all_plus(complete_graph(3)),
             SignedGraph.all_plus(complete_graph(4)),
         )
+
+
+def _halves(sg):
+    """Split a signing into its even- and odd-position edges of ``edge_list``."""
+    g = sg.graph
+    parts = []
+    for r in (0, 1):
+        sub = [e for i, e in enumerate(g.edge_list) if i % 2 == r]
+        parts.append(SignedGraph(Graph(g.n, frozenset(sub)), {e: sg.signs[e] for e in sub}))
+    return parts
+
+
+def _digest(sg):
+    return hashlib.sha256(repr((sg.graph.n, list(sg.signs.items()))).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, k4_digest, k2_digest",
+    [
+        ("k7_case1",
+         "c11f59f2b16dd6793ab3c245c24bc81433738305c9f407639d9f0bc3e3abb82d",
+         "12379d9a50ea70d881c1908a7095c514dac817d829cdd77110865aceb4a72fae"),
+        ("petersen",
+         "4a2112cf3df3ec09774f661c67689698445886304065a13fcc258d9bd1eacb96",
+         "9560bfb349eec625f9da649f76f0135ab963fa2cc6fd58c0790d1653d2c46dc3"),
+    ],
+)
+def test_lex_products_are_bit_for_bit_stable(name, k4_digest, k2_digest):
+    # digests of (n, signs in edge_list order) from the per-edge loop construction
+    if name == "k7_case1":
+        sg = sign_complete_from_conference(paley_conference(5), 1)
+    else:
+        pet = petersen_graph()
+        sg = SignedGraph(pet, {e: -1 if i % 3 == 0 else 1 for i, e in enumerate(pet.edge_list)})
+    assert _digest(lex_k4_signing(sg.graph, sg)) == k4_digest
+    h1, h2 = _halves(sg)
+    assert _digest(lex_k2_signing(sg.graph, h1, h2)) == k2_digest

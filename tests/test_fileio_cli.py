@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goodsign.cli import run
 from goodsign.conference import paley_conference
@@ -20,7 +23,7 @@ from goodsign.fileio import (
     signed_graph_from_json_dict,
     signed_graph_to_json_dict,
 )
-from goodsign.graphs import SignedGraph, complete_graph, cycle_graph, petersen_graph
+from goodsign.graphs import Graph, SignedGraph, complete_graph, cycle_graph, petersen_graph
 from goodsign.partition import Partition
 from goodsign.refdata import REFERENCE_NAMES, reference_checksums, reference_matrix
 from goodsign.reproduce import example_ids, run_example
@@ -93,6 +96,127 @@ def test_run_manifest_sidecar(tmp_path):
     assert data["command"] == "conference"
     assert data["parameters"] == {"q": 5}
     assert set(data["tolerances"]) == {"verdict", "zero_snap", "spectral_multiset"}
+
+
+# -- the JSON encoder ----------------------------------------------------------
+
+
+def round12_reference(obj):
+    """The rounding walk that fed json.dumps(..., sort_keys=True, indent=2)."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, (np.floating,)):
+        return float(f"{float(obj):.12g}")
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {k: round12_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round12_reference(v) for v in obj]
+    return obj
+
+
+def reference_json(obj):
+    return json.dumps(round12_reference(obj), sort_keys=True, indent=2) + "\n"
+
+
+def _encoder_payloads():
+    from goodsign.constructions import two_lift_signed
+    from goodsign.partition import EquitabilityWitness, quotient_matrix
+    from goodsign.search import min_rho
+    from goodsign.spectra import check_good_signing, eigenvalues_symmetric
+
+    k5 = complete_graph(5)
+    signed_k5 = SignedGraph(k5, {e: (-1) ** (e[0] + e[1]) for e in k5.edge_list})
+    sigma = SignedGraph.from_adjacency(reference_matrix("sign4"))
+    sigma_alt = SignedGraph.from_adjacency(reference_matrix("sign4_alt"))
+    lift = two_lift_signed(sigma.graph, sigma, sigma_alt)
+    eig = eigenvalues_symmetric(reference_matrix("lift8"))
+    w = EquitabilityWitness(1, 2, 1, 2, 1, 0)
+    search = min_rho(cycle_graph(4), mode="regular")
+    manifest = RunManifest("search", ("g.json",), {"mode": "regular", "jobs": 1, "out": None}, "-", "0.1.0")
+    return {
+        "empty graph": graph_to_json_dict(Graph(0, frozenset())),
+        "edgeless signed": signed_graph_to_json_dict(SignedGraph.all_plus(Graph(3, frozenset()))),
+        "one edge": signed_graph_to_json_dict(SignedGraph.all_plus(complete_graph(2))),
+        "signed K5": signed_graph_to_json_dict(signed_k5),
+        "graph-only lift": graph_to_json_dict(lift.graph),
+        "spectrum": {"eigenvalues": list(eig), "rho": float(np.abs(eig).max())},
+        "verdict": check_good_signing(lift, mode="maxdeg").to_json_dict(),
+        "witness": {
+            "equitable": False,
+            "witness": {"cell": w.cell, "target_cell": w.target_cell, "vertices": [1, 2], "degrees": [1, 0]},
+        },
+        "quotient": {
+            "equitable": True,
+            "quotient": quotient_matrix(lift, pair_partition(4)).matrix.tolist(),
+            "identity_holds": True,
+        },
+        "search": {
+            "best_rho": search.best_rho,
+            "best_signing": signed_graph_to_json_dict(search.best_signing),
+            "classes_examined": search.classes_examined,
+            "good_found": search.good_found,
+            "bound_used": search.bound_used,
+        },
+        "equivalent": {"equivalent": True, "diagonal": [1, -1, 1, -1]},
+        "inequivalent": {"equivalent": False, "witness_cycle": [2, 1, 0, 3]},
+        "manifest": manifest.to_json_dict(),
+        "odd shapes": {
+            "ragged": [[1, 2], [3]],
+            "bool row": [[1, 2], [True, 3]],
+            "numpy": [np.int64(7), np.float64(1 / 3), [np.int64(1), np.int64(2)]],
+            "scalars": [0.1 + 0.2, 1e-30, -0.0, float("inf"), float("nan"), None, "text \u00e9", False, []],
+            "nested": {"b": {}, "a": [{}], "c": (1, 2)},
+        },
+        "top-level list": [[0, 1, -1], [2, 3, 1]],
+    }
+
+
+def pair_partition(n):
+    return Partition.from_cells([(2 * u, 2 * u + 1) for u in range(n)])
+
+
+@pytest.mark.parametrize("name", list(_encoder_payloads()))
+def test_dumps_json_matches_the_reference_encoder(name):
+    obj = _encoder_payloads()[name]
+    assert dumps_json(obj) == reference_json(obj)
+
+
+@st.composite
+def signed_graphs(draw, max_n=9):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = [e for e in pairs if draw(st.booleans())]
+    return SignedGraph(Graph(n, frozenset(chosen)), {e: draw(st.sampled_from([-1, 1])) for e in chosen})
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_graphs())
+def test_dumps_json_matches_the_reference_on_random_signed_graphs(sg):
+    for obj in (signed_graph_to_json_dict(sg), graph_to_json_dict(sg.graph)):
+        assert dumps_json(obj) == reference_json(obj)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_lex_k4_file_and_partition_check_bytes_are_pinned(tmp_path, capsys):
+    # q = 61 case 3: n = 65, and its lex-k4 product has n = 260 and 33280 edges
+    from goodsign.constructions import case_cells
+
+    s61, lex = tmp_path / "s61.json", tmp_path / "lex260.json"
+    assert run(["sign-complete", "--q", "61", "--case", "3", "--out", str(s61)]) == 0
+    assert run(["lex-k4", "--signing", str(s61), "--out", str(lex)]) == 0
+    assert _sha256(lex.read_text()) == "9417adc16e27e2a4139e93a135f4af25675a6c192596a654ab0e1ed302deb204"
+    cells = [[4 * x + i for x in cell for i in range(4)] for cell in case_cells(3, 62).cells]
+    part = write_json(tmp_path / "cells.json", {"cells": cells})
+    assert run(["partition-check", "--signed", str(lex), "--partition", part]) == 0
+    out = capsys.readouterr().out
+    assert _sha256(out) == "8765b4062a56d4b9a3e46759aac622534b0caedfdc6bcacccc1885d035ec42e7"
 
 
 # -- command line --------------------------------------------------------------
@@ -206,6 +330,22 @@ def test_cli_equiv(tmp_path, capsys):
     assert run(["equiv", "--sigma", a, "--sigma-prime", b]) == 1
     out = json.loads(capsys.readouterr().out)
     assert not out["equivalent"] and out["witness_cycle"] == [2, 1, 0, 3]
+
+
+def test_cli_equiv_propagates_once_on_an_inequivalent_pair(tmp_path, capsys, monkeypatch):
+    import goodsign.constructions as constructions
+
+    calls = []
+    forest = constructions._bfs_forest
+    monkeypatch.setattr(constructions, "_bfs_forest", lambda g: calls.append(g) or forest(g))
+    c4 = cycle_graph(4)
+    plus = SignedGraph.all_plus(c4)
+    minus = SignedGraph(c4, {**plus.signs, (0, 1): -1})
+    a = write_json(tmp_path / "a.json", signed_graph_to_json_dict(plus))
+    b = write_json(tmp_path / "b.json", signed_graph_to_json_dict(minus))
+    assert run(["equiv", "--sigma", a, "--sigma-prime", b]) == 1
+    assert json.loads(capsys.readouterr().out)["witness_cycle"] == [2, 1, 0, 3]
+    assert len(calls) == 1
 
 
 def test_cli_partition_check(tmp_path, capsys):

@@ -162,6 +162,43 @@ def test_signed_graph_validation():
         SignedGraph.from_adjacency(np.array([[1, 1], [1, 0]]))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SignedGraph.from_edge_triples(3, [(0, 1, 1), (1, 2, -1), (1, 0, -1)]),
+         "conflicting signs for edge (0, 1)"),
+        (lambda: SignedGraph.from_edge_triples(3, [(0, 1, 1), (2, 1, 0)]),
+         "sign of edge (1, 2) must be -1 or +1, got 0"),
+        (lambda: SignedGraph.from_edge_triples(3, [(0, 1, 2)]),
+         "sign of edge (0, 1) must be -1 or +1, got 2"),
+        (lambda: SignedGraph(cycle_graph(4), {(1, 0): 1, (2, 1): 2.5, (2, 3): 1, (0, 3): 1}),
+         "sign of edge (1, 2) must be -1 or +1, got 2.5"),
+        (lambda: SignedGraph.from_edge_triples(3, [(0, 1, 1), (2, 2, 1)]),
+         "edge (2, 2) is not canonical for n=3"),
+        (lambda: SignedGraph.from_edge_triples(3, [(0, 1, 1), (1, 3, 1)]),
+         "edge (1, 3) is not canonical for n=3"),
+        (lambda: SignedGraph(cycle_graph(4), {(0, 1): 1, (1, 2): 1, (2, 3): 1}),
+         "sign map must cover exactly the edge set"),
+        (lambda: SignedGraph(cycle_graph(4), {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1, (0, 2): 1}),
+         "sign map must cover exactly the edge set"),
+    ],
+)
+def test_signed_graph_error_texts(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_signed_graph_keys_and_signs_become_canonical_python_ints():
+    c4 = cycle_graph(4)
+    raw = {(np.int64(1), np.int64(0)): np.int64(-1), (2, 1): 1.0, (3, 2): True, (0, 3): 1}
+    sg = SignedGraph(c4, raw)
+    assert list(sg.signs.items()) == [((0, 1), -1), ((0, 3), 1), ((1, 2), 1), ((2, 3), 1)]
+    assert all(type(x) is int for e, s in sg.signs.items() for x in (*e, s))
+    with pytest.raises(TypeError):
+        sg.signs[(0, 1)] = 1  # read-only view
+
+
 def test_switching_round_trip():
     sg = SignedGraph.from_adjacency(reference_matrix("sign4"))
     d = [1, -1, 1, -1]

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from goodsign.conference import paley_conference
-from goodsign.constructions import case_cells, pair_cell_partition, sign_complete_from_conference
-from goodsign.graphs import SignedGraph, complete_graph, cycle_graph, path_graph, signed_adjacency
+from goodsign.constructions import (
+    case_cells,
+    lex_k4_signing,
+    pair_cell_partition,
+    sign_complete_from_conference,
+    two_lift_signed,
+)
+from goodsign.graphs import Graph, SignedGraph, complete_graph, cycle_graph, path_graph, signed_adjacency
 from goodsign.partition import (
+    EquitabilityWitness,
     NotEquitableError,
     Partition,
     characteristic_matrix,
@@ -155,3 +162,88 @@ def test_quotient_spectrum_embeds_in_signing_spectrum(case):
     assert multiset_within(
         quotient_eigenvalues(b), eigenvalues_symmetric(signed_adjacency(sg)), 1e-8
     )
+
+
+# -- the per-vertex loops, kept as the reference for the one-matmul versions --
+
+
+def is_equitable_reference(sg, p):
+    if p.n != sg.graph.n:
+        raise ValueError("partition does not cover the graph's vertex set")
+    for i, cell in enumerate(p.cells):
+        for j, target in enumerate(p.cells):
+            first = signed_degree(sg, cell[0], target)
+            for u in cell[1:]:
+                d = signed_degree(sg, u, target)
+                if d != first:
+                    return False, EquitabilityWitness(i, j, cell[0], u, first, d)
+    return True, None
+
+
+def quotient_matrix_reference(sg, p):
+    ok, witness = is_equitable_reference(sg, p)
+    if not ok:
+        raise NotEquitableError(witness)
+    b = np.zeros((p.size, p.size), dtype=np.int64)
+    for i, cell in enumerate(p.cells):
+        for j, target in enumerate(p.cells):
+            b[i, j] = signed_degree(sg, cell[0], target)
+    return b
+
+
+def _random_signing(rng, n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    return SignedGraph(Graph(n, frozenset(pairs)), {e: int(rng.choice([-1, 1])) for e in pairs})
+
+
+def _random_partition(rng, n):
+    labels = rng.integers(0, rng.integers(1, n + 1), size=n)
+    return Partition.from_cells([np.flatnonzero(labels == x).tolist() for x in np.unique(labels)])
+
+
+def _differential_cases():
+    rng = np.random.default_rng(20240607)
+    cases = []
+    for _ in range(40):  # random partitions: mostly not equitable
+        n = int(rng.integers(1, 13))
+        cases.append((_random_signing(rng, n), _random_partition(rng, n)))
+    for _ in range(15):  # equitable by construction: 2-lift pair cells, lex-k4 fibres
+        base = _random_signing(rng, int(rng.integers(2, 7)))
+        other = SignedGraph(base.graph, {e: int(rng.choice([-1, 1])) for e in base.graph.edge_list})
+        cases.append((two_lift_signed(base.graph, base, other), pair_cell_partition(base.graph.n)))
+        small = _random_signing(rng, int(rng.integers(1, 4)))
+        fibres = Partition.from_cells([range(4 * x, 4 * x + 4) for x in range(small.graph.n)])
+        cases.append((lex_k4_signing(small.graph, small), fibres))
+        cases.append((base, Partition.singletons(base.graph.n)))
+    # the first failing pair is in cell 1, target cell 2: vertex 1 sees 4, vertex 2 does not
+    path = SignedGraph.all_plus(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (1, 4)]))
+    cases.append((path, Partition.from_cells([[0, 3], [1, 2], [4], [5]])))
+    return cases
+
+
+def test_partition_checks_match_the_loop_reference():
+    equitable = late_witness = 0
+    for sg, p in _differential_cases():
+        ok, witness = is_equitable(sg, p)
+        assert (ok, witness) == is_equitable_reference(sg, p)
+        if ok:
+            equitable += 1
+            b = quotient_matrix(sg, p)
+            assert np.array_equal(b.matrix, quotient_matrix_reference(sg, p))
+            assert verify_quotient_identity(sg, p, b)
+            continue
+        late_witness += witness.cell > 0
+        with pytest.raises(NotEquitableError) as ours:
+            quotient_matrix(sg, p)
+        with pytest.raises(NotEquitableError) as ref:
+            quotient_matrix_reference(sg, p)
+        assert str(ours.value) == str(ref.value) and ours.value.witness == witness
+    assert equitable >= 45 and late_witness >= 1
+
+
+def test_not_equitable_witness_in_a_later_cell():
+    path = SignedGraph.all_plus(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (1, 4)]))
+    with pytest.raises(NotEquitableError) as err:
+        quotient_matrix(path, Partition.from_cells([[0, 3], [1, 2], [4], [5]]))
+    assert err.value.witness == EquitabilityWitness(1, 2, 1, 2, 1, 0)
+    assert str(err.value) == "partition is not equitable: d(1, C2) = 1 but d(2, C2) = 0 within cell C1"
