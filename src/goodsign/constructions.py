@@ -1,29 +1,37 @@
 """Signed constructions: complete-graph families, signed products, 2-lifts.
 
-Three families sign complete graphs K_{n+1}, K_{n+2}, K_{n+3} around the core
-of a normalized conference matrix of order n; products with the edgeless
-graphs on 2 and 4 vertices lift signings of a base graph; and a pair of
-signings drives a signed 2-lift. Vertex index formulas are fixed (2u+j for
-pair constructions, 4u+i for the 4-fold product) so every matrix is
-reproducible bit for bit.
+Each construction is a block formula on integer signed adjacency matrices,
+read back through :meth:`SignedGraph.from_adjacency`. With J the all-ones
+matrix, I the identity and X = [[0, 1], [1, 0]]:
+
+* ``sign_complete_from_conference``: K_{n+case} is ``J - I`` with the core C
+  of a normalized conference matrix of order n in the block
+  ``[case+1:, case+1:]``; case 3 also sets the entries (0, 1), (0, 3) and
+  (1, 2) and their mirrors to -1.
+* ``lex_k4_signing``: ``kron(A_sigma, J_4 - 2 I_4)``.
+* ``lex_k2_signing``: ``kron(A_h1, J_2) + kron(A_h2, 2 I_2 - J_2)``.
+* ``two_lift``: ``kron((A + A_tau) / 2, I_2) + kron((A - A_tau) / 2, X)``,
+  A being g's 0/1 adjacency.
+* ``two_lift_signed``: ``kron((A_sigma + A_sigma') / 2, I_2)
+  + kron((A_sigma' - A_sigma) / 2, X)`` (the Bilu-Linial signed 2-lift).
+
+So vertex (u, j) of a product or lift with k copies has index ``k*u + j``,
+and every matrix is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .conference import ConferenceMatrix, core_matrix
 from .graphs import (
-    Edge,
     Graph,
     SignedGraph,
     _bfs_forest,
     _canon,
-    _lex_pairs,
-    complete_graph,
+    signed_adjacency,
     verify_decomposition,
 )
 from .partition import Partition
@@ -61,21 +69,13 @@ def sign_complete_from_conference(c: ConferenceMatrix, case: int) -> SignedGraph
     """
     if not c.normalized:
         raise ValueError("construction requires a normalized conference matrix")
-    n = c.order
-    m, core_start = _case_layout(case, n)
-    core = core_matrix(c)
-    signs: dict[Edge, int] = {}
-    for u in range(m):
-        for v in range(u + 1, m):
-            if u >= core_start:  # both endpoints in the core block
-                signs[(u, v)] = int(core[u - core_start, v - core_start])
-            else:
-                signs[(u, v)] = 1
+    m, core_start = _case_layout(case, c.order)
+    a = 1 - np.eye(m, dtype=np.int64)
+    a[core_start:, core_start:] = core_matrix(c)
     if case == 3:
-        signs[(0, 1)] = -1
-        signs[(0, 3)] = -1
-        signs[(1, 2)] = -1
-    return SignedGraph(complete_graph(m), signs)
+        us, vs = [0, 0, 1], [1, 3, 2]
+        a[us, vs] = a[vs, us] = -1
+    return SignedGraph.from_adjacency(a)
 
 
 def case_quotient_matrix(case: int, n: int) -> np.ndarray:
@@ -125,10 +125,9 @@ def lex_k2_signing(g: Graph, h1: SignedGraph, h2: SignedGraph) -> SignedGraph:
             f"shared={report.shared_edges} missing={report.missing_edges} "
             f"foreign={report.foreign_edges}"
         )
-    both = {**h1.signs, **h2.signs}
-    s = np.array([both[e] for e in g.edge_list], dtype=np.int64)[:, None]
-    crossed = np.array([e in h2.signs for e in g.edge_list], dtype=bool)[:, None] & ~np.eye(2, dtype=bool).ravel()
-    return _signed_lex(g, 2, np.where(crossed, -s, s))
+    j2 = np.ones((2, 2), dtype=np.int64)
+    a = np.kron(signed_adjacency(h1), j2) + np.kron(signed_adjacency(h2), 2 * np.eye(2, dtype=np.int64) - j2)
+    return SignedGraph.from_adjacency(a)
 
 
 def lex_k4_signing(g: Graph, sigma: SignedGraph) -> SignedGraph:
@@ -142,48 +141,7 @@ def lex_k4_signing(g: Graph, sigma: SignedGraph) -> SignedGraph:
     """
     if sigma.graph != g:
         raise ValueError("signing is not on the given base graph")
-    s = np.fromiter(sigma.signs.values(), np.int64, len(sigma.signs))  # edge_list order
-    return _signed_lex(g, 4, s[:, None] * (1 - 2 * np.eye(4, dtype=np.int64).ravel()))
-
-
-def _signed_lex(g: Graph, k: int, signs: np.ndarray) -> SignedGraph:
-    """The product of g with the edgeless k-vertex graph, signed ``signs[e, k*i + j]``
-    on the edge (k*x + i, k*y + j) of the e-th base edge xy."""
-    pairs = _lex_pairs(g, k)
-    order = np.lexsort(pairs.T[::-1])  # sorted edges take SignedGraph's no-rewrite path
-    us, vs = pairs[order].T.tolist()
-    edges = list(zip(us, vs))
-    return SignedGraph(Graph(k * g.n, frozenset(edges)), dict(zip(edges, signs.ravel()[order].tolist())))
-
-
-@dataclass(frozen=True)
-class LiftPairing:
-    """Per-edge lift choice: crossed edges pair u0-v1/u1-v0, the rest u0-v0/u1-v1."""
-
-    graph: Graph
-    crossed: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        if not self.crossed <= self.graph.edges:
-            raise ValueError("crossed edges must be edges of the base graph")
-
-
-def lift_pairing(tau: SignedGraph) -> LiftPairing:
-    """Pairing driven by a signing: -1 edges are crossed, +1 edges parallel."""
-    crossed = frozenset(e for e, s in tau.signs.items() if s == -1)
-    return LiftPairing(tau.graph, crossed)
-
-
-def _lifted_edges(pairing: LiftPairing) -> list[Edge]:
-    edges = []
-    for u, v in pairing.graph.edge_list:
-        if (u, v) in pairing.crossed:
-            edges.append(_canon(2 * u, 2 * v + 1))
-            edges.append(_canon(2 * u + 1, 2 * v))
-        else:
-            edges.append(_canon(2 * u, 2 * v))
-            edges.append(_canon(2 * u + 1, 2 * v + 1))
-    return edges
+    return SignedGraph.from_adjacency(np.kron(signed_adjacency(sigma), 1 - 2 * np.eye(4, dtype=np.int64)))
 
 
 def two_lift(g: Graph, tau: SignedGraph) -> Graph:
@@ -193,7 +151,7 @@ def two_lift(g: Graph, tau: SignedGraph) -> Graph:
     of g and of the signed adjacency of tau."""
     if tau.graph != g:
         raise ValueError("pairing signing is not on the given base graph")
-    return Graph.from_edges(2 * g.n, _lifted_edges(lift_pairing(tau)))
+    return _lift(g.adjacency(), signed_adjacency(tau)).graph
 
 
 def two_lift_signed(g: Graph, sigma: SignedGraph, sigma_prime: SignedGraph) -> SignedGraph:
@@ -206,13 +164,15 @@ def two_lift_signed(g: Graph, sigma: SignedGraph, sigma_prime: SignedGraph) -> S
     """
     if sigma.graph != g or sigma_prime.graph != g:
         raise ValueError("both signings must be on the given base graph")
-    tau = SignedGraph(
-        g, {e: sigma.signs[e] * sigma_prime.signs[e] for e in g.edge_list}
-    )
-    lifted = two_lift(g, tau)
-    # Both lifted edges of uv join the cells of u and v.
-    signs = {(x, y): sigma_prime.signs[(x // 2, y // 2)] for x, y in lifted.edge_list}
-    return SignedGraph(lifted, signs)
+    return _lift(signed_adjacency(sigma_prime), signed_adjacency(sigma))
+
+
+def _lift(a: np.ndarray, b: np.ndarray) -> SignedGraph:
+    """``kron((a + b) / 2, I_2) + kron((a - b) / 2, X)``: parallel pairs where
+    the entries of a and b agree, crossed pairs where they differ, each
+    carrying a's entry."""
+    i2 = np.eye(2, dtype=np.int64)
+    return SignedGraph.from_adjacency(np.kron((a + b) // 2, i2) + np.kron((a - b) // 2, 1 - i2))
 
 
 def pair_cell_partition(n: int) -> Partition:

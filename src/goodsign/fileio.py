@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .graphs import Graph, SignedGraph
+from .graphs import Graph, SignedGraph, _integral
 from .partition import Partition
 from .spectra import SPECTRAL_MULTISET_TOLERANCE, VERDICT_TOLERANCE, ZERO_SNAP_TOLERANCE
 
@@ -74,7 +74,7 @@ def graph_to_json_dict(g: Graph) -> dict:
 
 
 def graph_from_json_dict(d: dict) -> Graph:
-    return Graph.from_edges(int(d["n"]), d.get("edges", []))
+    return Graph.from_edges(_integral(d["n"], "vertex count"), d.get("edges", []))
 
 
 def signed_graph_to_json_dict(sg: SignedGraph) -> dict:
@@ -85,7 +85,7 @@ def signed_graph_to_json_dict(sg: SignedGraph) -> dict:
 
 
 def signed_graph_from_json_dict(d: dict) -> SignedGraph:
-    return SignedGraph.from_edge_triples(int(d["n"]), d.get("edges", []))
+    return SignedGraph.from_edge_triples(_integral(d["n"], "vertex count"), d.get("edges", []))
 
 
 def partition_to_json_dict(p: Partition) -> dict:

@@ -26,6 +26,15 @@ def _canon(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _integral(x, what: str) -> int:
+    """``int(x)`` when that equals x, so 1.0, True and numpy integers pass; a
+    ValueError naming ``what`` when x is not a whole number."""
+    i = int(x)
+    if i != x:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return i
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1`` (no loops, no multi-edges)."""
@@ -45,7 +54,7 @@ class Graph:
         """Build a graph from any iterable of vertex pairs, canonicalising order."""
         canon = set()
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = _integral(u, "vertex"), _integral(v, "vertex")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             canon.add(_canon(u, v))
@@ -68,9 +77,6 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency_lists[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _canon(u, v) in self.edges
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -118,13 +124,14 @@ class SignedGraph:
 
     def __post_init__(self) -> None:
         raw = self.signs
-        values = list(map(int, raw.values()))
-        if not set(values) <= {-1, 1}:
-            (u, v), s = next((k, s) for k, s, x in zip(raw, raw.values(), values) if x not in (-1, 1))
+        if not set(raw.values()) <= {-1, 1}:  # compares values: 1.0, True and numpy ints pass, 1.5 does not
+            (u, v), s = next((k, s) for k, s in raw.items() if s not in (-1, 1))
             raise ValueError(f"sign of edge {_canon(int(u), int(v))} must be -1 or +1, got {s}")
+        values = list(map(int, raw.values()))
         edges = self.graph.edge_list
         if list(raw) != list(edges):  # keys that are already the sorted edges need no rewriting
-            fixed = {_canon(int(u), int(v)): s for (u, v), s in zip(raw, values)}
+            # keys keep their values, so a non-integral vertex matches no edge
+            fixed = {_canon(u, v): s for (u, v), s in zip(raw, values)}
             if fixed.keys() != self.graph.edges:
                 raise ValueError("sign map must cover exactly the edge set")
             values = list(map(fixed.__getitem__, edges))
@@ -132,17 +139,16 @@ class SignedGraph:
         object.__setattr__(self, "signs", MappingProxyType(dict(zip(edges, values))))
 
     @staticmethod
-    def from_signs(graph: Graph, signs: Mapping[Edge, int]) -> "SignedGraph":
-        return SignedGraph(graph, dict(signs))
-
-    @staticmethod
     def from_edge_triples(n: int, triples: Iterable[Sequence[int]]) -> "SignedGraph":
         """Build a signed graph from ``(u, v, sign)`` triples."""
         signs: dict[Edge, int] = {}
         for u, v, s in triples:
-            u, v, s = int(u), int(v), int(s)
-            e = (u, v) if u < v else (v, u)  # _canon, inlined in this per-edge loop
-            if signs.setdefault(e, s) != s:
+            iu, iv = int(u), int(v)  # _integral and _canon, inlined in this per-edge loop
+            if iu != u or iv != v:
+                raise ValueError(f"vertex {u if iu != u else v!r} is not an integer")
+            e = (iu, iv) if iu < iv else (iv, iu)
+            old = signs.setdefault(e, s)  # SignedGraph checks the sign values
+            if old is not s and old != s:  # `is` first, as a NaN sign is unequal to itself
                 raise ValueError(f"conflicting signs for edge {e}")
         return SignedGraph(Graph(n, frozenset(signs)), signs)
 
@@ -164,16 +170,15 @@ class SignedGraph:
             raise ValueError("adjacency matrix must be symmetric")
         if np.any(np.diagonal(m) != 0):
             raise ValueError("adjacency matrix must have zero diagonal")
-        n = m.shape[0]
-        signs = {}
-        for u in range(n):
-            for v in range(u + 1, n):
-                x = int(m[u, v])
-                if x not in (-1, 0, 1):
-                    raise ValueError(f"entry ({u}, {v}) = {x} is not in {{0, -1, +1}}")
-                if x != 0:
-                    signs[(u, v)] = x
-        return SignedGraph(Graph(n, frozenset(signs)), signs)
+        bad = (m != 0) & (np.abs(m) != 1)
+        if bad.any():
+            u, v = np.argwhere(bad)[0].tolist()  # above the diagonal, as m is symmetric
+            raise ValueError(f"entry ({u}, {v}) = {m[u, v].item()} is not in {{0, -1, +1}}")
+        us, vs = np.nonzero(np.triu(m, 1))
+        edges = list(zip(us.tolist(), vs.tolist()))
+        g = Graph(m.shape[0], frozenset(edges))
+        g.__dict__["edge_list"] = tuple(edges)  # row-major order is already the sorted order
+        return SignedGraph(g, dict(zip(edges, m[us, vs].tolist())))
 
     def sign(self, u: int, v: int) -> int:
         return self.signs[_canon(u, v)]
@@ -187,9 +192,10 @@ class SignedGraph:
 
     def switched(self, diag: Sequence[int]) -> "SignedGraph":
         """Apply the switching ``sign'(uv) = d_u * sign(uv) * d_v`` for ``d`` in {-1,+1}^n."""
-        d = [int(x) for x in diag]
-        if len(d) != self.graph.n or any(x not in (-1, 1) for x in d):
+        d = list(diag)
+        if len(d) != self.graph.n or not set(d) <= {-1, 1}:
             raise ValueError("switching vector must be a +-1 vector of length n")
+        d = list(map(int, d))
         return SignedGraph(
             self.graph, {(u, v): d[u] * s * d[v] for (u, v), s in self.signs.items()}
         )
@@ -223,7 +229,8 @@ def complete_graph(m: int) -> Graph:
     """K_m on vertices ``0..m-1``."""
     if m < 1:
         raise ValueError("complete graph needs at least one vertex")
-    return Graph(m, frozenset((u, v) for u in range(m) for v in range(u + 1, m)))
+    us, vs = np.triu_indices(m, 1)
+    return Graph(m, frozenset(zip(us.tolist(), vs.tolist())))
 
 
 def cycle_graph(m: int) -> Graph:
@@ -251,22 +258,11 @@ def petersen_graph() -> Graph:
 def lexicographic_product(g: Graph, h: Graph) -> Graph:
     """Graph on V(g) x V(h): (x,y) ~ (z,t) iff x ~ z in g, or x = z and y ~ t in h.
 
-    Vertex (x, y) gets index ``x * h.n + y`` so that matrices are reproducible
-    bit for bit.
+    Its adjacency is ``kron(A_g, J) + kron(I, A_h)``, so vertex (x, y) gets
+    index ``x * h.n + y`` and matrices are reproducible bit for bit.
     """
-    k = h.n
-    us, vs = _lex_pairs(g, k).T.tolist()
-    inner = [(x * k + y, x * k + t) for x in range(g.n) for y, t in h.edge_list]
-    return Graph(g.n * k, frozenset([*zip(us, vs), *inner]))
-
-
-def _lex_pairs(g: Graph, k: int) -> np.ndarray:
-    """The edges ``(k*x + i, k*z + j)`` that join the k copies of x and of z for
-    each edge xz of g, one row each: base edges in ``edge_list`` order, then
-    (i, j) row-major."""
-    ij = np.stack(np.divmod(np.arange(k * k), k), axis=1)
-    ends = k * np.array(g.edge_list, dtype=np.int64).reshape(-1, 1, 2)
-    return (ends + ij).reshape(-1, 2)
+    a = np.kron(g.adjacency(), np.ones((h.n, h.n), dtype=np.int64))
+    return SignedGraph.from_adjacency(a + np.kron(np.eye(g.n, dtype=np.int64), h.adjacency())).graph
 
 
 def _bfs_forest(g: Graph) -> tuple[list[int], list[int], list[int]]:

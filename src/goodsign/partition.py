@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import SignedGraph, signed_adjacency
+from .graphs import SignedGraph, _integral, signed_adjacency
 from .spectra import eigenvalues_symmetric
 
 
@@ -26,7 +26,7 @@ class Partition:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        fixed = tuple(tuple(sorted(int(v) for v in cell)) for cell in self.cells)
+        fixed = tuple(tuple(sorted(_integral(v, "vertex") for v in cell)) for cell in self.cells)
         seen: set[int] = set()
         for cell in fixed:
             if not cell:

@@ -108,7 +108,7 @@ def _example_c6() -> ReproReport:
     return ReproReport("c6", tuple(checks))
 
 
-def _case_checks(case: int, reference_name: str | None) -> tuple[list[ReproCheck], list[str]]:
+def _case_checks(case: int, reference_name: str | None) -> tuple[list[ReproCheck], list[str], SignedGraph]:
     n = 6
     sg = sign_complete_from_conference(paley_conference(n - 1), case)
     cells = case_cells(case, n)
@@ -156,12 +156,11 @@ def _case_checks(case: int, reference_name: str | None) -> tuple[list[ReproCheck
                 ),
             )
         )
-    return checks, notes
+    return checks, notes, sg
 
 
 def _example_k7() -> ReproReport:
-    checks, notes = _case_checks(1, "k7_case1")
-    sg = sign_complete_from_conference(paley_conference(5), 1)
+    checks, notes, sg = _case_checks(1, "k7_case1")
     report = check_good_signing(sg, mode="regular")
     expected_rho = (1 + math.sqrt(41)) / 2
     checks.append(
@@ -182,8 +181,7 @@ def _example_k7() -> ReproReport:
 
 
 def _example_k8() -> ReproReport:
-    checks, notes = _case_checks(2, "k8_case2")
-    sg = sign_complete_from_conference(paley_conference(5), 2)
+    checks, notes, sg = _case_checks(2, "k8_case2")
     report = check_good_signing(sg, mode="regular")
     checks.append(
         _check("spectral radius 5", abs(report.rho - 5.0) <= VERDICT_TOLERANCE, f"rho = {report.rho:.9f}")
@@ -204,8 +202,7 @@ def _example_k8() -> ReproReport:
 
 
 def _example_k9() -> ReproReport:
-    checks, notes = _case_checks(3, None)
-    sg = sign_complete_from_conference(paley_conference(5), 3)
+    checks, notes, sg = _case_checks(3, None)
     report = check_good_signing(sg, mode="regular")
     expected_rho = math.sqrt(21)
     checks.append(

@@ -11,7 +11,6 @@ from goodsign.constructions import (
     case_quotient_matrix,
     lex_k2_signing,
     lex_k4_signing,
-    lift_pairing,
     pair_cell_partition,
     sign_complete_from_conference,
     signing_equivalence,
@@ -224,7 +223,7 @@ def test_all_minus_lift_is_bipartite_double_cover():
 def test_bundled_lift_pairing(lift_pair):
     g, sigma, sigma_alt = lift_pair
     tau = SignedGraph(g, {e: sigma.signs[e] * sigma_alt.signs[e] for e in g.edge_list})
-    assert lift_pairing(tau).crossed == {(0, 1)}
+    assert [e for e, s in tau.signs.items() if s == -1] == [(0, 1)]  # the one crossed pair
     assert two_lift(g, tau).edges == EXPECTED_LIFT_EDGES
 
 
@@ -411,6 +410,27 @@ def _digest(sg):
     return hashlib.sha256(repr((sg.graph.n, list(sg.signs.items()))).encode()).hexdigest()
 
 
+def _graph_digest(g):
+    return hashlib.sha256(repr((g.n, g.edge_list)).encode()).hexdigest()
+
+
+# (two_lift_signed, two_lift) digests for the switched and the one-edge-flipped partner
+LIFT_DIGESTS = {
+    "k7_case1": [
+        ("9dfb98e56dd55ab4c73b9798cc3908f1a9b8e66bd7d313c1fe1adc967c6fd3da",
+         "76ceba8dfa598d9bef4e1576e8f01ea21a1ac5e35e4a8ed2749d55708fe5fc20"),
+        ("3dbc070ea0d02bd465ca0e68e05928b2a1720d4ac50d9580579440c24357e8ea",
+         "f5de1ad8ded8775c4f8df48904e5ff275e0b4fe69444b9f31960263f89c5e8b5"),
+    ],
+    "petersen": [
+        ("eb61dbc269fef551ce843cf2094d7882250f41f752d78767226f2e0c1d9958ca",
+         "9c0805dda748bd4d95cef9b2d161ee00262854b0856aa3d75c276bed8fdb64e3"),
+        ("44be00181e8d5f3ff7b83a3289a328c3e045f3b3aaa24cac945158dbe15f9b73",
+         "8291f426faf21c7f4ca69217721c9b520760631b02b298c97937a8c0c9d12157"),
+    ],
+}
+
+
 @pytest.mark.parametrize(
     "name, k4_digest, k2_digest",
     [
@@ -423,7 +443,7 @@ def _digest(sg):
     ],
 )
 def test_lex_products_are_bit_for_bit_stable(name, k4_digest, k2_digest):
-    # digests of (n, signs in edge_list order) from the per-edge loop construction
+    # digests of (n, signs in edge_list order) from the per-edge loop constructions
     if name == "k7_case1":
         sg = sign_complete_from_conference(paley_conference(5), 1)
     else:
@@ -432,3 +452,23 @@ def test_lex_products_are_bit_for_bit_stable(name, k4_digest, k2_digest):
     assert _digest(lex_k4_signing(sg.graph, sg)) == k4_digest
     h1, h2 = _halves(sg)
     assert _digest(lex_k2_signing(sg.graph, h1, h2)) == k2_digest
+    g = sg.graph
+    switched = sg.switched([-1 if v % 3 == 0 else 1 for v in range(g.n)])
+    flip = g.edge_list[len(g.edge_list) // 2]
+    flipped = SignedGraph(g, {**sg.signs, flip: -sg.signs[flip]})
+    for partner, (signed_digest, graph_digest) in zip((switched, flipped), LIFT_DIGESTS[name]):
+        assert _digest(two_lift_signed(g, sg, partner)) == signed_digest
+        assert _graph_digest(two_lift(g, partner)) == graph_digest
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        (1, "ed43967a62445cfa7aa558a8503c58e324af9f299fb349bdca5d853e049dca42"),
+        (2, "726c0b6544f3b6b2f1997d42908ba12539698fe54f616956a63895097e4f50c9"),
+        (3, "f20d7640b2050e710a1f348c0d46dcaa55ad599f9d7e0a43b8faa3aacad32bf7"),
+    ],
+)
+def test_complete_families_are_bit_for_bit_stable(case, digest):
+    # digests of the q = 13 signings of K_{14+case} from the per-pair loop construction
+    assert _digest(sign_complete_from_conference(paley_conference(13), case)) == digest

@@ -305,6 +305,21 @@ def test_cli_spectrum_prints_exact_zeros(tmp_path, capsys):
     assert json.loads(out)["eigenvalues"].count(0.0) == 1
 
 
+def test_non_integral_json_values_are_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError, match="vertex count 2.5 is not an integer"):
+        graph_from_json_dict({"n": 2.5, "edges": [[0, 1]]})
+    with pytest.raises(ValueError, match="vertex count 2.5 is not an integer"):
+        signed_graph_from_json_dict({"n": 2.5, "edges": [[0, 1, 1]]})
+    with pytest.raises(ValueError, match="vertex 0.5 is not an integer"):
+        partition_from_json_dict({"cells": [[0, 0.5], [1]]})
+    assert signed_graph_from_json_dict({"n": 2.0, "edges": [[0.0, 1, 1.0]]}).signs == {(0, 1): 1}
+    s = write_json(tmp_path / "half.json", {"n": 2, "edges": [[0, 1, 1.5]]})
+    assert run(["spectrum", "--signed", s]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be -1 or +1, got 1.5" in captured.err
+
+
 def test_cli_spectrum_of_conference_matrix(tmp_path, capsys):
     path = tmp_path / "c6.txt"
     path.write_text(matrix_to_text(reference_matrix("c6")))

@@ -181,6 +181,25 @@ def test_signed_graph_validation():
          "sign map must cover exactly the edge set"),
         (lambda: SignedGraph(cycle_graph(4), {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1, (0, 2): 1}),
          "sign map must cover exactly the edge set"),
+        # non-integral values are rejected, not truncated by int()
+        (lambda: SignedGraph(complete_graph(2), {(0, 1): 1.5}),
+         "sign of edge (0, 1) must be -1 or +1, got 1.5"),
+        (lambda: SignedGraph(complete_graph(2), {(0.5, 1): 1}),
+         "sign map must cover exactly the edge set"),
+        (lambda: SignedGraph.from_edge_triples(3, [(0.9, 1.2, -1.4)]),
+         "vertex 0.9 is not an integer"),
+        (lambda: SignedGraph.from_edge_triples(3, [(0, 1.2, 1)]),
+         "vertex 1.2 is not an integer"),
+        (lambda: SignedGraph.from_edge_triples(3, [(0, 1, 1), (1, 2, -1.4)]),
+         "sign of edge (1, 2) must be -1 or +1, got -1.4"),
+        (lambda: Graph.from_edges(3, [(0, 1), (1, 2.5)]),
+         "vertex 2.5 is not an integer"),
+        (lambda: SignedGraph.from_adjacency(np.array([[0, 2], [2, 0]])),
+         "entry (0, 1) = 2 is not in {0, -1, +1}"),
+        (lambda: SignedGraph.from_adjacency(np.array([[0, 0.5], [0.5, 0]])),
+         "entry (0, 1) = 0.5 is not in {0, -1, +1}"),
+        (lambda: SignedGraph.from_adjacency(np.array([[0, 1, 0], [1, 0, 1.7], [0, 1.7, 0]])),
+         "entry (1, 2) = 1.7 is not in {0, -1, +1}"),
     ],
 )
 def test_signed_graph_error_texts(build, message):
@@ -205,6 +224,9 @@ def test_switching_round_trip():
     assert sg.switched(d).switched(d).signs == sg.signs
     with pytest.raises(ValueError):
         sg.switched([1, 2, 1, 1])
+    with pytest.raises(ValueError):
+        sg.switched([1, 1.5, 1, 1])
+    assert sg.switched(np.array([1.0, -1.0, True, -1])).signs == sg.switched(d).signs
 
 
 def test_entrywise_product_examples():
