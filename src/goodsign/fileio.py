@@ -6,7 +6,8 @@ Graph JSON: ``{"n": int, "edges": [[u, v], ...]}``; signed graphs carry
 newline-separated rows and space-separated entries. :func:`dumps_json` emits
 the bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` with every
 float first rounded to 12 significant digits, so identical inputs give
-byte-identical outputs.
+byte-identical outputs; a numpy array is written as its ``tolist()``, and
+an integer table straight from the array.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -50,27 +51,37 @@ def _encode(obj: Any, pad: str) -> str:
             for k, v in sorted(obj.items())
         )
         return "{\n" + inner + body + "\n" + pad + "}" if obj else "{}"
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 2 and obj.dtype.kind in "iu" and obj.size:
+            return _int_rows(obj.shape[1], obj.ravel().tolist(), pad)
+        obj = obj.tolist()
     if not isinstance(obj, (list, tuple)):
         if isinstance(obj, (float, np.floating)):
             obj = float(fmt12(obj))
         return json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
     types = set(map(type, obj))
+    if types == {list} and len(set(map(len, obj))) == 1 and set(map(type, chain.from_iterable(obj))) == {int}:
+        return _int_rows(len(obj[0]), tuple(chain.from_iterable(obj)), pad)  # such as an edge list
     if types == {int}:  # bools, floats and numpy scalars take the general path
         body = sep.join(map(str, obj))
-    elif types == {list} and len(set(map(len, obj))) == 1 and set(map(type, chain.from_iterable(obj))) == {int}:
-        # equal-length rows of ints, such as an edge list: one %-format call
-        row = "[\n" + inner + "  " + (sep + "  ").join(["%d"] * len(obj[0])) + "\n" + inner + "]"
-        body = sep.join([row] * len(obj)) % tuple(chain.from_iterable(obj))
     else:
         body = sep.join([_encode(x, inner) for x in obj])
     return "[\n" + inner + body + "\n" + pad + "]" if obj else "[]"
+
+
+def _int_rows(width: int, flat: Sequence[int], pad: str) -> str:
+    """JSON text of equal-length rows of ints, given row after row in ``flat``: one %-format call."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    row = "[\n" + inner + "  " + (sep + "  ").join(["%d"] * width) + "\n" + inner + "]"
+    return "[\n" + inner + sep.join([row] * (len(flat) // width)) % tuple(flat) + "\n" + pad + "]"
 
 
 # -- graphs ------------------------------------------------------------------
 
 
 def graph_to_json_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edge_list]}
+    return {"n": g.n, "edges": g._uv.tolist()}
 
 
 def graph_from_json_dict(d: dict) -> Graph:
@@ -78,10 +89,12 @@ def graph_from_json_dict(d: dict) -> Graph:
 
 
 def signed_graph_to_json_dict(sg: SignedGraph) -> dict:
-    return {
-        "n": sg.graph.n,
-        "edges": [[u, v, s] for (u, v), s in sg.signs.items()],
-    }
+    return {"n": sg.graph.n, "edges": np.column_stack((sg.graph._uv, sg._s)).tolist()}
+
+
+def _dumps_signed_graph(sg: SignedGraph) -> str:
+    """``dumps_json(signed_graph_to_json_dict(sg))``, written from the arrays without the lists."""
+    return dumps_json({"n": sg.graph.n, "edges": np.column_stack((sg.graph._uv, sg._s))})
 
 
 def signed_graph_from_json_dict(d: dict) -> SignedGraph:

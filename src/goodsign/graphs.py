@@ -1,8 +1,16 @@
 """Simple undirected graphs, edge signings, and exact matrix primitives.
 
 Vertices are always the integers ``0..n-1``; edges are unordered pairs kept in
-canonical ``(min, max)`` order. Everything here is immutable after
+canonical ``(min, max)`` order. A graph stores its edges as one read-only,
+sorted, duplicate-free ``(m, 2)`` int64 array, and a signed graph adds an
+``(m,)`` int64 sign vector aligned with those rows. The tuple, set and dict
+views (``edges``, ``edge_list``, ``signs``, ``degrees``, ``neighbors``) are
+built from the arrays on first use. Everything here is immutable after
 construction, so values can be shared and sent between threads freely.
+
+Every builder checks its whole input with numpy and reports the first
+offender, in the order of checks its docstring gives; within one check the
+offender is the first row in the order the input iterates.
 
 Adjacency matrices are plain numpy arrays: ``int64`` for exact identity
 checks, ``float64`` only where an eigensolver needs them.
@@ -11,11 +19,10 @@ checks, ``float64`` only where an eigensolver needs them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,59 +35,183 @@ def _canon(u: int, v: int) -> Edge:
 
 def _integral(x, what: str) -> int:
     """``int(x)`` when that equals x, so 1.0, True and numpy integers pass; a
-    ValueError naming ``what`` when x is not a whole number."""
-    i = int(x)
-    if i != x:
+    ValueError naming ``what`` when x is not a whole number, or no number."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != x:
         raise ValueError(f"{what} {x!r} is not an integer")
     return i
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph on vertices ``0..n-1`` (no loops, no multi-edges)."""
+def _vertex_count(n) -> int:
+    n = _integral(n, "vertex count")
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    return n
+
+
+def _table(rows: Iterable, width: int) -> tuple[list, np.ndarray]:
+    """``rows`` as a list and as an ``(m, width)`` array of numbers.
+
+    Ragged rows, rows of another width, and tables holding strings, ``None``
+    or other objects are refused whole. Messages about one row quote its
+    values from the list, as given.
+    """
+    try:
+        rows = list(rows)
+        a = np.array(rows) if rows else np.zeros((0, width), dtype=np.int64)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape[1:] != (width,) or a.dtype.kind not in "biuf":
+        raise ValueError(f"edges must be {'[u, v]' if width == 2 else '[u, v, sign]'} rows of numbers")
+    return rows, a
+
+
+def _fractional(x: np.ndarray) -> np.ndarray:
+    """The entries of x that are not whole numbers; NaN and infinities included."""
+    if x.dtype.kind != "f":
+        return np.zeros(x.shape, dtype=bool)
+    return ~(np.isfinite(x) & (x == np.trunc(x)))
+
+
+def _first(mask: np.ndarray) -> int | None:
+    return int(mask.argmax()) if mask.any() else None
+
+
+def _not_whole(row: Sequence, fractional: np.ndarray) -> str:
+    return f"vertex {row[0] if fractional[0] else row[1]!r} is not an integer"
+
+
+def _edge_of(row: Sequence) -> Edge:
+    return _canon(int(row[0]), int(row[1]))
+
+
+def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of the pairs ``(lo, hi)``, and for each
+    position of that order whether it starts a new pair."""
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return order, new
+
+
+def _freeze(obj, **fields):
+    """Set the fields of a new instance once; arrays become read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class _Frozen:
+    """No attribute is assigned after :func:`_freeze`; cached views write
+    ``__dict__`` directly."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Graph(_Frozen):
+    """Simple undirected graph on vertices ``0..n-1`` (no loops, no multi-edges).
+
+    The stored form is ``n`` and ``_uv``: the edges as a read-only ``(m, 2)``
+    int64 array of rows ``u < v``, sorted and duplicate-free. Graphs are equal
+    when ``n`` and the edge sets are, and hash to match.
+    """
 
     n: int
-    edges: frozenset[Edge]
+    _uv: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) is not canonical for n={self.n}")
+    def __init__(self, n: int, edges: Iterable[Sequence[int]]) -> None:
+        """Graph on canonical pairs ``(u, v)``, ``0 <= u < v < n``; repeats collapse.
+
+        Checks, in order: the vertex count, the table's shape, the first
+        vertex that is not a whole number, the first pair that is not
+        canonical.
+        """
+        n = _vertex_count(n)
+        rows, a = _table(edges, 2)
+        fractional = _fractional(a)
+        i = _first(fractional.any(axis=1))
+        if i is not None:
+            raise ValueError(_not_whole(rows[i], fractional[i]))
+        u, v = a[:, 0], a[:, 1]
+        i = _first(~((0 <= u) & (u < v) & (v < n)))
+        if i is not None:
+            raise ValueError(f"edge ({rows[i][0]}, {rows[i][1]}) is not canonical for n={n}")
+        order, new = _runs(u, v)
+        _freeze(self, n=n, _uv=a[order[new]].astype(np.int64, copy=False))
+
+    @classmethod
+    def _of(cls, n: int, uv: np.ndarray) -> "Graph":
+        """Graph on a new int64 edge array that is already canonical, sorted and duplicate-free."""
+        return _freeze(object.__new__(cls), n=n, _uv=uv)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        """Build a graph from any iterable of vertex pairs, canonicalising order."""
-        canon = set()
-        for u, v in edges:
-            u, v = _integral(u, "vertex"), _integral(v, "vertex")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            canon.add(_canon(u, v))
-        return Graph(n, frozenset(canon))
+        """Build a graph from any iterable of vertex pairs, canonicalising order.
+
+        Repeats collapse. Checks, in order: the vertex count, the table's
+        shape, the first pair with a vertex that is not a whole number or
+        with a self-loop, the first pair out of range.
+        """
+        n = _vertex_count(n)
+        rows, a = _table(edges, 2)
+        fractional = _fractional(a)
+        lo, hi = np.minimum(a[:, 0], a[:, 1]), np.maximum(a[:, 0], a[:, 1])
+        i = _first(fractional.any(axis=1) | (lo == hi))
+        if i is not None:
+            if fractional[i].any():
+                raise ValueError(_not_whole(rows[i], fractional[i]))
+            raise ValueError(f"self-loop at vertex {int(rows[i][0])}")
+        i = _first(~((0 <= lo) & (hi < n)))
+        if i is not None:
+            raise ValueError(f"edge {_edge_of(rows[i])} is not canonical for n={n}")
+        order, new = _runs(lo, hi)
+        keep = order[new]
+        return Graph._of(n, np.column_stack((lo[keep], hi[keep])).astype(np.int64, copy=False))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self is other or (self.n == other.n and np.array_equal(self._uv, other._uv))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._uv.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Graph({self.n}, {self._uv.tolist()})"
 
     @cached_property
     def edge_list(self) -> tuple[Edge, ...]:
         """Edges in sorted order; the canonical iteration order everywhere."""
-        edges = list(self.edges)
-        uv = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
-        return tuple(map(edges.__getitem__, np.lexsort((uv[1::2], uv[0::2])).tolist()))
+        return tuple(map(tuple, self._uv.tolist()))
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.edge_list)
 
     @cached_property
     def _adjacency_lists(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edge_list:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        tails = np.concatenate((self._uv[:, 0], self._uv[:, 1]))
+        heads = np.concatenate((self._uv[:, 1], self._uv[:, 0]))
+        heads = heads[np.lexsort((heads, tails))].tolist()
+        ends = np.cumsum(np.bincount(tails, minlength=self.n)).tolist()
+        return tuple(tuple(heads[a:b]) for a, b in zip([0] + ends, ends))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency_lists[v]
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self._adjacency_lists)
+        return tuple(np.bincount(self._uv.ravel(), minlength=self.n).tolist())
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -112,53 +243,96 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix as an exact ``int64`` array."""
-        return _symmetric_matrix(self.n, self.edges, 1)
+        return _symmetric_matrix(self.n, self._uv, 1)
 
 
-@dataclass(frozen=True)
-class SignedGraph:
-    """A graph together with a total edge-sign map into ``{-1, +1}``."""
+class SignedGraph(_Frozen):
+    """A graph together with a total edge-sign map into ``{-1, +1}``.
+
+    The stored form is ``graph`` and ``_s``: a read-only ``(m,)`` int64 sign
+    vector aligned with the rows of ``graph._uv``. ``signs`` is its mapping
+    view. Signed graphs compare by graph and signs and are unhashable.
+    """
 
     graph: Graph
-    signs: Mapping[Edge, int]
+    _s: np.ndarray
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        raw = self.signs
-        if not set(raw.values()) <= {-1, 1}:  # compares values: 1.0, True and numpy ints pass, 1.5 does not
-            (u, v), s = next((k, s) for k, s in raw.items() if s not in (-1, 1))
-            raise ValueError(f"sign of edge {_canon(int(u), int(v))} must be -1 or +1, got {s}")
-        values = list(map(int, raw.values()))
-        edges = self.graph.edge_list
-        if list(raw) != list(edges):  # keys that are already the sorted edges need no rewriting
-            # keys keep their values, so a non-integral vertex matches no edge
-            fixed = {_canon(u, v): s for (u, v), s in zip(raw, values)}
-            if fixed.keys() != self.graph.edges:
-                raise ValueError("sign map must cover exactly the edge set")
-            values = list(map(fixed.__getitem__, edges))
-        # deterministic ordering, read-only view
-        object.__setattr__(self, "signs", MappingProxyType(dict(zip(edges, values))))
+    def __init__(self, graph: Graph, signs: Mapping[Edge, int]) -> None:
+        """Signed graph from a map of edges, in either vertex order, to signs.
+
+        Checks, in order: the first value outside {-1, +1}, then that the
+        keys, made canonical, are exactly the edge set. A key that is not a
+        pair of whole numbers matches no edge; of two keys for one edge, the
+        later one's sign is kept.
+        """
+        keys = list(signs)
+        values = np.fromiter(signs.values(), dtype=object, count=len(keys))
+        i = _first((values != 1) & (values != -1))  # compares values: 1.0, True and numpy ints pass, 1.5 does not
+        if i is not None:
+            raise ValueError(f"sign of edge {_edge_of(keys[i])} must be -1 or +1, got {values[i]}")
+        try:
+            _, k = _table(keys, 2)
+            covered = not _fractional(k).any()
+        except ValueError:
+            covered = False
+        if covered:
+            lo, hi = np.minimum(k[:, 0], k[:, 1]), np.maximum(k[:, 0], k[:, 1])
+            order, new = _runs(lo, hi)
+            last = np.ones_like(new)
+            last[:-1] = new[1:]
+            pick = order[last]
+            covered = np.array_equal(np.column_stack((lo[pick], hi[pick])), graph._uv)
+        if not covered:
+            raise ValueError("sign map must cover exactly the edge set")
+        _freeze(self, graph=graph, _s=values[pick].astype(np.int64))
+
+    @classmethod
+    def _of(cls, graph: Graph, s: np.ndarray) -> "SignedGraph":
+        """Signed graph on a new int64 +-1 vector aligned with ``graph._uv``."""
+        return _freeze(object.__new__(cls), graph=graph, _s=s)
 
     @staticmethod
     def from_edge_triples(n: int, triples: Iterable[Sequence[int]]) -> "SignedGraph":
-        """Build a signed graph from ``(u, v, sign)`` triples."""
-        signs: dict[Edge, int] = {}
-        for u, v, s in triples:
-            iu, iv = int(u), int(v)  # _integral and _canon, inlined in this per-edge loop
-            if iu != u or iv != v:
-                raise ValueError(f"vertex {u if iu != u else v!r} is not an integer")
-            e = (iu, iv) if iu < iv else (iv, iu)
-            old = signs.setdefault(e, s)  # SignedGraph checks the sign values
-            if old is not s and old != s:  # `is` first, as a NaN sign is unequal to itself
-                raise ValueError(f"conflicting signs for edge {e}")
-        return SignedGraph(Graph(n, frozenset(signs)), signs)
+        """Build a signed graph from ``(u, v, sign)`` triples, in either vertex order.
+
+        Repeats with equal signs collapse. Checks, in order: the vertex
+        count, the table's shape, the first triple with a vertex that is not
+        a whole number or with a sign unequal to that of the edge's first
+        triple, the first triple out of range (self-loops included), the
+        first triple with a sign outside {-1, +1}.
+        """
+        n = _vertex_count(n)
+        rows, a = _table(triples, 3)
+        fractional = _fractional(a[:, :2])
+        lo, hi = np.minimum(a[:, 0], a[:, 1]), np.maximum(a[:, 0], a[:, 1])
+        order, new = _runs(lo, hi)
+        s = a[order, 2]
+        head = s[np.maximum.accumulate(np.where(new, np.arange(len(s)), 0))]
+        clash = np.empty(len(s), dtype=bool)
+        clash[order] = (s != head) & ((s == s) | (head == head))  # NaN signs count as equal
+        i = _first(fractional.any(axis=1) | clash)
+        if i is not None:
+            if fractional[i].any():
+                raise ValueError(_not_whole(rows[i], fractional[i]))
+            raise ValueError(f"conflicting signs for edge {_edge_of(rows[i])}")
+        i = _first(~((0 <= lo) & (lo < hi) & (hi < n)))
+        if i is not None:
+            raise ValueError(f"edge {_edge_of(rows[i])} is not canonical for n={n}")
+        i = _first((a[:, 2] != 1) & (a[:, 2] != -1))
+        if i is not None:
+            raise ValueError(f"sign of edge {_edge_of(rows[i])} must be -1 or +1, got {rows[i][2]}")
+        keep = order[new]
+        uv = np.column_stack((lo[keep], hi[keep])).astype(np.int64, copy=False)
+        return SignedGraph._of(Graph._of(n, uv), a[keep, 2].astype(np.int64, copy=False))
 
     @staticmethod
     def all_plus(graph: Graph) -> "SignedGraph":
-        return SignedGraph(graph, {e: 1 for e in graph.edge_list})
+        return SignedGraph._of(graph, np.ones(len(graph._uv), dtype=np.int64))
 
     @staticmethod
     def all_minus(graph: Graph) -> "SignedGraph":
-        return SignedGraph(graph, {e: -1 for e in graph.edge_list})
+        return SignedGraph._of(graph, -np.ones(len(graph._uv), dtype=np.int64))
 
     @staticmethod
     def from_adjacency(a: np.ndarray) -> "SignedGraph":
@@ -174,11 +348,23 @@ class SignedGraph:
         if bad.any():
             u, v = np.argwhere(bad)[0].tolist()  # above the diagonal, as m is symmetric
             raise ValueError(f"entry ({u}, {v}) = {m[u, v].item()} is not in {{0, -1, +1}}")
-        us, vs = np.nonzero(np.triu(m, 1))
-        edges = list(zip(us.tolist(), vs.tolist()))
-        g = Graph(m.shape[0], frozenset(edges))
-        g.__dict__["edge_list"] = tuple(edges)  # row-major order is already the sorted order
-        return SignedGraph(g, dict(zip(edges, m[us, vs].tolist())))
+        us, vs = np.nonzero(np.triu(m, 1))  # row-major order is already the sorted order
+        g = Graph._of(m.shape[0], np.column_stack((us, vs)).astype(np.int64, copy=False))
+        return SignedGraph._of(g, m[us, vs].astype(np.int64))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SignedGraph):
+            return NotImplemented
+        return self.graph == other.graph and np.array_equal(self._s, other._s)
+
+    def __repr__(self) -> str:
+        rows = np.column_stack((self.graph._uv, self._s)).tolist()
+        return f"SignedGraph.from_edge_triples({self.graph.n}, {rows})"
+
+    @cached_property
+    def signs(self) -> Mapping[Edge, int]:
+        """Read-only edge -> sign map in ``edge_list`` order."""
+        return MappingProxyType(dict(zip(self.graph.edge_list, self._s.tolist())))
 
     def sign(self, u: int, v: int) -> int:
         return self.signs[_canon(u, v)]
@@ -188,27 +374,25 @@ class SignedGraph:
 
     def negated(self) -> "SignedGraph":
         """Flip every edge sign."""
-        return SignedGraph(self.graph, {e: -s for e, s in self.signs.items()})
+        return SignedGraph._of(self.graph, -self._s)
 
     def switched(self, diag: Sequence[int]) -> "SignedGraph":
         """Apply the switching ``sign'(uv) = d_u * sign(uv) * d_v`` for ``d`` in {-1,+1}^n."""
-        d = list(diag)
-        if len(d) != self.graph.n or not set(d) <= {-1, 1}:
+        d = np.fromiter(diag, dtype=object)
+        if len(d) != self.graph.n or ((d != 1) & (d != -1)).any():
             raise ValueError("switching vector must be a +-1 vector of length n")
-        d = list(map(int, d))
-        return SignedGraph(
-            self.graph, {(u, v): d[u] * s * d[v] for (u, v), s in self.signs.items()}
-        )
+        d = d.astype(np.int64)
+        uv = self.graph._uv
+        return SignedGraph._of(self.graph, d[uv[:, 0]] * self._s * d[uv[:, 1]])
 
 
 def signed_adjacency(sg: SignedGraph) -> np.ndarray:
     """Signed adjacency matrix: ``sign(uv)`` on edges, 0 elsewhere, exact ``int64``."""
-    return _symmetric_matrix(sg.graph.n, sg.signs.keys(), np.fromiter(sg.signs.values(), np.int64, len(sg.signs)))
+    return _symmetric_matrix(sg.graph.n, sg.graph._uv, sg._s)
 
 
-def _symmetric_matrix(n: int, edges: Collection[Edge], values: int | np.ndarray) -> np.ndarray:
-    """``n x n`` int64 matrix holding ``values`` at (u, v) and (v, u) for each edge, 0 elsewhere."""
-    uv = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
+def _symmetric_matrix(n: int, uv: np.ndarray, values: int | np.ndarray) -> np.ndarray:
+    """``n x n`` int64 matrix holding ``values`` at (u, v) and (v, u) for each edge row, 0 elsewhere."""
     a = np.zeros((n, n), dtype=np.int64)
     a[uv[:, 0], uv[:, 1]] = a[uv[:, 1], uv[:, 0]] = values
     return a
@@ -229,8 +413,7 @@ def complete_graph(m: int) -> Graph:
     """K_m on vertices ``0..m-1``."""
     if m < 1:
         raise ValueError("complete graph needs at least one vertex")
-    us, vs = np.triu_indices(m, 1)
-    return Graph(m, frozenset(zip(us.tolist(), vs.tolist())))
+    return Graph._of(m, np.column_stack(np.triu_indices(m, 1)).astype(np.int64, copy=False))
 
 
 def cycle_graph(m: int) -> Graph:

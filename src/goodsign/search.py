@@ -67,11 +67,8 @@ def _free_edges(g: Graph) -> tuple[list[Edge], int]:
 
 
 def _signing_for_index(g: Graph, free: list[Edge], index: int) -> SignedGraph:
-    signs = {e: 1 for e in g.edge_list}
-    for i, e in enumerate(free):
-        if (index >> i) & 1:
-            signs[e] = -1
-    return SignedGraph(g, signs)
+    flipped = {e for i, e in enumerate(free) if (index >> i) & 1}
+    return SignedGraph._of(g, np.array([-1 if e in flipped else 1 for e in g.edge_list], dtype=np.int64))
 
 
 def signing_class_count(g: Graph) -> int:

@@ -11,6 +11,7 @@ from goodsign.cli import run
 from goodsign.conference import paley_conference
 from goodsign.constructions import sign_complete_from_conference
 from goodsign.fileio import (
+    _dumps_signed_graph,
     dumps_json,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -198,6 +199,25 @@ def signed_graphs(draw, max_n=9):
 def test_dumps_json_matches_the_reference_on_random_signed_graphs(sg):
     for obj in (signed_graph_to_json_dict(sg), graph_to_json_dict(sg.graph)):
         assert dumps_json(obj) == reference_json(obj)
+    assert _dumps_signed_graph(sg) == reference_json(signed_graph_to_json_dict(sg))
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([[0, 1, -1], [2, 3, 1]]),
+        np.array([[7]], dtype=np.uint8),
+        np.zeros((0, 3), dtype=np.int64),
+        np.zeros((2, 0), dtype=np.int64),
+        np.array([1, 2, 3]),
+        np.array([[True, False]]),
+        np.array([[0.5, 1 / 3]]),
+        np.array([[[1, 2]], [[3, 4]]]),
+    ],
+)
+def test_dumps_json_writes_arrays_as_their_lists(array):
+    obj = {"rows": array, "n": 2}
+    assert dumps_json(obj) == reference_json({"rows": array.tolist(), "n": 2})
 
 
 def _sha256(text):
@@ -217,6 +237,29 @@ def test_lex_k4_file_and_partition_check_bytes_are_pinned(tmp_path, capsys):
     assert run(["partition-check", "--signed", str(lex), "--partition", part]) == 0
     out = capsys.readouterr().out
     assert _sha256(out) == "8765b4062a56d4b9a3e46759aac622534b0caedfdc6bcacccc1885d035ec42e7"
+
+
+def test_large_cli_commands_build_no_per_edge_views(tmp_path, monkeypatch, capsys):
+    # lex-k4 and partition-check on the n = 260 product read and write the
+    # edge and sign arrays; neither builds the tuple, set or dict views
+    import goodsign.cli as cli
+    from goodsign.constructions import case_cells
+
+    built = []
+    for name in ("load_signed_graph", "lex_k4_signing"):
+        monkeypatch.setattr(cli, name, lambda *a, _fn=getattr(cli, name): built.append(_fn(*a)) or built[-1])
+    s61, lex = tmp_path / "s61.json", tmp_path / "lex260.json"
+    assert run(["sign-complete", "--q", "61", "--case", "3", "--out", str(s61)]) == 0
+    assert run(["lex-k4", "--signing", str(s61), "--out", str(lex)]) == 0
+    cells = [[4 * x + i for x in cell for i in range(4)] for cell in case_cells(3, 62).cells]
+    part = write_json(tmp_path / "cells.json", {"cells": cells})
+    assert run(["partition-check", "--signed", str(lex), "--partition", part]) == 0
+    capsys.readouterr()
+    large = [sg for sg in built if sg.graph.n == 260]
+    assert len(large) == 2  # the product lex-k4 wrote and the file partition-check read
+    for sg in large:
+        assert "signs" not in vars(sg)
+        assert not vars(sg.graph).keys() & {"edges", "edge_list", "degrees", "_adjacency_lists"}
 
 
 # -- command line --------------------------------------------------------------
@@ -318,6 +361,29 @@ def test_non_integral_json_values_are_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be -1 or +1, got 1.5" in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("graph", "edges must be [u, v] rows of numbers"),
+        ("signed", "edges must be [u, v, sign] rows of numbers"),
+        ("partition", "vertex None is not an integer"),
+    ],
+)
+def test_cli_null_values_are_input_errors(tmp_path, capsys, kind, message):
+    # a JSON null exits 2 like any bad input, not 1 ("check came back false")
+    signed = write_json(tmp_path / "s.json", {"n": 2, "edges": [[0, 1, 1]]})
+    argv = {
+        "graph": ["spectrum", "--graph", write_json(tmp_path / "g.json", {"n": 2, "edges": [[0, None]]})],
+        "signed": ["spectrum", "--signed", write_json(tmp_path / "n.json", {"n": 2, "edges": [[None, 1, 1]]})],
+        "partition": ["partition-check", "--signed", signed, "--partition",
+                      write_json(tmp_path / "p.json", {"cells": [[0, None], [1]]})],
+    }[kind]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_spectrum_of_conference_matrix(tmp_path, capsys):

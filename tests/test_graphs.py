@@ -200,6 +200,33 @@ def test_signed_graph_validation():
          "entry (0, 1) = 0.5 is not in {0, -1, +1}"),
         (lambda: SignedGraph.from_adjacency(np.array([[0, 1, 0], [1, 0, 1.7], [0, 1.7, 0]])),
          "entry (1, 2) = 1.7 is not in {0, -1, +1}"),
+        # the constructor checks integrality too, before the canonical order
+        (lambda: Graph(3, frozenset({(0.5, 1.2)})),
+         "vertex 0.5 is not an integer"),
+        (lambda: Graph(3, [(0, 1), (2, 1)]),
+         "edge (2, 1) is not canonical for n=3"),
+        (lambda: Graph(2.5, []),
+         "vertex count 2.5 is not an integer"),
+        (lambda: Graph.from_edges(-1, []),
+         "vertex count must be non-negative"),
+        # tables that are not rows of numbers are refused whole
+        (lambda: SignedGraph.from_edge_triples(3, [(0, 1, 1), (1, 2)]),
+         "edges must be [u, v, sign] rows of numbers"),
+        (lambda: SignedGraph.from_edge_triples(3, [(0, None, 1)]),
+         "edges must be [u, v, sign] rows of numbers"),
+        (lambda: Graph.from_edges(3, [(0, "1")]),
+         "edges must be [u, v] rows of numbers"),
+        (lambda: Graph.from_edges(3, None),
+         "edges must be [u, v] rows of numbers"),
+        # several rules broken: the first row breaking the earliest check wins
+        (lambda: SignedGraph.from_edge_triples(3, [(0, 5, 1), (2, 1, 1), (1, 2, -1), (1, 2.5, 1)]),
+         "conflicting signs for edge (1, 2)"),
+        (lambda: SignedGraph.from_edge_triples(3, [(0, 1, 2), (2, 7, 1), (1, 9, 1)]),
+         "edge (2, 7) is not canonical for n=3"),
+        (lambda: SignedGraph.from_edge_triples(3, [(0, 1, 1), (float("nan"), 1, 1)]),
+         "vertex nan is not an integer"),
+        (lambda: Graph.from_edges(3, [(0, 4), (1, 1), (2, 2.5)]),
+         "self-loop at vertex 1"),
     ],
 )
 def test_signed_graph_error_texts(build, message):
@@ -260,3 +287,159 @@ def test_entrywise_product_commutes_and_associates(n, rnd):
         entrywise_product(entrywise_product(a, b), c),
         entrywise_product(a, entrywise_product(b, c)),
     )
+
+
+# -- the tuple/dict construction the arrays replaced, kept as a loop reference --
+#
+# The loops below are the former per-edge builders. Where several rules are
+# broken they check in the same order as the array builders; the one change
+# is that an out-of-range edge is the first in input order, where the former
+# frozenset was walked in hash order.
+
+
+def _ref_canon(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+class RefGraph:
+    def __init__(self, n, edges):
+        edges = list(edges)
+        for u, v in edges:
+            for x in (u, v):
+                if int(x) != x:
+                    raise ValueError(f"vertex {x!r} is not an integer")
+        for u, v in edges:
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u}, {v}) is not canonical for n={n}")
+        self.n = n
+        self.edges = frozenset((int(u), int(v)) for u, v in edges)
+        self.edge_list = tuple(sorted(self.edges))
+        nbrs = [[] for _ in range(n)]
+        for u, v in self.edge_list:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        self.neighbors = tuple(tuple(sorted(a)) for a in nbrs)
+        self.degrees = tuple(len(a) for a in nbrs)
+
+    def adjacency(self):
+        a = np.zeros((self.n, self.n), dtype=np.int64)
+        for u, v in self.edges:
+            a[u, v] = a[v, u] = 1
+        return a
+
+
+def ref_from_edges(n, edges):
+    canon = {}
+    for u, v in edges:
+        iu, iv = int(u), int(v)
+        if iu != u or iv != v:
+            raise ValueError(f"vertex {u if iu != u else v!r} is not an integer")
+        if iu == iv:
+            raise ValueError(f"self-loop at vertex {iu}")
+        canon.setdefault(_ref_canon(iu, iv))
+    return RefGraph(n, canon)
+
+
+class RefSigned:
+    def __init__(self, graph, raw):
+        if not set(raw.values()) <= {-1, 1}:
+            (u, v), s = next((k, s) for k, s in raw.items() if s not in (-1, 1))
+            raise ValueError(f"sign of edge {_ref_canon(int(u), int(v))} must be -1 or +1, got {s}")
+        fixed = {_ref_canon(u, v): int(s) for (u, v), s in raw.items()}
+        if fixed.keys() != graph.edges:
+            raise ValueError("sign map must cover exactly the edge set")
+        self.graph = graph
+        self.signs = {e: fixed[e] for e in graph.edge_list}
+
+    def signed_adjacency(self):
+        a = np.zeros((self.graph.n, self.graph.n), dtype=np.int64)
+        for (u, v), s in self.signs.items():
+            a[u, v] = a[v, u] = s
+        return a
+
+
+def ref_from_edge_triples(n, triples):
+    signs = {}
+    for u, v, s in triples:
+        iu, iv = int(u), int(v)
+        if iu != u or iv != v:
+            raise ValueError(f"vertex {u if iu != u else v!r} is not an integer")
+        e = _ref_canon(iu, iv)
+        old = signs.setdefault(e, s)
+        if old is not s and old != s:
+            raise ValueError(f"conflicting signs for edge {e}")
+    return RefSigned(RefGraph(n, signs), signs)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def triple_tables(draw, max_n=7):
+    """A signing's triples, duplicated, reversed and shuffled, with up to two entries spoilt."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rows = [(u, v, draw(st.sampled_from([-1, 1]))) for u, v in pairs if draw(st.booleans())]
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows = [(v, u, s) if draw(st.booleans()) else (u, v, s) for u, v, s in rows]
+    rows = list(draw(st.permutations(rows)))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+        row = list(rows[i])
+        row[j] = draw(st.sampled_from([-1, n, 0.5, 2.5, 1.0, True, 0, 2, -1.0, -1.5]))
+        rows[i] = tuple(row)
+    return n, rows
+
+
+def _assert_graph_matches(g, ref):
+    assert g.n == ref.n
+    assert g.edges == ref.edges and g.edge_list == ref.edge_list
+    assert g.degrees == ref.degrees
+    assert tuple(g.neighbors(v) for v in range(g.n)) == ref.neighbors
+    views = [g.degrees, *g.edges, *g.edge_list, *(g.neighbors(v) for v in range(g.n))]
+    assert all(type(x) is int for view in views for x in view)
+    a = g.adjacency()
+    assert a.dtype == np.int64 and np.array_equal(a, ref.adjacency())
+    again = Graph(ref.n, list(reversed(ref.edge_list)))
+    assert again == g and hash(again) == hash(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(triple_tables(), triple_tables())
+def test_array_builders_match_the_loop_reference(case, other):
+    n, rows = case
+    got = _outcome(lambda: SignedGraph.from_edge_triples(n, (r for r in rows)))
+    ref = _outcome(lambda: ref_from_edge_triples(n, rows))
+    assert isinstance(got, str) == isinstance(ref, str)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        _assert_graph_matches(got.graph, ref.graph)
+        assert list(got.signs.items()) == list(ref.signs.items())
+        assert all(type(x) is int for e, s in got.signs.items() for x in (*e, s))
+        s = signed_adjacency(got)
+        assert s.dtype == np.int64 and np.array_equal(s, ref.signed_adjacency())
+        assert SignedGraph.from_adjacency(s) == got
+        assert SignedGraph(got.graph, {(v, u): s for (u, v), s in reversed(ref.signs.items())}) == got
+        assert got.negated().signs == {e: -s for e, s in ref.signs.items()}
+        d = [(-1) ** v for v in range(n)]
+        assert got.switched(d).signs == {(u, v): d[u] * s * d[v] for (u, v), s in ref.signs.items()}
+
+    pairs = [r[:2] for r in rows]
+    m, other_pairs = other[0], [r[:2] for r in other[1]]
+    for build, ref_build in ((Graph.from_edges, ref_from_edges), (Graph, RefGraph)):
+        got, ref = _outcome(lambda: build(n, pairs)), _outcome(lambda: ref_build(n, pairs))
+        assert isinstance(got, str) == isinstance(ref, str)
+        if isinstance(ref, str):
+            assert got == ref
+            continue
+        _assert_graph_matches(got, ref)
+        h, ref_h = _outcome(lambda: build(m, other_pairs)), _outcome(lambda: ref_build(m, other_pairs))
+        if not isinstance(ref_h, str):
+            assert (got == h) == (n == m and ref.edges == ref_h.edges)
+            assert got != h or hash(got) == hash(h)
