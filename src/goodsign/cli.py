@@ -24,7 +24,6 @@ from .constructions import (
 )
 from .fileio import (
     DEFAULT_TOLERANCES,
-    _dumps_signed_graph,
     RunManifest,
     dumps_json,
     graph_to_json_dict,
@@ -83,7 +82,7 @@ def _cmd_sign_complete(args) -> int:
     if args.format == "matrix":
         text = matrix_to_text(signed_adjacency(sg))
     else:
-        text = _dumps_signed_graph(sg)
+        text = dumps_json(signed_graph_to_json_dict(sg))
     _emit(text, args.out, _manifest(args, []))
     return EXIT_OK
 
@@ -94,7 +93,7 @@ def _cmd_lex_k2(args) -> int:
     h2 = load_signed_graph(args.h2)
     sg = lex_k2_signing(g, h1, h2)
     _emit(
-        _dumps_signed_graph(sg),
+        dumps_json(signed_graph_to_json_dict(sg)),
         args.out,
         _manifest(args, [args.graph, args.h1, args.h2]),
     )
@@ -104,7 +103,7 @@ def _cmd_lex_k2(args) -> int:
 def _cmd_lex_k4(args) -> int:
     sigma = load_signed_graph(args.signing)
     sg = lex_k4_signing(sigma.graph, sigma)
-    _emit(_dumps_signed_graph(sg), args.out, _manifest(args, [args.signing]))
+    _emit(dumps_json(signed_graph_to_json_dict(sg)), args.out, _manifest(args, [args.signing]))
     return EXIT_OK
 
 
@@ -115,7 +114,7 @@ def _cmd_lift2(args) -> int:
     if args.graph_only:
         text = dumps_json(graph_to_json_dict(lifted.graph))
     else:
-        text = _dumps_signed_graph(lifted)
+        text = dumps_json(signed_graph_to_json_dict(lifted))
     _emit(text, args.out, _manifest(args, [args.sigma, args.sigma_prime]))
     return EXIT_OK
 

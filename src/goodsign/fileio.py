@@ -2,7 +2,8 @@
 
 Graph JSON: ``{"n": int, "edges": [[u, v], ...]}``; signed graphs carry
 ``[[u, v, s], ...]`` with s in {-1, 1}; partitions are
-``{"cells": [[v, ...], ...]}``. Matrices travel as plain text with
+``{"cells": [[v, ...], ...]}``; the graph dicts hold their edge rows as one
+int64 array. Matrices travel as plain text with
 newline-separated rows and space-separated entries. :func:`dumps_json` emits
 the bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` with every
 float first rounded to 12 significant digits, so identical inputs give
@@ -81,7 +82,8 @@ def _int_rows(width: int, flat: Sequence[int], pad: str) -> str:
 
 
 def graph_to_json_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": g._uv.tolist()}
+    """``n`` and the ``(m, 2)`` edge array, which :func:`dumps_json` writes as rows."""
+    return {"n": g.n, "edges": g._uv}
 
 
 def graph_from_json_dict(d: dict) -> Graph:
@@ -89,12 +91,8 @@ def graph_from_json_dict(d: dict) -> Graph:
 
 
 def signed_graph_to_json_dict(sg: SignedGraph) -> dict:
-    return {"n": sg.graph.n, "edges": np.column_stack((sg.graph._uv, sg._s)).tolist()}
-
-
-def _dumps_signed_graph(sg: SignedGraph) -> str:
-    """``dumps_json(signed_graph_to_json_dict(sg))``, written from the arrays without the lists."""
-    return dumps_json({"n": sg.graph.n, "edges": np.column_stack((sg.graph._uv, sg._s))})
+    """``n`` and the ``(m, 3)`` array of ``[u, v, sign]`` rows, which :func:`dumps_json` writes as rows."""
+    return {"n": sg.graph.n, "edges": np.column_stack((sg.graph._uv, sg._s))}
 
 
 def signed_graph_from_json_dict(d: dict) -> SignedGraph:

@@ -19,7 +19,7 @@ checks, ``float64`` only where an eigensolver needs them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -107,18 +107,8 @@ def _freeze(obj, **fields):
     return obj
 
 
-class _Frozen:
-    """No attribute is assigned after :func:`_freeze`; cached views write
-    ``__dict__`` directly."""
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class Graph(_Frozen):
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Graph:
     """Simple undirected graph on vertices ``0..n-1`` (no loops, no multi-edges).
 
     The stored form is ``n`` and ``_uv``: the edges as a read-only ``(m, 2)``
@@ -246,7 +236,8 @@ class Graph(_Frozen):
         return _symmetric_matrix(self.n, self._uv, 1)
 
 
-class SignedGraph(_Frozen):
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class SignedGraph:
     """A graph together with a total edge-sign map into ``{-1, +1}``.
 
     The stored form is ``graph`` and ``_s``: a read-only ``(m,)`` int64 sign

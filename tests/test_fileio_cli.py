@@ -11,7 +11,6 @@ from goodsign.cli import run
 from goodsign.conference import paley_conference
 from goodsign.constructions import sign_complete_from_conference
 from goodsign.fileio import (
-    _dumps_signed_graph,
     dumps_json,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -41,7 +40,8 @@ def test_graph_json_round_trip():
 def test_signed_graph_json_round_trip():
     sg = SignedGraph.from_adjacency(reference_matrix("sign4"))
     d = signed_graph_to_json_dict(sg)
-    assert d["edges"][0] == [0, 1, 1] and [1, 3, -1] in d["edges"]
+    rows = d["edges"].tolist()
+    assert rows[0] == [0, 1, 1] and [1, 3, -1] in rows
     assert signed_graph_from_json_dict(d).signs == sg.signs
 
 
@@ -112,6 +112,8 @@ def round12_reference(obj):
         return float(f"{float(obj):.12g}")
     if isinstance(obj, (np.integer,)):
         return int(obj)
+    if isinstance(obj, np.ndarray):
+        return round12_reference(obj.tolist())
     if isinstance(obj, dict):
         return {k: round12_reference(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -199,7 +201,6 @@ def signed_graphs(draw, max_n=9):
 def test_dumps_json_matches_the_reference_on_random_signed_graphs(sg):
     for obj in (signed_graph_to_json_dict(sg), graph_to_json_dict(sg.graph)):
         assert dumps_json(obj) == reference_json(obj)
-    assert _dumps_signed_graph(sg) == reference_json(signed_graph_to_json_dict(sg))
 
 
 @pytest.mark.parametrize(
