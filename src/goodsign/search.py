@@ -28,6 +28,35 @@ matrices, so memory does not grow with the number of classes.
 ``find_good_signing`` starts at 32 classes and doubles, so it stops soon
 after an early good class; ``min_rho`` never stops early and starts at the
 full chunk size.
+
+Moment pruning in ``min_rho``: for a symmetric A with eigenpairs
+``(lambda_j, v_j)``, ``(A^8)_ii = sum_j lambda_j^8 v_ij^2 <= rho^8``, and
+``(A^8)_ii = sum_j ((A^4)_ij)^2`` because A^4 is symmetric. So each chunk
+first computes ``A2 = M @ M`` and ``A4 = A2 @ A2`` for its whole stack and
+the lower bound ``L = max_i sum_j A4_ij^2`` on rho^8, for much less than an
+eigensolve costs. A class with ``L > (best + VERDICT_TOLERANCE)^8``, where
+``best`` is the running minimum, has rho above ``best + VERDICT_TOLERANCE``
+and can neither win nor tie, so it is not eigensolved. Each chunk makes at
+most two ``_eigvalsh`` calls: first the classes that tie at the chunk's
+smallest ``L`` (skipped when that ``L`` already exceeds the limit, and then
+so is the rest of the chunk), which usually lowers ``best``; then every
+other class whose ``L`` is within the limit set by the new ``best``. Each
+``jobs`` range prunes against its own running minimum.
+
+The prune is exact in the direction that matters. The entries of ``A2`` and
+``A4``, and every partial sum of the matmuls, are integers of magnitude at
+most Delta^3 (Delta the maximum degree), below 2^53 for every graph whose
+matrices fit in memory, so both matmuls are exact in float64 whatever the
+summation order. ``L`` is a sum of non-negative squares, so its relative
+error is at most about n * 2^-53, also when it exceeds 2^53 and the sum
+rounds. The limit is ``(best + VERDICT_TOLERANCE)^8 * (1 + 1e-9)``: the
+slack covers that error, the roundoff of raising to the 8th power, and
+eigvalsh's error in the rho the pruned class would have been given, which
+lies far below the relative 1.25e-10 on rho that is left of the slack.
+Roundoff can therefore keep a class that could be pruned, but never drop one
+whose computed rho could lie within the tolerance of the minimum: the
+winner, ``best_rho`` and every other result are those of the unpruned
+search.
 """
 
 from __future__ import annotations
@@ -106,13 +135,15 @@ def _chunk_classes(g: Graph) -> int:
     return max(1, CHUNK_BYTES // (8 * g.n * g.n))
 
 
-def _class_rhos(
+def _class_chunks(
     g: Graph, free: list[Edge], mask: int, lo: int, hi: int, first: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(indices, rhos)`` for consecutive chunks of positions ``[lo, hi)``.
+    """Yield ``(indices, matrices)`` for consecutive chunks of positions ``[lo, hi)``.
 
     The first chunk holds ``first`` classes, and each next one twice as many,
-    up to ``_chunk_classes(g)``.
+    up to ``_chunk_classes(g)``. The matrices are the classes' signed
+    adjacencies in float64, written into one buffer that the next chunk
+    overwrites.
 
     Position ``p`` is the ``p``-th evaluated class: ``p`` with a zero bit
     inserted at the top bit of ``mask`` (at ``len(free)``, above every index,
@@ -135,7 +166,7 @@ def _class_rhos(
         signs = 1.0 - 2.0 * ((indices[:, None] >> shifts) & 1)
         mats[:, rows, cols] = signs
         mats[:, cols, rows] = signs
-        yield indices, _rho(_eigvalsh(mats))
+        yield indices, mats
         start += len(indices)
         size = min(2 * size, cap)
 
@@ -146,8 +177,8 @@ def find_good_signing(
     """First enumerated signing class meeting the bound, or None after exhaustion."""
     bound, _ = good_signing_bound(g, mode)
     free, mask = _guarded_free_edges(g, max_free_edges)
-    for indices, rhos in _class_rhos(g, free, mask, 0, _evaluated_count(free, mask), 32):
-        good = np.flatnonzero(rhos <= bound + VERDICT_TOLERANCE)
+    for indices, mats in _class_chunks(g, free, mask, 0, _evaluated_count(free, mask), 32):
+        good = np.flatnonzero(_rho(_eigvalsh(mats)) <= bound + VERDICT_TOLERANCE)
         if good.size:
             return _signing_for_index(g, free, int(indices[good[0]]))
     return None
@@ -155,33 +186,77 @@ def find_good_signing(
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Minimum spectral radius over all switching classes of a graph."""
+    """Minimum spectral radius over all switching classes of a graph.
+
+    ``classes_examined`` counts every switching class, ``evaluated`` those
+    left after negation pairing, and ``eigensolved`` those actually passed to
+    the eigensolver after moment pruning, summed over the ``jobs`` ranges.
+    ``eigensolved`` is a cost counter: it may vary with ``jobs`` and the
+    chunk size, while the winner and every other field do not.
+    """
 
     best_rho: float
     best_signing: SignedGraph
     classes_examined: int
     good_found: bool
     bound_used: float
+    evaluated: int
+    eigensolved: int
+
+
+def _moment_bound(mats: np.ndarray, work: np.ndarray) -> np.ndarray:
+    # max_i (A^8)_ii = max_i sum_j ((A^4)_ij)^2 for each matrix of the stack:
+    # a lower bound on rho^8, exact matmuls on integer entries. `work` holds
+    # two stacks at least as long, reused across chunks: fresh megabyte-sized
+    # products would pay their page faults again in every chunk.
+    a2 = np.matmul(mats, mats, out=work[0, : len(mats)])
+    a4 = np.matmul(a2, a2, out=work[1, : len(mats)])
+    return np.einsum("bij,bij->bi", a4, a4).max(axis=1)
+
+
+def _prune_limit(best: float) -> float:
+    # The largest moment bound of a class whose rho may lie within
+    # VERDICT_TOLERANCE of `best`; the slack errs toward keeping a class.
+    return (best + VERDICT_TOLERANCE) ** 8 * (1 + 1e-9)
+
+
+def _pruned_rhos(mats: np.ndarray, best: float, work: np.ndarray) -> np.ndarray:
+    # rho of each matrix whose moment bound admits a rho within the tolerance
+    # of the running minimum, and inf for the rest, in at most two eigvalsh
+    # calls: the chunk's lowest-bound classes first, to lower the minimum.
+    bounds = _moment_bound(mats, work)
+    rhos = np.full(len(mats), np.inf)
+    lowest = bounds == bounds.min()
+    for chosen in (lowest, ~lowest):
+        chosen = chosen & (bounds <= _prune_limit(min(best, rhos.min())))
+        if chosen.any():
+            rhos[chosen] = _rho(_eigvalsh(mats[chosen]))
+    return rhos
 
 
 def _near_ties(
     g: Graph, free: list[Edge], mask: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     # Classes at positions [lo, hi) that can still win the tie-break, as
-    # (indices, rhos) in index order with strictly decreasing rho: a class
-    # never beats an earlier one with the same or smaller rho, and one above
-    # the running minimum plus the tolerance never wins.
+    # (indices, rhos) in index order with strictly decreasing rho, and the
+    # number of classes eigensolved: a class never beats an earlier one with
+    # the same or smaller rho, and one above the running minimum plus the
+    # tolerance never wins. A pruned class reads inf and is never kept.
     indices = np.empty(0, dtype=np.int64)
     rhos = np.empty(0)
-    for chunk_indices, chunk in _class_rhos(g, free, mask, lo, hi, _chunk_classes(g)):
+    eigensolved = 0
+    work = np.empty((2, min(_chunk_classes(g), hi - lo), g.n, g.n))
+    for chunk_indices, mats in _class_chunks(g, free, mask, lo, hi, _chunk_classes(g)):
         floor = rhos[-1] if rhos.size else np.inf
+        chunk = _pruned_rhos(mats, floor, work)
+        eigensolved += int(np.count_nonzero(chunk < np.inf))
         before = np.minimum.accumulate(np.concatenate(([floor], chunk[:-1])))
         new = np.flatnonzero(chunk < before)
         indices = np.concatenate((indices, chunk_indices[new]))
         rhos = np.concatenate((rhos, chunk[new]))
         keep = rhos <= rhos[-1] + VERDICT_TOLERANCE
         indices, rhos = indices[keep], rhos[keep]
-    return indices, rhos
+    return indices, rhos, eigensolved
 
 
 def min_rho(
@@ -194,11 +269,12 @@ def min_rho(
 
     Deterministic: the winner is the smallest class index (binary-counter
     order) whose rho lies within ``VERDICT_TOLERANCE`` of the minimum, and
-    ``best_rho`` is that class's own rho, so roundoff among near-equal radii
-    and ``jobs`` cannot change the result. The evaluated classes are split
-    into at most ``jobs`` disjoint ranges, each holding at least one full
-    ``CHUNK_BYTES`` chunk, and evaluated concurrently; each range keeps its
-    near-tie candidates, which are merged and filtered by the global minimum.
+    ``best_rho`` is that class's own rho, so roundoff among near-equal radii,
+    moment pruning and ``jobs`` cannot change the result. The evaluated
+    classes are split into at most ``jobs`` disjoint ranges, each holding at
+    least one full ``CHUNK_BYTES`` chunk, and evaluated concurrently; each
+    range keeps its near-tie candidates, which are merged and filtered by the
+    global minimum.
     """
     bound, _ = good_signing_bound(g, mode)
     free, mask = _guarded_free_edges(g, max_free_edges)
@@ -210,8 +286,8 @@ def min_rho(
         ranges = [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
         with ThreadPoolExecutor(max_workers=parts) as pool:
             found = list(pool.map(lambda r: _near_ties(g, free, mask, *r), ranges))
-    indices = np.concatenate([i for i, _ in found])
-    rhos = np.concatenate([r for _, r in found])
+    indices = np.concatenate([i for i, _, _ in found])
+    rhos = np.concatenate([r for _, r, _ in found])
     winner = int(np.flatnonzero(rhos <= rhos.min() + VERDICT_TOLERANCE)[0])
     best_rho = float(rhos[winner])
     return SearchResult(
@@ -220,4 +296,6 @@ def min_rho(
         classes_examined=1 << len(free),
         good_found=bool(best_rho <= bound + VERDICT_TOLERANCE),
         bound_used=float(bound),
+        evaluated=count,
+        eigensolved=sum(e for _, _, e in found),
     )

@@ -515,3 +515,48 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+def _outcomes(commands, capsys):
+    # (exit code, stdout, stderr) of each command, usage errors included.
+    outcomes = []
+    for argv in commands:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_cli_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    from goodsign import cli
+
+    graph = write_json(tmp_path / "c4.json", graph_to_json_dict(cycle_graph(4)))
+    commands = [
+        ["conference", "--q", "5"],
+        ["sign-complete", "--q", "5"],  # usage error: --case is required
+        ["search", "--graph", graph],
+        ["sign-complete", "--q", "5", "--case", "2"],
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per command
+        fresh = _outcomes(commands, capsys)
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
+    assert "--case" in fresh[1][2] and not fresh[1][1]
+
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        assert _outcomes(commands, capsys) == fresh
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()

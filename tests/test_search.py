@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -19,13 +20,15 @@ from goodsign import search
 from goodsign.search import (
     SearchSpaceError,
     _free_edges,
+    _moment_bound,
+    _prune_limit,
     _signing_for_index,
     enumerate_signing_classes,
     find_good_signing,
     min_rho,
     signing_class_count,
 )
-from goodsign.spectra import jacobi_diagonalize, spectral_radius
+from goodsign.spectra import VERDICT_TOLERANCE, jacobi_diagonalize, spectral_radius
 
 RNG = np.random.default_rng(424242)
 
@@ -244,16 +247,18 @@ def test_min_rho_winner_is_smallest_near_tie_index(g):
 
 
 def test_results_do_not_depend_on_chunk_size(monkeypatch):
-    g = petersen_graph()
-    whole = min_rho(g)
-    first_good = find_good_signing(g)
-    for classes_per_chunk in (1, 3, 7):
-        monkeypatch.setattr(search, "CHUNK_BYTES", classes_per_chunk * 8 * g.n * g.n)
-        for jobs in (1, 3):
-            result = min_rho(g, jobs=jobs)
-            assert result.best_rho == whole.best_rho
-            assert result.best_signing.signs == whole.best_signing.signs
-        assert find_good_signing(g).signs == first_good.signs
+    # Petersen prunes nothing; K6 and K4,4 eigensolve 6 of 512 classes.
+    for g in (petersen_graph(), complete_graph(6), K44):
+        monkeypatch.undo()
+        whole = min_rho(g)
+        first_good = find_good_signing(g)
+        for classes_per_chunk in (1, 3, 7):
+            monkeypatch.setattr(search, "CHUNK_BYTES", classes_per_chunk * 8 * g.n * g.n)
+            for jobs in (1, 3):
+                result = min_rho(g, jobs=jobs)
+                assert result.best_rho == whole.best_rho
+                assert result.best_signing.signs == whole.best_signing.signs
+            assert find_good_signing(g).signs == first_good.signs
 
 
 def test_find_good_signing_returns_first_good_index():
@@ -300,10 +305,21 @@ def test_find_good_signing_stops_early(monkeypatch):
     g = complete_graph(6)
     assert find_good_signing(g) is not None
     assert sum(evaluated) < 128 < signing_class_count(g)
-    # min_rho never stops early, so K4,4's 512 classes fill one full chunk.
+    # min_rho never stops early, so K4,4's 512 classes fill one full chunk,
+    # and the moment bound leaves only the six classes that tie at its
+    # lowest value to eigensolve.
+    bounded = []
+    moment_bound = search._moment_bound
+
+    def counting_moment_bound(mats, work):
+        bounded.append(len(mats))
+        return moment_bound(mats, work)
+
+    monkeypatch.setattr(search, "_moment_bound", counting_moment_bound)
     evaluated.clear()
     min_rho(K44)
-    assert evaluated == [512]
+    assert bounded == [512]
+    assert evaluated == [6]
 
 
 def test_thread_pool_only_for_large_class_spaces(monkeypatch):
@@ -332,3 +348,107 @@ def test_thread_pool_only_for_large_class_spaces(monkeypatch):
     # Never more workers than full chunks: 16384 evaluated classes of K7.
     assert class_index(k7, min_rho(k7, jobs=10**6).best_signing) == 1749
     assert workers == [2, 16384 // search._chunk_classes(k7)]
+
+
+@pytest.mark.parametrize(
+    "g, evaluated, eigensolved",
+    [(K44, 512, 6), (petersen_graph(), 32, 31), (complete_graph(7), 16384, 420)],
+    ids=["K44", "Petersen", "K7"],
+)
+def test_moment_pruning_counts_are_pinned(g, evaluated, eigensolved):
+    # Cost counters at jobs=1 and the default chunk size.
+    result = min_rho(g)
+    assert result.evaluated == evaluated
+    assert result.eigensolved == eigensolved
+
+
+def test_min_rho_k8_winner_is_pinned():
+    g = complete_graph(8)
+    result = min_rho(g)
+    assert class_index(g, result.best_signing) == 111980
+    assert abs(result.best_rho - 3.0) < 1e-9
+    assert result.classes_examined == 2**21
+    assert result.evaluated == 2**20
+    assert result.eigensolved == 63710
+
+
+@pytest.mark.parametrize(
+    "best",
+    [1.0, math.sqrt(2), math.sqrt(3), 2.0, math.sqrt(5), 2 * math.sqrt(2), 3.0, 2 * math.sqrt(198)],
+    ids=lambda best: f"{best:.6g}",
+)
+def test_prune_limit_errs_toward_keeping(best):
+    # A class is pruned only when its moment bound exceeds the limit. Exactly,
+    # the limit must exceed (best + tolerance)^8 by a relative margin that
+    # covers the bound's roundoff and eigvalsh's error in a pruned class's rho.
+    exact = (Fraction(best) + Fraction(VERDICT_TOLERANCE)) ** 8
+    assert Fraction(_prune_limit(best)) >= exact * (1 + Fraction(1, 10**10))
+    assert _prune_limit(math.inf) == math.inf
+
+
+@pytest.mark.parametrize("negative_share", [0.0, 0.02])
+def test_moment_bound_roundoff_beyond_2_53(negative_share):
+    # On K200, (A^8)_ii exceeds 2^53, so the float sum of squares may round;
+    # the bound stays within the relative n * 2^-53 the pruning slack covers.
+    rng = np.random.default_rng(5)
+    signs = np.triu(np.where(rng.random((200, 200)) < negative_share, -1, 1), 1)
+    a = complete_graph(200).adjacency().astype(np.int64) * (signs + signs.T)
+    a4 = np.linalg.matrix_power(a, 4)
+    exact = int((a4 * a4).sum(axis=1).max())
+    assert exact > 2**53
+    bound = _moment_bound(a.astype(np.float64)[None], np.empty((2, 1, 200, 200)))[0]
+    assert abs(Fraction(bound) - exact) <= Fraction(exact * 200, 2**53)
+
+
+def test_min_rho_maxdeg_matches_the_class_oracle():
+    # K_{1,199} plus three leaf-leaf edges: Delta^8 > 2^53, beyond the
+    # degree-based guarantee that the squares summed in the bound are exact.
+    g = Graph.from_edges(200, [(0, v) for v in range(1, 200)] + [(1, 2), (3, 4), (5, 6)])
+    assert g.max_degree**8 > 2**53
+    rhos = class_rhos(g)
+    expected = int(np.flatnonzero(rhos <= rhos.min() + 1e-9)[0])
+    for jobs in (1, 2):
+        result = min_rho(g, mode="maxdeg", jobs=jobs)
+        assert class_index(g, result.best_signing) == expected
+        assert abs(result.best_rho - rhos[expected]) < 1e-12
+        assert result.classes_examined == 8 and result.evaluated == 4
+        assert result.good_found == bool(rhos.min() <= 2 * math.sqrt(198) + 1e-9)
+
+
+def test_pruning_keeps_every_near_tie_at_a_tight_bound(monkeypatch):
+    # Stand-in spectra on K6 whose moment bound equals rho^8, the tightest the
+    # real bound can be, with near-ties up to 0.9e-9 above the minimum. The
+    # smallest near-tie index comes before the minimum and lies 0.75e-9 above
+    # it, so a limit that dropped the tolerance would lose it.
+    g = complete_graph(6)
+    free, mask = _free_edges(g)
+    rows = np.array([u for u, _ in free])
+    cols = np.array([v for _, v in free])
+    evaluated = [i for i in range(1 << len(free)) if not (i >> (mask.bit_length() - 1)) & 1]
+    rng = np.random.default_rng(9)
+    fake = np.full(1 << len(free), np.nan)
+    fake[evaluated] = 3.5 + rng.random(len(evaluated))
+    for position, offset in [(40, 0.75e-9), (41, 0.9e-9), (200, 0.3e-9), (300, 0.0), (301, 0.0)]:
+        fake[evaluated[position]] = 3.0 + offset
+
+    def index_of(mats):
+        return ((mats[:, rows, cols] < 0) << np.arange(len(free))).sum(axis=1)
+
+    def fake_eigvalsh(mats):
+        eig = np.zeros(mats.shape[:2])
+        eig[:, -1] = fake[index_of(mats)]
+        return eig
+
+    monkeypatch.setattr(search, "_eigvalsh", fake_eigvalsh)
+    monkeypatch.setattr(search, "_moment_bound", lambda mats, work: fake[index_of(mats)] ** 8)
+    result = min_rho(g)
+    assert class_index(g, result.best_signing) == evaluated[40]
+    assert result.best_rho == fake[evaluated[40]]
+    # The two classes at 3.0 tie at the lowest bound, then three near-ties.
+    assert result.eigensolved == 5
+    for classes_per_chunk in (1, 3, 7):
+        monkeypatch.setattr(search, "CHUNK_BYTES", classes_per_chunk * 8 * g.n * g.n)
+        for jobs in (1, 3):
+            result = min_rho(g, jobs=jobs)
+            assert class_index(g, result.best_signing) == evaluated[40]
+            assert result.best_rho == fake[evaluated[40]]
