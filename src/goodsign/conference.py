@@ -41,7 +41,7 @@ def verify_conference(matrix: np.ndarray) -> bool:
         return False
     if np.any(np.diagonal(m) != 0):
         return False
-    if not np.all(np.isin(m, (-1, 0, 1))):
+    if not np.all((m >= -1) & (m <= 1)):
         return False
     return np.array_equal(m @ m.T, (n - 1) * np.eye(n, dtype=np.int64))
 
@@ -79,16 +79,14 @@ def paley_conference(q: int) -> ConferenceMatrix:
         raise ValueError(f"q must be prime, got {q}")
     if q % 4 != 1:
         raise ValueError(f"q must be congruent to 1 mod 4, got {q}")
-    squares = {(i * i) % q for i in range(1, q)}
-    core = np.zeros((q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            if i != j:
-                core[i, j] = 1 if (j - i) % q in squares else -1
+    residue = -np.ones(q, dtype=np.int64)
+    residue[np.arange(1, q) ** 2 % q] = 1
+    residue[0] = 0
+    i = np.arange(q)
     c = np.zeros((q + 1, q + 1), dtype=np.int64)
     c[0, 1:] = 1
     c[1:, 0] = 1
-    c[1:, 1:] = core
+    c[1:, 1:] = residue[(i[None, :] - i[:, None]) % q]
     return ConferenceMatrix(c, normalized=True)
 
 

@@ -30,7 +30,6 @@ from .graphs import (
     Graph,
     SignedGraph,
     _bfs_forest,
-    _canon,
     signed_adjacency,
     verify_decomposition,
 )
@@ -186,20 +185,33 @@ def _switching_equivalence(
     """``(d, None)`` for equivalent signings, else ``(None, witness cycle)``."""
     if sigma.graph != g or sigma_prime.graph != g:
         raise ValueError("both signings must be on the given graph")
-    target = {e: sigma.signs[e] * sigma_prime.signs[e] for e in g.edge_list}
-    # Fix every BFS root to +1, force d_v = d_u * target(uv) along the tree
-    # edges; the first edge in BFS scan order that contradicts closes the
-    # witness cycle through the tree.
+    # The graphs are equal, so both sign vectors align with the rows of g._uv
+    # and t is the per-edge sign product. Fix every BFS root to +1 and force
+    # d_v = d_u * t(uv) along the tree edges, whose rows one searchsorted
+    # finds by the key u*n + v. An edge (u, v) contradicts when
+    # d_u * d_v != t(uv); the witness cycle closes through the tree at the
+    # first contradiction in BFS scan order (each vertex in order, its
+    # neighbours ascending), which is the least key
+    # (min(pos[u], pos[v]), the endpoint of larger pos).
+    n, uv = g.n, g._uv
+    t = sigma._s * sigma_prime._s
     order, parent, _ = _bfs_forest(g)
-    d = [1] * g.n
-    for v in order:
-        if parent[v] >= 0:
-            d[v] = d[parent[v]] * target[_canon(parent[v], v)]
-    scan = (_canon(u, v) for u in order for v in g.neighbors(u))
-    conflict = next((e for e in scan if d[e[0]] * d[e[1]] != target[e]), None)
-    if conflict is None:
-        return np.array(d, dtype=np.int64), None
-    u, v = conflict
+    child = np.array([x for x in order if parent[x] >= 0], dtype=np.int64)
+    up = np.array(parent, dtype=np.int64)[child]
+    rows = np.searchsorted(uv[:, 0] * n + uv[:, 1], np.minimum(up, child) * n + np.maximum(up, child))
+    d = [1] * n
+    for x, s in zip(child.tolist(), t[rows].tolist()):
+        d[x] = d[parent[x]] * s
+    d = np.array(d, dtype=np.int64)
+    bad = np.flatnonzero(d[uv[:, 0]] * d[uv[:, 1]] != t)
+    if not len(bad):
+        return d, None
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    bu, bv = uv[bad, 0], uv[bad, 1]
+    u_first = pos[bu] < pos[bv]
+    first = bad[np.lexsort((np.where(u_first, bv, bu), np.where(u_first, pos[bu], pos[bv])))[0]]
+    u, v = uv[first].tolist()
     chain_u = [u]
     while parent[chain_u[-1]] != -1:
         chain_u.append(parent[chain_u[-1]])

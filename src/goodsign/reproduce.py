@@ -239,9 +239,8 @@ def _example_cycle_cover() -> ReproReport:
             ),
         ),
     ]
-    # one negative edge per 6-cycle gives the odd cycle-sign class, rho sqrt(3)
-    sg1 = SignedGraph(h1, {e: (-1 if e == h1.edge_list[0] else 1) for e in h1.edge_list})
-    sg2 = SignedGraph(h2, {e: (-1 if e == h2.edge_list[0] else 1) for e in h2.edge_list})
+    # one negative edge (its first row) per 6-cycle gives the odd cycle-sign class, rho sqrt(3)
+    sg1, sg2 = (SignedGraph._of(h, np.where(np.arange(len(h._uv)) == 0, -1, 1).astype(np.int64)) for h in (h1, h2))
     rho1 = spectral_radius(signed_adjacency(sg1))
     rho2 = spectral_radius(signed_adjacency(sg2))
     checks.append(

@@ -45,6 +45,69 @@ def test_verify_conference_small_and_perturbed():
     assert not verify_conference(np.zeros((0, 0), dtype=np.int64))
 
 
+def _paley_double_loop(q):
+    """Paley's conference matrix entry by entry: core (i, j) is +1 exactly when
+    ``j - i`` is a nonzero square mod q, -1 for the other nonzero differences."""
+    squares = {(i * i) % q for i in range(1, q)}
+    core = np.zeros((q, q), dtype=np.int64)
+    for i in range(q):
+        for j in range(q):
+            if i != j:
+                core[i, j] = 1 if (j - i) % q in squares else -1
+    c = np.zeros((q + 1, q + 1), dtype=np.int64)
+    c[0, 1:] = 1
+    c[1:, 0] = 1
+    c[1:, 1:] = core
+    return c
+
+
+# every prime q = 1 (mod 4) below 200
+PALEY_PRIMES = [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101, 109, 113, 137, 149, 157, 173, 181, 193, 197]
+
+
+@pytest.mark.parametrize("q", PALEY_PRIMES)
+def test_paley_matches_double_loop(q):
+    m = paley_conference(q).matrix
+    expected = _paley_double_loop(q)
+    assert m.dtype == expected.dtype and m.shape == expected.shape
+    assert m.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dtype, value",
+    [(np.int64, 2), (np.int64, -2), (np.int8, 2), (np.int8, -2), (np.uint8, 2), (np.float64, 2), (np.float64, -2)],
+)
+def test_verify_conference_rejects_out_of_range_entries(dtype, value):
+    # unsigned dtypes cannot hold -1, so their base is the order-2 conference matrix
+    base = paley_conference(5).matrix if np.dtype(dtype).kind != "u" else np.array([[0, 1], [1, 0]])
+    c = base.astype(dtype)
+    assert verify_conference(c)
+    c[0, 1] = c[1, 0] = value
+    assert not verify_conference(c)
+    m = np.zeros((3, 3), dtype=dtype)
+    m[0, 1] = m[1, 0] = value
+    assert not verify_conference(m)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, np.float64])
+def test_verify_conference_range_test_is_load_bearing(dtype):
+    # 3 times a perfect matching on 10 vertices is symmetric with zero diagonal
+    # and satisfies M M^T = 9 I, so only the entry range rejects it
+    m = np.zeros((10, 10), dtype=dtype)
+    m[np.arange(0, 10, 2), np.arange(1, 10, 2)] = 3
+    m = m + m.T
+    assert np.array_equal(m.astype(np.int64) @ m.T.astype(np.int64), 9 * np.eye(10, dtype=np.int64))
+    assert not verify_conference(m)
+
+
+def test_verify_conference_bool_input():
+    # bool matrices are read as 0/1, so the only conference matrix they can hold is of order 2
+    assert verify_conference(np.array([[0, 1], [1, 0]], dtype=bool))
+    assert not verify_conference(np.array([[0, 1], [0, 0]], dtype=bool))
+    assert not verify_conference(~np.eye(6, dtype=bool))
+    assert not verify_conference(paley_conference(5).matrix.astype(bool))
+
+
 def test_normalize_idempotent_and_restoring():
     c = paley_conference(5)
     assert np.array_equal(normalize(c).matrix, c.matrix)

@@ -6,6 +6,7 @@ import pytest
 
 from goodsign.conference import ConferenceMatrix, paley_conference
 from goodsign.constructions import (
+    _switching_equivalence,
     case_cells,
     case_quotient_eigenvalues,
     case_quotient_matrix,
@@ -21,6 +22,8 @@ from goodsign.constructions import (
 from goodsign.graphs import (
     Graph,
     SignedGraph,
+    _bfs_forest,
+    _canon,
     complete_graph,
     cycle_graph,
     is_bipartite,
@@ -394,6 +397,118 @@ def test_equivalence_rejects_mismatched_graphs():
             SignedGraph.all_plus(complete_graph(3)),
             SignedGraph.all_plus(complete_graph(4)),
         )
+
+
+def _reference_switching_equivalence(g, sigma, sigma_prime):
+    """The per-edge form: a dict of sign products, d propagated along the BFS
+    order, and the conflict found by walking every vertex's neighbours."""
+    target = {e: sigma.signs[e] * sigma_prime.signs[e] for e in g.edge_list}
+    order, parent, _ = _bfs_forest(g)
+    d = [1] * g.n
+    for v in order:
+        if parent[v] >= 0:
+            d[v] = d[parent[v]] * target[_canon(parent[v], v)]
+    scan = (_canon(u, v) for u in order for v in g.neighbors(u))
+    conflict = next((e for e in scan if d[e[0]] * d[e[1]] != target[e]), None)
+    if conflict is None:
+        return np.array(d, dtype=np.int64), None
+    u, v = conflict
+    chain_u = [u]
+    while parent[chain_u[-1]] != -1:
+        chain_u.append(parent[chain_u[-1]])
+    on_u = {x: i for i, x in enumerate(chain_u)}
+    chain_v = [v]
+    while chain_v[-1] not in on_u:
+        chain_v.append(parent[chain_v[-1]])
+    meet = chain_v[-1]
+    return None, tuple(chain_u[: on_u[meet] + 1] + list(reversed(chain_v[:-1])))
+
+
+def _random_graph(rng, n):
+    """A random graph on n vertices, shuffled labels, often disconnected or with
+    isolated vertices: a few random blocks of random density."""
+    k = int(rng.integers(0, min(3, n - 1) + 1))
+    cuts = sorted(rng.choice(np.arange(1, max(n, 2)), size=k, replace=False).tolist())
+    label = rng.permutation(n)
+    edges = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        p = rng.uniform(0.2, 1.0)
+        edges += [(label[a], label[b]) for a in range(lo, hi) for b in range(a + 1, hi) if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
+
+def _assert_same_as_reference(g, sigma, sigma_prime):
+    d, witness = _switching_equivalence(g, sigma, sigma_prime)
+    d_ref, witness_ref = _reference_switching_equivalence(g, sigma, sigma_prime)
+    assert witness == witness_ref
+    assert (d is None) == (d_ref is None)
+    if d is not None:
+        assert d.dtype == np.int64 and np.array_equal(d, d_ref)
+    return d, witness
+
+
+def test_switching_equivalence_matches_per_edge_reference():
+    rng = np.random.default_rng(20261018)
+    kinds = {"equivalent": 0, "inequivalent": 0, "later component": 0}
+    for _ in range(400):
+        g = _random_graph(rng, int(rng.integers(1, 13)))
+        m = len(g.edge_list)
+        sigma = SignedGraph.from_edge_triples(g.n, [(u, v, int(rng.choice([-1, 1]))) for u, v in g.edge_list])
+        switched = sigma.switched(rng.choice([-1, 1], size=g.n).tolist())
+        d, _ = _assert_same_as_reference(g, sigma, switched)
+        assert d is not None and sigma.switched(d.tolist()) == switched
+        kinds["equivalent"] += 1
+        if m == 0:
+            continue
+        # flip 1-3 edges, drawn from all edges or from the components after the first
+        order, parent, _ = _bfs_forest(g)
+        roots = [v for v in order if parent[v] < 0]
+        component = {}
+        for v in order:
+            component[v] = roots.index(v) if parent[v] < 0 else component[parent[v]]
+        later = [i for i, (u, _) in enumerate(g.edge_list) if component[u] > 0]
+        pool = later if later and rng.random() < 0.5 else list(range(m))
+        flips = rng.choice(pool, size=min(len(pool), int(rng.integers(1, 4))), replace=False)
+        s = switched._s.copy()
+        s[flips] *= -1
+        flipped = SignedGraph._of(g, s)
+        _, witness = _assert_same_as_reference(g, sigma, flipped)
+        if witness is not None:
+            kinds["inequivalent"] += 1
+            kinds["later component"] += component[witness[0]] > 0
+    # every kind of case occurred often
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_switching_equivalence_matches_reference_on_dense_conflicts():
+    # many contradicting edges at once, so the scan-order choice decides the witness
+    rng = np.random.default_rng(77)
+    k6_after = [(a, b) for a in range(5, 11) for b in range(a + 1, 11)]
+    for g in (complete_graph(12), petersen_graph(), Graph.from_edges(11, [(0, 1), (2, 3), (3, 4), (4, 2)] + k6_after)):
+        plus = SignedGraph.all_plus(g)
+        for _ in range(30):
+            sigma = SignedGraph._of(g, rng.choice(np.array([-1, 1], dtype=np.int64), size=len(g.edge_list)))
+            _assert_same_as_reference(g, plus, sigma)
+
+
+def test_equivalence_recovers_switching_at_n260():
+    base = sign_complete_from_conference(paley_conference(61), 3)
+    sigma = lex_k4_signing(base.graph, base)
+    g = sigma.graph
+    assert g.n == 260 and len(g.edge_list) == 33280
+    diag = np.random.default_rng(260).choice([-1, 1], size=g.n)
+    switched = sigma.switched(diag.tolist())
+    d = signing_equivalence(g, sigma, switched)
+    # the product is connected and root 0 is fixed to +1
+    assert d is not None and np.array_equal(d, diag * diag[0])
+    assert sigma.switched(d.tolist()) == switched
+    s = switched._s.copy()
+    s[-1] *= -1
+    flipped = SignedGraph._of(g, s)
+    cycle = switching_witness_cycle(g, sigma, flipped)
+    assert cycle is not None and cycle == _reference_switching_equivalence(g, sigma, flipped)[1]
+    ring = list(zip(cycle, cycle[1:] + cycle[:1]))
+    assert math.prod(sigma.sign(u, v) for u, v in ring) != math.prod(flipped.sign(u, v) for u, v in ring)
 
 
 def _halves(sg):
