@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .conference import normalize, paley_conference
@@ -35,6 +34,7 @@ from .fileio import (
     load_signing_for,
     matrix_to_text,
     signed_graph_to_json_dict,
+    write_text,
 )
 from .graphs import signed_adjacency
 from .partition import NotEquitableError, quotient_matrix, verify_quotient_identity
@@ -51,7 +51,7 @@ def _emit(text: str, out: str | None, manifest: RunManifest | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        write_text(out, text)
         if manifest is not None:
             manifest.write_alongside(out)
 

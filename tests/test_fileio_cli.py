@@ -22,6 +22,7 @@ from goodsign.fileio import (
     RunManifest,
     signed_graph_from_json_dict,
     signed_graph_to_json_dict,
+    write_text,
 )
 from goodsign.graphs import Graph, SignedGraph, complete_graph, cycle_graph, petersen_graph
 from goodsign.partition import Partition
@@ -97,6 +98,34 @@ def test_run_manifest_sidecar(tmp_path):
     assert data["command"] == "conference"
     assert data["parameters"] == {"q": 5}
     assert set(data["tolerances"]) == {"verdict", "zero_snap", "spectral_multiset"}
+
+
+def test_write_text_leaves_exactly_the_new_text(tmp_path):
+    path, plain = tmp_path / "out.txt", tmp_path / "plain.txt"
+    write_text(path, "abc\n")
+    plain.write_text("abc\n")
+    assert path.read_text() == "abc\n"
+    assert path.stat().st_mode == plain.stat().st_mode
+    for text in ("a much longer second text\n" * 50, "short\n", ""):
+        write_text(path, text)
+        assert path.read_text() == text
+    link = tmp_path / "link.txt"
+    link.symlink_to(path)
+    write_text(link, "through the link\n")
+    assert link.is_symlink() and path.read_text() == "through the link\n"
+    write_text("/dev/null", "not a regular file\n")
+
+
+def test_cli_out_overwrites_a_longer_file(tmp_path, capsys):
+    out = tmp_path / "c13.txt"
+    out.write_text("9 " * 5000 + "\n")
+    (tmp_path / "c13.txt.manifest.json").write_text("{" + " " * 5000 + "}\n")
+    assert run(["conference", "--q", "13"]) == 0
+    expected = capsys.readouterr().out
+    assert run(["conference", "--q", "13", "--out", str(out)]) == 0
+    assert out.read_text() == expected
+    manifest = json.loads((tmp_path / "c13.txt.manifest.json").read_text())
+    assert manifest["output"] == str(out)
 
 
 # -- the JSON encoder ----------------------------------------------------------
