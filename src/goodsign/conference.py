@@ -35,7 +35,6 @@ def verify_conference(matrix: np.ndarray) -> bool:
     if not np.issubdtype(m.dtype, np.integer):
         if not np.array_equal(m, m.astype(np.int64)):
             return False
-        m = m.astype(np.int64)
     n = m.shape[0]
     if not np.array_equal(m, m.T):
         return False
@@ -43,6 +42,7 @@ def verify_conference(matrix: np.ndarray) -> bool:
         return False
     if not np.all((m >= -1) & (m <= 1)):
         return False
+    m = m.astype(np.int64)  # so that m @ m.T cannot overflow a small dtype
     return np.array_equal(m @ m.T, (n - 1) * np.eye(n, dtype=np.int64))
 
 

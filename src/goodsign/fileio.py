@@ -3,12 +3,13 @@
 Graph JSON: ``{"n": int, "edges": [[u, v], ...]}``; signed graphs carry
 ``[[u, v, s], ...]`` with s in {-1, 1}; partitions are
 ``{"cells": [[v, ...], ...]}``; the graph dicts hold their edge rows as one
-int64 array. Matrices travel as plain text with
-newline-separated rows and space-separated entries. :func:`dumps_json` emits
-the bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` with every
-float first rounded to 12 significant digits, so identical inputs give
-byte-identical outputs; a numpy array is written as its ``tolist()``, and
-an integer table straight from the array.
+int64 array. Any valid JSON loads; numpy parses a plain integer ``"edges"``
+table. Matrices travel as plain text with newline-separated rows and
+space-separated entries. :func:`dumps_json` emits the bytes of
+``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` with every float first
+rounded to 12 significant digits, so identical inputs give byte-identical
+outputs; a numpy array is written as its ``tolist()``, and an integer table
+straight from the array.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from __future__ import annotations
 import json
 import hashlib
 import os
+import re
 import stat
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -56,28 +57,32 @@ def _encode(obj: Any, pad: str) -> str:
         return "{\n" + inner + body + "\n" + pad + "}" if obj else "{}"
     if isinstance(obj, np.ndarray):
         if obj.ndim == 2 and obj.dtype.kind in "iu" and obj.size:
-            return _int_rows(obj.shape[1], obj.ravel().tolist(), pad)
+            return _int_table(obj, pad)
         obj = obj.tolist()
     if not isinstance(obj, (list, tuple)):
         if isinstance(obj, (float, np.floating)):
             obj = float(fmt12(obj))
         return json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
-    types = set(map(type, obj))
-    if types == {list} and len(set(map(len, obj))) == 1 and set(map(type, chain.from_iterable(obj))) == {int}:
-        return _int_rows(len(obj[0]), tuple(chain.from_iterable(obj)), pad)  # such as an edge list
-    if types == {int}:  # bools, floats and numpy scalars take the general path
+    if set(map(type, obj)) == {int}:  # bools, floats and numpy scalars take the general path
         body = sep.join(map(str, obj))
     else:
         body = sep.join([_encode(x, inner) for x in obj])
     return "[\n" + inner + body + "\n" + pad + "]" if obj else "[]"
 
 
-def _int_rows(width: int, flat: Sequence[int], pad: str) -> str:
-    """JSON text of equal-length rows of ints, given row after row in ``flat``: one %-format call."""
+def _int_table(a: np.ndarray, pad: str) -> str:
+    """JSON text of the rows of a non-empty 2-d integer array, by %-format or by value lookup."""
     inner = pad + "  "
-    sep = ",\n" + inner
-    row = "[\n" + inner + "  " + (sep + "  ").join(["%d"] * width) + "\n" + inner + "]"
-    return "[\n" + inner + sep.join([row] * (len(flat) // width)) % tuple(flat) + "\n" + pad + "]"
+    lo, hi = int(a.min()), int(a.max())
+    if a.size < 256 or hi - lo >= a.size:  # the lookup table would cost more than it saves
+        row = "[\n" + inner + "  " + (",\n" + inner + "  ").join(["%d"] * a.shape[1]) + "\n" + inner + "]"
+        return "[\n" + inner + (",\n" + inner).join([row] * len(a)) % tuple(a.ravel().tolist()) + "\n" + pad + "]"
+    parts = np.empty((len(a), 2 * a.shape[1]), dtype=object)
+    parts[:, 0] = "\n" + inner + "],\n" + inner + "[\n" + inner + "  "
+    parts[0, 0] = "[\n" + inner + "[\n" + inner + "  "
+    parts[:, 2::2] = ",\n" + inner + "  "
+    parts[:, 1::2] = np.array(list(map(str, range(lo, hi + 1))), dtype=object)[np.subtract(a, a.min(), dtype=np.int64)]
+    return "".join(parts.ravel().tolist()) + "\n" + inner + "]\n" + pad + "]"
 
 
 # -- graphs ------------------------------------------------------------------
@@ -109,12 +114,62 @@ def partition_from_json_dict(d: dict) -> Partition:
     return Partition.from_cells(d["cells"])
 
 
+_EDGES = re.compile(rb'"edges"[ \t\n\r]*:[ \t\n\r]*\[')
+_TABLE_END = re.compile(rb"\][ \t\n\r]*\]")
+_HOLE = object()
+_FAST_READ_BYTES = 4096  # json.loads alone reads a smaller file as quickly
+
+
+def _load(path: str | Path, build: Callable[[Any], Any]) -> Any:
+    """``build`` of the JSON document at ``path``, read by :func:`_with_edge_array` where it
+    can be, else (or if ``build`` rejects the array) by ``json.loads`` of ``read_text``."""
+    if os.path.getsize(path) >= _FAST_READ_BYTES:
+        try:
+            return build(_with_edge_array(Path(path).read_bytes()))
+        except ValueError:
+            pass
+    return build(json.loads(Path(path).read_text()))
+
+
+def _with_edge_array(data: bytes) -> dict:
+    """The JSON object in ``data`` with its top-level ``"edges"`` table as an
+    int64 array; a ValueError unless ``json.loads`` reads the same numbers."""
+    head = _EDGES.search(data)
+    tail = head and _TABLE_END.search(data, head.end())
+    if not tail or not data.isascii():  # a BOM or other non-ASCII text decodes as it always did
+        raise ValueError("no plain edge table")
+    start, end = head.end() - 1, tail.end()
+    span = data[start:end]
+    packed = span.translate(None, b" \t\n\r")
+    shape = packed.translate(None, b"0123456789-")
+    row = b"[" + b"," * (shape.find(b"]") - 2) + b"]"  # b"[,,]" for width 3
+    m = (len(shape) - 1) // (len(row) + 1)
+    if shape != b"[" + row + (b"," + row) * (m - 1) + b"]" or re.search(rb"-[^0-9]", span):  # numpy reads "- 1" as -1
+        raise ValueError("not a plain edge table")
+    v = np.fromstring(span.translate(None, b"[]"), dtype=np.int64, sep=",")
+    minus = packed.count(b"-")
+    digits = v.size + int(np.searchsorted(10 ** np.arange(1, 19, dtype=np.int64), np.abs(v), side="right").sum())
+    rest = data[:start] + b"NaN" + data[end:]
+    keys = []
+    hook = lambda pairs: keys.append([k for k, _ in pairs]) or dict(pairs)  # noqa: E731
+    doc = json.loads(rest, object_pairs_hook=hook, parse_constant=lambda c: _HOLE if c == "NaN" else float(c))
+    if not (
+        v.size == m * (len(row) - 1) and ((-(10**18) < v) & (v < 10**18)).all()
+        and len(packed) - len(shape) - minus == digits  # no leading zeros, no clamped overflow
+        and minus == (v < 0).sum()  # no "-0"
+        and rest.count(b"NaN") == 1 and type(doc) is dict and keys[-1].count("edges") == 1 and doc["edges"] is _HOLE
+    ):
+        raise ValueError("not a plain edge table")
+    doc["edges"] = v.reshape(m, -1)
+    return doc
+
+
 def load_graph(path: str | Path) -> Graph:
-    return graph_from_json_dict(json.loads(Path(path).read_text()))
+    return _load(path, graph_from_json_dict)
 
 
 def load_signed_graph(path: str | Path) -> SignedGraph:
-    return signed_graph_from_json_dict(json.loads(Path(path).read_text()))
+    return _load(path, signed_graph_from_json_dict)
 
 
 def load_signing_for(graph: Graph, path: str | Path) -> SignedGraph:
@@ -122,12 +177,14 @@ def load_signing_for(graph: Graph, path: str | Path) -> SignedGraph:
 
     The signs must cover exactly the graph's edge set.
     """
-    raw = json.loads(Path(path).read_text())
-    triples = raw["edges"] if isinstance(raw, dict) else raw
-    sg = SignedGraph.from_edge_triples(graph.n, triples)
-    if sg.graph != graph:
-        raise ValueError("signing does not cover exactly the graph's edge set")
-    return sg
+
+    def signing(raw: Any) -> SignedGraph:
+        sg = SignedGraph.from_edge_triples(graph.n, raw["edges"] if isinstance(raw, dict) else raw)
+        if sg.graph != graph:
+            raise ValueError("signing does not cover exactly the graph's edge set")
+        return sg
+
+    return _load(path, signing)
 
 
 def load_partition(path: str | Path) -> Partition:

@@ -57,8 +57,10 @@ def _table(rows: Iterable, width: int) -> tuple[list, np.ndarray]:
 
     Ragged rows, rows of another width, and tables holding strings, ``None``
     or other objects are refused whole. Messages about one row quote its
-    values from the list, as given.
+    values from the list, as given. An ``(m, width)`` integer array serves as both.
     """
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (width,):
+        return rows, rows
     try:
         rows = list(rows)
         a = np.array(rows) if rows else np.zeros((0, width), dtype=np.int64)

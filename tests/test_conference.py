@@ -177,3 +177,13 @@ def test_matrix_is_read_only():
     c = paley_conference(5)
     with pytest.raises(ValueError):
         c.matrix[0, 1] = -1
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.float64])
+def test_verify_conference_does_not_depend_on_the_dtype(dtype):
+    # order 138: the diagonal of C C^T is 137, past the int8 range
+    c = paley_conference(137).matrix
+    assert verify_conference(c.astype(dtype))
+    bad = c.copy()
+    bad[1, 2] = bad[2, 1] = -c[1, 2]
+    assert not verify_conference(bad.astype(dtype))

@@ -292,6 +292,73 @@ def test_large_cli_commands_build_no_per_edge_views(tmp_path, monkeypatch, capsy
         assert not vars(sg.graph).keys() & {"edges", "edge_list", "degrees", "_adjacency_lists"}
 
 
+def test_reading_the_large_cli_files_hands_json_loads_no_large_document(tmp_path, monkeypatch, capsys):
+    # the edge tables of the q = 61 signing (85 kB) and of its n = 260 product
+    # (1.4 MB) are read by numpy; json.loads sees what is left of each file
+    from goodsign.constructions import case_cells
+
+    sizes = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, **kw: sizes.append(len(s)) or loads(s, **kw))
+    s61, lex = tmp_path / "s61.json", tmp_path / "lex260.json"
+    assert run(["sign-complete", "--q", "61", "--case", "3", "--out", str(s61)]) == 0
+    assert run(["lex-k4", "--signing", str(s61), "--out", str(lex)]) == 0
+    cells = [[4 * x + i for x in cell for i in range(4)] for cell in case_cells(3, 62).cells]
+    part = write_json(tmp_path / "cells.json", {"cells": cells})
+    assert run(["partition-check", "--signed", str(lex), "--partition", part]) == 0
+    capsys.readouterr()
+    assert sizes and max(sizes) <= 64 * 1024
+
+
+def _percent_format_rows(width, flat, pad):
+    """The former integer-table encoder: one %-format call over every value."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    row = "[\n" + inner + "  " + (sep + "  ").join(["%d"] * width) + "\n" + inner + "]"
+    return "[\n" + inner + sep.join([row] * (len(flat) // width)) % tuple(flat) + "\n" + pad + "]"
+
+
+@st.composite
+def int_tables(draw):
+    """Tables of 0-400 rows of width 1-3, in a value range narrower or wider than the table."""
+    width, m = draw(st.integers(1, 3)), draw(st.sampled_from([0, 1, 2, 5, 40, 85, 86, 200, 400]))
+    dtype = np.dtype(draw(st.sampled_from([np.int64, np.int32, np.int8, np.uint8, np.uint64])))
+    info = np.iinfo(dtype)
+    lo = draw(st.integers(max(int(info.min), -(2**62)), min(int(info.max), 2**62)))
+    span = draw(st.sampled_from([0, 1, 2, 17, 255, 1000, 2**40, 2**62]))
+    hi = min(lo + span, int(info.max), 2**62)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(lo, hi + 1, size=(m, width), dtype=np.int64).astype(dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_tables(), st.sampled_from(["", "  ", "      "]))
+def test_integer_tables_encode_as_the_percent_format(table, pad):
+    from goodsign.fileio import _encode
+
+    if table.size:
+        assert _encode(table, pad) == _percent_format_rows(table.shape[1], table.ravel().tolist(), pad)
+    obj = {"edges": table, "n": 1}
+    assert dumps_json(obj) == reference_json({"edges": table.tolist(), "n": 1})
+
+
+def test_integer_tables_encode_as_the_percent_format_at_the_range_edges():
+    from goodsign.fileio import _encode
+
+    for table in (
+        np.array([[-(2**62), 2**62]]),
+        np.array([[2**63, 2**63 + 1]], dtype=np.uint64),
+        np.array([[2**64 - 1], [2**64 - 2]], dtype=np.uint64),
+        np.array([[-128, 127, 0]], dtype=np.int8),
+        np.array([[-(2**63), -(2**63) + 1]]),
+        np.arange(-3, 3).reshape(3, 2),
+        np.arange(300).reshape(100, 3) % 7 - 2**62,
+        (2**64 - 1 - np.arange(300, dtype=np.uint64) % 5).reshape(150, 2),
+        np.arange(-128, 128, dtype=np.int8).reshape(-1, 1).repeat(2, axis=1),
+    ):
+        assert _encode(table, "  ") == _percent_format_rows(table.shape[1], table.ravel().tolist(), "  ")
+
+
 # -- command line --------------------------------------------------------------
 
 

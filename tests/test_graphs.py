@@ -235,6 +235,40 @@ def test_signed_graph_error_texts(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "build, n, rows, message",
+    [
+        (SignedGraph.from_edge_triples, 3, [(0, 1, 1), (1, 2, -1), (1, 0, -1)], "conflicting signs for edge (0, 1)"),
+        (SignedGraph.from_edge_triples, 3, [(0, 1, 1), (2, 1, 0)], "sign of edge (1, 2) must be -1 or +1, got 0"),
+        (SignedGraph.from_edge_triples, 3, [(0, 1, 2)], "sign of edge (0, 1) must be -1 or +1, got 2"),
+        (SignedGraph.from_edge_triples, 3, [(0, 1, 1), (2, 2, 1)], "edge (2, 2) is not canonical for n=3"),
+        (SignedGraph.from_edge_triples, 3, [(0, 1, 1), (1, 3, 1)], "edge (1, 3) is not canonical for n=3"),
+        (SignedGraph.from_edge_triples, 3, [(0, 1, 2), (2, 7, 1), (1, 9, 1)], "edge (2, 7) is not canonical for n=3"),
+        (SignedGraph.from_edge_triples, 3, [(0, 1)], "edges must be [u, v, sign] rows of numbers"),
+        (Graph, 3, [(0, 1), (2, 1)], "edge (2, 1) is not canonical for n=3"),
+        (Graph, 2.5, [(0, 1)], "vertex count 2.5 is not an integer"),
+        (Graph.from_edges, 3, [(0, 4), (1, 1), (2, 2)], "self-loop at vertex 1"),
+        (Graph.from_edges, 3, [(0, 1), (3, 1)], "edge (1, 3) is not canonical for n=3"),
+        (Graph.from_edges, -1, [(0, 1)], "vertex count must be non-negative"),
+        (Graph.from_edges, 3, [(0, 1, 1)], "edges must be [u, v] rows of numbers"),
+    ],
+)
+@pytest.mark.parametrize(
+    "as_table",
+    [
+        list,
+        lambda rows: np.array(rows, dtype=np.int64),
+        lambda rows: np.array(rows, dtype=np.int16),
+        lambda rows: np.array(rows, dtype=np.int64).T.copy().T,  # not C-contiguous
+        lambda rows: np.column_stack((np.array(rows), np.zeros(len(rows), dtype=np.int64)))[:, :-1],
+    ],
+    ids=["list", "int64", "int16", "fortran", "strided"],
+)
+def test_integer_arrays_give_the_messages_lists_give(build, n, rows, message, as_table):
+    with pytest.raises(ValueError) as err:
+        build(n, as_table(rows))
+    assert str(err.value) == message
+
 def test_signed_graph_keys_and_signs_become_canonical_python_ints():
     c4 = cycle_graph(4)
     raw = {(np.int64(1), np.int64(0)): np.int64(-1), (2, 1): 1.0, (3, 2): True, (0, 3): 1}
@@ -443,3 +477,17 @@ def test_array_builders_match_the_loop_reference(case, other):
         if not isinstance(ref_h, str):
             assert (got == h) == (n == m and ref.edges == ref_h.edges)
             assert got != h or hash(got) == hash(h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triple_tables())
+def test_integer_arrays_build_what_lists_build(case):
+    n, rows = case
+    if not all(type(x) is int for row in rows for x in row):
+        return
+    table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    assert _outcome(lambda: SignedGraph.from_edge_triples(n, table)) == _outcome(
+        lambda: SignedGraph.from_edge_triples(n, rows)
+    )
+    for build in (Graph, Graph.from_edges):
+        assert _outcome(lambda: build(n, table[:, :2])) == _outcome(lambda: build(n, [r[:2] for r in rows]))
