@@ -42,7 +42,7 @@ def verify_conference(matrix: np.ndarray) -> bool:
         return False
     if not np.all((m >= -1) & (m <= 1)):
         return False
-    m = m.astype(np.int64)  # so that m @ m.T cannot overflow a small dtype
+    m = m.astype(np.int64, copy=False)  # so that m @ m.T cannot overflow a small dtype
     return np.array_equal(m @ m.T, (n - 1) * np.eye(n, dtype=np.int64))
 
 

@@ -7,6 +7,7 @@ loaders built on it must give the same graph as ``json.loads`` of
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -87,11 +88,14 @@ SPOILERS = [
     "-\n1", "+1", "--1", "1-", "true", "null", '"1"', "NaN", "-Infinity", "[1]", "0x1", "1_0",
     "１",
 ]
+# slots with one digit byte too few or too many, drawn often so that two can meet in one table
+DIGIT_SHIFTS = ["", " ", "\t", "00", "007", "-01", "-0"]
 
 
 @st.composite
-def tables(draw, max_n=6):
-    """n, rows of [u, v] or [u, v, s] as text tokens (some spoilt), and the row width."""
+def tables(draw, max_n=6, shifts_only=False):
+    """n, rows of [u, v] or [u, v, s] as text tokens (some spoilt), and the row width;
+    with ``shifts_only``, 1-3 slots are spoilt and only by a digit byte too few or too many."""
     width = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(0, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -102,9 +106,10 @@ def tables(draw, max_n=6):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
         rows[i][j] = draw(st.sampled_from([-1, n, 0, 2, -2, 7]))
     tokens = [[str(x) for x in r] for r in rows]
-    if tokens and draw(st.integers(0, 3)) == 0:  # a slot JSON or the fast read may refuse
+    spoils = st.sampled_from([1, 2, 3] if shifts_only else [0, 0, 0, 1, 2, 3])
+    for _ in range(draw(spoils) if tokens else 0):  # slots JSON or the fast read may refuse
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
-        tokens[i][j] = draw(st.sampled_from(SPOILERS))
+        tokens[i][j] = draw(st.sampled_from(DIGIT_SHIFTS) if shifts_only else st.sampled_from(SPOILERS) | st.sampled_from(DIGIT_SHIFTS))
     return n, tokens, width
 
 
@@ -159,6 +164,14 @@ def test_fast_read_matches_json_loads(tmp_path_factory, text):
     check_document(text, tmp_path_factory.getbasetemp())
 
 
+@settings(max_examples=200, deadline=None)
+@given(tables(max_n=5, shifts_only=True), st.sampled_from(WHITESPACE))
+def test_slots_a_digit_short_and_a_digit_over_never_cancel(tmp_path_factory, table, ws):
+    n, tokens, _ = table
+    rows = ",".join("[" + ("," + ws).join(row) + "]" for row in tokens)
+    check_document('{"n": %d, "edges": [%s]}' % (n, rows), tmp_path_factory.getbasetemp())
+
+
 @st.composite
 def written_graphs(draw):
     n = draw(st.integers(0, 9))
@@ -210,6 +223,10 @@ def test_written_graphs_take_the_fast_read(tmp_path_factory, case):
         '{"edges": [[0, 1]]}',
         '{"n": 3, "edges": [[0, 1]]] }',
         '{"n": 3, "edges": [[0, 1]] ',
+        # an empty slot and a leading zero: one digit short, one digit over
+        '{"n": 5, "edges": [[1, ], [02, 3], [0, 1]]}',
+        '{"n": 5, "edges": [[ ,1], [1, 002], [0, 1]]}',
+        '{"n": 5, "edges": [[1, -0], [0, 1], [2,\t]]}',
         # trailing commas, and rows of other widths holding as many values
         '{"n": 3, "edges": [[1, 2,]]}',
         '{"n": 3, "edges": [[0, 1],]}',
@@ -254,6 +271,39 @@ def test_fast_read_matches_json_loads_on_pinned_documents(tmp_path, text):
 def test_which_slots_the_fast_read_takes(tmp_path, slot, taken):
     text = '{"edges": [[0, 1, %s], [1, 2, 3]], "n": 3}' % slot
     assert (check_document(text, tmp_path) is not None) == taken
+
+
+def test_an_empty_slot_and_a_leading_zero_at_full_size(tmp_path, monkeypatch):
+    # over _FAST_READ_BYTES, as the cli reads it: json.loads refuses the empty slot, and so must the loader
+    monkeypatch.setattr(fileio, "_FAST_READ_BYTES", 4096)
+    rows = ", ".join("[%d, %d]" % (u, v) for u in range(60) for v in range(u + 1, 60))
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 60, "edges": [[1, ], [02, 3], %s]}' % rows)
+    assert path.stat().st_size >= 4096
+    with pytest.raises(json.JSONDecodeError, match="^Expecting value"):
+        fileio.load_graph(path)
+
+
+@pytest.mark.parametrize("slot", ["1 2", "2 -3", "2-3"])
+def test_a_slot_numpy_stops_in_raises_no_warning(tmp_path, slot):
+    for text in ('{"edges": [[0, 1, %s], [1, 2, 3]], "n": 3}' % slot, '{"edges": [[0, 1, 1], [1, 2, %s]], "n": 3}' % slot):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_document(text, tmp_path) is None
+
+
+def test_a_numpy_warning_refuses_the_table(tmp_path, monkeypatch):
+    # numpy versions that warn where they stop early, instead of raising, must not hand over what they read
+    fromstring = np.fromstring
+
+    def warning_fromstring(*args, **kwargs):
+        warnings.warn("string or file could not be read to its end due to unmatched data", DeprecationWarning)
+        return fromstring(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromstring", warning_fromstring)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_document('{"edges": [[0, 1, 1], [1, 2, -1]], "n": 3}', tmp_path) is None
 
 
 def test_empty_and_bare_tables_take_json_loads(tmp_path):
