@@ -23,7 +23,6 @@ from .constructions import (
     two_lift_signed,
 )
 from .fileio import (
-    DEFAULT_TOLERANCES,
     RunManifest,
     dumps_json,
     graph_to_json_dict,
@@ -56,17 +55,16 @@ def _emit(text: str, out: str | None, manifest: RunManifest | None) -> None:
             manifest.write_alongside(out)
 
 
-def _manifest(args: argparse.Namespace, inputs: list[str], skip=("out", "func", "command")) -> RunManifest:
-    parameters = {
-        k: v for k, v in vars(args).items() if k not in skip and not callable(v)
-    }
+_NOT_PARAMETERS = ("out", "func", "command")
+
+
+def _manifest(args: argparse.Namespace, inputs: list[str]) -> RunManifest:
     return RunManifest(
         command=args.command,
         inputs=tuple(inputs),
-        parameters=parameters,
+        parameters={k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
         output=args.out or "-",
         version=__version__,
-        tolerances=dict(DEFAULT_TOLERANCES),
     )
 
 
@@ -191,8 +189,6 @@ def _cmd_reproduce(args) -> int:
             sys.stdout.write(example_id + "\n")
         return EXIT_OK
     ids = list(example_ids()) if args.all else [args.id]
-    if ids == [None]:
-        raise ValueError("give --id, --all, or --list")
     all_ok = True
     for example_id in ids:
         report = run_example(example_id)

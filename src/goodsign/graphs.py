@@ -8,9 +8,10 @@ views (``edges``, ``edge_list``, ``signs``, ``degrees``, ``neighbors``) are
 built from the arrays on first use. Everything here is immutable after
 construction, so values can be shared and sent between threads freely.
 
-Every builder checks its whole input with numpy and reports the first
-offender, in the order of checks its docstring gives; within one check the
-offender is the first row in the order the input iterates.
+Every builder from an edge table, the keys of a sign map included, runs the
+shared steps once in ``_EdgeTable``, then states the checks its docstring
+lists, in that order, one ``_refuse`` line each; each reports the first
+offending row in the order the input iterates.
 
 Adjacency matrices are plain numpy arrays: ``int64`` for exact identity
 checks, ``float64`` only where an eigensolver needs them.
@@ -22,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,52 +53,56 @@ def _vertex_count(n) -> int:
     return n
 
 
-def _table(rows: Iterable, width: int) -> tuple[list, np.ndarray]:
-    """``rows`` as a list and as an ``(m, width)`` array of numbers.
-
-    Ragged rows, rows of another width, and tables holding strings, ``None``
-    or other objects are refused whole. Messages about one row quote its
-    values from the list, as given. An ``(m, width)`` integer array serves as both.
-    """
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (width,):
-        return rows, rows
-    try:
-        rows = list(rows)
-        a = np.array(rows) if rows else np.zeros((0, width), dtype=np.int64)
-    except (TypeError, ValueError):
-        a = None
-    if a is None or a.shape[1:] != (width,) or a.dtype.kind not in "biuf":
-        raise ValueError(f"edges must be {'[u, v]' if width == 2 else '[u, v, sign]'} rows of numbers")
-    return rows, a
-
-
-def _fractional(x: np.ndarray) -> np.ndarray:
-    """The entries of x that are not whole numbers; NaN and infinities included."""
-    if x.dtype.kind != "f":
-        return np.zeros(x.shape, dtype=bool)
-    return ~(np.isfinite(x) & (x == np.trunc(x)))
-
-
-def _first(mask: np.ndarray) -> int | None:
-    return int(mask.argmax()) if mask.any() else None
-
-
-def _not_whole(row: Sequence, fractional: np.ndarray) -> str:
-    return f"vertex {row[0] if fractional[0] else row[1]!r} is not an integer"
-
-
 def _edge_of(row: Sequence) -> Edge:
     return _canon(int(row[0]), int(row[1]))
 
 
-def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable lexicographic order of the pairs ``(lo, hi)``, and for each
-    position of that order whether it starts a new pair."""
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    return order, new
+class _EdgeTable:
+    """The steps every edge-table builder shares, run once.
+
+    Checks the vertex count, then refuses whole any table that is not
+    ``(m, width)`` numbers. Keeps ``rows`` as given, for messages to quote;
+    the array ``a`` (an integer array of that shape as it is); ``odd``, the
+    rows with a vertex that is not a whole number, NaN and infinities
+    included; the ends ``lo <= hi`` of each row; their stable lexicographic
+    ``order``; whether each position of it starts a ``new`` pair; and ``uv``,
+    the distinct pairs in sorted order, in the dtype of ``a``.
+    """
+
+    def __init__(self, n, rows: Iterable, width: int) -> None:
+        self.n = _vertex_count(n)
+        a = rows
+        if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (width,)):
+            try:
+                rows = list(rows)
+                a = np.array(rows) if rows else np.zeros((0, width), dtype=np.int64)
+            except (TypeError, ValueError):
+                a = None
+            if a is None or a.shape[1:] != (width,) or a.dtype.kind not in "biuf":
+                raise ValueError(f"edges must be {'[u, v]' if width == 2 else '[u, v, sign]'} rows of numbers")
+        ends = a[:, :2]
+        self.frac = np.zeros(ends.shape, dtype=bool)
+        if a.dtype.kind == "f":
+            self.frac = ~(np.isfinite(ends) & (ends == np.trunc(ends)))
+        self.rows, self.a, self.odd = rows, a, self.frac[:, 0] | self.frac[:, 1]
+        self.lo, self.hi = np.minimum(a[:, 0], a[:, 1]), np.maximum(a[:, 0], a[:, 1])
+        self.order = np.lexsort((self.hi, self.lo))
+        lo, hi = self.lo[self.order], self.hi[self.order]
+        self.new = np.ones(len(a), dtype=bool)
+        self.new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        self.uv = np.column_stack((lo[self.new], hi[self.new]))
+
+    def not_whole(self, i: int) -> str:
+        return f"vertex {self.rows[i][0] if self.frac[i, 0] else self.rows[i][1]!r} is not an integer"
+
+    def edge(self, i: int) -> Edge:
+        return _edge_of(self.rows[i])
+
+
+def _refuse(mask: np.ndarray, message: Callable[[int], str]) -> None:
+    """Raise ``ValueError(message(i))`` for the first row ``i`` that ``mask`` marks, if any."""
+    if mask.any():
+        raise ValueError(message(int(mask.argmax())))
 
 
 def _freeze(obj, **fields):
@@ -128,18 +133,11 @@ class Graph:
         vertex that is not a whole number, the first pair that is not
         canonical.
         """
-        n = _vertex_count(n)
-        rows, a = _table(edges, 2)
-        fractional = _fractional(a)
-        i = _first(fractional.any(axis=1))
-        if i is not None:
-            raise ValueError(_not_whole(rows[i], fractional[i]))
-        u, v = a[:, 0], a[:, 1]
-        i = _first(~((0 <= u) & (u < v) & (v < n)))
-        if i is not None:
-            raise ValueError(f"edge ({rows[i][0]}, {rows[i][1]}) is not canonical for n={n}")
-        order, new = _runs(u, v)
-        _freeze(self, n=n, _uv=a[order[new]].astype(np.int64, copy=False))
+        t = _EdgeTable(n, edges, 2)
+        _refuse(t.odd, t.not_whole)
+        _refuse(~((0 <= t.a[:, 0]) & (t.a[:, 0] < t.a[:, 1]) & (t.a[:, 1] < t.n)),
+                lambda i: f"edge ({t.rows[i][0]}, {t.rows[i][1]}) is not canonical for n={t.n}")
+        _freeze(self, n=t.n, _uv=t.uv.astype(np.int64, copy=False))
 
     @classmethod
     def _of(cls, n: int, uv: np.ndarray) -> "Graph":
@@ -154,21 +152,11 @@ class Graph:
         shape, the first pair with a vertex that is not a whole number or
         with a self-loop, the first pair out of range.
         """
-        n = _vertex_count(n)
-        rows, a = _table(edges, 2)
-        fractional = _fractional(a)
-        lo, hi = np.minimum(a[:, 0], a[:, 1]), np.maximum(a[:, 0], a[:, 1])
-        i = _first(fractional.any(axis=1) | (lo == hi))
-        if i is not None:
-            if fractional[i].any():
-                raise ValueError(_not_whole(rows[i], fractional[i]))
-            raise ValueError(f"self-loop at vertex {int(rows[i][0])}")
-        i = _first(~((0 <= lo) & (hi < n)))
-        if i is not None:
-            raise ValueError(f"edge {_edge_of(rows[i])} is not canonical for n={n}")
-        order, new = _runs(lo, hi)
-        keep = order[new]
-        return Graph._of(n, np.column_stack((lo[keep], hi[keep])).astype(np.int64, copy=False))
+        t = _EdgeTable(n, edges, 2)
+        _refuse(t.odd | (t.lo == t.hi),
+                lambda i: t.not_whole(i) if t.odd[i] else f"self-loop at vertex {int(t.rows[i][0])}")
+        _refuse(~((0 <= t.lo) & (t.hi < t.n)), lambda i: f"edge {t.edge(i)} is not canonical for n={t.n}")
+        return Graph._of(t.n, t.uv.astype(np.int64, copy=False))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -261,24 +249,17 @@ class SignedGraph:
         """
         keys = list(signs)
         values = np.fromiter(signs.values(), dtype=object, count=len(keys))
-        i = _first((values != 1) & (values != -1))  # compares values: 1.0, True and numpy ints pass, 1.5 does not
-        if i is not None:
-            raise ValueError(f"sign of edge {_edge_of(keys[i])} must be -1 or +1, got {values[i]}")
+        # compares values: 1.0, True and numpy ints pass, 1.5 does not
+        _refuse((values != 1) & (values != -1),
+                lambda i: f"sign of edge {_edge_of(keys[i])} must be -1 or +1, got {values[i]}")
         try:
-            _, k = _table(keys, 2)
-            covered = not _fractional(k).any()
+            t = _EdgeTable(graph.n, keys, 2)
         except ValueError:
-            covered = False
-        if covered:
-            lo, hi = np.minimum(k[:, 0], k[:, 1]), np.maximum(k[:, 0], k[:, 1])
-            order, new = _runs(lo, hi)
-            last = np.ones_like(new)
-            last[:-1] = new[1:]
-            pick = order[last]
-            covered = np.array_equal(np.column_stack((lo[pick], hi[pick])), graph._uv)
-        if not covered:
+            t = None
+        if t is None or not np.array_equal(t.uv, graph._uv):  # a key that is not whole matches no int64 row
             raise ValueError("sign map must cover exactly the edge set")
-        _freeze(self, graph=graph, _s=values[pick].astype(np.int64))
+        last = np.roll(t.new, -1)  # the last key of each edge in input order, as new[0] is True
+        _freeze(self, graph=graph, _s=values[t.order[last]].astype(np.int64))
 
     @classmethod
     def _of(cls, graph: Graph, s: np.ndarray) -> "SignedGraph":
@@ -295,29 +276,18 @@ class SignedGraph:
         triple, the first triple out of range (self-loops included), the
         first triple with a sign outside {-1, +1}.
         """
-        n = _vertex_count(n)
-        rows, a = _table(triples, 3)
-        fractional = _fractional(a[:, :2])
-        lo, hi = np.minimum(a[:, 0], a[:, 1]), np.maximum(a[:, 0], a[:, 1])
-        order, new = _runs(lo, hi)
-        s = a[order, 2]
-        head = s[np.maximum.accumulate(np.where(new, np.arange(len(s)), 0))]
+        t = _EdgeTable(n, triples, 3)
+        s = t.a[t.order, 2]
+        head = s[np.maximum.accumulate(np.where(t.new, np.arange(len(s)), 0))]
         clash = np.empty(len(s), dtype=bool)
-        clash[order] = (s != head) & ((s == s) | (head == head))  # NaN signs count as equal
-        i = _first(fractional.any(axis=1) | clash)
-        if i is not None:
-            if fractional[i].any():
-                raise ValueError(_not_whole(rows[i], fractional[i]))
-            raise ValueError(f"conflicting signs for edge {_edge_of(rows[i])}")
-        i = _first(~((0 <= lo) & (lo < hi) & (hi < n)))
-        if i is not None:
-            raise ValueError(f"edge {_edge_of(rows[i])} is not canonical for n={n}")
-        i = _first((a[:, 2] != 1) & (a[:, 2] != -1))
-        if i is not None:
-            raise ValueError(f"sign of edge {_edge_of(rows[i])} must be -1 or +1, got {rows[i][2]}")
-        keep = order[new]
-        uv = np.column_stack((lo[keep], hi[keep])).astype(np.int64, copy=False)
-        return SignedGraph._of(Graph._of(n, uv), a[keep, 2].astype(np.int64, copy=False))
+        clash[t.order] = (s != head) & ((s == s) | (head == head))  # NaN signs count as equal
+        _refuse(t.odd | clash, lambda i: t.not_whole(i) if t.odd[i] else f"conflicting signs for edge {t.edge(i)}")
+        _refuse(~((0 <= t.lo) & (t.lo < t.hi) & (t.hi < t.n)),
+                lambda i: f"edge {t.edge(i)} is not canonical for n={t.n}")
+        _refuse((t.a[:, 2] != 1) & (t.a[:, 2] != -1),
+                lambda i: f"sign of edge {t.edge(i)} must be -1 or +1, got {t.rows[i][2]}")
+        uv = t.uv.astype(np.int64, copy=False)
+        return SignedGraph._of(Graph._of(t.n, uv), s[t.new].astype(np.int64, copy=False))
 
     @staticmethod
     def all_plus(graph: Graph) -> "SignedGraph":

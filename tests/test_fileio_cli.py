@@ -601,6 +601,14 @@ def test_cli_reproduce(capsys):
     capsys.readouterr()
 
 
+def test_bare_reproduce_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["reproduce"])  # one of --id, --all and --list is required
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "one of the arguments --id --all --list is required" in captured.err
+
+
 def test_reproduce_all_examples_pass():
     for example_id in example_ids():
         report = run_example(example_id)

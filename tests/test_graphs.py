@@ -491,3 +491,59 @@ def test_integer_arrays_build_what_lists_build(case):
     )
     for build in (Graph, Graph.from_edges):
         assert _outcome(lambda: build(n, table[:, :2])) == _outcome(lambda: build(n, [r[:2] for r in rows]))
+
+
+@st.composite
+def sign_maps(draw, max_n=6):
+    """A graph and the items of a sign map on it: keys reversed at random, up to three entries spoilt."""
+    n = draw(st.integers(0, max_n))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    items = [((v, u) if draw(st.booleans()) else (u, v), draw(st.sampled_from([-1, 1]))) for u, v in edges]
+    items = list(draw(st.permutations(items)))
+    for _ in range(draw(st.integers(0, 3))):
+        if not items:
+            break
+        i = draw(st.integers(0, len(items) - 1))
+        (u, v), s = items[i]
+        spoil = draw(st.sampled_from(["value", "key", "again", "drop"]))
+        if spoil == "value":
+            items[i] = ((u, v), draw(st.sampled_from([0, 2, 1.5, 1.0, True, -1.0])))
+        elif spoil == "key":  # not whole, whole as a float, out of range, or a loop
+            items[i] = ((draw(st.sampled_from([0.5, 1.0, -1, n, v])), v), s)
+        elif spoil == "again":  # a later key for the same edge, reversed, with the other sign
+            items.insert(draw(st.integers(i + 1, len(items))), ((v, u), -s))
+        else:
+            del items[i]
+    return Graph(n, edges), items
+
+
+@settings(max_examples=300, deadline=None)
+@given(sign_maps())
+def test_sign_maps_match_the_loop_reference(case):
+    g, items = case
+    raw = dict(items)
+    got, ref = _outcome(lambda: SignedGraph(g, raw)), _outcome(lambda: RefSigned(g, raw))
+    assert isinstance(got, str) == isinstance(ref, str)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert got.graph is g
+        assert list(got.signs.items()) == list(ref.signs.items())
+        assert all(type(x) is int for e, s in got.signs.items() for x in (*e, s))
+
+
+@pytest.mark.parametrize(
+    "build, rows, message",
+    [
+        (Graph, [(0, 1), (2.5, 1)], "vertex 2.5 is not an integer"),  # also not canonical
+        (Graph.from_edges, [(0, 1), (2.5, 2.5)], "vertex 2.5 is not an integer"),  # also a self-loop
+        (SignedGraph.from_edge_triples, [(0, 1, 1), (2.5, 2.5, 7)], "vertex 2.5 is not an integer"),  # loop, sign
+        (SignedGraph.from_edge_triples, [(0, 1, 1), (2.5, 9, 1)], "vertex 2.5 is not an integer"),  # out of range
+        # whole vertices and agreeing signs are one check: the first row breaking either is reported
+        (SignedGraph.from_edge_triples, [(0.5, 1, 1), (0, 1, 1), (1, 0, -1)], "vertex 0.5 is not an integer"),
+    ],
+)
+def test_a_vertex_that_is_not_whole_is_reported_before_the_rows_other_errors(build, rows, message):
+    with pytest.raises(ValueError) as err:
+        build(3, rows)
+    assert str(err.value) == message
