@@ -46,33 +46,24 @@ EXIT_FALSE = 1
 EXIT_ERROR = 2
 
 
-def _emit(text: str, out: str | None, manifest: RunManifest | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        write_text(out, text)
-        if manifest is not None:
-            manifest.write_alongside(out)
-
-
 _NOT_PARAMETERS = ("out", "func", "command")
 
 
-def _manifest(args: argparse.Namespace, inputs: list[str]) -> RunManifest:
-    return RunManifest(
-        command=args.command,
-        inputs=tuple(inputs),
-        parameters={k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
-        output=args.out or "-",
-        version=__version__,
-    )
+def _emit(args: argparse.Namespace, text: str, inputs: list[str]) -> None:
+    """Write ``text`` to stdout, or to ``--out`` with its manifest alongside."""
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    write_text(args.out, text)
+    parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    RunManifest(args.command, tuple(inputs), parameters, args.out, __version__).write_alongside(args.out)
 
 
 def _cmd_conference(args) -> int:
     c = paley_conference(args.q)
     if args.normalized:
         c = normalize(c)
-    _emit(matrix_to_text(c.matrix), args.out, _manifest(args, []))
+    _emit(args, matrix_to_text(c.matrix), [])
     return EXIT_OK
 
 
@@ -82,7 +73,7 @@ def _cmd_sign_complete(args) -> int:
         text = matrix_to_text(signed_adjacency(sg))
     else:
         text = dumps_json(signed_graph_to_json_dict(sg))
-    _emit(text, args.out, _manifest(args, []))
+    _emit(args, text, [])
     return EXIT_OK
 
 
@@ -91,18 +82,14 @@ def _cmd_lex_k2(args) -> int:
     h1 = load_signed_graph(args.h1)
     h2 = load_signed_graph(args.h2)
     sg = lex_k2_signing(g, h1, h2)
-    _emit(
-        dumps_json(signed_graph_to_json_dict(sg)),
-        args.out,
-        _manifest(args, [args.graph, args.h1, args.h2]),
-    )
+    _emit(args, dumps_json(signed_graph_to_json_dict(sg)), [args.graph, args.h1, args.h2])
     return EXIT_OK
 
 
 def _cmd_lex_k4(args) -> int:
     sigma = load_signed_graph(args.signing)
     sg = lex_k4_signing(sigma.graph, sigma)
-    _emit(dumps_json(signed_graph_to_json_dict(sg)), args.out, _manifest(args, [args.signing]))
+    _emit(args, dumps_json(signed_graph_to_json_dict(sg)), [args.signing])
     return EXIT_OK
 
 
@@ -114,7 +101,7 @@ def _cmd_lift2(args) -> int:
         text = dumps_json(graph_to_json_dict(lifted.graph))
     else:
         text = dumps_json(signed_graph_to_json_dict(lifted))
-    _emit(text, args.out, _manifest(args, [args.sigma, args.sigma_prime]))
+    _emit(args, text, [args.sigma, args.sigma_prime])
     return EXIT_OK
 
 
@@ -179,7 +166,7 @@ def _cmd_search(args) -> int:
         "good_found": result.good_found,
         "bound_used": result.bound_used,
     }
-    _emit(dumps_json(payload), args.out, _manifest(args, [args.graph]))
+    _emit(args, dumps_json(payload), [args.graph])
     return EXIT_OK if result.good_found else EXIT_FALSE
 
 

@@ -20,7 +20,7 @@ import os
 import re
 import stat
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -254,7 +254,6 @@ class RunManifest:
     parameters: dict
     output: str
     version: str
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def to_json_dict(self) -> dict:
         return {
@@ -263,7 +262,7 @@ class RunManifest:
             "parameters": self.parameters,
             "output": self.output,
             "version": self.version,
-            "tolerances": self.tolerances,
+            "tolerances": dict(DEFAULT_TOLERANCES),
         }
 
     def write_alongside(self, output_path: str | Path) -> Path:

@@ -4,11 +4,18 @@ Every check rebuilds an object through the public construction pipeline and
 compares it against vendored expected data: bit-exact for integer matrices,
 1e-9 for spectra, 1e-8 for multiset spectrum comparisons. A check that can
 only fail honestly stays a check; known caveats are emitted as notes.
-"""
 
+Each example is a generator that yields ``(name, passed, detail)`` for each
+check in print order; :func:`run_example` turns them into a
+:class:`ReproReport` with the example's static notes. The three
+conference-core signings of K7, K8 and K9 are one generator,
+``_example_case``, driven by the case table ``_CASES``.
+"""
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +62,7 @@ class ReproReport:
         return all(c.passed for c in self.checks)
 
 
-def _check(name: str, passed: bool, detail: str = "") -> ReproCheck:
-    return ReproCheck(name, bool(passed), detail)
+Check = tuple[str, object, str]  # (name, passed, detail); run_example takes bool(passed)
 
 
 # -- fixed demonstration graphs ----------------------------------------------
@@ -84,276 +90,143 @@ def lift_base_signings() -> tuple[Graph, SignedGraph, SignedGraph]:
     return sigma.graph, sigma, sigma_alt
 
 
-# -- individual examples -----------------------------------------------------
+# -- the examples ------------------------------------------------------------
 
 
-def _example_c6() -> ReproReport:
+def _example_c6() -> Iterator[Check]:
     c = paley_conference(5)
-    checks = [
-        _check(
-            "conference identity",
-            verify_conference(c.matrix),
-            "C C^T = 5 I in exact integers",
-        ),
-        _check(
-            "matches bundled reference",
-            np.array_equal(c.matrix, reference_matrix("c6")),
-            "order-6 matrix reproduced bit-exactly",
-        ),
-        _check(
-            "normalization idempotent",
-            np.array_equal(normalize(c).matrix, c.matrix),
-        ),
-    ]
-    return ReproReport("c6", tuple(checks))
+    yield "conference identity", verify_conference(c.matrix), "C C^T = 5 I in exact integers"
+    yield (
+        "matches bundled reference",
+        np.array_equal(c.matrix, reference_matrix("c6")),
+        "order-6 matrix reproduced bit-exactly",
+    )
+    yield "normalization idempotent", np.array_equal(normalize(c).matrix, c.matrix), ""
 
 
-def _case_checks(case: int, reference_name: str | None) -> tuple[list[ReproCheck], list[str], SignedGraph]:
+# The conference-core signings of K_{n+case} at n = 6, one row per case: the
+# bundled reference (none for case 3), the exact spectral radius as printed and
+# as a value, the name of the verdict check, and whether the signing is good.
+_CASES = {
+    1: ("k7_case1", "(1+sqrt(41))/2", (1 + math.sqrt(41)) / 2, "good signing for K7", True),
+    2: ("k8_case2", "5", 5.0, "verifier reports not_good", False),
+    3: (None, "sqrt(21)", math.sqrt(21), "good signing for K9", True),
+}
+
+
+def _example_case(case: int) -> Iterator[Check]:
+    reference, rho_label, rho_value, verdict_name, good = _CASES[case]
     n = 6
     sg = sign_complete_from_conference(paley_conference(n - 1), case)
+    if reference is not None:
+        yield (
+            "matches bundled reference",
+            np.array_equal(signed_adjacency(sg), reference_matrix(reference)),
+            "signed adjacency reproduced bit-exactly",
+        )
     cells = case_cells(case, n)
-    checks: list[ReproCheck] = []
-    notes: list[str] = []
-    if reference_name is not None:
-        checks.append(
-            _check(
-                "matches bundled reference",
-                np.array_equal(signed_adjacency(sg), reference_matrix(reference_name)),
-                "signed adjacency reproduced bit-exactly",
-            )
-        )
-    else:
-        notes.append(
-            "no bundled reference matrix for this order; the construction is "
-            "pinned by its exact quotient instead"
-        )
     equitable, witness = is_equitable(sg, cells)
-    checks.append(_check("cell partition equitable", equitable, str(witness or "")))
-    expected_b = case_quotient_matrix(case, n)
+    yield "cell partition equitable", equitable, str(witness or "")
     if equitable:
         b = quotient_matrix(sg, cells)
-        checks.append(
-            _check(
-                "quotient matches closed form",
-                np.array_equal(b.matrix, expected_b),
-                f"B = {expected_b.tolist()}",
-            )
-        )
-        checks.append(
-            _check(
-                "quotient identity exact",
-                verify_quotient_identity(sg, cells, b),
-                "A P = P B in exact integers",
-            )
-        )
-        checks.append(
-            _check(
-                "quotient eigenvalues match closed form",
-                multisets_close(
-                    quotient_eigenvalues(b),
-                    case_quotient_eigenvalues(case, n),
-                    VERDICT_TOLERANCE,
-                ),
-            )
-        )
-    return checks, notes, sg
-
-
-def _example_k7() -> ReproReport:
-    checks, notes, sg = _case_checks(1, "k7_case1")
+        expected_b = case_quotient_matrix(case, n)
+        yield "quotient matches closed form", np.array_equal(b.matrix, expected_b), f"B = {expected_b.tolist()}"
+        yield "quotient identity exact", verify_quotient_identity(sg, cells, b), "A P = P B in exact integers"
+        eigenvalues_ok = multisets_close(quotient_eigenvalues(b), case_quotient_eigenvalues(case, n), VERDICT_TOLERANCE)
+        yield "quotient eigenvalues match closed form", eigenvalues_ok, ""
     report = check_good_signing(sg, mode="regular")
-    expected_rho = (1 + math.sqrt(41)) / 2
-    checks.append(
-        _check(
-            "spectral radius (1+sqrt(41))/2",
-            abs(report.rho - expected_rho) <= VERDICT_TOLERANCE,
-            f"rho = {report.rho:.9f}",
-        )
-    )
-    checks.append(
-        _check(
-            "good signing for K7",
-            report.is_good,
-            f"rho {report.rho:.6f} <= bound {report.bound:.6f}",
-        )
-    )
-    return ReproReport("k7-case1-n6", tuple(checks), tuple(notes))
+    yield f"spectral radius {rho_label}", abs(report.rho - rho_value) <= VERDICT_TOLERANCE, f"rho = {report.rho:.9f}"
+    relation = "<=" if good else ">"
+    yield verdict_name, report.is_good == good, f"rho {report.rho:.6f} {relation} bound {report.bound:.6f}"
 
 
-def _example_k8() -> ReproReport:
-    checks, notes, sg = _case_checks(2, "k8_case2")
-    report = check_good_signing(sg, mode="regular")
-    checks.append(
-        _check("spectral radius 5", abs(report.rho - 5.0) <= VERDICT_TOLERANCE, f"rho = {report.rho:.9f}")
-    )
-    checks.append(
-        _check(
-            "verifier reports not_good",
-            report.verdict == "not_good",
-            f"rho {report.rho:.6f} > bound {report.bound:.6f}",
-        )
-    )
-    notes.append(
-        "DISCREPANCY: the case-2 family is not a good signing at n=6; its "
-        "spectral radius sqrt(3n-2)+1 = 5 exceeds the bound 2*sqrt(6) ~ "
-        "4.898979, and the family meets the bound only for n >= 9"
-    )
-    return ReproReport("k8-case2-n6", tuple(checks), tuple(notes))
-
-
-def _example_k9() -> ReproReport:
-    checks, notes, sg = _case_checks(3, None)
-    report = check_good_signing(sg, mode="regular")
-    expected_rho = math.sqrt(21)
-    checks.append(
-        _check(
-            "spectral radius sqrt(21)",
-            abs(report.rho - expected_rho) <= VERDICT_TOLERANCE,
-            f"rho = {report.rho:.9f}",
-        )
-    )
-    checks.append(
-        _check(
-            "good signing for K9",
-            report.is_good,
-            f"rho {report.rho:.6f} <= bound {report.bound:.6f}",
-        )
-    )
-    return ReproReport("k9-case3-n6", tuple(checks), tuple(notes))
-
-
-def _example_cycle_cover() -> ReproReport:
+def _example_cycle_cover() -> Iterator[Check]:
     g, h1, h2 = cycle_cover_base()
-    decomposition = verify_decomposition(g, [h1, h2])
-    checks = [
-        _check("two 6-cycles decompose the base", decomposition.ok),
-        _check(
-            "base is 4-regular and not bipartite",
-            g.is_regular and g.regular_degree == 4 and is_bipartite(g) is None,
-        ),
-        _check(
-            "parts are 2-regular and bipartite",
-            all(
-                h.is_regular and h.regular_degree == 2 and is_bipartite(h) is not None
-                for h in (h1, h2)
-            ),
-        ),
-    ]
+    yield "two 6-cycles decompose the base", verify_decomposition(g, [h1, h2]).ok, ""
+    yield "base is 4-regular and not bipartite", g.is_regular and g.regular_degree == 4 and is_bipartite(g) is None, ""
+    parts_ok = all(h.is_regular and h.regular_degree == 2 and is_bipartite(h) is not None for h in (h1, h2))
+    yield "parts are 2-regular and bipartite", parts_ok, ""
     # one negative edge (its first row) per 6-cycle gives the odd cycle-sign class, rho sqrt(3)
     sg1, sg2 = (SignedGraph._of(h, np.where(np.arange(len(h._uv)) == 0, -1, 1).astype(np.int64)) for h in (h1, h2))
-    rho1 = spectral_radius(signed_adjacency(sg1))
-    rho2 = spectral_radius(signed_adjacency(sg2))
-    checks.append(
-        _check(
-            "part signings are good for degree 2",
-            abs(rho1 - math.sqrt(3)) <= VERDICT_TOLERANCE
-            and abs(rho2 - math.sqrt(3)) <= VERDICT_TOLERANCE
-            and rho1 <= 2 + VERDICT_TOLERANCE,
-            f"part rho = {rho1:.6f}",
-        )
-    )
-    product = lex_k2_signing(g, sg1, sg2)
-    rho = spectral_radius(signed_adjacency(product))
+    rho1, rho2 = (spectral_radius(signed_adjacency(sg)) for sg in (sg1, sg2))
+    parts_good = all(abs(r - math.sqrt(3)) <= VERDICT_TOLERANCE for r in (rho1, rho2)) and rho1 <= 2 + VERDICT_TOLERANCE
+    yield "part signings are good for degree 2", parts_good, f"part rho = {rho1:.6f}"
+    rho = spectral_radius(signed_adjacency(lex_k2_signing(g, sg1, sg2)))
     bound = 2 * max(rho1, rho2)
-    checks.append(
-        _check(
-            "product rho within twice the part maximum",
-            rho <= bound + VERDICT_TOLERANCE,
-            f"rho {rho:.6f} <= {bound:.6f}",
-        )
-    )
-    return ReproReport("cycle-cover-lex2", tuple(checks))
+    yield "product rho within twice the part maximum", rho <= bound + VERDICT_TOLERANCE, f"rho {rho:.6f} <= {bound:.6f}"
 
 
-def _example_unsigned_lift() -> ReproReport:
+def _example_unsigned_lift() -> Iterator[Check]:
     g, sigma, sigma_alt = lift_base_signings()
     product = entrywise_product(signed_adjacency(sigma), signed_adjacency(sigma_alt))
-    checks = [
-        _check(
-            "entrywise product matches bundled reference",
-            np.array_equal(product, reference_matrix("sign4_product")),
-        )
-    ]
-    tau = SignedGraph.from_adjacency(product)
-    lifted = two_lift(g, tau)
-    checks.append(
-        _check(
-            "lift edge set matches expected pairing",
-            lifted.edges == EXPECTED_LIFT_EDGES,
-            "crossed pair exactly on the product's negative edge",
-        )
+    yield "entrywise product matches bundled reference", np.array_equal(product, reference_matrix("sign4_product")), ""
+    lifted = two_lift(g, SignedGraph.from_adjacency(product))
+    yield (
+        "lift edge set matches expected pairing",
+        lifted.edges == EXPECTED_LIFT_EDGES,
+        "crossed pair exactly on the product's negative edge",
     )
-    lift_eig = eigenvalues_symmetric(lifted.adjacency())
-    merged = np.concatenate(
-        [eigenvalues_symmetric(g.adjacency()), eigenvalues_symmetric(product)]
+    merged = np.concatenate([eigenvalues_symmetric(g.adjacency()), eigenvalues_symmetric(product)])
+    yield (
+        "lift spectrum is the union of base and pairing spectra",
+        multisets_close(eigenvalues_symmetric(lifted.adjacency()), merged, SPECTRAL_MULTISET_TOLERANCE),
+        "",
     )
-    checks.append(
-        _check(
-            "lift spectrum is the union of base and pairing spectra",
-            multisets_close(lift_eig, merged, SPECTRAL_MULTISET_TOLERANCE),
-        )
-    )
-    return ReproReport("unsigned-lift", tuple(checks))
 
 
-def _example_aphi() -> ReproReport:
+def _example_aphi() -> Iterator[Check]:
     g, sigma, sigma_alt = lift_base_signings()
     lifted = two_lift_signed(g, sigma, sigma_alt)
     adjacency = signed_adjacency(lifted)
-    checks = [
-        _check(
-            "signed lift matches bundled reference",
-            np.array_equal(adjacency, reference_matrix("lift8")),
-            "8x8 signed adjacency reproduced bit-exactly",
-        )
-    ]
+    yield (
+        "signed lift matches bundled reference",
+        np.array_equal(adjacency, reference_matrix("lift8")),
+        "8x8 signed adjacency reproduced bit-exactly",
+    )
     cells = pair_cell_partition(g.n)
     equitable, _ = is_equitable(lifted, cells)
-    quotient_ok = equitable and np.array_equal(
-        quotient_matrix(lifted, cells).matrix, signed_adjacency(sigma_alt)
-    )
-    checks.append(
-        _check(
-            "pair cells equitable with quotient equal to the second signing",
-            quotient_ok and verify_quotient_identity(lifted, cells, signed_adjacency(sigma_alt)),
-        )
+    b = signed_adjacency(sigma_alt)
+    yield (
+        "pair cells equitable with quotient equal to the second signing",
+        equitable
+        and np.array_equal(quotient_matrix(lifted, cells).matrix, b)
+        and verify_quotient_identity(lifted, cells, b),
+        "",
     )
     s17 = math.sqrt(17)
     expected = sorted([-(1 + s17) / 2, -2.0, -1.0, 0.0, 1.0, 1.0, (s17 - 1) / 2, 2.0])
-    spectrum = eigenvalues_symmetric(adjacency)
-    checks.append(
-        _check(
-            "spectrum matches closed form",
-            multisets_close(spectrum, expected, VERDICT_TOLERANCE),
-            "{-(1+sqrt(17))/2, -2, -1, 0, 1, 1, (sqrt(17)-1)/2, 2}",
-        )
+    yield (
+        "spectrum matches closed form",
+        multisets_close(eigenvalues_symmetric(adjacency), expected, VERDICT_TOLERANCE),
+        "{-(1+sqrt(17))/2, -2, -1, 0, 1, 1, (sqrt(17)-1)/2, 2}",
     )
     report = check_good_signing(lifted, mode="maxdeg")
-    checks.append(
-        _check(
-            "spectral radius (1+sqrt(17))/2",
-            abs(report.rho - (1 + s17) / 2) <= VERDICT_TOLERANCE,
-            f"rho = {report.rho:.9f}",
-        )
-    )
-    checks.append(
-        _check(
-            "good signing in maxdeg mode",
-            report.is_good,
-            f"rho {report.rho:.6f} < bound {report.bound:.6f}",
-        )
-    )
-    return ReproReport("aphi", tuple(checks))
+    rho_ok = abs(report.rho - (1 + s17) / 2) <= VERDICT_TOLERANCE
+    yield "spectral radius (1+sqrt(17))/2", rho_ok, f"rho = {report.rho:.9f}"
+    yield "good signing in maxdeg mode", report.is_good, f"rho {report.rho:.6f} < bound {report.bound:.6f}"
 
 
-_EXAMPLES = {
+_EXAMPLES: dict[str, Callable[[], Iterator[Check]]] = {
     "c6": _example_c6,
-    "k7-case1-n6": _example_k7,
-    "k8-case2-n6": _example_k8,
-    "k9-case3-n6": _example_k9,
+    "k7-case1-n6": functools.partial(_example_case, 1),
+    "k8-case2-n6": functools.partial(_example_case, 2),
+    "k9-case3-n6": functools.partial(_example_case, 3),
     "cycle-cover-lex2": _example_cycle_cover,
     "unsigned-lift": _example_unsigned_lift,
     "aphi": _example_aphi,
+}
+
+# Known caveats, printed after an example's checks.
+_NOTES = {
+    "k8-case2-n6": (
+        "DISCREPANCY: the case-2 family is not a good signing at n=6; its "
+        "spectral radius sqrt(3n-2)+1 = 5 exceeds the bound 2*sqrt(6) ~ "
+        "4.898979, and the family meets the bound only for n >= 9",
+    ),
+    "k9-case3-n6": (
+        "no bundled reference matrix for this order; the construction is "
+        "pinned by its exact quotient instead",
+    ),
 }
 
 
@@ -365,4 +238,5 @@ def run_example(example_id: str) -> ReproReport:
     """Run one named reproduction; raises ``KeyError`` for unknown ids."""
     if example_id not in _EXAMPLES:
         raise KeyError(f"unknown example id {example_id!r}; known: {', '.join(_EXAMPLES)}")
-    return _EXAMPLES[example_id]()
+    checks = tuple(ReproCheck(name, bool(passed), detail) for name, passed, detail in _EXAMPLES[example_id]())
+    return ReproReport(example_id, checks, _NOTES.get(example_id, ()))

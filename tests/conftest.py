@@ -1,12 +1,9 @@
 import pytest
 
-from goodsign.refdata import reference_matrix
-from goodsign.graphs import SignedGraph
+from goodsign.reproduce import lift_base_signings
 
 
 @pytest.fixture(scope="session")
 def lift_pair():
     """The 4-vertex base graph and its two bundled signings."""
-    sigma = SignedGraph.from_adjacency(reference_matrix("sign4"))
-    sigma_alt = SignedGraph.from_adjacency(reference_matrix("sign4_alt"))
-    return sigma.graph, sigma, sigma_alt
+    return lift_base_signings()

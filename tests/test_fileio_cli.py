@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from goodsign.cli import run
 from goodsign.conference import paley_conference
-from goodsign.constructions import sign_complete_from_conference
+from goodsign.constructions import sign_complete_from_conference, two_lift_signed
 from goodsign.fileio import (
     dumps_json,
     graph_from_json_dict,
@@ -567,6 +567,21 @@ def test_cli_lift_product_pipeline(tmp_path, capsys):
     assert manifest["inputs"] == [a, b]
 
 
+def test_cli_lift2_graph_only(tmp_path, capsys, lift_pair):
+    _, sigma, sigma_alt = lift_pair
+    a = write_json(tmp_path / "a.json", signed_graph_to_json_dict(sigma))
+    b = write_json(tmp_path / "b.json", signed_graph_to_json_dict(sigma_alt))
+    expected = dumps_json(graph_to_json_dict(two_lift_signed(sigma.graph, sigma, sigma_alt).graph))
+    assert run(["lift2", "--sigma", a, "--sigma-prime", b, "--graph-only"]) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "lift.json"
+    assert run(["lift2", "--sigma", a, "--sigma-prime", b, "--graph-only", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == expected
+    manifest = json.loads((tmp_path / "lift.json.manifest.json").read_text())
+    assert manifest["parameters"] == {"sigma": a, "sigma_prime": b, "graph_only": True}
+    assert manifest["inputs"] == [a, b] and manifest["output"] == str(out)
+
 def test_cli_lex_commands(tmp_path, capsys):
     from goodsign.reproduce import cycle_cover_base
 
@@ -599,6 +614,69 @@ def test_cli_reproduce(capsys):
     with pytest.raises(SystemExit):
         run(["reproduce", "--id", "unknown"])  # argparse rejects unknown choices
     capsys.readouterr()
+
+
+# Every line ``reproduce --all`` prints, in order (sha256 7a91486e...): the paper's verdicts as the CLI states them.
+REPRODUCE_ALL = (
+    "PASS [c6] conference identity (C C^T = 5 I in exact integers)",
+    "PASS [c6] matches bundled reference (order-6 matrix reproduced bit-exactly)",
+    "PASS [c6] normalization idempotent",
+    "PASS [k7-case1-n6] matches bundled reference (signed adjacency reproduced bit-exactly)",
+    "PASS [k7-case1-n6] cell partition equitable",
+    "PASS [k7-case1-n6] quotient matches closed form (B = [[0, 1, 5], [1, 0, 5], [1, 1, 0]])",
+    "PASS [k7-case1-n6] quotient identity exact (A P = P B in exact integers)",
+    "PASS [k7-case1-n6] quotient eigenvalues match closed form",
+    "PASS [k7-case1-n6] spectral radius (1+sqrt(41))/2 (rho = 3.701562119)",
+    "PASS [k7-case1-n6] good signing for K7 (rho 3.701562 <= bound 4.472136)",
+    "PASS [k8-case2-n6] matches bundled reference (signed adjacency reproduced bit-exactly)",
+    "PASS [k8-case2-n6] cell partition equitable",
+    (
+        "PASS [k8-case2-n6] quotient matches closed form (B = [[0, 1, 1, 5], [1, 0, 1, 5], [1, 1, "
+        "0, 5], [1, 1, 1, 0]])"
+    ),
+    "PASS [k8-case2-n6] quotient identity exact (A P = P B in exact integers)",
+    "PASS [k8-case2-n6] quotient eigenvalues match closed form",
+    "PASS [k8-case2-n6] spectral radius 5 (rho = 5.000000000)",
+    "PASS [k8-case2-n6] verifier reports not_good (rho 5.000000 > bound 4.898979)",
+    (
+        "NOTE [k8-case2-n6] DISCREPANCY: the case-2 family is not a good signing at n=6; its "
+        "spectral radius sqrt(3n-2)+1 = 5 exceeds the bound 2*sqrt(6) ~ 4.898979, and the family "
+        "meets the bound only for n >= 9"
+    ),
+    "PASS [k9-case3-n6] cell partition equitable",
+    "PASS [k9-case3-n6] quotient matches closed form (B = [[-1, 0, 5], [0, 1, 5], [2, 2, 0]])",
+    "PASS [k9-case3-n6] quotient identity exact (A P = P B in exact integers)",
+    "PASS [k9-case3-n6] quotient eigenvalues match closed form",
+    "PASS [k9-case3-n6] spectral radius sqrt(21) (rho = 4.582575695)",
+    "PASS [k9-case3-n6] good signing for K9 (rho 4.582576 <= bound 5.291503)",
+    (
+        "NOTE [k9-case3-n6] no bundled reference matrix for this order; the construction is pinned "
+        "by its exact quotient instead"
+    ),
+    "PASS [cycle-cover-lex2] two 6-cycles decompose the base",
+    "PASS [cycle-cover-lex2] base is 4-regular and not bipartite",
+    "PASS [cycle-cover-lex2] parts are 2-regular and bipartite",
+    "PASS [cycle-cover-lex2] part signings are good for degree 2 (part rho = 1.732051)",
+    "PASS [cycle-cover-lex2] product rho within twice the part maximum (rho 3.464102 <= 3.464102)",
+    "PASS [unsigned-lift] entrywise product matches bundled reference",
+    (
+        "PASS [unsigned-lift] lift edge set matches expected pairing (crossed pair exactly on the "
+        "product's negative edge)"
+    ),
+    "PASS [unsigned-lift] lift spectrum is the union of base and pairing spectra",
+    "PASS [aphi] signed lift matches bundled reference (8x8 signed adjacency reproduced bit-exactly)",
+    "PASS [aphi] pair cells equitable with quotient equal to the second signing",
+    "PASS [aphi] spectrum matches closed form ({-(1+sqrt(17))/2, -2, -1, 0, 1, 1, (sqrt(17)-1)/2, 2})",
+    "PASS [aphi] spectral radius (1+sqrt(17))/2 (rho = 2.561552813)",
+    "PASS [aphi] good signing in maxdeg mode (rho 2.561553 < bound 2.828427)",
+)
+
+
+def test_reproduce_all_stdout_is_pinned(capsys):
+    assert run(["reproduce", "--all"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == "\n".join(REPRODUCE_ALL) + "\n"
 
 
 def test_bare_reproduce_is_a_usage_error(capsys):

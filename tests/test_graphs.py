@@ -186,6 +186,13 @@ def test_signed_graph_validation():
          "sign of edge (0, 1) must be -1 or +1, got 1.5"),
         (lambda: SignedGraph(complete_graph(2), {(0.5, 1): 1}),
          "sign map must cover exactly the edge set"),
+        # keys that are not vertex pairs match no edge either
+        (lambda: SignedGraph(complete_graph(2), {(0, 1, 2): 1}),
+         "sign map must cover exactly the edge set"),
+        (lambda: SignedGraph(complete_graph(2), {"ab": 1}),
+         "sign map must cover exactly the edge set"),
+        (lambda: SignedGraph(complete_graph(2), {0: 1}),
+         "sign map must cover exactly the edge set"),
         (lambda: SignedGraph.from_edge_triples(3, [(0.9, 1.2, -1.4)]),
          "vertex 0.9 is not an integer"),
         (lambda: SignedGraph.from_edge_triples(3, [(0, 1.2, 1)]),
@@ -414,7 +421,7 @@ def _outcome(build):
 
 @st.composite
 def triple_tables(draw, max_n=7):
-    """A signing's triples, duplicated, reversed and shuffled, with up to two entries spoilt."""
+    """A signing's triples, duplicated, reversed and shuffled, with up to two rows spoilt."""
     n = draw(st.integers(0, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rows = [(u, v, draw(st.sampled_from([-1, 1]))) for u, v in pairs if draw(st.booleans())]
@@ -422,10 +429,16 @@ def triple_tables(draw, max_n=7):
         rows += draw(st.lists(st.sampled_from(rows), max_size=3))
     rows = [(v, u, s) if draw(st.booleans()) else (u, v, s) for u, v, s in rows]
     rows = list(draw(st.permutations(rows)))
+    spoils = [-1, n, 0.5, 2.5, 1.0, True, 0, 2, -1.0, -1.5]
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
-        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+        i = draw(st.integers(0, len(rows) - 1))
         row = list(rows[i])
-        row[j] = draw(st.sampled_from([-1, n, 0.5, 2.5, 1.0, True, 0, 2, -1.0, -1.5]))
+        kind = draw(st.sampled_from(["one", "two", "loop"]))
+        if kind == "loop":  # both ends to one value: a self-loop that may break another check of the row too
+            row[0] = row[1] = draw(st.sampled_from(spoils))
+        else:  # one entry, or two entries of the row, so that the order of the row's own checks shows
+            for j in draw(st.permutations([0, 1, 2]))[: 1 if kind == "one" else 2]:
+                row[j] = draw(st.sampled_from(spoils))
         rows[i] = tuple(row)
     return n, rows
 
