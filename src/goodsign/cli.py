@@ -1,21 +1,25 @@
 """Command-line front end.
 
-Exit codes are a stable contract: 0 for success (or a ``good`` verdict),
-1 for a check that came back false, 2 for usage, parse, or precondition
-errors. Whenever ``--out`` is given, a ``<out>.manifest.json`` sidecar records
-the command, inputs, parameters, version, and tolerance settings.
+Each ``_cmd_*`` function takes the parsed arguments and returns the text the
+command emits and its exit code; :func:`run` writes that text, the only
+writer. Exit codes are a stable contract: 0 for success (or a ``good``
+verdict), 1 for a check that came back false, 2 for usage, parse, or
+precondition errors. Whenever ``--out`` is given, the text goes to that file
+and a ``<out>.manifest.json`` sidecar records the command, its input files
+(the values of the command's file options, in parser order), its parameters,
+the version, and the tolerance settings.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import __version__
-from .conference import normalize, paley_conference
+from .conference import paley_conference
 from .constructions import (
+    CASES,
     _switching_equivalence,
     lex_k2_signing,
     lex_k4_signing,
@@ -38,7 +42,7 @@ from .fileio import (
 from .graphs import signed_adjacency
 from .partition import NotEquitableError, quotient_matrix, verify_quotient_identity
 from .reproduce import example_ids, run_example
-from .search import min_rho
+from .search import DEFAULT_MAX_FREE_EDGES, min_rho
 from .spectra import _rho, check_good_signing, eigenvalues_symmetric
 
 EXIT_OK = 0
@@ -47,84 +51,73 @@ EXIT_ERROR = 2
 
 
 _NOT_PARAMETERS = ("out", "func", "command")
+_FILE_OPTIONS = ("matrix", "graph", "signed", "signing", "h1", "h2", "sigma", "sigma_prime", "partition")
 
 
-def _emit(args: argparse.Namespace, text: str, inputs: list[str]) -> None:
+def _emit(args: argparse.Namespace, text: str) -> None:
     """Write ``text`` to stdout, or to ``--out`` with its manifest alongside."""
-    if args.out is None:
+    out = getattr(args, "out", None)
+    if out is None:
         sys.stdout.write(text)
         return
-    write_text(args.out, text)
+    write_text(out, text)
+    inputs = tuple(v for k, v in vars(args).items() if k in _FILE_OPTIONS)
     parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
-    RunManifest(args.command, tuple(inputs), parameters, args.out, __version__).write_alongside(args.out)
+    RunManifest(args.command, inputs, parameters, out, __version__).write_alongside(out)
 
 
-def _cmd_conference(args) -> int:
-    c = paley_conference(args.q)
-    if args.normalized:
-        c = normalize(c)
-    _emit(args, matrix_to_text(c.matrix), [])
-    return EXIT_OK
+def _cmd_conference(args) -> tuple[str, int]:
+    # Paley matrices are built normalized, so --raw and --normalized emit the same matrix.
+    return matrix_to_text(paley_conference(args.q).matrix), EXIT_OK
 
 
-def _cmd_sign_complete(args) -> int:
+def _cmd_sign_complete(args) -> tuple[str, int]:
     sg = sign_complete_from_conference(paley_conference(args.q), args.case)
     if args.format == "matrix":
-        text = matrix_to_text(signed_adjacency(sg))
-    else:
-        text = dumps_json(signed_graph_to_json_dict(sg))
-    _emit(args, text, [])
-    return EXIT_OK
+        return matrix_to_text(signed_adjacency(sg)), EXIT_OK
+    return dumps_json(signed_graph_to_json_dict(sg)), EXIT_OK
 
 
-def _cmd_lex_k2(args) -> int:
+def _cmd_lex_k2(args) -> tuple[str, int]:
     g = load_graph(args.graph)
     h1 = load_signed_graph(args.h1)
     h2 = load_signed_graph(args.h2)
     sg = lex_k2_signing(g, h1, h2)
-    _emit(args, dumps_json(signed_graph_to_json_dict(sg)), [args.graph, args.h1, args.h2])
-    return EXIT_OK
+    return dumps_json(signed_graph_to_json_dict(sg)), EXIT_OK
 
 
-def _cmd_lex_k4(args) -> int:
+def _cmd_lex_k4(args) -> tuple[str, int]:
     sigma = load_signed_graph(args.signing)
     sg = lex_k4_signing(sigma.graph, sigma)
-    _emit(args, dumps_json(signed_graph_to_json_dict(sg)), [args.signing])
-    return EXIT_OK
+    return dumps_json(signed_graph_to_json_dict(sg)), EXIT_OK
 
 
-def _cmd_lift2(args) -> int:
+def _cmd_lift2(args) -> tuple[str, int]:
     sigma = load_signed_graph(args.sigma)
     sigma_prime = load_signed_graph(args.sigma_prime)
     lifted = two_lift_signed(sigma.graph, sigma, sigma_prime)
     if args.graph_only:
-        text = dumps_json(graph_to_json_dict(lifted.graph))
-    else:
-        text = dumps_json(signed_graph_to_json_dict(lifted))
-    _emit(args, text, [args.sigma, args.sigma_prime])
-    return EXIT_OK
+        return dumps_json(graph_to_json_dict(lifted.graph)), EXIT_OK
+    return dumps_json(signed_graph_to_json_dict(lifted)), EXIT_OK
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> tuple[str, int]:
     sigma = load_signed_graph(args.sigma)
     sigma_prime = load_signed_graph(args.sigma_prime)
     d, cycle = _switching_equivalence(sigma.graph, sigma, sigma_prime)
     if d is not None:
-        sys.stdout.write(dumps_json({"equivalent": True, "diagonal": d.tolist()}))
-        return EXIT_OK
-    sys.stdout.write(dumps_json({"equivalent": False, "witness_cycle": list(cycle)}))
-    return EXIT_FALSE
+        return dumps_json({"equivalent": True, "diagonal": d.tolist()}), EXIT_OK
+    return dumps_json({"equivalent": False, "witness_cycle": list(cycle)}), EXIT_FALSE
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     g = load_graph(args.graph)
     sg = load_signing_for(g, args.signing)
     report = check_good_signing(sg, mode=args.mode)
-    sys.stdout.write(dumps_json(report.to_json_dict()))
-    return EXIT_OK if report.is_good else EXIT_FALSE
+    return dumps_json(report.to_json_dict()), EXIT_OK if report.is_good else EXIT_FALSE
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple[str, int]:
     if args.matrix:
         a = load_matrix(args.matrix)
     elif args.signed:
@@ -132,11 +125,10 @@ def _cmd_spectrum(args) -> int:
     else:
         a = load_graph(args.graph).adjacency()
     eig = eigenvalues_symmetric(a)
-    sys.stdout.write(dumps_json({"eigenvalues": list(eig), "rho": float(_rho(eig))}))
-    return EXIT_OK
+    return dumps_json({"eigenvalues": list(eig), "rho": float(_rho(eig))}), EXIT_OK
 
 
-def _cmd_partition_check(args) -> int:
+def _cmd_partition_check(args) -> tuple[str, int]:
     sg = load_signed_graph(args.signed)
     p = load_partition(args.partition)
     try:
@@ -149,14 +141,12 @@ def _cmd_partition_check(args) -> int:
             "vertices": [w.vertex_a, w.vertex_b],
             "degrees": [w.degree_a, w.degree_b],
         }
-        sys.stdout.write(dumps_json({"equitable": False, "witness": witness}))
-        return EXIT_FALSE
+        return dumps_json({"equitable": False, "witness": witness}), EXIT_FALSE
     identity = verify_quotient_identity(sg, p, b)
-    sys.stdout.write(dumps_json({"equitable": True, "quotient": b.matrix.tolist(), "identity_holds": identity}))
-    return EXIT_OK
+    return dumps_json({"equitable": True, "quotient": b.matrix.tolist(), "identity_holds": identity}), EXIT_OK
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[str, int]:
     g = load_graph(args.graph)
     result = min_rho(g, mode=args.mode, max_free_edges=args.max_free_edges, jobs=args.jobs)
     payload = {
@@ -166,27 +156,25 @@ def _cmd_search(args) -> int:
         "good_found": result.good_found,
         "bound_used": result.bound_used,
     }
-    _emit(args, dumps_json(payload), [args.graph])
-    return EXIT_OK if result.good_found else EXIT_FALSE
+    return dumps_json(payload), EXIT_OK if result.good_found else EXIT_FALSE
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args) -> tuple[str, int]:
     if args.list:
-        for example_id in example_ids():
-            sys.stdout.write(example_id + "\n")
-        return EXIT_OK
+        return "".join(example_id + "\n" for example_id in example_ids()), EXIT_OK
     ids = list(example_ids()) if args.all else [args.id]
+    lines = []
     all_ok = True
     for example_id in ids:
         report = run_example(example_id)
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
             detail = f" ({check.detail})" if check.detail else ""
-            sys.stdout.write(f"{status} [{report.example_id}] {check.name}{detail}\n")
+            lines.append(f"{status} [{report.example_id}] {check.name}{detail}\n")
         for note in report.notes:
-            sys.stdout.write(f"NOTE [{report.example_id}] {note}\n")
+            lines.append(f"NOTE [{report.example_id}] {note}\n")
         all_ok = all_ok and report.passed
-    return EXIT_OK if all_ok else EXIT_FALSE
+    return "".join(lines), EXIT_OK if all_ok else EXIT_FALSE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sign-complete", help="sign a complete graph around a conference core")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--case", type=int, required=True, choices=(1, 2, 3))
+    p.add_argument("--case", type=int, required=True, choices=CASES)
     p.add_argument("--format", choices=("json", "matrix"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sign_complete)
@@ -257,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive minimum spectral radius over signings")
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", choices=("regular", "maxdeg"), default="regular")
-    p.add_argument("--max-free-edges", type=int, default=24, dest="max_free_edges")
+    p.add_argument("--max-free-edges", type=int, default=DEFAULT_MAX_FREE_EDGES, dest="max_free_edges")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
@@ -282,10 +270,12 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        text, code = args.func(args)
+        _emit(args, text)
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return code
 
 
 def main() -> None:

@@ -20,7 +20,7 @@ import os
 import re
 import stat
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -256,14 +256,7 @@ class RunManifest:
     version: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": list(self.inputs),
-            "parameters": self.parameters,
-            "output": self.output,
-            "version": self.version,
-            "tolerances": dict(DEFAULT_TOLERANCES),
-        }
+        return {**asdict(self), "tolerances": dict(DEFAULT_TOLERANCES)}
 
     def write_alongside(self, output_path: str | Path) -> Path:
         side = Path(str(output_path) + ".manifest.json")

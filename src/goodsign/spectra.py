@@ -15,7 +15,7 @@ initial Frobenius norm; a hard cap of 64 sweeps guards against stalls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -209,15 +209,7 @@ class SpectralReport:
         return self.verdict == GOOD
 
     def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": list(self.eigenvalues),
-            "rho": self.rho,
-            "degree": self.degree,
-            "bound": self.bound,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "mode": self.mode,
-        }
+        return asdict(self)
 
 
 def check_good_signing(sg: SignedGraph, mode: str = "regular") -> SpectralReport:

@@ -128,6 +128,24 @@ def test_cli_out_overwrites_a_longer_file(tmp_path, capsys):
     assert manifest["output"] == str(out)
 
 
+def test_cli_out_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "c13.txt"
+    assert run(["conference", "--q", "13", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "missing").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_option_defaults_come_from_the_library():
+    from goodsign.cli import build_parser
+    from goodsign.search import DEFAULT_MAX_FREE_EDGES
+
+    args = build_parser().parse_args(["search", "--graph", "g.json"])
+    assert args.max_free_edges == DEFAULT_MAX_FREE_EDGES
+
+
 # -- the JSON encoder ----------------------------------------------------------
 
 

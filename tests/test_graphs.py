@@ -421,7 +421,7 @@ def _outcome(build):
 
 @st.composite
 def triple_tables(draw, max_n=7):
-    """A signing's triples, duplicated, reversed and shuffled, with up to two rows spoilt."""
+    """A signing's triples, duplicated, reversed and shuffled, with up to two spoils."""
     n = draw(st.integers(0, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rows = [(u, v, draw(st.sampled_from([-1, 1]))) for u, v in pairs if draw(st.booleans())]
@@ -433,8 +433,14 @@ def triple_tables(draw, max_n=7):
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         i = draw(st.integers(0, len(rows) - 1))
         row = list(rows[i])
-        kind = draw(st.sampled_from(["one", "two", "loop"]))
-        if kind == "loop":  # both ends to one value: a self-loop that may break another check of the row too
+        kind = draw(st.sampled_from(["one", "two", "loop", "clash"][: 4 if i < len(rows) - 1 else 3]))
+        if kind == "clash":  # a later copy of row i with the other sign, then a later row with a vertex not whole
+            j = draw(st.integers(i + 1, len(rows) - 1))
+            rows.insert(j, (row[0], row[1], -row[2]))
+            k = draw(st.integers(j + 1, len(rows) - 1))
+            i, row = k, list(rows[k])
+            row[draw(st.integers(0, 1))] = draw(st.sampled_from([0.5, 2.5, -1.5]))
+        elif kind == "loop":  # both ends to one value: a self-loop that may break another check of the row too
             row[0] = row[1] = draw(st.sampled_from(spoils))
         else:  # one entry, or two entries of the row, so that the order of the row's own checks shows
             for j in draw(st.permutations([0, 1, 2]))[: 1 if kind == "one" else 2]:
