@@ -437,9 +437,9 @@ def triple_tables(draw, max_n=7):
         if kind == "clash":  # a later copy of row i with the other sign, then a later row with a vertex not whole
             j = draw(st.integers(i + 1, len(rows) - 1))
             rows.insert(j, (row[0], row[1], -row[2]))
-            k = draw(st.integers(j + 1, len(rows) - 1))
-            i, row = k, list(rows[k])
-            row[draw(st.integers(0, 1))] = draw(st.sampled_from([0.5, 2.5, -1.5]))
+            i = draw(st.integers(j + 1, len(rows) - 1))
+            row = list(rows[i])
+            row[0] = row[1] = draw(st.sampled_from([0.5, 2.5, -1.5]))  # both ends, so the row is a self-loop too
         elif kind == "loop":  # both ends to one value: a self-loop that may break another check of the row too
             row[0] = row[1] = draw(st.sampled_from(spoils))
         else:  # one entry, or two entries of the row, so that the order of the row's own checks shows
