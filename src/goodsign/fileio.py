@@ -94,8 +94,14 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": g._uv}
 
 
+def _object(d: Any) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError("the document must be a JSON object")
+    return d
+
+
 def graph_from_json_dict(d: dict) -> Graph:
-    return Graph.from_edges(d["n"], d.get("edges", []))
+    return Graph.from_edges(_object(d)["n"], d.get("edges", []))
 
 
 def signed_graph_to_json_dict(sg: SignedGraph) -> dict:
@@ -104,7 +110,7 @@ def signed_graph_to_json_dict(sg: SignedGraph) -> dict:
 
 
 def signed_graph_from_json_dict(d: dict) -> SignedGraph:
-    return SignedGraph.from_edge_triples(d["n"], d.get("edges", []))
+    return SignedGraph.from_edge_triples(_object(d)["n"], d.get("edges", []))
 
 
 def partition_to_json_dict(p: Partition) -> dict:
@@ -112,7 +118,7 @@ def partition_to_json_dict(p: Partition) -> dict:
 
 
 def partition_from_json_dict(d: dict) -> Partition:
-    return Partition.from_cells(d["cells"])
+    return Partition.from_cells(_object(d)["cells"])
 
 
 _EDGES = re.compile(rb'"edges"[ \t\n\r]*:[ \t\n\r]*\[')

@@ -41,7 +41,11 @@ class Partition:
 
     @staticmethod
     def from_cells(cells: Iterable[Iterable[int]]) -> "Partition":
-        return Partition(tuple(tuple(c) for c in cells))
+        try:
+            listed = tuple(tuple(c) for c in cells)
+        except TypeError:
+            raise ValueError("cells must be a list of lists of vertices") from None
+        return Partition(listed)
 
     @staticmethod
     def singletons(n: int) -> "Partition":

@@ -13,13 +13,14 @@ enumeration and all tie-breaking are deterministic.
 Negation pairing: rho(-sigma) = rho(sigma), and negating every sign maps
 class ``i`` to class ``i ^ mask``, where ``mask`` holds the bits of the free
 edges whose fundamental cycle is odd (both endpoints at the same BFS depth
-parity); ``mask`` is 0 exactly when the graph is bipartite. Otherwise only
-the classes with bit ``mask.bit_length() - 1`` clear are evaluated. That bit
-is the highest one where ``i`` and ``i ^ mask`` differ, so these are the
-smaller index of each pair, and the smallest near-tie index and the first
-good index always lie among them: pairing skips half the eigensolves and
-cannot change a winner. ``classes_examined`` still counts every class, since
-a skipped class is covered by its negation.
+parity); ``mask`` is 0 exactly when the graph is bipartite. Otherwise the
+highest odd free edge (the top bit of ``mask``) stays +1 like a tree edge:
+the search enumerates the other free edges in binary-counter order, so it
+evaluates the smaller index of each pair ``{i, i ^ mask}``, in index order.
+The smallest near-tie index and the first good index are therefore always
+evaluated: pairing skips half the eigensolves and cannot change a winner.
+``classes_examined`` still counts every class, since a skipped class is
+covered by its negation.
 
 Classes are evaluated in chunks: one vectorised scatter writes a chunk's sign
 patterns into copies of the base adjacency, and one batched ``eigvalsh`` call
@@ -117,57 +118,45 @@ def enumerate_signing_classes(g: Graph) -> Iterator[SignedGraph]:
         yield _signing_for_index(g, free, index)
 
 
-def _guarded_free_edges(g: Graph, max_free_edges: int) -> tuple[list[Edge], int]:
+def _evaluated_free(g: Graph, max_free_edges: int) -> tuple[list[Edge], int]:
+    # The free edges the search enumerates, without the one negation pairing
+    # holds at +1, and the number of switching classes.
     free, mask = _free_edges(g)
     if len(free) > max_free_edges:
-        raise SearchSpaceError(
-            f"{len(free)} free edges exceed the guard of {max_free_edges}"
-        )
-    return free, mask
-
-
-def _evaluated_count(free: list[Edge], mask: int) -> int:
-    # One class per negation pair, or every class on a bipartite graph.
-    return 1 << (len(free) - bool(mask))
+        raise SearchSpaceError(f"{len(free)} free edges exceed the guard of {max_free_edges}")
+    paired = mask.bit_length() - 1  # -1 on a bipartite graph: no edge is held
+    return [e for i, e in enumerate(free) if i != paired], 1 << len(free)
 
 
 def _chunk_classes(g: Graph) -> int:
     return max(1, CHUNK_BYTES // (8 * g.n * g.n))
 
 
-def _class_chunks(
-    g: Graph, free: list[Edge], mask: int, lo: int, hi: int, first: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(indices, matrices)`` for consecutive chunks of positions ``[lo, hi)``.
+def _class_chunks(g: Graph, free: list[Edge], lo: int, hi: int, first: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(positions, matrices)`` for consecutive chunks of positions ``[lo, hi)``.
 
-    The first chunk holds ``first`` classes, and each next one twice as many,
-    up to ``_chunk_classes(g)``. The matrices are the classes' signed
-    adjacencies in float64, written into one buffer that the next chunk
-    overwrites.
-
-    Position ``p`` is the ``p``-th evaluated class: ``p`` with a zero bit
-    inserted at the top bit of ``mask`` (at ``len(free)``, above every index,
-    when ``mask`` is 0), so indices increase with positions.
+    Bit ``i`` of a position, when set, makes ``free[i]`` -1. The first chunk
+    holds ``first`` classes, and each next one twice as many, up to
+    ``_chunk_classes(g)``. The matrices are the classes' signed adjacencies in
+    float64, written into one buffer that the next chunk overwrites.
     """
     base = g.adjacency().astype(np.float64)
     rows = np.array([u for u, _ in free], dtype=np.intp)
     cols = np.array([v for _, v in free], dtype=np.intp)
     shifts = np.arange(len(free))
-    low = (1 << (mask.bit_length() - 1 if mask else len(free))) - 1
     cap = _chunk_classes(g)
     size = min(first, cap)
     stack = np.empty((min(cap, hi - lo),) + base.shape)
     start = lo
     while start < hi:
         positions = np.arange(start, min(start + size, hi))
-        indices = ((positions & ~low) << 1) | (positions & low)
-        mats = stack[: len(indices)]
+        mats = stack[: len(positions)]
         mats[:] = base
-        signs = 1.0 - 2.0 * ((indices[:, None] >> shifts) & 1)
+        signs = 1.0 - 2.0 * ((positions[:, None] >> shifts) & 1)
         mats[:, rows, cols] = signs
         mats[:, cols, rows] = signs
-        yield indices, mats
-        start += len(indices)
+        yield positions, mats
+        start += len(positions)
         size = min(2 * size, cap)
 
 
@@ -176,11 +165,11 @@ def find_good_signing(
 ) -> SignedGraph | None:
     """First enumerated signing class meeting the bound, or None after exhaustion."""
     bound, _ = good_signing_bound(g, mode)
-    free, mask = _guarded_free_edges(g, max_free_edges)
-    for indices, mats in _class_chunks(g, free, mask, 0, _evaluated_count(free, mask), 32):
+    free, _ = _evaluated_free(g, max_free_edges)
+    for positions, mats in _class_chunks(g, free, 0, 1 << len(free), 32):
         good = np.flatnonzero(_rho(_eigvalsh(mats)) <= bound + VERDICT_TOLERANCE)
         if good.size:
-            return _signing_for_index(g, free, int(indices[good[0]]))
+            return _signing_for_index(g, free, int(positions[good[0]]))
     return None
 
 
@@ -234,29 +223,22 @@ def _pruned_rhos(mats: np.ndarray, best: float, work: np.ndarray) -> np.ndarray:
     return rhos
 
 
-def _near_ties(
-    g: Graph, free: list[Edge], mask: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    # Classes at positions [lo, hi) that can still win the tie-break, as
-    # (indices, rhos) in index order with strictly decreasing rho, and the
-    # number of classes eigensolved: a class never beats an earlier one with
-    # the same or smaller rho, and one above the running minimum plus the
-    # tolerance never wins. A pruned class reads inf and is never kept.
-    indices = np.empty(0, dtype=np.int64)
-    rhos = np.empty(0)
-    eigensolved = 0
+def _near_ties(g: Graph, free: list[Edge], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
+    # Every class at positions [lo, hi) whose rho lies within the tolerance of
+    # the running minimum, as (positions, rhos) in position order, and the
+    # number of classes eigensolved. A pruned class reads inf and is never kept.
+    positions, rhos = np.empty(0, dtype=np.int64), np.empty(0)
+    best, eigensolved = np.inf, 0
     work = np.empty((2, min(_chunk_classes(g), hi - lo), g.n, g.n))
-    for chunk_indices, mats in _class_chunks(g, free, mask, lo, hi, _chunk_classes(g)):
-        floor = rhos[-1] if rhos.size else np.inf
-        chunk = _pruned_rhos(mats, floor, work)
+    for chunk_positions, mats in _class_chunks(g, free, lo, hi, _chunk_classes(g)):
+        chunk = _pruned_rhos(mats, best, work)
         eigensolved += int(np.count_nonzero(chunk < np.inf))
-        before = np.minimum.accumulate(np.concatenate(([floor], chunk[:-1])))
-        new = np.flatnonzero(chunk < before)
-        indices = np.concatenate((indices, chunk_indices[new]))
-        rhos = np.concatenate((rhos, chunk[new]))
-        keep = rhos <= rhos[-1] + VERDICT_TOLERANCE
-        indices, rhos = indices[keep], rhos[keep]
-    return indices, rhos, eigensolved
+        best = min(best, float(chunk.min()))
+        positions = np.concatenate((positions, chunk_positions))
+        rhos = np.concatenate((rhos, chunk))
+        keep = rhos <= best + VERDICT_TOLERANCE
+        positions, rhos = positions[keep], rhos[keep]
+    return positions, rhos, eigensolved
 
 
 def min_rho(
@@ -272,28 +254,30 @@ def min_rho(
     ``best_rho`` is that class's own rho, so roundoff among near-equal radii,
     moment pruning and ``jobs`` cannot change the result. The evaluated
     classes are split into at most ``jobs`` disjoint ranges, each holding at
-    least one full ``CHUNK_BYTES`` chunk, and evaluated concurrently; each
-    range keeps its near-tie candidates, which are merged and filtered by the
-    global minimum.
+    least one full ``CHUNK_BYTES`` chunk, and evaluated concurrently. Each
+    range keeps every class within ``VERDICT_TOLERANCE`` of its running
+    minimum, earlier classes included. No running minimum falls below the
+    global one, so the winner is always kept and never pruned, and the merged
+    ranges give it.
     """
     bound, _ = good_signing_bound(g, mode)
-    free, mask = _guarded_free_edges(g, max_free_edges)
-    count = _evaluated_count(free, mask)
+    free, classes = _evaluated_free(g, max_free_edges)
+    count = 1 << len(free)
     parts = min(max(1, int(jobs)), count // _chunk_classes(g))
     if parts <= 1:
-        found = [_near_ties(g, free, mask, 0, count)]
+        found = [_near_ties(g, free, 0, count)]
     else:
         ranges = [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
         with ThreadPoolExecutor(max_workers=parts) as pool:
-            found = list(pool.map(lambda r: _near_ties(g, free, mask, *r), ranges))
-    indices = np.concatenate([i for i, _, _ in found])
+            found = list(pool.map(lambda r: _near_ties(g, free, *r), ranges))
+    positions = np.concatenate([p for p, _, _ in found])
     rhos = np.concatenate([r for _, r, _ in found])
     winner = int(np.flatnonzero(rhos <= rhos.min() + VERDICT_TOLERANCE)[0])
     best_rho = float(rhos[winner])
     return SearchResult(
         best_rho=best_rho,
-        best_signing=_signing_for_index(g, free, int(indices[winner])),
-        classes_examined=1 << len(free),
+        best_signing=_signing_for_index(g, free, int(positions[winner])),
+        classes_examined=classes,
         good_found=bool(best_rho <= bound + VERDICT_TOLERANCE),
         bound_used=float(bound),
         evaluated=count,

@@ -118,6 +118,8 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
     m = np.asarray(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     if not np.array_equal(m, m.T):
         raise ValueError("matrix must be symmetric")
     return m
@@ -138,10 +140,13 @@ def _rho(eig: np.ndarray) -> np.ndarray:
 def eigenvalues_symmetric(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, as float64.
 
-    Raises ``ValueError`` for non-square or non-symmetric input. Values within
+    Raises ``ValueError`` for non-square, non-finite or non-symmetric input,
+    and for eigenvalues beyond the float64 range. Values within
     ``ZERO_SNAP_TOLERANCE * max(1, rho)`` of zero are returned as ``0.0``.
     """
     eig = _eigvalsh(_symmetric(a))
+    if not np.isfinite(eig).all():
+        raise ValueError("eigenvalues overflow float64")
     eig[np.abs(eig) <= ZERO_SNAP_TOLERANCE * max(1.0, float(_rho(eig)))] = 0.0
     return eig
 

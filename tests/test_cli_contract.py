@@ -149,7 +149,7 @@ def record(tmp: Path) -> str:
         before = _files(tmp)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = run(command.replace(TMP, str(tmp)).split())
+            code = run([arg.replace(TMP, str(tmp)) for arg in command.split()])
         lines += [f"$ goodsign {command}", f"exit {code}"]
         lines += _section("stdout", out.getvalue(), str(tmp))
         lines += _section("stderr", err.getvalue(), str(tmp))

@@ -483,18 +483,48 @@ def test_non_integral_json_values_are_rejected(tmp_path, capsys):
         ("graph", "edges must be [u, v] rows of numbers"),
         ("signed", "edges must be [u, v, sign] rows of numbers"),
         ("partition", "vertex None is not an integer"),
+        *[(f"{kind} {top}", "the document must be a JSON object")
+          for kind in ("graph", "lift2", "partition") for top in ("[]", "null", "5")],
+        *[(f'partition {{"cells": {cells}}}', "cells must be a list of lists of vertices")
+          for cells in ("5", "null", "[[0], 1]")],
     ],
 )
 def test_cli_null_values_are_input_errors(tmp_path, capsys, kind, message):
-    # a JSON null exits 2 like any bad input, not 1 ("check came back false")
+    # A JSON null, or a document of the wrong shape (the text after the kind),
+    # exits 2 like any bad input, not 1 ("check came back false").
+    kind, _, text = kind.partition(" ")
     signed = write_json(tmp_path / "s.json", {"n": 2, "edges": [[0, 1, 1]]})
+    bad = tmp_path / "bad.json"
+    bad.write_text(text or json.dumps({
+        "graph": {"n": 2, "edges": [[0, None]]},
+        "signed": {"n": 2, "edges": [[None, 1, 1]]},
+        "partition": {"cells": [[0, None], [1]]},
+    }[kind]))
     argv = {
-        "graph": ["spectrum", "--graph", write_json(tmp_path / "g.json", {"n": 2, "edges": [[0, None]]})],
-        "signed": ["spectrum", "--signed", write_json(tmp_path / "n.json", {"n": 2, "edges": [[None, 1, 1]]})],
-        "partition": ["partition-check", "--signed", signed, "--partition",
-                      write_json(tmp_path / "p.json", {"cells": [[0, None], [1]]})],
+        "graph": ["spectrum", "--graph", str(bad)],
+        "signed": ["spectrum", "--signed", str(bad)],
+        "lift2": ["lift2", "--sigma", str(bad), "--sigma-prime", signed],
+        "partition": ["partition-check", "--signed", signed, "--partition", str(bad)],
     }[kind]
     assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 inf\ninf 0\n", "matrix entries must be finite"),
+        ("0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n", "eigenvalues overflow float64"),
+    ],
+    ids=["inf", "overflow"],
+)
+def test_cli_spectrum_refuses_a_non_finite_spectrum(tmp_path, capsys, text, message):
+    # Exit 2, not "rho": NaN (which is not JSON) or all-zero eigenvalues with exit 0.
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    assert run(["spectrum", "--matrix", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -452,3 +452,71 @@ def test_pruning_keeps_every_near_tie_at_a_tight_bound(monkeypatch):
             result = min_rho(g, jobs=jobs)
             assert class_index(g, result.best_signing) == evaluated[40]
             assert result.best_rho == fake[evaluated[40]]
+
+
+def reference_min_rho(g, jobs):
+    """The search as it was written before negation pairing became a fixed edge,
+    in loops: position ``p`` is class ``p`` with a zero bit inserted at the top
+    bit of the negation mask, and each range keeps a strictly decreasing
+    frontier of (index, rho), cut to the tolerance of its last entry.
+
+    Returns the winner's class index, its rho, and the evaluated and
+    eigensolved counts; the chunks and ranges are those of ``min_rho``.
+    """
+    free, mask = _free_edges(g)
+    top = mask.bit_length() - 1 if mask else len(free)
+    count = 1 << (len(free) - bool(mask))
+    cap = search._chunk_classes(g)
+    parts = max(1, min(jobs, count // cap))
+    base = g.adjacency().astype(np.float64)
+    candidates, eigensolved = [], 0
+    for k in range(parts):
+        lo, hi = k * count // parts, (k + 1) * count // parts
+        work = np.empty((2, min(cap, hi - lo), g.n, g.n))
+        frontier = []
+        for start in range(lo, hi, cap):
+            indices, mats = [], []
+            for p in range(start, min(start + cap, hi)):
+                index = ((p >> top) << (top + 1)) | (p & ((1 << top) - 1))
+                a = base.copy()
+                for bit, (u, v) in enumerate(free):
+                    if (index >> bit) & 1:
+                        a[u, v] = a[v, u] = -1.0
+                indices.append(index)
+                mats.append(a)
+            rhos = search._pruned_rhos(np.array(mats), frontier[-1][1] if frontier else math.inf, work)
+            for index, rho in zip(indices, rhos):
+                eigensolved += rho < math.inf
+                if not frontier or rho < frontier[-1][1]:
+                    frontier.append((index, rho))
+            frontier = [(i, r) for i, r in frontier if r <= frontier[-1][1] + VERDICT_TOLERANCE]
+        candidates += frontier
+    least = min(r for _, r in candidates)
+    index, rho = next((i, r) for i, r in candidates if r <= least + VERDICT_TOLERANCE)
+    return index, rho, count, eigensolved
+
+
+def random_connected_graph(seed, bipartite):
+    """A seeded connected graph on 7 to 10 vertices with 6 to 12 free edges,
+    bipartite or not as asked."""
+    rng = np.random.default_rng(seed)
+    while True:
+        n = int(rng.integers(7, 11))
+        side = rng.integers(0, 2, n)
+        pairs = [(u, v) for u, v in combinations(range(n), 2) if not bipartite or side[u] != side[v]]
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < (0.8 if bipartite else 0.4)])
+        if g.is_connected() and 6 <= len(g.edge_list) - n + 1 <= 12 and (is_bipartite(g) is not None) == bipartite:
+            return g
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_connected_graph(seed, bipartite) for bipartite in (False, True) for seed in range(4)]
+    + [petersen_graph(), complete_graph(6), K44],
+)
+def test_min_rho_matches_the_bit_insert_reference(monkeypatch, g):
+    monkeypatch.setattr(search, "CHUNK_BYTES", 7 * 8 * g.n * g.n)
+    for jobs in (1, 2, 3):
+        result = min_rho(g, mode="maxdeg", jobs=jobs)
+        got = (class_index(g, result.best_signing), result.best_rho, result.evaluated, result.eigensolved)
+        assert got == reference_min_rho(g, jobs)

@@ -157,6 +157,22 @@ def test_jacobi_input_validation():
     assert spectral_radius(np.zeros((4, 4))) == 0.0
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        ([[0, math.inf], [math.inf, 0]], "matrix entries must be finite"),
+        ([[0, math.nan], [math.nan, 0]], "matrix entries must be finite"),
+        (1e308 * (np.ones((3, 3)) - np.eye(3)), "eigenvalues overflow float64"),
+    ],
+    ids=["inf", "nan", "overflow"],
+)
+def test_non_finite_input_or_spectrum_is_refused(m, message):
+    # An eigenvalue that overflowed to inf would lift the zero-snap threshold
+    # to inf and report every eigenvalue as 0.
+    with pytest.raises(ValueError, match=message):
+        eigenvalues_symmetric(np.array(m))
+
+
 def test_input_matrix_not_modified():
     m = rand_symmetric(6)
     before = m.copy()
