@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True, help="prime congruent to 1 mod 4")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--raw", action="store_true", help="emit as constructed (default)")
-    group.add_argument("--normalized", action="store_true", help="normalize before emitting")
+    group.add_argument("--normalized", action="store_true", help="the same matrix as --raw: Paley matrices are built normalized")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_conference)
 
@@ -272,7 +272,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         text, code = args.func(args)
         _emit(args, text)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return code

@@ -48,24 +48,25 @@ def verify_conference(matrix: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class ConferenceMatrix:
-    """A verified symmetric conference matrix; ``normalized`` means the first
-    row (and by symmetry the first column) is all +1 off the diagonal."""
+    """A verified symmetric conference matrix."""
 
     matrix: np.ndarray
-    normalized: bool
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=np.int64).copy()
         if not verify_conference(m):
             raise ValueError("not a symmetric conference matrix")
-        if self.normalized and not (np.all(m[0, 1:] == 1) and np.all(m[1:, 0] == 1)):
-            raise ValueError("matrix marked normalized but first row is not all +1")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
     def order(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def normalized(self) -> bool:
+        """Whether the first row (and by symmetry the first column) is all +1 off the diagonal."""
+        return bool(np.all(self.matrix[0, 1:] == 1))
 
 
 def paley_conference(q: int) -> ConferenceMatrix:
@@ -87,7 +88,7 @@ def paley_conference(q: int) -> ConferenceMatrix:
     c[0, 1:] = 1
     c[1:, 0] = 1
     c[1:, 1:] = residue[(i[None, :] - i[:, None]) % q]
-    return ConferenceMatrix(c, normalized=True)
+    return ConferenceMatrix(c)
 
 
 def normalize(c: ConferenceMatrix | np.ndarray) -> ConferenceMatrix:
@@ -101,7 +102,7 @@ def normalize(c: ConferenceMatrix | np.ndarray) -> ConferenceMatrix:
     d = m[0].copy()
     d[0] = 1
     switched = d[:, None] * m * d[None, :]
-    return ConferenceMatrix(switched, normalized=True)
+    return ConferenceMatrix(switched)
 
 
 def core_matrix(c: ConferenceMatrix) -> np.ndarray:

@@ -66,8 +66,6 @@ def sign_complete_from_conference(c: ConferenceMatrix, case: int) -> SignedGraph
     u1u2 = v1v2 = +1, u1v2 = v1u2 = -1, every pair-to-core edge positive.
     The partition from :func:`case_cells` is equitable for the result.
     """
-    if not c.normalized:
-        raise ValueError("construction requires a normalized conference matrix")
     m, core_start = _case_layout(case, c.order)
     a = 1 - np.eye(m, dtype=np.int64)
     a[core_start:, core_start:] = core_matrix(c)

@@ -28,13 +28,7 @@ import numpy as np
 
 from .graphs import Graph, SignedGraph
 from .partition import Partition
-from .spectra import SPECTRAL_MULTISET_TOLERANCE, VERDICT_TOLERANCE, ZERO_SNAP_TOLERANCE
-
-DEFAULT_TOLERANCES = {
-    "verdict": VERDICT_TOLERANCE,
-    "zero_snap": ZERO_SNAP_TOLERANCE,
-    "spectral_multiset": SPECTRAL_MULTISET_TOLERANCE,
-}
+from .spectra import TOLERANCES
 
 
 def fmt12(x: float) -> str:
@@ -94,14 +88,17 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": g._uv}
 
 
-def _object(d: Any) -> dict:
+def _required(d: Any, key: str) -> Any:
+    """The value at ``key`` of a JSON document, which must be an object that has it."""
     if not isinstance(d, dict):
         raise ValueError("the document must be a JSON object")
-    return d
+    if key not in d:
+        raise ValueError(f'the document has no "{key}" key')
+    return d[key]
 
 
 def graph_from_json_dict(d: dict) -> Graph:
-    return Graph.from_edges(_object(d)["n"], d.get("edges", []))
+    return Graph.from_edges(_required(d, "n"), d.get("edges", []))
 
 
 def signed_graph_to_json_dict(sg: SignedGraph) -> dict:
@@ -110,7 +107,7 @@ def signed_graph_to_json_dict(sg: SignedGraph) -> dict:
 
 
 def signed_graph_from_json_dict(d: dict) -> SignedGraph:
-    return SignedGraph.from_edge_triples(_object(d)["n"], d.get("edges", []))
+    return SignedGraph.from_edge_triples(_required(d, "n"), d.get("edges", []))
 
 
 def partition_to_json_dict(p: Partition) -> dict:
@@ -118,7 +115,7 @@ def partition_to_json_dict(p: Partition) -> dict:
 
 
 def partition_from_json_dict(d: dict) -> Partition:
-    return Partition.from_cells(_object(d)["cells"])
+    return Partition.from_cells(_required(d, "cells"))
 
 
 _EDGES = re.compile(rb'"edges"[ \t\n\r]*:[ \t\n\r]*\[')
@@ -186,7 +183,7 @@ def load_signing_for(graph: Graph, path: str | Path) -> SignedGraph:
     """
 
     def signing(raw: Any) -> SignedGraph:
-        sg = SignedGraph.from_edge_triples(graph.n, raw["edges"] if isinstance(raw, dict) else raw)
+        sg = SignedGraph.from_edge_triples(graph.n, _required(raw, "edges") if isinstance(raw, dict) else raw)
         if sg.graph != graph:
             raise ValueError("signing does not cover exactly the graph's edge set")
         return sg
@@ -195,7 +192,7 @@ def load_signing_for(graph: Graph, path: str | Path) -> SignedGraph:
 
 
 def load_partition(path: str | Path) -> Partition:
-    return partition_from_json_dict(json.loads(Path(path).read_text()))
+    return _load(path, partition_from_json_dict)
 
 
 # -- matrices ----------------------------------------------------------------
@@ -262,7 +259,7 @@ class RunManifest:
     version: str
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "tolerances": dict(DEFAULT_TOLERANCES)}
+        return {**asdict(self), "tolerances": dict(TOLERANCES)}
 
     def write_alongside(self, output_path: str | Path) -> Path:
         side = Path(str(output_path) + ".manifest.json")

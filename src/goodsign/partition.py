@@ -135,13 +135,9 @@ def _quotient_and_witness(
     return b, None
 
 
-def characteristic_matrix(p: Partition, n: int | None = None) -> np.ndarray:
+def characteristic_matrix(p: Partition) -> np.ndarray:
     """0/1 membership matrix P of shape (n, k): ``P[v, j] = 1`` iff v is in cell j."""
-    if n is None:
-        n = p.n
-    if n != p.n:
-        raise ValueError(f"partition covers {p.n} vertices, not {n}")
-    m = np.zeros((n, p.size), dtype=np.int64)
+    m = np.zeros((p.n, p.size), dtype=np.int64)
     for j, cell in enumerate(p.cells):
         m[list(cell), j] = 1
     return m

@@ -26,6 +26,11 @@ JACOBI_MAX_SWEEPS = 64
 VERDICT_TOLERANCE = 1e-9
 ZERO_SNAP_TOLERANCE = 1e-12
 SPECTRAL_MULTISET_TOLERANCE = 1e-8
+TOLERANCES = {
+    "verdict": VERDICT_TOLERANCE,
+    "zero_snap": ZERO_SNAP_TOLERANCE,
+    "spectral_multiset": SPECTRAL_MULTISET_TOLERANCE,
+}
 
 GOOD = "good"
 NOT_GOOD = "not_good"
@@ -104,14 +109,19 @@ def jacobi_diagonalize(a: np.ndarray) -> JacobiResult:
     Raises ``ValueError`` for non-square or non-symmetric input and
     ``JacobiConvergenceError`` if 64 sweeps do not reach the norm target.
     """
-    work = _symmetric(a).astype(np.float64, copy=True)
+    work = _symmetric(a).astype(np.float64)
+    # Scaling by a power of two is exact and leaves every step's result the
+    # same up to that power; with the largest entry in [0.5, 1), the squares
+    # summed into the norms cannot overflow.
+    e = int(np.frexp(np.abs(work).max(initial=0.0))[1])
+    work = np.ldexp(work, -e)
     sweeps, off, fro = _jacobi_sweeps(work, JACOBI_RELATIVE_TOLERANCE, JACOBI_MAX_SWEEPS)
     if off > JACOBI_RELATIVE_TOLERANCE * fro:
         raise JacobiConvergenceError(
-            f"no convergence after {sweeps} sweeps: off-diagonal norm {off:.3e}"
+            f"no convergence after {sweeps} sweeps: off-diagonal norm {math.ldexp(off, e):.3e}"
         )
-    eig = np.sort(np.diagonal(work))
-    return JacobiResult(tuple(float(x) for x in eig), int(sweeps), float(off), float(fro))
+    eig = np.ldexp(np.sort(np.diagonal(work)), e)
+    return JacobiResult(tuple(float(x) for x in eig), int(sweeps), math.ldexp(off, e), math.ldexp(fro, e))
 
 
 def _symmetric(a: np.ndarray) -> np.ndarray:
@@ -259,14 +269,11 @@ def check_ramanujan(g: Graph) -> RamanujanReport:
     """
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    d = g.regular_degree
-    if d <= 1:
-        raise ValueError(f"degree must exceed 1, got d={d}")
+    bound, d = good_signing_bound(g, "regular")
     eig = list(eigenvalues_symmetric(g.adjacency()))
     removed = [eig.pop(min(range(len(eig)), key=lambda i: abs(eig[i] - d)))]
     if is_bipartite(g) is not None:
         removed.append(eig.pop(min(range(len(eig)), key=lambda i: abs(eig[i] + d))))
-    bound = 2.0 * math.sqrt(d - 1)
     ok = all(abs(x) <= bound + VERDICT_TOLERANCE for x in eig)
     return RamanujanReport(
         eigenvalues=tuple(float(x) for x in eig),

@@ -157,20 +157,18 @@ def test_core_requires_normalized():
     c = paley_conference(5)
     d = np.ones(6, dtype=np.int64)
     d[2] = -1
-    switched = ConferenceMatrix(d[:, None] * c.matrix * d[None, :], normalized=False)
+    switched = ConferenceMatrix(d[:, None] * c.matrix * d[None, :])
+    assert not switched.normalized
     with pytest.raises(ValueError):
         core_matrix(switched)
 
 
 def test_conference_matrix_validation():
     with pytest.raises(ValueError):
-        ConferenceMatrix(np.ones((3, 3), dtype=np.int64), normalized=False)
-    c = paley_conference(5)
-    d = np.ones(6, dtype=np.int64)
-    d[2] = -1
-    switched = d[:, None] * c.matrix * d[None, :]
-    with pytest.raises(ValueError):
-        ConferenceMatrix(switched, normalized=True)  # flag contradicts first row
+        ConferenceMatrix(np.ones((3, 3), dtype=np.int64))
+    hand_built = ConferenceMatrix(reference_matrix("c6"))  # first row +1 off the diagonal
+    assert hand_built.normalized
+    assert np.array_equal(core_matrix(hand_built), reference_matrix("c6")[1:, 1:])
 
 
 def test_matrix_is_read_only():

@@ -79,7 +79,7 @@ def test_construction_input_validation():
         sign_complete_from_conference(c, 4)
     d = np.ones(6, dtype=np.int64)
     d[2] = -1
-    switched = ConferenceMatrix(d[:, None] * c.matrix * d[None, :], normalized=False)
+    switched = ConferenceMatrix(d[:, None] * c.matrix * d[None, :])
     with pytest.raises(ValueError):
         sign_complete_from_conference(switched, 1)
     with pytest.raises(ValueError):

@@ -487,6 +487,9 @@ def test_non_integral_json_values_are_rejected(tmp_path, capsys):
           for kind in ("graph", "lift2", "partition") for top in ("[]", "null", "5")],
         *[(f'partition {{"cells": {cells}}}', "cells must be a list of lists of vertices")
           for cells in ("5", "null", "[[0], 1]")],
+        ("partition {}", 'the document has no "cells" key'),
+        ('graph {"edges": []}', 'the document has no "n" key'),
+        ("verify {}", 'the document has no "edges" key'),
     ],
 )
 def test_cli_null_values_are_input_errors(tmp_path, capsys, kind, message):
@@ -494,6 +497,7 @@ def test_cli_null_values_are_input_errors(tmp_path, capsys, kind, message):
     # exits 2 like any bad input, not 1 ("check came back false").
     kind, _, text = kind.partition(" ")
     signed = write_json(tmp_path / "s.json", {"n": 2, "edges": [[0, 1, 1]]})
+    graph = write_json(tmp_path / "g.json", {"n": 2, "edges": [[0, 1]]})
     bad = tmp_path / "bad.json"
     bad.write_text(text or json.dumps({
         "graph": {"n": 2, "edges": [[0, None]]},
@@ -505,6 +509,7 @@ def test_cli_null_values_are_input_errors(tmp_path, capsys, kind, message):
         "signed": ["spectrum", "--signed", str(bad)],
         "lift2": ["lift2", "--sigma", str(bad), "--sigma-prime", signed],
         "partition": ["partition-check", "--signed", signed, "--partition", str(bad)],
+        "verify": ["verify", "--graph", graph, "--signing", str(bad)],
     }[kind]
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -20,7 +20,7 @@ from goodsign.graphs import Graph, SignedGraph, cycle_graph
 
 
 def _signing_for_c4(raw):
-    triples = raw["edges"] if isinstance(raw, dict) else raw
+    triples = fileio._required(raw, "edges") if isinstance(raw, dict) else raw
     sg = SignedGraph.from_edge_triples(4, triples)
     if sg.graph != cycle_graph(4):
         raise ValueError("signing does not cover exactly the graph's edge set")

@@ -91,8 +91,6 @@ def test_characteristic_matrix_shapes():
     assert np.array_equal(m.T[1], [0, 0, 1, 1, 0, 0])
     assert np.all(m.sum(axis=1) == 1)
     assert list(m.sum(axis=0)) == [len(c) for c in p.cells]
-    with pytest.raises(ValueError):
-        characteristic_matrix(p, 7)
 
 
 def test_quotient_matrices_match_expected():

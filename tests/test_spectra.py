@@ -82,13 +82,15 @@ def test_eigenvalues_agree_with_jacobi_reference():
 
 
 def test_jacobi_large_theta_raises_no_overflow():
-    # Petersen's class matrices drive theta past 1e154, where theta*theta overflowed.
+    # Petersen's class matrices drive theta past 1e154, where theta*theta
+    # overflowed; entries of 1e160 overflowed the squares in the norms.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for sg in enumerate_signing_classes(petersen_graph()):
-            a = signed_adjacency(sg)
+        mats = [signed_adjacency(sg) for sg in enumerate_signing_classes(petersen_graph())]
+        for a in mats + [1e160 * (1 - np.eye(3))]:
             ours = np.array(jacobi_diagonalize(a).eigenvalues)
-            assert np.max(np.abs(ours - np.linalg.eigvalsh(a.astype(float)))) < 1e-9
+            scale = max(1.0, np.abs(a).max())
+            assert np.max(np.abs(ours - np.linalg.eigvalsh(a.astype(float)))) < 1e-9 * scale
 
 
 def test_near_zero_eigenvalues_are_exact_zeros():
