@@ -23,41 +23,60 @@ evaluated: pairing skips half the eigensolves and cannot change a winner.
 covered by its negation.
 
 Classes are evaluated in chunks: one vectorised scatter writes a chunk's sign
-patterns into copies of the base adjacency, and one batched ``eigvalsh`` call
-yields their spectral radii. Chunks hold at most ``CHUNK_BYTES`` of
-matrices, so memory does not grow with the number of classes.
+patterns into copies of the base adjacency, and batched ``eigvalsh`` calls
+yield the spectral radii of the classes that the moment bounds below leave
+undecided. Chunks hold at most ``CHUNK_BYTES`` of matrices, so memory does
+not grow with the number of classes.
 ``find_good_signing`` starts at 32 classes and doubles, so it stops soon
 after an early good class; ``min_rho`` never stops early and starts at the
 full chunk size.
 
-Moment pruning in ``min_rho``: for a symmetric A with eigenpairs
-``(lambda_j, v_j)``, ``(A^8)_ii = sum_j lambda_j^8 v_ij^2 <= rho^8``, and
-``(A^8)_ii = sum_j ((A^4)_ij)^2`` because A^4 is symmetric. So each chunk
-first computes ``A2 = M @ M`` and ``A4 = A2 @ A2`` for its whole stack and
-the lower bound ``L = max_i sum_j A4_ij^2`` on rho^8, for much less than an
-eigensolve costs. A class with ``L > (best + VERDICT_TOLERANCE)^8``, where
-``best`` is the running minimum, has rho above ``best + VERDICT_TOLERANCE``
-and can neither win nor tie, so it is not eigensolved. Each chunk makes at
-most two ``_eigvalsh`` calls: first the classes that tie at the chunk's
-smallest ``L`` (skipped when that ``L`` already exceeds the limit, and then
-so is the rest of the chunk), which usually lowers ``best``; then every
-other class whose ``L`` is within the limit set by the new ``best``. Each
-``jobs`` range prunes against its own running minimum.
+Moment bounds. For a symmetric A with eigenpairs ``(lambda_j, v_j)`` and
+even k, ``(A^k)_ii = sum_j lambda_j^k v_ij^2 <= rho^k``, and ``(A^k)_ii =
+sum_j ((A^(k/2))_ij)^2`` because A^(k/2) is symmetric. So the largest row
+sum of squares of ``A4`` (of ``A8``) is a lower bound on rho^8 (on rho^16).
+And rho^4 = rho(A^4) is at most ``||A4||_inf = max_i sum_j |A4_ij|``, an
+upper bound. ``_Moments`` forms ``A2 = M @ M`` and ``A4 = A2 @ A2`` for a
+chunk's whole stack, and ``A8 = A4 @ A4`` only for the classes asked for;
+every bound of the search goes through it.
 
-The prune is exact in the direction that matters. The entries of ``A2`` and
-``A4``, and every partial sum of the matmuls, are integers of magnitude at
-most Delta^3 (Delta the maximum degree), below 2^53 for every graph whose
-matrices fit in memory, so both matmuls are exact in float64 whatever the
-summation order. ``L`` is a sum of non-negative squares, so its relative
-error is at most about n * 2^-53, also when it exceeds 2^53 and the sum
-rounds. The limit is ``(best + VERDICT_TOLERANCE)^8 * (1 + 1e-9)``: the
-slack covers that error, the roundoff of raising to the 8th power, and
-eigvalsh's error in the rho the pruned class would have been given, which
-lies far below the relative 1.25e-10 on rho that is left of the slack.
+Moment pruning in ``min_rho``: a class whose rho^k bound exceeds
+``_prune_limit(best, k) = (best + VERDICT_TOLERANCE)^k * (1 + 1e-9)``, where
+``best`` is the running minimum, has rho above ``best + VERDICT_TOLERANCE``
+and can neither win nor tie, so it is not eigensolved. The screen runs in
+stages, rho^8 and then, where ``A8`` is exact, rho^16 on the classes the
+first stage passed. Each stage first eigensolves the classes that tie at its
+smallest bound (skipped when that bound already exceeds the limit, and then
+so is the rest), which usually lowers ``best``; it then passes on every
+other class whose bound is within the limit set by the new ``best``. The
+classes the last stage passes on are eigensolved together. Each ``jobs``
+range prunes against its own running minimum.
+
+Certificates in ``find_good_signing``: a class with ``||A4||_inf <= (bound
++ VERDICT_TOLERANCE / 2)^4`` is good, and one whose rho^8 bound exceeds
+``_prune_limit(bound)`` is not. Each chunk eigensolves only its undecided
+classes before its first certified-good one.
+
+The bounds are exact in the direction that matters. The entries of ``A2``
+and ``A4``, and every partial sum of their matmuls and of ``||A4||_inf``,
+are integers of magnitude at most Delta^4 (Delta the maximum degree: a row
+of A^k has absolute sum at most Delta^k), below 2^53 for every graph whose
+matrices fit in memory, so they are exact in float64 whatever the summation
+order. ``A8`` is formed only while Delta^8 < 2^53 (Delta <= 98), so its
+entries and partial sums are exact too. A bound on rho^8 or rho^16 is a sum
+of non-negative squares, so its relative error is at most about n * 2^-53,
+also when it exceeds 2^53 and the sum rounds. The slack of ``1 + 1e-9``
+covers that error, the roundoff of raising to the k-th power, and eigvalsh's
+error in the rho the pruned class would have been given, which lies far
+below the relative 6e-11 on rho that is left of the slack at k = 16.
 Roundoff can therefore keep a class that could be pruned, but never drop one
-whose computed rho could lie within the tolerance of the minimum: the
-winner, ``best_rho`` and every other result are those of the unpruned
-search.
+whose computed rho could lie within the tolerance of the minimum, or above
+the bound by more than the tolerance. On the other side, a certified-good
+class has rho <= bound + VERDICT_TOLERANCE / 2 exactly, and eigvalsh's error,
+far below the other half of the tolerance, cannot lift its computed rho past
+bound + VERDICT_TOLERANCE. So the winner, ``best_rho``, the first good class
+and every other result are those of a search that eigensolves every class;
+only the cost counter ``eigensolved`` depends on the bounds.
 """
 
 from __future__ import annotations
@@ -163,13 +182,26 @@ def _class_chunks(g: Graph, free: list[Edge], lo: int, hi: int, first: int) -> I
 def find_good_signing(
     g: Graph, mode: str = "regular", max_free_edges: int = DEFAULT_MAX_FREE_EDGES
 ) -> SignedGraph | None:
-    """First enumerated signing class meeting the bound, or None after exhaustion."""
+    """First enumerated signing class meeting the bound, or None after exhaustion.
+
+    Moment certificates decide most classes without an eigensolve (see the
+    module docstring); the class returned is the one an eigensolve of every
+    class would find first.
+    """
     bound, _ = good_signing_bound(g, mode)
     free, _ = _evaluated_free(g, max_free_edges)
-    for positions, mats in _class_chunks(g, free, 0, 1 << len(free), 32):
-        good = np.flatnonzero(_rho(_eigvalsh(mats)) <= bound + VERDICT_TOLERANCE)
-        if good.size:
-            return _signing_for_index(g, free, int(positions[good[0]]))
+    count = 1 << len(free)
+    work = np.empty((2, min(_chunk_classes(g), count), g.n, g.n))
+    for positions, mats in _class_chunks(g, free, 0, count, 32):
+        moments = _Moments(mats, work)
+        certified = np.flatnonzero(moments.upper4() <= (bound + VERDICT_TOLERANCE / 2) ** 4)
+        first = int(certified[0]) if certified.size else len(mats)
+        undecided = np.flatnonzero(moments.lower(8)[:first] <= _prune_limit(bound))
+        if undecided.size:
+            good = undecided[_rho(_eigvalsh(mats[undecided])) <= bound + VERDICT_TOLERANCE]
+            first = int(good[0]) if good.size else first
+        if first < len(mats):
+            return _signing_for_index(g, free, int(positions[first]))
     return None
 
 
@@ -193,33 +225,73 @@ class SearchResult:
     eigensolved: int
 
 
-def _moment_bound(mats: np.ndarray, work: np.ndarray) -> np.ndarray:
-    # max_i (A^8)_ii = max_i sum_j ((A^4)_ij)^2 for each matrix of the stack:
-    # a lower bound on rho^8, exact matmuls on integer entries. `work` holds
-    # two stacks at least as long, reused across chunks: fresh megabyte-sized
-    # products would pay their page faults again in every chunk.
-    a2 = np.matmul(mats, mats, out=work[0, : len(mats)])
-    a4 = np.matmul(a2, a2, out=work[1, : len(mats)])
-    return np.einsum("bij,bij->bi", a4, a4).max(axis=1)
+class _Moments:
+    """Bounds on rho for each matrix of a stack, from its exact integer powers.
+
+    ``A2 = M @ M`` and ``A4 = A2 @ A2`` are formed for the whole stack, ``A8 =
+    A4 @ A4`` only on request. ``work`` holds two stacks at least as long as
+    ``mats``, reused across chunks: fresh megabyte-sized products would pay
+    their page faults again in every chunk. A8 is written over A2, which is
+    no longer needed.
+    """
+
+    def __init__(self, mats: np.ndarray, work: np.ndarray):
+        self._work = work
+        a2 = np.matmul(mats, mats, out=work[0, : len(mats)])
+        self._a4 = np.matmul(a2, a2, out=work[1, : len(mats)])
+
+    def power(self, k: int, chosen: np.ndarray | None = None) -> np.ndarray:
+        """A^k, for k = 4 or 8, of the chosen matrices (a boolean mask; all by default)."""
+        a4 = self._a4 if chosen is None else self._a4[chosen]
+        return a4 if k == 4 else np.matmul(a4, a4, out=self._work[0, : len(a4)])
+
+    def lower(self, k: int, chosen: np.ndarray | None = None) -> np.ndarray:
+        """``max_i (A^k)_ii = max_i sum_j ((A^(k/2))_ij)^2 <= rho^k``, for k = 8 or 16."""
+        half = self.power(k // 2, chosen)
+        return _max_row_sum("bij,bij->ib", half, half)
+
+    def upper4(self) -> np.ndarray:
+        """``max_i sum_j |(A^4)_ij| >= rho(A^4) = rho^4``, for every matrix."""
+        return _max_row_sum("bij->ib", np.abs(self._a4))
 
 
-def _prune_limit(best: float) -> float:
-    # The largest moment bound of a class whose rho may lie within
+def _max_row_sum(spec: str, *stacks: np.ndarray) -> np.ndarray:
+    # The largest of each matrix's row sums that `spec` forms. The sums are
+    # laid out (row, matrix): numpy takes a maximum along the long axis
+    # several times faster than along a short last one.
+    batch, n = stacks[0].shape[:2]
+    return np.einsum(spec, *stacks, out=np.empty((n, batch))).max(axis=0)
+
+
+def _prune_limit(best: float, k: int = 8) -> float:
+    # The largest rho^k bound of a class whose rho may lie within
     # VERDICT_TOLERANCE of `best`; the slack errs toward keeping a class.
-    return (best + VERDICT_TOLERANCE) ** 8 * (1 + 1e-9)
+    return (best + VERDICT_TOLERANCE) ** k * (1 + 1e-9)
 
 
-def _pruned_rhos(mats: np.ndarray, best: float, work: np.ndarray) -> np.ndarray:
-    # rho of each matrix whose moment bound admits a rho within the tolerance
-    # of the running minimum, and inf for the rest, in at most two eigvalsh
-    # calls: the chunk's lowest-bound classes first, to lower the minimum.
-    bounds = _moment_bound(mats, work)
+def _pruned_rhos(mats: np.ndarray, best: float, work: np.ndarray, exact_a8: bool) -> np.ndarray:
+    # rho of each matrix whose moment bounds admit a rho within the tolerance
+    # of the running minimum, and inf for the rest. Each stage eigensolves
+    # its lowest-bound classes first, to lower the minimum, and passes on
+    # the classes within the limit; what the last stage passes on is
+    # eigensolved together. The rho^16 stage runs only where A8 is exact.
+    moments = _Moments(mats, work)
     rhos = np.full(len(mats), np.inf)
-    lowest = bounds == bounds.min()
-    for chosen in (lowest, ~lowest):
-        chosen = chosen & (bounds <= _prune_limit(min(best, rhos.min())))
+
+    def solve(chosen: np.ndarray) -> None:
         if chosen.any():
             rhos[chosen] = _rho(_eigvalsh(mats[chosen]))
+
+    left = np.ones(len(mats), dtype=bool)
+    for k in (8, 16) if exact_a8 else (8,):
+        bounds = np.full(len(mats), np.inf)
+        bounds[left] = moments.lower(k, None if k == 8 else left)
+        lowest = bounds == bounds.min()
+        solve(lowest & (bounds <= _prune_limit(min(best, rhos.min()), k)))
+        left &= ~lowest & (bounds <= _prune_limit(min(best, rhos.min()), k))
+        if not left.any():
+            break
+    solve(left)
     return rhos
 
 
@@ -230,8 +302,9 @@ def _near_ties(g: Graph, free: list[Edge], lo: int, hi: int) -> tuple[np.ndarray
     positions, rhos = np.empty(0, dtype=np.int64), np.empty(0)
     best, eigensolved = np.inf, 0
     work = np.empty((2, min(_chunk_classes(g), hi - lo), g.n, g.n))
+    exact_a8 = g.max_degree**8 < 2**53
     for chunk_positions, mats in _class_chunks(g, free, lo, hi, _chunk_classes(g)):
-        chunk = _pruned_rhos(mats, best, work)
+        chunk = _pruned_rhos(mats, best, work, exact_a8)
         eigensolved += int(np.count_nonzero(chunk < np.inf))
         best = min(best, float(chunk.min()))
         positions = np.concatenate((positions, chunk_positions))

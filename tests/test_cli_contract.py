@@ -11,16 +11,24 @@ on purpose, regenerate that file with
     PYTHONPATH=src python tests/test_cli_contract.py
 
 and name each changed line in CHANGES.md.
+
+The record must not depend on the BLAS kernel either: the last test runs it
+in subprocesses under other OpenBLAS core types and on one thread.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from goodsign.cli import run
 from goodsign.fileio import dumps_json, graph_to_json_dict, signed_graph_to_json_dict
@@ -32,6 +40,8 @@ GOLDEN = Path(__file__).with_name("cli_contract.txt")
 REGENERATE = "PYTHONPATH=src python tests/test_cli_contract.py"
 INLINE_BYTES = 2048
 TMP = "<tmp>"
+# OpenBLAS core types, least capable first, each with the /proc/cpuinfo flag it needs.
+CORE_TYPES = [("Prescott", "pni"), ("Sandybridge", "avx"), ("Haswell", "avx2"), ("SkylakeX", "avx512f")]
 
 CORPUS = [
     # conference: both flags, the default, an --out file, and a modulus that is not 1 mod 4
@@ -165,6 +175,42 @@ def test_cli_contract_matches_the_golden_record(tmp_path):
         f"the CLI output differs from {GOLDEN.name}; if the change is meant, "
         f"regenerate it with `{REGENERATE}` and name each changed line in CHANGES.md"
     )
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return set(next((line.split(":", 1)[1].split() for line in fh if line.startswith("flags")), []))
+    except OSError:
+        return set()
+
+
+def _record_in_subprocess(env: dict[str, str]) -> subprocess.Popen:
+    code = (
+        "import sys, tempfile; from pathlib import Path; from test_cli_contract import record\n"
+        "with tempfile.TemporaryDirectory() as tmp: sys.stdout.write(record(Path(tmp).resolve()))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, str(GOLDEN.parent)])
+    return subprocess.Popen(
+        [sys.executable, "-c", code], env={**os.environ, **env, "PYTHONPATH": path}, stdout=subprocess.PIPE, text=True
+    )
+
+
+def test_cli_contract_does_not_depend_on_the_blas_kernel():
+    # The record under two core types below the CPU's most capable supported
+    # one (OpenBLAS runs that one, or a later one, natively), and on one thread.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas["name"] or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy's BLAS ({blas['name']}) is not a DYNAMIC_ARCH OpenBLAS, so there is no kernel to choose")
+    supported = [name for name, flag in CORE_TYPES if flag in _cpu_flags()]
+    runs = [{"OPENBLAS_CORETYPE": core} for core in supported[:-1][:2]] + [{"OPENBLAS_NUM_THREADS": "1"}]
+    procs = [(env, _record_in_subprocess(env)) for env in runs]
+    golden = GOLDEN.read_text().splitlines()
+    for env, proc in procs:
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0, env
+        assert out.splitlines() == golden, f"the CLI output under {env} differs from {GOLDEN.name}"
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ from goodsign.graphs import (
 from goodsign import search
 from goodsign.search import (
     SearchSpaceError,
+    _Moments,
     _free_edges,
-    _moment_bound,
     _prune_limit,
     _signing_for_index,
     enumerate_signing_classes,
@@ -28,7 +28,7 @@ from goodsign.search import (
     min_rho,
     signing_class_count,
 )
-from goodsign.spectra import VERDICT_TOLERANCE, jacobi_diagonalize, spectral_radius
+from goodsign.spectra import VERDICT_TOLERANCE, good_signing_bound, jacobi_diagonalize, spectral_radius
 
 RNG = np.random.default_rng(424242)
 
@@ -247,7 +247,7 @@ def test_min_rho_winner_is_smallest_near_tie_index(g):
 
 
 def test_results_do_not_depend_on_chunk_size(monkeypatch):
-    # Petersen prunes nothing; K6 and K4,4 eigensolve 6 of 512 classes.
+    # Petersen eigensolves 1 of 32 classes; K6 and K4,4 eigensolve 6 of 512.
     for g in (petersen_graph(), complete_graph(6), K44):
         monkeypatch.undo()
         whole = min_rho(g)
@@ -304,18 +304,20 @@ def test_find_good_signing_stops_early(monkeypatch):
     monkeypatch.setattr(search, "_eigvalsh", counting_eigvalsh)
     g = complete_graph(6)
     assert find_good_signing(g) is not None
-    assert sum(evaluated) < 128 < signing_class_count(g)
+    # The first chunk holds 32 of K6's 512 evaluated classes; the moment
+    # certificates leave 19 of them to eigensolve.
+    assert sum(evaluated) == 19
     # min_rho never stops early, so K4,4's 512 classes fill one full chunk,
     # and the moment bound leaves only the six classes that tie at its
     # lowest value to eigensolve.
     bounded = []
-    moment_bound = search._moment_bound
 
-    def counting_moment_bound(mats, work):
-        bounded.append(len(mats))
-        return moment_bound(mats, work)
+    class CountingMoments(_Moments):
+        def __init__(self, mats, work):
+            bounded.append(len(mats))
+            super().__init__(mats, work)
 
-    monkeypatch.setattr(search, "_moment_bound", counting_moment_bound)
+    monkeypatch.setattr(search, "_Moments", CountingMoments)
     evaluated.clear()
     min_rho(K44)
     assert bounded == [512]
@@ -352,7 +354,7 @@ def test_thread_pool_only_for_large_class_spaces(monkeypatch):
 
 @pytest.mark.parametrize(
     "g, evaluated, eigensolved",
-    [(K44, 512, 6), (petersen_graph(), 32, 31), (complete_graph(7), 16384, 420)],
+    [(K44, 512, 6), (petersen_graph(), 32, 1), (complete_graph(7), 16384, 420)],
     ids=["K44", "Petersen", "K7"],
 )
 def test_moment_pruning_counts_are_pinned(g, evaluated, eigensolved):
@@ -369,7 +371,7 @@ def test_min_rho_k8_winner_is_pinned():
     assert abs(result.best_rho - 3.0) < 1e-9
     assert result.classes_examined == 2**21
     assert result.evaluated == 2**20
-    assert result.eigensolved == 63710
+    assert result.eigensolved == 22137
 
 
 @pytest.mark.parametrize(
@@ -378,12 +380,13 @@ def test_min_rho_k8_winner_is_pinned():
     ids=lambda best: f"{best:.6g}",
 )
 def test_prune_limit_errs_toward_keeping(best):
-    # A class is pruned only when its moment bound exceeds the limit. Exactly,
-    # the limit must exceed (best + tolerance)^8 by a relative margin that
+    # A class is pruned only when its rho^k bound exceeds the limit. Exactly,
+    # the limit must exceed (best + tolerance)^k by a relative margin that
     # covers the bound's roundoff and eigvalsh's error in a pruned class's rho.
-    exact = (Fraction(best) + Fraction(VERDICT_TOLERANCE)) ** 8
-    assert Fraction(_prune_limit(best)) >= exact * (1 + Fraction(1, 10**10))
-    assert _prune_limit(math.inf) == math.inf
+    for k in (8, 16):
+        exact = (Fraction(best) + Fraction(VERDICT_TOLERANCE)) ** k
+        assert Fraction(_prune_limit(best, k)) >= exact * (1 + Fraction(1, 10**10))
+        assert _prune_limit(math.inf, k) == math.inf
 
 
 @pytest.mark.parametrize("negative_share", [0.0, 0.02])
@@ -396,7 +399,7 @@ def test_moment_bound_roundoff_beyond_2_53(negative_share):
     a4 = np.linalg.matrix_power(a, 4)
     exact = int((a4 * a4).sum(axis=1).max())
     assert exact > 2**53
-    bound = _moment_bound(a.astype(np.float64)[None], np.empty((2, 1, 200, 200)))[0]
+    bound = _Moments(a.astype(np.float64)[None], np.empty((2, 1, 200, 200))).lower(8)[0]
     assert abs(Fraction(bound) - exact) <= Fraction(exact * 200, 2**53)
 
 
@@ -415,36 +418,68 @@ def test_min_rho_maxdeg_matches_the_class_oracle():
         assert result.good_found == bool(rhos.min() <= 2 * math.sqrt(198) + 1e-9)
 
 
-def test_pruning_keeps_every_near_tie_at_a_tight_bound(monkeypatch):
-    # Stand-in spectra on K6 whose moment bound equals rho^8, the tightest the
-    # real bound can be, with near-ties up to 0.9e-9 above the minimum. The
-    # smallest near-tie index comes before the minimum and lies 0.75e-9 above
-    # it, so a limit that dropped the tolerance would lose it.
-    g = complete_graph(6)
-    free, mask = _free_edges(g)
+def stand_in_spectra(monkeypatch, g, fake):
+    """Replace the eigensolver and every moment bound on ``g`` with stand-ins.
+
+    ``fake[index]`` is the rho of class ``index``. Every bound equals rho^k,
+    the tightest a real bound can be: ``lower(k)`` gives rho^k and ``upper4``
+    gives rho^4. Returns the list of eigensolved batch sizes.
+    """
+    free, _ = _free_edges(g)
     rows = np.array([u for u, _ in free])
     cols = np.array([v for _, v in free])
-    evaluated = [i for i in range(1 << len(free)) if not (i >> (mask.bit_length() - 1)) & 1]
-    rng = np.random.default_rng(9)
-    fake = np.full(1 << len(free), np.nan)
-    fake[evaluated] = 3.5 + rng.random(len(evaluated))
-    for position, offset in [(40, 0.75e-9), (41, 0.9e-9), (200, 0.3e-9), (300, 0.0), (301, 0.0)]:
-        fake[evaluated[position]] = 3.0 + offset
 
-    def index_of(mats):
-        return ((mats[:, rows, cols] < 0) << np.arange(len(free))).sum(axis=1)
+    def rho_of(mats):
+        return fake[((mats[:, rows, cols] < 0) << np.arange(len(free))).sum(axis=1)]
+
+    solved = []
 
     def fake_eigvalsh(mats):
+        solved.append(len(mats))
         eig = np.zeros(mats.shape[:2])
-        eig[:, -1] = fake[index_of(mats)]
+        eig[:, -1] = rho_of(mats)
         return eig
 
+    class StandInMoments:
+        def __init__(self, mats, work):
+            self.rho = rho_of(mats)
+
+        def lower(self, k, chosen=None):
+            return self.rho[slice(None) if chosen is None else chosen] ** k
+
+        def upper4(self):
+            return self.rho**4
+
     monkeypatch.setattr(search, "_eigvalsh", fake_eigvalsh)
-    monkeypatch.setattr(search, "_moment_bound", lambda mats, work: fake[index_of(mats)] ** 8)
+    monkeypatch.setattr(search, "_Moments", StandInMoments)
+    return solved
+
+
+def k6_evaluated_classes(low):
+    """K6's class indices in evaluation order, and a stand-in rho per class
+    drawn from [low, low + 1)."""
+    free, mask = _free_edges(complete_graph(6))
+    evaluated = [i for i in range(1 << len(free)) if not (i >> (mask.bit_length() - 1)) & 1]
+    fake = np.full(1 << len(free), np.nan)
+    fake[evaluated] = low + np.random.default_rng(9).random(len(evaluated))
+    return evaluated, fake
+
+
+def test_pruning_keeps_every_near_tie_at_a_tight_bound(monkeypatch):
+    # Stand-in spectra on K6 with near-ties up to 0.9e-9 above the minimum.
+    # The smallest near-tie index comes before the minimum and lies 0.75e-9
+    # above it, so a limit at either stage that dropped the tolerance would
+    # lose it.
+    g = complete_graph(6)
+    evaluated, fake = k6_evaluated_classes(3.5)
+    for position, offset in [(40, 0.75e-9), (41, 0.9e-9), (200, 0.3e-9), (300, 0.0), (301, 0.0)]:
+        fake[evaluated[position]] = 3.0 + offset
+    stand_in_spectra(monkeypatch, g, fake)
     result = min_rho(g)
     assert class_index(g, result.best_signing) == evaluated[40]
     assert result.best_rho == fake[evaluated[40]]
-    # The two classes at 3.0 tie at the lowest bound, then three near-ties.
+    # The two classes at 3.0 tie at the lowest rho^8 bound; the three
+    # near-ties pass both stages.
     assert result.eigensolved == 5
     for classes_per_chunk in (1, 3, 7):
         monkeypatch.setattr(search, "CHUNK_BYTES", classes_per_chunk * 8 * g.n * g.n)
@@ -454,6 +489,66 @@ def test_pruning_keeps_every_near_tie_at_a_tight_bound(monkeypatch):
             assert result.best_rho == fake[evaluated[40]]
 
 
+@pytest.mark.parametrize(
+    "offsets, returned, eigensolved",
+    [
+        # 2e-9 is certified not good, 1.1e-9 is undecided and not good, and
+        # 0.4e-9 is certified good.
+        ([2e-9, 1.1e-9, 0.4e-9], 2, 1),
+        # 0.75e-9 and 1.1e-9 are undecided; the first of them is good.
+        ([0.75e-9, 1.1e-9, 0.4e-9], 0, 2),
+    ],
+    ids=["certified", "undecided"],
+)
+def test_certificates_keep_the_tolerance_at_a_tight_bound(monkeypatch, offsets, returned, eigensolved):
+    # Stand-in spectra on K6 (bound 4), with classes just above the bound
+    # ahead of a class well inside it. A good certificate that dropped its
+    # half tolerance or widened it to the whole, or a not-good certificate
+    # that dropped or widened the tolerance, changes the class returned or
+    # the number eigensolved. The other classes lie in [4.5, 5.5), where the
+    # rho^8 bound rules them out.
+    g = complete_graph(6)
+    evaluated, fake = k6_evaluated_classes(4.5)
+    for position, offset in enumerate(offsets, start=40):
+        fake[evaluated[position]] = 4.0 + offset
+    fake[evaluated[300]] = 3.0
+    solved = stand_in_spectra(monkeypatch, g, fake)
+    assert class_index(g, find_good_signing(g)) == evaluated[40 + returned]
+    assert sum(solved) == eigensolved
+
+
+def reference_pruned_rhos(mats, best, stages):
+    """The moment screen of one chunk, class by class, on exact integer powers.
+
+    The rho^k bound of a class is ``max_i (A^k)_ii`` from an int64
+    ``matrix_power``, exact for these small graphs. Each stage eigensolves
+    the classes at its lowest bound, if that bound is within the limit, and
+    passes on the others within the limit set by the new minimum; the classes
+    the last stage passes on are eigensolved. Pruned classes read inf.
+    """
+    ints = [np.rint(a).astype(np.int64) for a in mats]
+    rhos = [math.inf] * len(mats)
+
+    def solve(i):
+        rhos[i] = float(np.abs(np.linalg.eigvalsh(mats[i])).max())
+
+    left = list(range(len(mats)))
+    for k in stages:
+        bounds = {i: int(np.diagonal(np.linalg.matrix_power(ints[i], k)).max()) for i in left}
+        lowest = [i for i in left if bounds[i] == min(bounds.values())]
+        limit = _prune_limit(min([best] + rhos), k)
+        for i in lowest:
+            if bounds[i] <= limit:
+                solve(i)
+        limit = _prune_limit(min([best] + rhos), k)
+        left = [i for i in left if i not in lowest and bounds[i] <= limit]
+        if not left:
+            break
+    for i in left:
+        solve(i)
+    return rhos
+
+
 def reference_min_rho(g, jobs):
     """The search as it was written before negation pairing became a fixed edge,
     in loops: position ``p`` is class ``p`` with a zero bit inserted at the top
@@ -461,7 +556,9 @@ def reference_min_rho(g, jobs):
     frontier of (index, rho), cut to the tolerance of its last entry.
 
     Returns the winner's class index, its rho, and the evaluated and
-    eigensolved counts; the chunks and ranges are those of ``min_rho``.
+    eigensolved counts; the chunks and ranges are those of ``min_rho``, and
+    each chunk is screened by ``reference_pruned_rhos``, with the rho^16
+    stage only while Delta^8 < 2^53.
     """
     free, mask = _free_edges(g)
     top = mask.bit_length() - 1 if mask else len(free)
@@ -469,10 +566,10 @@ def reference_min_rho(g, jobs):
     cap = search._chunk_classes(g)
     parts = max(1, min(jobs, count // cap))
     base = g.adjacency().astype(np.float64)
+    stages = (8, 16) if g.max_degree**8 < 2**53 else (8,)
     candidates, eigensolved = [], 0
     for k in range(parts):
         lo, hi = k * count // parts, (k + 1) * count // parts
-        work = np.empty((2, min(cap, hi - lo), g.n, g.n))
         frontier = []
         for start in range(lo, hi, cap):
             indices, mats = [], []
@@ -484,7 +581,7 @@ def reference_min_rho(g, jobs):
                         a[u, v] = a[v, u] = -1.0
                 indices.append(index)
                 mats.append(a)
-            rhos = search._pruned_rhos(np.array(mats), frontier[-1][1] if frontier else math.inf, work)
+            rhos = reference_pruned_rhos(mats, frontier[-1][1] if frontier else math.inf, stages)
             for index, rho in zip(indices, rhos):
                 eigensolved += rho < math.inf
                 if not frontier or rho < frontier[-1][1]:
@@ -496,16 +593,17 @@ def reference_min_rho(g, jobs):
     return index, rho, count, eigensolved
 
 
-def random_connected_graph(seed, bipartite):
-    """A seeded connected graph on 7 to 10 vertices with 6 to 12 free edges,
-    bipartite or not as asked."""
+def random_connected_graph(seed, bipartite, vertices=(7, 10), free_edges=(6, 12)):
+    """A seeded connected graph, bipartite or not as asked, with its vertex
+    and free-edge counts in the given inclusive ranges."""
     rng = np.random.default_rng(seed)
     while True:
-        n = int(rng.integers(7, 11))
+        n = int(rng.integers(vertices[0], vertices[1] + 1))
         side = rng.integers(0, 2, n)
         pairs = [(u, v) for u, v in combinations(range(n), 2) if not bipartite or side[u] != side[v]]
         g = Graph.from_edges(n, [e for e in pairs if rng.random() < (0.8 if bipartite else 0.4)])
-        if g.is_connected() and 6 <= len(g.edge_list) - n + 1 <= 12 and (is_bipartite(g) is not None) == bipartite:
+        free = len(g.edge_list) - n + 1
+        if g.is_connected() and free_edges[0] <= free <= free_edges[1] and (is_bipartite(g) is not None) == bipartite:
             return g
 
 
@@ -520,3 +618,74 @@ def test_min_rho_matches_the_bit_insert_reference(monkeypatch, g):
         result = min_rho(g, mode="maxdeg", jobs=jobs)
         got = (class_index(g, result.best_signing), result.best_rho, result.evaluated, result.eigensolved)
         assert got == reference_min_rho(g, jobs)
+
+
+def unpruned_scan(g):
+    """Oracle: LAPACK rho of every switching class, in index order, from one
+    batched eigvalsh over matrices built edge by edge."""
+    free, _ = _free_edges(g)
+    index = np.arange(1 << len(free))
+    mats = np.repeat(g.adjacency().astype(np.float64)[None], index.size, axis=0)
+    for bit, (u, v) in enumerate(free):
+        flipped = (index >> bit) & 1 == 1
+        mats[flipped, u, v] = mats[flipped, v, u] = -1.0
+    return np.abs(np.linalg.eigvalsh(mats)).max(axis=1)
+
+
+@pytest.mark.parametrize(
+    "bipartite, free_edges",
+    [(False, (1, 3)), (False, (4, 6)), (False, (7, 9)), (False, (10, 12))]
+    + [(True, (1, 3)), (True, (4, 6)), (True, (7, 9)), (True, (10, 11))],
+    ids=lambda value: ("bipartite" if value else "general") if isinstance(value, bool) else "free%d-%d" % value,
+)
+def test_moment_bounds_match_an_unpruned_scan(monkeypatch, bipartite, free_edges):
+    # The winner, best_rho and the first good class with every moment bound
+    # in play, against an eigensolve of every class, at small chunk sizes.
+    # At most 2^11 classes are evaluated: with one class per chunk, each class
+    # pays a whole chunk's fixed cost, once for each jobs value.
+    g = random_connected_graph(100 + free_edges[0], bipartite, vertices=(5, 10), free_edges=free_edges)
+    rhos = unpruned_scan(g)
+    bound, _ = good_signing_bound(g, "maxdeg")
+    winner = int(np.flatnonzero(rhos <= rhos.min() + VERDICT_TOLERANCE)[0])
+    good = np.flatnonzero(rhos <= bound + VERDICT_TOLERANCE)
+    for classes_per_chunk in (1, 3, 7):
+        monkeypatch.setattr(search, "CHUNK_BYTES", classes_per_chunk * 8 * g.n * g.n)
+        for jobs in (1, 2, 3):
+            result = min_rho(g, mode="maxdeg", jobs=jobs)
+            assert class_index(g, result.best_signing) == winner
+            assert result.best_rho == rhos[winner]
+            assert result.classes_examined == rhos.size
+            assert result.evaluated == rhos.size >> (not bipartite)
+            assert result.good_found == bool(rhos[winner] <= bound + VERDICT_TOLERANCE)
+        found = find_good_signing(g, mode="maxdeg")
+        assert (class_index(g, found) if found is not None else None) == (int(good[0]) if good.size else None)
+
+
+@pytest.mark.parametrize("negative_share", [0.0, 0.3])
+def test_a8_is_exact_at_the_largest_degree_it_is_formed_for(negative_share):
+    # On K99, Delta = 98 is the largest degree with Delta^8 < 2^53; the
+    # stage's float64 A^8 equals the exact int64 power.
+    rng = np.random.default_rng(11)
+    signs = np.triu(np.where(rng.random((99, 99)) < negative_share, -1, 1), 1)
+    a = complete_graph(99).adjacency().astype(np.int64) * (signs + signs.T)
+    assert 98**8 < 2**53 <= 99**8
+    a8 = _Moments(a.astype(np.float64)[None], np.empty((2, 1, 99, 99))).power(8, np.ones(1, dtype=bool))
+    assert np.array_equal(a8[0], np.linalg.matrix_power(a, 8))
+
+
+@pytest.mark.parametrize("degree, stages", [(98, [8, 16]), (99, [8])], ids=["degree98", "degree99"])
+def test_rho16_stage_runs_only_while_a8_is_exact(monkeypatch, degree, stages):
+    # A star with three leaf-leaf edges: every class passes the rho^8 screen,
+    # so the rho^16 stage runs exactly where Delta^8 < 2^53.
+    g = Graph.from_edges(degree + 1, [(0, v) for v in range(1, degree + 1)] + [(1, 2), (3, 4), (5, 6)])
+    powers = []
+
+    class RecordingMoments(_Moments):
+        def lower(self, k, chosen=None):
+            powers.append(k)
+            return super().lower(k, chosen)
+
+    monkeypatch.setattr(search, "_Moments", RecordingMoments)
+    result = min_rho(g, mode="maxdeg")
+    assert powers == stages
+    assert result.evaluated == result.eigensolved == 4
