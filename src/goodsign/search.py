@@ -31,52 +31,49 @@ not grow with the number of classes.
 after an early good class; ``min_rho`` never stops early and starts at the
 full chunk size.
 
-Moment bounds. For a symmetric A with eigenpairs ``(lambda_j, v_j)`` and
-even k, ``(A^k)_ii = sum_j lambda_j^k v_ij^2 <= rho^k``, and ``(A^k)_ii =
-sum_j ((A^(k/2))_ij)^2`` because A^(k/2) is symmetric. So the largest row
-sum of squares of ``A4`` (of ``A8``) is a lower bound on rho^8 (on rho^16).
-And rho^4 = rho(A^4) is at most ``||A4||_inf = max_i sum_j |A4_ij|``, an
-upper bound. ``_Moments`` forms ``A2 = M @ M`` and ``A4 = A2 @ A2`` for a
-chunk's whole stack, and ``A8 = A4 @ A4`` only for the classes asked for;
-every bound of the search goes through it.
+Moment bounds. For symmetric A and x != 0, ``x^T A^2 x / x^T x <= rho^2``;
+at ``x = A e_i`` and ``x = A^2 e_i``, as ``(A^2k)_ii = sum_j ((A^k)_ij)^2``:
 
-Moment pruning in ``min_rho``: a class whose rho^k bound exceeds
-``_prune_limit(best, k) = (best + VERDICT_TOLERANCE)^k * (1 + 1e-9)``, where
-``best`` is the running minimum, has rho above ``best + VERDICT_TOLERANCE``
-and can neither win nor tie, so it is not eigensolved. The screen runs in
-stages, rho^8 and then, where ``A8`` is exact, rho^16 on the classes the
-first stage passed. Each stage first eigensolves the classes that tie at its
-smallest bound (skipped when that bound already exceeds the limit, and then
-so is the rest), which usually lowers ``best``; it then passes on every
-other class whose bound is within the limit set by the new ``best``. The
-classes the last stage passes on are eigensolved together. Each ``jobs``
-range prunes against its own running minimum.
+    rho^2 >= max_i sum_j (A2_ij)^2 / d_i                  (d_i = (A2)_ii)
+    rho^4 >= max_i sum_j (A4_ij)^2 / sum_j (A2_ij)^2
 
-Certificates in ``find_good_signing``: a class with ``||A4||_inf <= (bound
-+ VERDICT_TOLERANCE / 2)^4`` is good, and one whose rho^8 bound exceeds
-``_prune_limit(bound)`` is not. Each chunk eigensolves only its undecided
-classes before its first certified-good one.
+and ``rho^k <= ||Ak||_inf = max_i sum_j |Ak_ij|``. By Cauchy-Schwarz,
+``d_i^2 <= (A^4)_ii`` and ``(A^4)_ii^2 <= (A^8)_ii``: each quotient is at
+least the square root of its numerator, the plain moment bound. ``_Moments``
+forms ``A2 = M @ M`` per chunk and ``A4 = A2 @ A2`` only where asked.
 
-The bounds are exact in the direction that matters. The entries of ``A2``
-and ``A4``, and every partial sum of their matmuls and of ``||A4||_inf``,
-are integers of magnitude at most Delta^4 (Delta the maximum degree: a row
-of A^k has absolute sum at most Delta^k), below 2^53 for every graph whose
-matrices fit in memory, so they are exact in float64 whatever the summation
-order. ``A8`` is formed only while Delta^8 < 2^53 (Delta <= 98), so its
-entries and partial sums are exact too. A bound on rho^8 or rho^16 is a sum
-of non-negative squares, so its relative error is at most about n * 2^-53,
-also when it exceeds 2^53 and the sum rounds. The slack of ``1 + 1e-9``
-covers that error, the roundoff of raising to the k-th power, and eigvalsh's
-error in the rho the pruned class would have been given, which lies far
-below the relative 6e-11 on rho that is left of the slack at k = 16.
-Roundoff can therefore keep a class that could be pruned, but never drop one
-whose computed rho could lie within the tolerance of the minimum, or above
-the bound by more than the tolerance. On the other side, a certified-good
-class has rho <= bound + VERDICT_TOLERANCE / 2 exactly, and eigvalsh's error,
-far below the other half of the tolerance, cannot lift its computed rho past
-bound + VERDICT_TOLERANCE. So the winner, ``best_rho``, the first good class
-and every other result are those of a search that eigensolves every class;
-only the cost counter ``eigensolved`` depends on the bounds.
+Pruning in ``min_rho``: a class whose rho^k bound exceeds ``_prune_limit(best,
+k) = (best + VERDICT_TOLERANCE)^k * (1 + 1e-9)`` has rho above ``best +
+VERDICT_TOLERANCE``; with ``best`` at least the final minimum it can neither
+win nor tie, and it is not eigensolved. The rho^2 stage takes as ``best`` the
+running minimum or, when lower, the square root of the chunk's least
+``||A2||_inf``, whose class is eigensolved or pruned against a lower rho (a
+class beyond the running minimum's limit has ``||A2||_inf > best^2``, so only
+the others are read). The rho^4 stage eigensolves the classes at its least
+bound, if within the limit, then the others within the new ``best``'s limit.
+Only this last stage does so: the first ties often (every Petersen class has
+the rho^2 bound 5). Each ``jobs`` range prunes against its own minimum.
+
+Certificates in ``find_good_signing``: ``||A4||_inf <= (bound +
+VERDICT_TOLERANCE / 2)^4`` makes a class good and a rho^4 bound above
+``_prune_limit(bound, 4)`` not good; each chunk eigensolves only its
+undecided classes before its first certified-good one.
+
+The bounds are exact in the direction that matters, at any degree. The
+entries of ``A2`` and ``A4``, the degrees, and every partial sum of the
+matmuls, of the absolute row sums and of ``sum_j (A2_ij)^2`` are integers of
+magnitude at most Delta^4 (Delta the maximum degree), below 2^53 for every
+graph whose matrices fit in memory, so they are exact in float64; no product
+beyond ``A4``, and so no rule on the degree, is needed. The one sum that may
+pass 2^53, ``sum_j (A4_ij)^2``, adds non-negative squares, so its relative
+error is at most about n * 2^-53, and each quotient adds one rounding. The
+slack of ``1 + 1e-9`` leaves a relative 2.5e-10 on rho at k = 4, far above
+that, the roundoff of the k-th power and eigvalsh's error in a pruned class's
+rho: roundoff can keep a class that could be pruned, or leave undecided one
+that could be ruled not good, never the reverse. A certified-good class has
+rho <= bound + VERDICT_TOLERANCE / 2 exactly, and eigvalsh's error cannot lift
+its computed rho past bound + VERDICT_TOLERANCE. So every result is that of a
+search that eigensolves every class; only ``eigensolved`` depends on the bounds.
 """
 
 from __future__ import annotations
@@ -194,9 +191,10 @@ def find_good_signing(
     work = np.empty((2, min(_chunk_classes(g), count), g.n, g.n))
     for positions, mats in _class_chunks(g, free, 0, count, 32):
         moments = _Moments(mats, work)
+        lower = moments.lower4()
         certified = np.flatnonzero(moments.upper4() <= (bound + VERDICT_TOLERANCE / 2) ** 4)
         first = int(certified[0]) if certified.size else len(mats)
-        undecided = np.flatnonzero(moments.lower(8)[:first] <= _prune_limit(bound))
+        undecided = np.flatnonzero(lower[:first] <= _prune_limit(bound, 4))
         if undecided.size:
             good = undecided[_rho(_eigvalsh(mats[undecided])) <= bound + VERDICT_TOLERANCE]
             first = int(good[0]) if good.size else first
@@ -228,70 +226,71 @@ class SearchResult:
 class _Moments:
     """Bounds on rho for each matrix of a stack, from its exact integer powers.
 
-    ``A2 = M @ M`` and ``A4 = A2 @ A2`` are formed for the whole stack, ``A8 =
-    A4 @ A4`` only on request. ``work`` holds two stacks at least as long as
-    ``mats``, reused across chunks: fresh megabyte-sized products would pay
-    their page faults again in every chunk. A8 is written over A2, which is
-    no longer needed.
+    ``lower4`` forms A4 over A2, so ``lower2`` and ``upper2`` come first;
+    ``upper4`` reads the A4 of the last ``lower4``. ``chosen`` holds indices
+    into the stack. Products, gathered matrices and absolute values go into
+    ``work``, two stacks reused across chunks, so no chunk pays page faults.
     """
 
     def __init__(self, mats: np.ndarray, work: np.ndarray):
         self._work = work
-        a2 = np.matmul(mats, mats, out=work[0, : len(mats)])
-        self._a4 = np.matmul(a2, a2, out=work[1, : len(mats)])
+        self._a2 = np.matmul(mats, mats, out=work[0, : len(mats)])
+        self._a4ii = _row_sums("bij,bij->ib", self._a2, self._a2)  # (A^4)_ii = sum_j (A2_ij)^2
 
-    def power(self, k: int, chosen: np.ndarray | None = None) -> np.ndarray:
-        """A^k, for k = 4 or 8, of the chosen matrices (a boolean mask; all by default)."""
-        a4 = self._a4 if chosen is None else self._a4[chosen]
-        return a4 if k == 4 else np.matmul(a4, a4, out=self._work[0, : len(a4)])
+    def _gather(self, chosen: np.ndarray) -> np.ndarray:
+        # mode="clip" writes straight into `out`; the default mode buffers it.
+        return np.take(self._a2, chosen, axis=0, out=self._work[1, : len(chosen)], mode="clip")
 
-    def lower(self, k: int, chosen: np.ndarray | None = None) -> np.ndarray:
-        """``max_i (A^k)_ii = max_i sum_j ((A^(k/2))_ij)^2 <= rho^k``, for k = 8 or 16."""
-        half = self.power(k // 2, chosen)
-        return _max_row_sum("bij,bij->ib", half, half)
+    def lower2(self) -> np.ndarray:
+        """``max_i (A^4)_ii / d_i <= rho^2``, for every matrix."""
+        return (self._a4ii / np.einsum("bii->ib", self._a2)).max(axis=0)
+
+    def upper2(self, chosen: np.ndarray | None = None) -> np.ndarray:
+        """``||A2||_inf >= rho^2`` of the chosen matrices (all by default)."""
+        a2 = self._a2 if chosen is None else self._gather(chosen)
+        return _row_sums("bij->ib", np.abs(a2, out=self._work[1, : len(a2)])).max(axis=0)
+
+    def lower4(self, chosen: np.ndarray | None = None) -> np.ndarray:
+        """``max_i (A^8)_ii / (A^4)_ii <= rho^4`` of the chosen matrices (all by default)."""
+        a2, a4ii, out = self._a2, self._a4ii, self._work[1]
+        if chosen is not None:
+            a2, a4ii, out = self._gather(chosen), a4ii[:, chosen], self._work[0]
+        self._a4, self._spare = np.matmul(a2, a2, out=out[: len(a2)]), a2
+        return (_row_sums("bij,bij->ib", self._a4, self._a4) / a4ii).max(axis=0)
 
     def upper4(self) -> np.ndarray:
-        """``max_i sum_j |(A^4)_ij| >= rho(A^4) = rho^4``, for every matrix."""
-        return _max_row_sum("bij->ib", np.abs(self._a4))
+        """``||A4||_inf >= rho^4`` of the matrices of the last ``lower4``."""
+        return _row_sums("bij->ib", np.abs(self._a4, out=self._spare)).max(axis=0)
 
 
-def _max_row_sum(spec: str, *stacks: np.ndarray) -> np.ndarray:
-    # The largest of each matrix's row sums that `spec` forms. The sums are
-    # laid out (row, matrix): numpy takes a maximum along the long axis
-    # several times faster than along a short last one.
+def _row_sums(spec: str, *stacks: np.ndarray) -> np.ndarray:
+    # Row sums laid out (row, matrix): numpy takes a maximum along the long
+    # axis several times faster than along a short last one.
     batch, n = stacks[0].shape[:2]
-    return np.einsum(spec, *stacks, out=np.empty((n, batch))).max(axis=0)
+    return np.einsum(spec, *stacks, out=np.empty((n, batch)))
 
 
-def _prune_limit(best: float, k: int = 8) -> float:
+def _prune_limit(best: float, k: int) -> float:
     # The largest rho^k bound of a class whose rho may lie within
     # VERDICT_TOLERANCE of `best`; the slack errs toward keeping a class.
     return (best + VERDICT_TOLERANCE) ** k * (1 + 1e-9)
 
 
-def _pruned_rhos(mats: np.ndarray, best: float, work: np.ndarray, exact_a8: bool) -> np.ndarray:
+def _pruned_rhos(mats: np.ndarray, best: float, work: np.ndarray) -> np.ndarray:
     # rho of each matrix whose moment bounds admit a rho within the tolerance
-    # of the running minimum, and inf for the rest. Each stage eigensolves
-    # its lowest-bound classes first, to lower the minimum, and passes on
-    # the classes within the limit; what the last stage passes on is
-    # eigensolved together. The rho^16 stage runs only where A8 is exact.
+    # of the running minimum, and inf for the rest (see the module docstring).
     moments = _Moments(mats, work)
+    lower = moments.lower2()
+    near = np.flatnonzero(lower <= _prune_limit(best, 2)) if best < np.inf else None  # None: all, uncopied
+    best = min(best, float(np.sqrt(moments.upper2(near).min(initial=np.inf))))
+    left = np.flatnonzero(lower <= _prune_limit(best, 2))
+    bounds = moments.lower4(left)
+    lowest = bounds == bounds.min(initial=np.inf)
     rhos = np.full(len(mats), np.inf)
-
-    def solve(chosen: np.ndarray) -> None:
-        if chosen.any():
+    for group in (lowest, ~lowest):
+        chosen = left[group & (bounds <= _prune_limit(min(best, rhos.min()), 4))]
+        if chosen.size:
             rhos[chosen] = _rho(_eigvalsh(mats[chosen]))
-
-    left = np.ones(len(mats), dtype=bool)
-    for k in (8, 16) if exact_a8 else (8,):
-        bounds = np.full(len(mats), np.inf)
-        bounds[left] = moments.lower(k, None if k == 8 else left)
-        lowest = bounds == bounds.min()
-        solve(lowest & (bounds <= _prune_limit(min(best, rhos.min()), k)))
-        left &= ~lowest & (bounds <= _prune_limit(min(best, rhos.min()), k))
-        if not left.any():
-            break
-    solve(left)
     return rhos
 
 
@@ -302,9 +301,8 @@ def _near_ties(g: Graph, free: list[Edge], lo: int, hi: int) -> tuple[np.ndarray
     positions, rhos = np.empty(0, dtype=np.int64), np.empty(0)
     best, eigensolved = np.inf, 0
     work = np.empty((2, min(_chunk_classes(g), hi - lo), g.n, g.n))
-    exact_a8 = g.max_degree**8 < 2**53
     for chunk_positions, mats in _class_chunks(g, free, lo, hi, _chunk_classes(g)):
-        chunk = _pruned_rhos(mats, best, work, exact_a8)
+        chunk = _pruned_rhos(mats, best, work)
         eigensolved += int(np.count_nonzero(chunk < np.inf))
         best = min(best, float(chunk.min()))
         positions = np.concatenate((positions, chunk_positions))

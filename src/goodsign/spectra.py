@@ -106,7 +106,8 @@ def jacobi_diagonalize(a: np.ndarray) -> JacobiResult:
     """Run the cyclic Jacobi solver on a symmetric matrix.
 
     The input is never modified; a float64 working copy is diagonalised.
-    Raises ``ValueError`` for non-square or non-symmetric input and
+    Raises ``ValueError`` for non-square or non-symmetric input and for
+    eigenvalues or a Frobenius norm beyond the float64 range, and
     ``JacobiConvergenceError`` if 64 sweeps do not reach the norm target.
     """
     work = _symmetric(a).astype(np.float64)
@@ -116,6 +117,8 @@ def jacobi_diagonalize(a: np.ndarray) -> JacobiResult:
     e = int(np.frexp(np.abs(work).max(initial=0.0))[1])
     work = np.ldexp(work, -e)
     sweeps, off, fro = _jacobi_sweeps(work, JACOBI_RELATIVE_TOLERANCE, JACOBI_MAX_SWEEPS)
+    if max(fro, np.abs(np.diagonal(work)).max(initial=0.0)) > math.ldexp(np.finfo(np.float64).max, -e):
+        raise ValueError("eigenvalues or the Frobenius norm overflow float64")
     if off > JACOBI_RELATIVE_TOLERANCE * fro:
         raise JacobiConvergenceError(
             f"no convergence after {sweeps} sweeps: off-diagonal norm {math.ldexp(off, e):.3e}"

@@ -12,24 +12,29 @@ on purpose, regenerate that file with
 
 and name each changed line in CHANGES.md.
 
-The record must not depend on the BLAS kernel either: the last test runs it
-in subprocesses under other OpenBLAS core types and on one thread.
+The record must not depend on the BLAS kernel either: a test runs it in
+subprocesses under other OpenBLAS core types and on one thread, and the last
+test checks that every float the corpus prints through ``fileio.fmt12`` lies
+well clear of a point where its 12-digit text would change.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from goodsign import fileio
 from goodsign.cli import run
 from goodsign.fileio import dumps_json, graph_to_json_dict, signed_graph_to_json_dict
 from goodsign.graphs import SignedGraph, complete_graph, cycle_graph, path_graph, petersen_graph
@@ -211,6 +216,40 @@ def test_cli_contract_does_not_depend_on_the_blas_kernel():
         out, _ = proc.communicate(timeout=120)
         assert proc.returncode == 0, env
         assert out.splitlines() == golden, f"the CLI output under {env} differs from {GOLDEN.name}"
+
+
+def _rounding_margin(x: float) -> float:
+    """Relative distance from ``x`` (finite, non-zero) to the nearest point
+    where its 12-significant-digit text changes: a midpoint between two
+    12-digit decimals of its decade, or the top midpoint of the decade below."""
+    v = abs(Fraction(x))
+    e = math.floor(math.log10(v))
+    e += (Fraction(10) ** (e + 1) <= v) - (Fraction(10) ** e > v)
+    step = Fraction(10) ** (e - 11)
+    k = v // step
+    edges = [(k + Fraction(1, 2)) * step, (k - Fraction(1, 2)) * step, Fraction(10) ** e - step / 20]
+    return float(min(abs(v - edge) for edge in edges) / v)
+
+
+def test_printed_floats_lie_clear_of_12_digit_rounding_points(tmp_path, monkeypatch):
+    # Results differ by about 8e-16, relatively, between BLAS kernels. A
+    # printed float within 1e-14 of a rounding point could print differently
+    # under another kernel or numpy; the closest today is +-sqrt(13), at
+    # 2.79e-13.
+    printed, fmt12 = [], fileio.fmt12
+
+    def recording_fmt12(x):
+        printed.append(float(x))
+        return fmt12(x)
+
+    monkeypatch.setattr(fileio, "fmt12", recording_fmt12)
+    record(tmp_path)
+    margins = {x: _rounding_margin(x) for x in set(printed) if x != 0}
+    assert margins, "the corpus printed no non-zero float"
+    close = {x: m for x, m in margins.items() if m < 1e-14}
+    assert not close, "printed floats near a 12-digit rounding point: " + ", ".join(
+        f"{x!r} at {m:.3g}" for x, m in sorted(close.items())
+    )
 
 
 if __name__ == "__main__":

@@ -305,8 +305,8 @@ def test_find_good_signing_stops_early(monkeypatch):
     g = complete_graph(6)
     assert find_good_signing(g) is not None
     # The first chunk holds 32 of K6's 512 evaluated classes; the moment
-    # certificates leave 19 of them to eigensolve.
-    assert sum(evaluated) == 19
+    # certificates leave 12 of them to eigensolve.
+    assert sum(evaluated) == 12
     # min_rho never stops early, so K4,4's 512 classes fill one full chunk,
     # and the moment bound leaves only the six classes that tie at its
     # lowest value to eigensolve.
@@ -371,7 +371,7 @@ def test_min_rho_k8_winner_is_pinned():
     assert abs(result.best_rho - 3.0) < 1e-9
     assert result.classes_examined == 2**21
     assert result.evaluated == 2**20
-    assert result.eigensolved == 22137
+    assert result.eigensolved == 8900
 
 
 @pytest.mark.parametrize(
@@ -383,31 +383,72 @@ def test_prune_limit_errs_toward_keeping(best):
     # A class is pruned only when its rho^k bound exceeds the limit. Exactly,
     # the limit must exceed (best + tolerance)^k by a relative margin that
     # covers the bound's roundoff and eigvalsh's error in a pruned class's rho.
-    for k in (8, 16):
+    for k in (2, 4):
         exact = (Fraction(best) + Fraction(VERDICT_TOLERANCE)) ** k
         assert Fraction(_prune_limit(best, k)) >= exact * (1 + Fraction(1, 10**10))
         assert _prune_limit(math.inf, k) == math.inf
 
 
+def max_quotient(tops, bottoms):
+    """Each row's ``max_i tops_i / bottoms_i``, exactly, rounded once to float."""
+    return [float(max(Fraction(int(p), int(q)) for p, q in zip(*row))) for row in zip(tops, bottoms)]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_moment_bounds_bracket_rho(n):
+    # Seeded random signed graphs with no isolated vertex, and their exact
+    # int64 powers. Each bound is the exact quotient or row sum rounded once,
+    # and brackets eigvalsh's rho^k within the pruning slack.
+    rng = np.random.default_rng(600 + n)
+    upper = np.triu(rng.choice([-1, 0, 0, 1], size=(24, n, n)), 1)
+    upper[:, np.arange(n - 1), np.arange(1, n)] = rng.choice([-1, 1], size=(24, n - 1))  # a path
+    ints = upper + upper.transpose(0, 2, 1)
+    a2, a4, a8 = (np.linalg.matrix_power(ints, k) for k in (2, 4, 8))
+    d, a4ii, a8ii = (np.diagonal(a, axis1=1, axis2=2).tolist() for a in (a2, a4, a8))
+    # Cauchy-Schwarz, in integers: each quotient is at least the plain moment
+    # bound of its row.
+    assert all(x * x <= y for row in zip(d, a4ii) for x, y in zip(*row))
+    assert all(x * x <= y for row in zip(a4ii, a8ii) for x, y in zip(*row))
+    chosen = np.flatnonzero(rng.random(24) < 0.5)
+    moments = _Moments(ints.astype(np.float64), np.empty((2, 24, n, n)))
+    lower2, upper2 = moments.lower2(), moments.upper2()
+    assert moments.upper2(chosen).tolist() == upper2[chosen].tolist()
+    lower4 = moments.lower4(chosen)
+    upper4 = moments.upper4()
+    assert lower2.tolist() == max_quotient(a4ii, d)
+    assert upper2.tolist() == np.abs(a2).sum(axis=2).max(axis=1).tolist()
+    assert lower4.tolist() == max_quotient(np.array(a8ii)[chosen], np.array(a4ii)[chosen])
+    assert upper4.tolist() == np.abs(a4[chosen]).sum(axis=2).max(axis=1).tolist()
+    rho = np.abs(np.linalg.eigvalsh(ints.astype(np.float64))).max(axis=1)
+    slack = 1 + 1e-9
+    assert (lower2 <= rho**2 * slack).all() and (rho**2 <= upper2 * slack).all()
+    assert (lower4 <= rho[chosen] ** 4 * slack).all() and (rho[chosen] ** 4 <= upper4 * slack).all()
+
+
 @pytest.mark.parametrize("negative_share", [0.0, 0.02])
 def test_moment_bound_roundoff_beyond_2_53(negative_share):
-    # On K200, (A^8)_ii exceeds 2^53, so the float sum of squares may round;
-    # the bound stays within the relative n * 2^-53 the pruning slack covers.
+    # On K200, (A^8)_ii exceeds 2^53, so the float sum of squares in the rho^4
+    # bound may round; the bound stays within the relative (n + 1) * 2^-53
+    # the pruning slack covers. The rho^2 bounds sum integers below 2^53 and
+    # are the exact quotient rounded once, and the exact row sum.
     rng = np.random.default_rng(5)
     signs = np.triu(np.where(rng.random((200, 200)) < negative_share, -1, 1), 1)
     a = complete_graph(200).adjacency().astype(np.int64) * (signs + signs.T)
-    a4 = np.linalg.matrix_power(a, 4)
-    exact = int((a4 * a4).sum(axis=1).max())
-    assert exact > 2**53
-    bound = _Moments(a.astype(np.float64)[None], np.empty((2, 1, 200, 200))).lower(8)[0]
-    assert abs(Fraction(bound) - exact) <= Fraction(exact * 200, 2**53)
+    a2, a4 = np.linalg.matrix_power(a, 2).astype(object), np.linalg.matrix_power(a, 4).astype(object)
+    a4ii, a8ii = (a2 * a2).sum(axis=1), (a4 * a4).sum(axis=1)
+    assert max(a8ii) > 2**53
+    moments = _Moments(a.astype(np.float64)[None], np.empty((2, 1, 200, 200)))
+    lower2, upper2 = moments.lower2(), moments.upper2()
+    assert lower2[0] == float(max(Fraction(p, q) for p, q in zip(a4ii, np.diagonal(a2))))
+    assert upper2[0] == max(abs(a2).sum(axis=1))
+    exact = max(Fraction(p, q) for p, q in zip(a8ii, a4ii))
+    assert abs(Fraction(moments.lower4()[0]) - exact) <= exact * Fraction(201, 2**53)
 
 
 def test_min_rho_maxdeg_matches_the_class_oracle():
-    # K_{1,199} plus three leaf-leaf edges: Delta^8 > 2^53, beyond the
-    # degree-based guarantee that the squares summed in the bound are exact.
+    # K_{1,199} plus three leaf-leaf edges: the bounds hold at a degree far
+    # above the other tests', with no rule on the degree.
     g = Graph.from_edges(200, [(0, v) for v in range(1, 200)] + [(1, 2), (3, 4), (5, 6)])
-    assert g.max_degree**8 > 2**53
     rhos = class_rhos(g)
     expected = int(np.flatnonzero(rhos <= rhos.min() + 1e-9)[0])
     for jobs in (1, 2):
@@ -422,8 +463,9 @@ def stand_in_spectra(monkeypatch, g, fake):
     """Replace the eigensolver and every moment bound on ``g`` with stand-ins.
 
     ``fake[index]`` is the rho of class ``index``. Every bound equals rho^k,
-    the tightest a real bound can be: ``lower(k)`` gives rho^k and ``upper4``
-    gives rho^4. Returns the list of eigensolved batch sizes.
+    the tightest a real bound can be: ``lower2`` and ``upper2`` give rho^2,
+    and ``lower4`` and ``upper4`` give rho^4. Returns the list of
+    eigensolved batch sizes.
     """
     free, _ = _free_edges(g)
     rows = np.array([u for u, _ in free])
@@ -444,11 +486,18 @@ def stand_in_spectra(monkeypatch, g, fake):
         def __init__(self, mats, work):
             self.rho = rho_of(mats)
 
-        def lower(self, k, chosen=None):
-            return self.rho[slice(None) if chosen is None else chosen] ** k
+        def lower2(self):
+            return self.rho**2
+
+        def upper2(self, chosen=None):
+            return self.rho[slice(None) if chosen is None else chosen] ** 2
+
+        def lower4(self, chosen=None):
+            self.chosen = self.rho[slice(None) if chosen is None else chosen]
+            return self.chosen**4
 
         def upper4(self):
-            return self.rho**4
+            return self.chosen**4
 
     monkeypatch.setattr(search, "_eigvalsh", fake_eigvalsh)
     monkeypatch.setattr(search, "_Moments", StandInMoments)
@@ -466,19 +515,19 @@ def k6_evaluated_classes(low):
 
 
 def test_pruning_keeps_every_near_tie_at_a_tight_bound(monkeypatch):
-    # Stand-in spectra on K6 with near-ties up to 0.9e-9 above the minimum.
-    # The smallest near-tie index comes before the minimum and lies 0.75e-9
-    # above it, so a limit at either stage that dropped the tolerance would
-    # lose it.
+    # Stand-in spectra on K6 with near-ties up to 0.95e-9 above the minimum.
+    # The smallest near-tie index comes before the minimum and lies 0.95e-9
+    # above it. The slack alone lets a rho^4 bound lie only 0.75e-9 above
+    # rho = 3, so a limit that dropped the tolerance would lose it.
     g = complete_graph(6)
     evaluated, fake = k6_evaluated_classes(3.5)
-    for position, offset in [(40, 0.75e-9), (41, 0.9e-9), (200, 0.3e-9), (300, 0.0), (301, 0.0)]:
+    for position, offset in [(40, 0.95e-9), (41, 0.75e-9), (200, 0.3e-9), (300, 0.0), (301, 0.0)]:
         fake[evaluated[position]] = 3.0 + offset
     stand_in_spectra(monkeypatch, g, fake)
     result = min_rho(g)
     assert class_index(g, result.best_signing) == evaluated[40]
     assert result.best_rho == fake[evaluated[40]]
-    # The two classes at 3.0 tie at the lowest rho^8 bound; the three
+    # The two classes at 3.0 tie at the lowest rho^4 bound; the three
     # near-ties pass both stages.
     assert result.eigensolved == 5
     for classes_per_chunk in (1, 3, 7):
@@ -492,9 +541,10 @@ def test_pruning_keeps_every_near_tie_at_a_tight_bound(monkeypatch):
 @pytest.mark.parametrize(
     "offsets, returned, eigensolved",
     [
-        # 2e-9 is certified not good, 1.1e-9 is undecided and not good, and
-        # 0.4e-9 is certified good.
-        ([2e-9, 1.1e-9, 0.4e-9], 2, 1),
+        # 2.5e-9 is certified not good (the limit lies at about 2e-9, and at
+        # 3e-9 with twice the tolerance), 1.1e-9 is undecided and not good,
+        # and 0.4e-9 is certified good.
+        ([2.5e-9, 1.1e-9, 0.4e-9], 2, 1),
         # 0.75e-9 and 1.1e-9 are undecided; the first of them is good.
         ([0.75e-9, 1.1e-9, 0.4e-9], 0, 2),
     ],
@@ -506,7 +556,7 @@ def test_certificates_keep_the_tolerance_at_a_tight_bound(monkeypatch, offsets, 
     # half tolerance or widened it to the whole, or a not-good certificate
     # that dropped or widened the tolerance, changes the class returned or
     # the number eigensolved. The other classes lie in [4.5, 5.5), where the
-    # rho^8 bound rules them out.
+    # rho^4 bound rules them out.
     g = complete_graph(6)
     evaluated, fake = k6_evaluated_classes(4.5)
     for position, offset in enumerate(offsets, start=40):
@@ -517,35 +567,38 @@ def test_certificates_keep_the_tolerance_at_a_tight_bound(monkeypatch, offsets, 
     assert sum(solved) == eigensolved
 
 
-def reference_pruned_rhos(mats, best, stages):
+def reference_pruned_rhos(mats, best):
     """The moment screen of one chunk, class by class, on exact integer powers.
 
-    The rho^k bound of a class is ``max_i (A^k)_ii`` from an int64
-    ``matrix_power``, exact for these small graphs. Each stage eigensolves
-    the classes at its lowest bound, if that bound is within the limit, and
-    passes on the others within the limit set by the new minimum; the classes
-    the last stage passes on are eigensolved. Pruned classes read inf.
+    The bounds are exact rationals from an int64 ``matrix_power``: the
+    rho^2 stage keeps the classes whose ``max_i (A^4)_ii / (A^2)_ii`` is
+    within the limit of the running minimum or of the chunk's least
+    ``||A^2||_inf``; the rho^4 stage eigensolves the survivors at its lowest
+    ``max_i (A^8)_ii / (A^4)_ii``, if that bound is within the limit, and
+    then the others within the limit set by the new minimum. Pruned classes
+    read inf.
     """
-    ints = [np.rint(a).astype(np.int64) for a in mats]
+    powers = [[np.linalg.matrix_power(np.rint(a).astype(np.int64), k) for k in (2, 4, 8)] for a in mats]
     rhos = [math.inf] * len(mats)
 
     def solve(i):
         rhos[i] = float(np.abs(np.linalg.eigvalsh(mats[i])).max())
 
-    left = list(range(len(mats)))
-    for k in stages:
-        bounds = {i: int(np.diagonal(np.linalg.matrix_power(ints[i], k)).max()) for i in left}
-        lowest = [i for i in left if bounds[i] == min(bounds.values())]
-        limit = _prune_limit(min([best] + rhos), k)
-        for i in lowest:
-            if bounds[i] <= limit:
-                solve(i)
-        limit = _prune_limit(min([best] + rhos), k)
-        left = [i for i in left if i not in lowest and bounds[i] <= limit]
-        if not left:
-            break
+    def quotient(i, k):
+        top, bottom = np.diagonal(powers[i][k]), np.diagonal(powers[i][k - 1])
+        return max(Fraction(int(p), int(q)) for p, q in zip(top, bottom))
+
+    best = min(best, math.sqrt(min(int(np.abs(a2).sum(axis=1).max()) for a2, _, _ in powers)))
+    left = [i for i in range(len(mats)) if quotient(i, 1) <= _prune_limit(best, 2)]
+    bounds = {i: quotient(i, 2) for i in left}
+    lowest = [i for i in left if bounds[i] == min(bounds.values())]
+    for i in lowest:
+        if bounds[i] <= _prune_limit(best, 4):
+            solve(i)
+    limit = _prune_limit(min([best] + rhos), 4)
     for i in left:
-        solve(i)
+        if i not in lowest and bounds[i] <= limit:
+            solve(i)
     return rhos
 
 
@@ -557,8 +610,7 @@ def reference_min_rho(g, jobs):
 
     Returns the winner's class index, its rho, and the evaluated and
     eigensolved counts; the chunks and ranges are those of ``min_rho``, and
-    each chunk is screened by ``reference_pruned_rhos``, with the rho^16
-    stage only while Delta^8 < 2^53.
+    each chunk is screened by ``reference_pruned_rhos``.
     """
     free, mask = _free_edges(g)
     top = mask.bit_length() - 1 if mask else len(free)
@@ -566,7 +618,6 @@ def reference_min_rho(g, jobs):
     cap = search._chunk_classes(g)
     parts = max(1, min(jobs, count // cap))
     base = g.adjacency().astype(np.float64)
-    stages = (8, 16) if g.max_degree**8 < 2**53 else (8,)
     candidates, eigensolved = [], 0
     for k in range(parts):
         lo, hi = k * count // parts, (k + 1) * count // parts
@@ -581,7 +632,7 @@ def reference_min_rho(g, jobs):
                         a[u, v] = a[v, u] = -1.0
                 indices.append(index)
                 mats.append(a)
-            rhos = reference_pruned_rhos(mats, frontier[-1][1] if frontier else math.inf, stages)
+            rhos = reference_pruned_rhos(mats, frontier[-1][1] if frontier else math.inf)
             for index, rho in zip(indices, rhos):
                 eigensolved += rho < math.inf
                 if not frontier or rho < frontier[-1][1]:
@@ -659,33 +710,3 @@ def test_moment_bounds_match_an_unpruned_scan(monkeypatch, bipartite, free_edges
             assert result.good_found == bool(rhos[winner] <= bound + VERDICT_TOLERANCE)
         found = find_good_signing(g, mode="maxdeg")
         assert (class_index(g, found) if found is not None else None) == (int(good[0]) if good.size else None)
-
-
-@pytest.mark.parametrize("negative_share", [0.0, 0.3])
-def test_a8_is_exact_at_the_largest_degree_it_is_formed_for(negative_share):
-    # On K99, Delta = 98 is the largest degree with Delta^8 < 2^53; the
-    # stage's float64 A^8 equals the exact int64 power.
-    rng = np.random.default_rng(11)
-    signs = np.triu(np.where(rng.random((99, 99)) < negative_share, -1, 1), 1)
-    a = complete_graph(99).adjacency().astype(np.int64) * (signs + signs.T)
-    assert 98**8 < 2**53 <= 99**8
-    a8 = _Moments(a.astype(np.float64)[None], np.empty((2, 1, 99, 99))).power(8, np.ones(1, dtype=bool))
-    assert np.array_equal(a8[0], np.linalg.matrix_power(a, 8))
-
-
-@pytest.mark.parametrize("degree, stages", [(98, [8, 16]), (99, [8])], ids=["degree98", "degree99"])
-def test_rho16_stage_runs_only_while_a8_is_exact(monkeypatch, degree, stages):
-    # A star with three leaf-leaf edges: every class passes the rho^8 screen,
-    # so the rho^16 stage runs exactly where Delta^8 < 2^53.
-    g = Graph.from_edges(degree + 1, [(0, v) for v in range(1, degree + 1)] + [(1, 2), (3, 4), (5, 6)])
-    powers = []
-
-    class RecordingMoments(_Moments):
-        def lower(self, k, chosen=None):
-            powers.append(k)
-            return super().lower(k, chosen)
-
-    monkeypatch.setattr(search, "_Moments", RecordingMoments)
-    result = min_rho(g, mode="maxdeg")
-    assert powers == stages
-    assert result.evaluated == result.eigensolved == 4

@@ -91,6 +91,11 @@ def test_jacobi_large_theta_raises_no_overflow():
             ours = np.array(jacobi_diagonalize(a).eigenvalues)
             scale = max(1.0, np.abs(a).max())
             assert np.max(np.abs(ours - np.linalg.eigvalsh(a.astype(float)))) < 1e-9 * scale
+        # An eigenvalue of 2e308, and eigenvalues of +-1e308 whose Frobenius
+        # norm of 2e308 does not fit in float64, are refused without a warning.
+        for a in [1e308 * (1 - np.eye(3)), np.kron(np.eye(2), [[0, 1e308], [1e308, 0]])]:
+            with pytest.raises(ValueError, match="overflow float64"):
+                jacobi_diagonalize(a)
 
 
 def test_near_zero_eigenvalues_are_exact_zeros():
