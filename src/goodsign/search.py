@@ -34,25 +34,26 @@ full chunk size.
 Moment bounds. For symmetric A and x != 0, ``x^T A^2 x / x^T x <= rho^2``;
 at ``x = A e_i`` and ``x = A^2 e_i``, as ``(A^2k)_ii = sum_j ((A^k)_ij)^2``:
 
-    rho^2 >= max_i sum_j (A2_ij)^2 / d_i                  (d_i = (A2)_ii)
-    rho^4 >= max_i sum_j (A4_ij)^2 / sum_j (A2_ij)^2
+    rho^2 >= max_i (A^4)_ii / (A^2)_ii = max_i sum_j (A2_ij)^2 / d_i
+    rho^4 >= max_i (A^8)_ii / (A^4)_ii = max_i sum_j (A4_ij)^2 / (A4)_ii
 
-and ``rho^k <= ||Ak||_inf = max_i sum_j |Ak_ij|``. By Cauchy-Schwarz,
-``d_i^2 <= (A^4)_ii`` and ``(A^4)_ii^2 <= (A^8)_ii``: each quotient is at
-least the square root of its numerator, the plain moment bound. ``_Moments``
-forms ``A2 = M @ M`` per chunk and ``A4 = A2 @ A2`` only where asked.
+with ``d_i = (A2)_ii`` the degree, and ``rho^k <= ||Ak||_inf = max_i sum_j
+|Ak_ij|``. By Cauchy-Schwarz, ``d_i^2 <= (A^4)_ii`` and ``(A^4)_ii^2 <=
+(A^8)_ii``: each quotient is at least the square root of its numerator, the
+plain moment bound. As ``(A^2k)_ii`` is log-convex in k, a row's rho^4
+quotient is at least the square of its rho^2 one.
 
 Pruning in ``min_rho``: a class whose rho^k bound exceeds ``_prune_limit(best,
 k) = (best + VERDICT_TOLERANCE)^k * (1 + 1e-9)`` has rho above ``best +
 VERDICT_TOLERANCE``; with ``best`` at least the final minimum it can neither
-win nor tie, and it is not eigensolved. The rho^2 stage takes as ``best`` the
-running minimum or, when lower, the square root of the chunk's least
-``||A2||_inf``, whose class is eigensolved or pruned against a lower rho (a
-class beyond the running minimum's limit has ``||A2||_inf > best^2``, so only
-the others are read). The rho^4 stage eigensolves the classes at its least
-bound, if within the limit, then the others within the new ``best``'s limit.
-Only this last stage does so: the first ties often (every Petersen class has
-the rho^2 bound 5). Each ``jobs`` range prunes against its own minimum.
+win nor tie, and it is not eigensolved. The rho^2 stage keeps the classes
+within the running minimum's limit, and only they get an ``A4 = A2 @ A2``; the
+rho^4 stage would prune any class it prunes, so it saves matmuls, not
+eigensolves, and it is skipped in a range's first chunk, where there is no
+running minimum. The rho^4 stage eigensolves the classes at its least bound,
+if within the limit, then the others within the new ``best``'s limit. Only
+this last stage does so: the first ties often (every Petersen class has the
+rho^2 bound 5). Each ``jobs`` range prunes against its own minimum.
 
 Certificates in ``find_good_signing``: ``||A4||_inf <= (bound +
 VERDICT_TOLERANCE / 2)^4`` makes a class good and a rho^4 bound above
@@ -60,10 +61,10 @@ VERDICT_TOLERANCE / 2)^4`` makes a class good and a rho^4 bound above
 undecided classes before its first certified-good one.
 
 The bounds are exact in the direction that matters, at any degree. The
-entries of ``A2`` and ``A4``, the degrees, and every partial sum of the
-matmuls, of the absolute row sums and of ``sum_j (A2_ij)^2`` are integers of
-magnitude at most Delta^4 (Delta the maximum degree), below 2^53 for every
-graph whose matrices fit in memory, so they are exact in float64; no product
+entries of ``A2`` and ``A4``, and every partial sum of the matmuls, of the
+absolute row sums and of ``sum_j (A2_ij)^2`` are integers of magnitude at
+most Delta^4 (Delta the maximum degree), below 2^53 for every graph whose
+matrices fit in memory, so they are exact in float64; no product
 beyond ``A4``, and so no rule on the degree, is needed. The one sum that may
 pass 2^53, ``sum_j (A4_ij)^2``, adds non-negative squares, so its relative
 error is at most about n * 2^-53, and each quotient adds one rounding. The
@@ -226,41 +227,38 @@ class SearchResult:
 class _Moments:
     """Bounds on rho for each matrix of a stack, from its exact integer powers.
 
-    ``lower4`` forms A4 over A2, so ``lower2`` and ``upper2`` come first;
-    ``upper4`` reads the A4 of the last ``lower4``. ``chosen`` holds indices
-    into the stack. Products, gathered matrices and absolute values go into
-    ``work``, two stacks reused across chunks, so no chunk pays page faults.
+    ``A2 = M @ M`` is formed for the whole stack, and ``A4 = A2 @ A2`` by
+    ``lower4`` for the chosen matrices (indices into the stack; all by
+    default), once: A4 may overwrite A2. ``upper4`` reads that A4. Products,
+    gathered matrices and absolute values go into ``work``, two stacks reused
+    across chunks, so no chunk pays page faults.
     """
 
     def __init__(self, mats: np.ndarray, work: np.ndarray):
         self._work = work
         self._a2 = np.matmul(mats, mats, out=work[0, : len(mats)])
-        self._a4ii = _row_sums("bij,bij->ib", self._a2, self._a2)  # (A^4)_ii = sum_j (A2_ij)^2
-
-    def _gather(self, chosen: np.ndarray) -> np.ndarray:
-        # mode="clip" writes straight into `out`; the default mode buffers it.
-        return np.take(self._a2, chosen, axis=0, out=self._work[1, : len(chosen)], mode="clip")
 
     def lower2(self) -> np.ndarray:
-        """``max_i (A^4)_ii / d_i <= rho^2``, for every matrix."""
-        return (self._a4ii / np.einsum("bii->ib", self._a2)).max(axis=0)
-
-    def upper2(self, chosen: np.ndarray | None = None) -> np.ndarray:
-        """``||A2||_inf >= rho^2`` of the chosen matrices (all by default)."""
-        a2 = self._a2 if chosen is None else self._gather(chosen)
-        return _row_sums("bij->ib", np.abs(a2, out=self._work[1, : len(a2)])).max(axis=0)
+        """``max_i (A^4)_ii / (A^2)_ii <= rho^2``, for every matrix."""
+        return _max_quotient(self._a2)
 
     def lower4(self, chosen: np.ndarray | None = None) -> np.ndarray:
-        """``max_i (A^8)_ii / (A^4)_ii <= rho^4`` of the chosen matrices (all by default)."""
-        a2, a4ii, out = self._a2, self._a4ii, self._work[1]
+        """``max_i (A^8)_ii / (A^4)_ii <= rho^4`` of the chosen matrices."""
+        a2, out = self._a2, self._work[1]
         if chosen is not None:
-            a2, a4ii, out = self._gather(chosen), a4ii[:, chosen], self._work[0]
+            # mode="clip" writes straight into `out`; the default mode buffers it.
+            a2, out = np.take(a2, chosen, axis=0, out=out[: len(chosen)], mode="clip"), self._work[0]
         self._a4, self._spare = np.matmul(a2, a2, out=out[: len(a2)]), a2
-        return (_row_sums("bij,bij->ib", self._a4, self._a4) / a4ii).max(axis=0)
+        return _max_quotient(self._a4)
 
     def upper4(self) -> np.ndarray:
         """``||A4||_inf >= rho^4`` of the matrices of the last ``lower4``."""
         return _row_sums("bij->ib", np.abs(self._a4, out=self._spare)).max(axis=0)
+
+
+def _max_quotient(ak: np.ndarray) -> np.ndarray:
+    # max_i sum_j (Ak_ij)^2 / (Ak)_ii = max_i (A^2k)_ii / (A^k)_ii <= rho^k.
+    return (_row_sums("bij,bij->ib", ak, ak) / np.einsum("bii->ib", ak)).max(axis=0)
 
 
 def _row_sums(spec: str, *stacks: np.ndarray) -> np.ndarray:
@@ -280,16 +278,17 @@ def _pruned_rhos(mats: np.ndarray, best: float, work: np.ndarray) -> np.ndarray:
     # rho of each matrix whose moment bounds admit a rho within the tolerance
     # of the running minimum, and inf for the rest (see the module docstring).
     moments = _Moments(mats, work)
-    lower = moments.lower2()
-    near = np.flatnonzero(lower <= _prune_limit(best, 2)) if best < np.inf else None  # None: all, uncopied
-    best = min(best, float(np.sqrt(moments.upper2(near).min(initial=np.inf))))
-    left = np.flatnonzero(lower <= _prune_limit(best, 2))
-    bounds = moments.lower4(left)
-    lowest = bounds == bounds.min(initial=np.inf)
+    if best < np.inf:
+        left = np.flatnonzero(moments.lower2() <= _prune_limit(best, 2))
+        bounds = np.full(len(mats), np.inf)
+        bounds[left] = moments.lower4(left)
+    else:  # the rho^2 stage would keep every class
+        bounds = moments.lower4()
+    lowest = bounds == bounds.min()
     rhos = np.full(len(mats), np.inf)
     for group in (lowest, ~lowest):
-        chosen = left[group & (bounds <= _prune_limit(min(best, rhos.min()), 4))]
-        if chosen.size:
+        chosen = group & (bounds <= _prune_limit(min(best, rhos.min()), 4))
+        if chosen.any():
             rhos[chosen] = _rho(_eigvalsh(mats[chosen]))
     return rhos
 

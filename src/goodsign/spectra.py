@@ -113,11 +113,12 @@ def jacobi_diagonalize(a: np.ndarray) -> JacobiResult:
     work = _symmetric(a).astype(np.float64)
     # Scaling by a power of two is exact and leaves every step's result the
     # same up to that power; with the largest entry in [0.5, 1), the squares
-    # summed into the norms cannot overflow.
+    # summed into the norms cannot overflow. Scaling back can overflow only
+    # where e > 0.
     e = int(np.frexp(np.abs(work).max(initial=0.0))[1])
     work = np.ldexp(work, -e)
     sweeps, off, fro = _jacobi_sweeps(work, JACOBI_RELATIVE_TOLERANCE, JACOBI_MAX_SWEEPS)
-    if max(fro, np.abs(np.diagonal(work)).max(initial=0.0)) > math.ldexp(np.finfo(np.float64).max, -e):
+    if e > 0 and max(fro, np.abs(np.diagonal(work)).max(initial=0.0)) > math.ldexp(np.finfo(np.float64).max, -e):
         raise ValueError("eigenvalues or the Frobenius norm overflow float64")
     if off > JACOBI_RELATIVE_TOLERANCE * fro:
         raise JacobiConvergenceError(

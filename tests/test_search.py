@@ -406,22 +406,24 @@ def test_moment_bounds_bracket_rho(n):
     a2, a4, a8 = (np.linalg.matrix_power(ints, k) for k in (2, 4, 8))
     d, a4ii, a8ii = (np.diagonal(a, axis1=1, axis2=2).tolist() for a in (a2, a4, a8))
     # Cauchy-Schwarz, in integers: each quotient is at least the plain moment
-    # bound of its row.
+    # bound of its row. The moments are log-convex, so the rho^4 quotient is
+    # at least the square of the rho^2 one: (A^8)_ii d_i^2 >= ((A^4)_ii)^3.
     assert all(x * x <= y for row in zip(d, a4ii) for x, y in zip(*row))
     assert all(x * x <= y for row in zip(a4ii, a8ii) for x, y in zip(*row))
+    assert all(z * x * x >= y**3 for row in zip(d, a4ii, a8ii) for x, y, z in zip(*row))
     chosen = np.flatnonzero(rng.random(24) < 0.5)
     moments = _Moments(ints.astype(np.float64), np.empty((2, 24, n, n)))
-    lower2, upper2 = moments.lower2(), moments.upper2()
-    assert moments.upper2(chosen).tolist() == upper2[chosen].tolist()
+    lower2 = moments.lower2()
     lower4 = moments.lower4(chosen)
     upper4 = moments.upper4()
     assert lower2.tolist() == max_quotient(a4ii, d)
-    assert upper2.tolist() == np.abs(a2).sum(axis=2).max(axis=1).tolist()
     assert lower4.tolist() == max_quotient(np.array(a8ii)[chosen], np.array(a4ii)[chosen])
     assert upper4.tolist() == np.abs(a4[chosen]).sum(axis=2).max(axis=1).tolist()
+    fresh = _Moments(ints.astype(np.float64), np.empty((2, 24, n, n)))
+    assert fresh.lower4().tolist() == max_quotient(a8ii, a4ii)
     rho = np.abs(np.linalg.eigvalsh(ints.astype(np.float64))).max(axis=1)
     slack = 1 + 1e-9
-    assert (lower2 <= rho**2 * slack).all() and (rho**2 <= upper2 * slack).all()
+    assert (lower2 <= rho**2 * slack).all()
     assert (lower4 <= rho[chosen] ** 4 * slack).all() and (rho[chosen] ** 4 <= upper4 * slack).all()
 
 
@@ -429,8 +431,8 @@ def test_moment_bounds_bracket_rho(n):
 def test_moment_bound_roundoff_beyond_2_53(negative_share):
     # On K200, (A^8)_ii exceeds 2^53, so the float sum of squares in the rho^4
     # bound may round; the bound stays within the relative (n + 1) * 2^-53
-    # the pruning slack covers. The rho^2 bounds sum integers below 2^53 and
-    # are the exact quotient rounded once, and the exact row sum.
+    # the pruning slack covers. The rho^2 bound sums integers below 2^53 and
+    # is the exact quotient rounded once.
     rng = np.random.default_rng(5)
     signs = np.triu(np.where(rng.random((200, 200)) < negative_share, -1, 1), 1)
     a = complete_graph(200).adjacency().astype(np.int64) * (signs + signs.T)
@@ -438,9 +440,7 @@ def test_moment_bound_roundoff_beyond_2_53(negative_share):
     a4ii, a8ii = (a2 * a2).sum(axis=1), (a4 * a4).sum(axis=1)
     assert max(a8ii) > 2**53
     moments = _Moments(a.astype(np.float64)[None], np.empty((2, 1, 200, 200)))
-    lower2, upper2 = moments.lower2(), moments.upper2()
-    assert lower2[0] == float(max(Fraction(p, q) for p, q in zip(a4ii, np.diagonal(a2))))
-    assert upper2[0] == max(abs(a2).sum(axis=1))
+    assert moments.lower2()[0] == float(max(Fraction(p, q) for p, q in zip(a4ii, np.diagonal(a2))))
     exact = max(Fraction(p, q) for p, q in zip(a8ii, a4ii))
     assert abs(Fraction(moments.lower4()[0]) - exact) <= exact * Fraction(201, 2**53)
 
@@ -463,8 +463,8 @@ def stand_in_spectra(monkeypatch, g, fake):
     """Replace the eigensolver and every moment bound on ``g`` with stand-ins.
 
     ``fake[index]`` is the rho of class ``index``. Every bound equals rho^k,
-    the tightest a real bound can be: ``lower2`` and ``upper2`` give rho^2,
-    and ``lower4`` and ``upper4`` give rho^4. Returns the list of
+    the tightest a real bound can be: ``lower2`` gives rho^2, and ``lower4``
+    and ``upper4`` give rho^4. Returns the list of
     eigensolved batch sizes.
     """
     free, _ = _free_edges(g)
@@ -488,9 +488,6 @@ def stand_in_spectra(monkeypatch, g, fake):
 
         def lower2(self):
             return self.rho**2
-
-        def upper2(self, chosen=None):
-            return self.rho[slice(None) if chosen is None else chosen] ** 2
 
         def lower4(self, chosen=None):
             self.chosen = self.rho[slice(None) if chosen is None else chosen]
@@ -572,8 +569,8 @@ def reference_pruned_rhos(mats, best):
 
     The bounds are exact rationals from an int64 ``matrix_power``: the
     rho^2 stage keeps the classes whose ``max_i (A^4)_ii / (A^2)_ii`` is
-    within the limit of the running minimum or of the chunk's least
-    ``||A^2||_inf``; the rho^4 stage eigensolves the survivors at its lowest
+    within the limit of the running minimum (every class when there is
+    none); the rho^4 stage eigensolves the survivors at its lowest
     ``max_i (A^8)_ii / (A^4)_ii``, if that bound is within the limit, and
     then the others within the limit set by the new minimum. Pruned classes
     read inf.
@@ -588,7 +585,6 @@ def reference_pruned_rhos(mats, best):
         top, bottom = np.diagonal(powers[i][k]), np.diagonal(powers[i][k - 1])
         return max(Fraction(int(p), int(q)) for p, q in zip(top, bottom))
 
-    best = min(best, math.sqrt(min(int(np.abs(a2).sum(axis=1).max()) for a2, _, _ in powers)))
     left = [i for i in range(len(mats)) if quotient(i, 1) <= _prune_limit(best, 2)]
     bounds = {i: quotient(i, 2) for i in left}
     lowest = [i for i in left if bounds[i] == min(bounds.values())]

@@ -83,11 +83,13 @@ def test_eigenvalues_agree_with_jacobi_reference():
 
 def test_jacobi_large_theta_raises_no_overflow():
     # Petersen's class matrices drive theta past 1e154, where theta*theta
-    # overflowed; entries of 1e160 overflowed the squares in the norms.
+    # overflowed; entries of 1e160 overflowed the squares in the norms. Entries
+    # below 0.5 scale up, and their eigenvalues scale back down.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mats = [signed_adjacency(sg) for sg in enumerate_signing_classes(petersen_graph())]
-        for a in mats + [1e160 * (1 - np.eye(3))]:
+        small = [np.array([[0.3]]), 0.1 * np.eye(2), 0.1 * (1 - np.eye(3)), 1e-300 * (1 - np.eye(3))]
+        for a in mats + small + [1e160 * (1 - np.eye(3))]:
             ours = np.array(jacobi_diagonalize(a).eigenvalues)
             scale = max(1.0, np.abs(a).max())
             assert np.max(np.abs(ours - np.linalg.eigvalsh(a.astype(float)))) < 1e-9 * scale
