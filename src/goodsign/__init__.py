@@ -32,7 +32,6 @@ from .graphs import (
     cycle_graph,
     entrywise_product,
     is_bipartite,
-    lexicographic_product,
     path_graph,
     petersen_graph,
     signed_adjacency,
@@ -47,28 +46,22 @@ from .partition import (
     is_equitable,
     quotient_eigenvalues,
     quotient_matrix,
-    signed_degree,
     verify_quotient_identity,
 )
 from .search import (
     SearchResult,
     SearchSpaceError,
-    enumerate_signing_classes,
     find_good_signing,
     min_rho,
-    signing_class_count,
 )
 from .spectra import (
     JacobiConvergenceError,
     JacobiResult,
-    RamanujanReport,
     SpectralReport,
     check_good_signing,
-    check_ramanujan,
     eigenvalues_symmetric,
     good_signing_bound,
     jacobi_diagonalize,
-    multiset_within,
     multisets_close,
     spectral_radius,
 )
@@ -85,7 +78,6 @@ __all__ = [
     "NotEquitableError",
     "Partition",
     "QuotientMatrix",
-    "RamanujanReport",
     "SearchResult",
     "SearchSpaceError",
     "SignedGraph",
@@ -95,13 +87,11 @@ __all__ = [
     "case_quotient_matrix",
     "characteristic_matrix",
     "check_good_signing",
-    "check_ramanujan",
     "complete_graph",
     "core_matrix",
     "cycle_graph",
     "eigenvalues_symmetric",
     "entrywise_product",
-    "enumerate_signing_classes",
     "find_good_signing",
     "good_signing_bound",
     "is_bipartite",
@@ -109,9 +99,7 @@ __all__ = [
     "jacobi_diagonalize",
     "lex_k2_signing",
     "lex_k4_signing",
-    "lexicographic_product",
     "min_rho",
-    "multiset_within",
     "multisets_close",
     "normalize",
     "pair_cell_partition",
@@ -122,8 +110,6 @@ __all__ = [
     "quotient_matrix",
     "sign_complete_from_conference",
     "signed_adjacency",
-    "signed_degree",
-    "signing_class_count",
     "signing_equivalence",
     "spectral_radius",
     "switching_witness_cycle",

@@ -110,10 +110,6 @@ def signed_graph_from_json_dict(d: dict) -> SignedGraph:
     return SignedGraph.from_edge_triples(_required(d, "n"), d.get("edges", []))
 
 
-def partition_to_json_dict(p: Partition) -> dict:
-    return {"cells": [list(c) for c in p.cells]}
-
-
 def partition_from_json_dict(d: dict) -> Partition:
     return Partition.from_cells(_required(d, "cells"))
 
@@ -125,13 +121,15 @@ _FAST_READ_BYTES = 4096  # json.loads alone reads a smaller file as quickly
 
 
 def _load(path: str | Path, build: Callable[[Any], Any]) -> Any:
-    """``build`` of the document at ``path`` by :func:`_with_edge_array`, else by ``json.loads``."""
+    """``build`` of the document at ``path``, read by :func:`_with_edge_array`
+    unless it refuses the file, else by ``json.loads``; ``build`` runs once."""
+    doc = None
     if os.path.getsize(path) >= _FAST_READ_BYTES:
         try:
-            return build(_with_edge_array(Path(path).read_bytes()))
+            doc = _with_edge_array(Path(path).read_bytes())
         except ValueError:
             pass
-    return build(json.loads(Path(path).read_text()))
+    return build(json.loads(Path(path).read_text()) if doc is None else doc)
 
 
 def _with_edge_array(data: bytes) -> dict:

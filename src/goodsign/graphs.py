@@ -203,12 +203,6 @@ class Graph:
         return max(self.degrees)
 
     @property
-    def min_degree(self) -> int:
-        if self.n == 0:
-            raise ValueError("degree of an empty graph is undefined")
-        return min(self.degrees)
-
-    @property
     def is_regular(self) -> bool:
         return self.n > 0 and len(set(self.degrees)) <= 1
 
@@ -292,10 +286,6 @@ class SignedGraph:
     @staticmethod
     def all_plus(graph: Graph) -> "SignedGraph":
         return SignedGraph._of(graph, np.ones(len(graph._uv), dtype=np.int64))
-
-    @staticmethod
-    def all_minus(graph: Graph) -> "SignedGraph":
-        return SignedGraph._of(graph, -np.ones(len(graph._uv), dtype=np.int64))
 
     @staticmethod
     def from_adjacency(a: np.ndarray) -> "SignedGraph":
@@ -399,16 +389,6 @@ def petersen_graph() -> Graph:
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
     return Graph.from_edges(10, edges)
-
-
-def lexicographic_product(g: Graph, h: Graph) -> Graph:
-    """Graph on V(g) x V(h): (x,y) ~ (z,t) iff x ~ z in g, or x = z and y ~ t in h.
-
-    Its adjacency is ``kron(A_g, J) + kron(I, A_h)``, so vertex (x, y) gets
-    index ``x * h.n + y`` and matrices are reproducible bit for bit.
-    """
-    a = np.kron(g.adjacency(), np.ones((h.n, h.n), dtype=np.int64))
-    return SignedGraph.from_adjacency(a + np.kron(np.eye(g.n, dtype=np.int64), h.adjacency())).graph
 
 
 def _bfs_forest(g: Graph) -> tuple[list[int], list[int], list[int]]:

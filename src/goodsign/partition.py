@@ -47,14 +47,6 @@ class Partition:
             raise ValueError("cells must be a list of lists of vertices") from None
         return Partition(listed)
 
-    @staticmethod
-    def singletons(n: int) -> "Partition":
-        return Partition(tuple((v,) for v in range(n)))
-
-    @staticmethod
-    def single_cell(n: int) -> "Partition":
-        return Partition((tuple(range(n)),))
-
     @property
     def n(self) -> int:
         return sum(len(c) for c in self.cells)
@@ -62,23 +54,6 @@ class Partition:
     @property
     def size(self) -> int:
         return len(self.cells)
-
-    def cell_index(self, v: int) -> int:
-        for i, cell in enumerate(self.cells):
-            if v in cell:
-                return i
-        raise ValueError(f"vertex {v} not in partition")
-
-
-def signed_degree(sg: SignedGraph, u: int, s: Iterable[int]) -> int:
-    """``d(u, S)``: positive minus negative neighbour count of ``u`` inside S."""
-    if not 0 <= u < sg.graph.n:
-        raise ValueError(f"vertex {u} out of range")
-    members = set(s)
-    for v in members:
-        if not 0 <= v < sg.graph.n:
-            raise ValueError(f"vertex {v} out of range")
-    return sum(sg.sign(u, v) for v in sg.graph.neighbors(u) if v in members)
 
 
 @dataclass(frozen=True)

@@ -118,23 +118,6 @@ def _signing_for_index(g: Graph, free: list[Edge], index: int) -> SignedGraph:
     return SignedGraph._of(g, np.array([-1 if e in flipped else 1 for e in g.edge_list], dtype=np.int64))
 
 
-def signing_class_count(g: Graph) -> int:
-    """Number of switching classes: 2^(|E| - n + 1) for a connected graph."""
-    free, _ = _free_edges(g)
-    return 1 << len(free)
-
-
-def enumerate_signing_classes(g: Graph) -> Iterator[SignedGraph]:
-    """Yield one representative signing per switching class.
-
-    Every representative has +1 on the spanning-tree edges; representatives
-    are pairwise inequivalent.
-    """
-    free, _ = _free_edges(g)
-    for index in range(1 << len(free)):
-        yield _signing_for_index(g, free, index)
-
-
 def _evaluated_free(g: Graph, max_free_edges: int) -> tuple[list[Edge], int]:
     # The free edges the search enumerates, without the one negation pairing
     # holds at +1, and the number of switching classes.

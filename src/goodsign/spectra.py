@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graphs import Graph, SignedGraph, is_bipartite, signed_adjacency
+from .graphs import Graph, SignedGraph, signed_adjacency
 
 JACOBI_RELATIVE_TOLERANCE = 1e-12
 JACOBI_MAX_SWEEPS = 64
@@ -177,20 +177,6 @@ def multisets_close(a, b, tol: float) -> bool:
     return xs.shape == ys.shape and bool(np.all(np.abs(xs - ys) <= tol))
 
 
-def multiset_within(sub, full, tol: float) -> bool:
-    """Greedy sorted matching: every value of ``sub`` consumes one of ``full``."""
-    xs = sorted(float(x) for x in sub)
-    ys = sorted(float(y) for y in full)
-    j = 0
-    for x in xs:
-        while j < len(ys) and ys[j] < x - tol:
-            j += 1
-        if j == len(ys) or abs(ys[j] - x) > tol:
-            return False
-        j += 1
-    return True
-
-
 def good_signing_bound(g: Graph, mode: str) -> tuple[float, int]:
     """The verdict bound and the degree it is based on.
 
@@ -249,41 +235,4 @@ def check_good_signing(sg: SignedGraph, mode: str = "regular") -> SpectralReport
         verdict=verdict,
         tolerance=VERDICT_TOLERANCE,
         mode=mode,
-    )
-
-
-@dataclass(frozen=True)
-class RamanujanReport:
-    """Nontrivial-eigenvalue interval test for a connected regular graph."""
-
-    eigenvalues: tuple[float, ...]
-    removed: tuple[float, ...]
-    degree: int
-    bound: float
-    is_ramanujan: bool
-    tolerance: float
-
-
-def check_ramanujan(g: Graph) -> RamanujanReport:
-    """Test whether the nontrivial eigenvalues lie in ``[-2*sqrt(d-1), 2*sqrt(d-1)]``.
-
-    One occurrence of the eigenvalue closest to ``d`` is treated as trivial and
-    removed; for bipartite graphs the one closest to ``-d`` is removed as well.
-    Requires a connected d-regular graph with d > 1.
-    """
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    bound, d = good_signing_bound(g, "regular")
-    eig = list(eigenvalues_symmetric(g.adjacency()))
-    removed = [eig.pop(min(range(len(eig)), key=lambda i: abs(eig[i] - d)))]
-    if is_bipartite(g) is not None:
-        removed.append(eig.pop(min(range(len(eig)), key=lambda i: abs(eig[i] + d))))
-    ok = all(abs(x) <= bound + VERDICT_TOLERANCE for x in eig)
-    return RamanujanReport(
-        eigenvalues=tuple(float(x) for x in eig),
-        removed=tuple(float(x) for x in removed),
-        degree=d,
-        bound=bound,
-        is_ramanujan=ok,
-        tolerance=VERDICT_TOLERANCE,
     )

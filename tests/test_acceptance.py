@@ -46,13 +46,14 @@ from goodsign.graphs import (
 from goodsign.partition import characteristic_matrix, quotient_eigenvalues, quotient_matrix
 from goodsign.refdata import reference_matrix
 from goodsign.reproduce import run_example
-from goodsign.search import enumerate_signing_classes, min_rho
+from goodsign.search import min_rho
 from goodsign.spectra import (
     check_good_signing,
     eigenvalues_symmetric,
     multisets_close,
     spectral_radius,
 )
+from references import enumerate_signing_classes
 
 RNG = np.random.default_rng(20260811)
 

@@ -217,7 +217,7 @@ def test_all_plus_lift_is_two_copies():
 
 def test_all_minus_lift_is_bipartite_double_cover():
     g = cycle_graph(5)
-    lifted = two_lift(g, SignedGraph.all_minus(g))
+    lifted = two_lift(g, SignedGraph.all_plus(g).negated())
     assert is_bipartite(lifted) is not None
     assert lifted.is_connected()  # odd cycle has a connected double cover
     assert lifted.degrees == tuple(g.degree(u // 2) for u in range(10))

@@ -319,14 +319,15 @@ def test_small_files_go_straight_to_json_loads(tmp_path, monkeypatch):
     assert fileio.load_signed_graph(path).signs == {(0, 1): 1, (1, 2): -1}
 
 
-def test_a_builder_error_reads_the_file_again(tmp_path, monkeypatch):
-    # the array the fast read made is dropped, and the message is the one the lists give
+def test_a_builder_error_is_raised_from_the_one_build(tmp_path, monkeypatch):
+    # the fast read's document goes to the builder once, and its error is the one the lists give
     path = tmp_path / "s.json"
     path.write_text(dumps_json({"n": 3, "edges": np.array([[0, 1, 1], [1, 2, 5]])}))
-    calls = []
-    loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda s, **kw: calls.append(len(s)) or loads(s, **kw))
+    reads, builds = [], []
+    loads, build = json.loads, fileio.signed_graph_from_json_dict
+    monkeypatch.setattr(json, "loads", lambda s, **kw: reads.append(len(s)) or loads(s, **kw))
+    monkeypatch.setattr(fileio, "signed_graph_from_json_dict", lambda d: builds.append(d) or build(d))
     with pytest.raises(ValueError, match=r"^sign of edge \(1, 2\) must be -1 or \+1, got 5$"):
         fileio.load_signed_graph(path)
-    assert calls[-1] == len(path.read_text())
-    assert len(calls) == 2
+    assert len(builds) == 1 and isinstance(builds[0]["edges"], np.ndarray)
+    assert len(reads) == 1 and reads[0] < len(path.read_text())  # the fast read's, with the table cut out

@@ -16,3 +16,13 @@ def test_all_matches_the_package():
         for alias in node.names
     }
     assert sorted(n for n in imported if not n.startswith("_") and n not in names) == []
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md quick start", "exec"), names)
+    assert names["result"].classes_examined == 64  # as the block's comment says
+    assert names["report"].is_good

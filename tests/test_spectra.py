@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from goodsign.conference import core_matrix, paley_conference
 from goodsign.constructions import sign_complete_from_conference
 from goodsign.graphs import (
-    Graph,
     SignedGraph,
     complete_graph,
     cycle_graph,
@@ -18,20 +17,18 @@ from goodsign.graphs import (
     signed_adjacency,
 )
 from goodsign.refdata import reference_matrix
-from goodsign.search import enumerate_signing_classes
 from goodsign.spectra import (
     JACOBI_RELATIVE_TOLERANCE,
     _eigvalsh,
     _rho,
     check_good_signing,
-    check_ramanujan,
     eigenvalues_symmetric,
     good_signing_bound,
     jacobi_diagonalize,
-    multiset_within,
     multisets_close,
     spectral_radius,
 )
+from references import enumerate_signing_classes, multiset_within
 
 RNG = np.random.default_rng(20260811)
 
@@ -249,34 +246,3 @@ def test_report_json_shape():
     assert set(d) == {"eigenvalues", "rho", "degree", "bound", "verdict", "tolerance", "mode"}
     assert len(d["eigenvalues"]) == 4
 
-
-def test_ramanujan_k4():
-    report = check_ramanujan(complete_graph(4))
-    assert report.is_ramanujan
-    assert multisets_close(report.eigenvalues, [-1, -1, -1], 1e-9)
-    assert abs(report.removed[0] - 3) < 1e-9
-
-
-def test_ramanujan_petersen():
-    report = check_ramanujan(petersen_graph())
-    assert report.is_ramanujan
-    assert multisets_close(report.eigenvalues, [-2, -2, -2, -2, 1, 1, 1, 1, 1], 1e-9)
-
-
-def test_ramanujan_6_cycle():
-    # spectrum 2cos(2*pi*k/6): {2, 1, 1, -1, -1, -2}; after removing the
-    # trivial pair the rest sits inside [-2, 2], the degree-2 bound
-    report = check_ramanujan(cycle_graph(6))
-    assert multisets_close(report.removed, [2, -2], 1e-9)
-    assert multisets_close(report.eigenvalues, [-1, -1, 1, 1], 1e-9)
-    assert report.bound == 2.0
-    assert report.is_ramanujan
-
-
-def test_ramanujan_input_validation():
-    with pytest.raises(ValueError):
-        check_ramanujan(Graph.from_edges(4, [(0, 1), (2, 3)]))  # disconnected
-    with pytest.raises(ValueError):
-        check_ramanujan(path_graph(3))  # irregular
-    with pytest.raises(ValueError):
-        check_ramanujan(complete_graph(2))  # d = 1
