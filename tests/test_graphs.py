@@ -15,8 +15,21 @@ from goodsign.graphs import (
     signed_adjacency,
     verify_decomposition,
 )
+from goodsign.constructions import lex_k2_signing, lex_k4_signing
 from goodsign.refdata import reference_matrix
 from goodsign.reproduce import cycle_cover_base
+
+
+def small_graphs(max_n=6):
+    """Hypothesis strategy for arbitrary simple graphs on up to max_n vertices."""
+
+    def build(n, mask):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return Graph.from_edges(n, [e for i, e in enumerate(pairs) if (mask >> i) & 1])
+
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.builds(build, st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1))
+    )
 
 
 def test_complete_graph_counts():
@@ -54,6 +67,45 @@ def test_degrees_and_connectivity():
     h = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert not h.is_connected()
     assert petersen_graph().regular_degree == 3
+
+
+# The paper's lexicographic products g[E_k], with E_k the edgeless k-vertex
+# graph, are the underlying graphs of the signed products lex_k2_signing
+# (k = 2) and lex_k4_signing (k = 4): vertex (x, i) has index k*x + i.
+
+
+def test_lexicographic_small_cases():
+    k2 = complete_graph(2)
+    empty2 = Graph(2, frozenset())
+    prod = lex_k2_signing(k2, SignedGraph.all_plus(k2), SignedGraph.all_plus(empty2)).graph
+    # complete bipartite on the two fibres, i.e. a 4-cycle
+    assert prod.edges == {(0, 2), (0, 3), (1, 2), (1, 3)}
+    assert is_bipartite(prod) is not None
+    prod4 = lex_k4_signing(k2, SignedGraph.all_plus(k2)).graph
+    assert prod4.edges == {(i, 4 + j) for i in range(4) for j in range(4)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(5), st.integers(0, 2**10 - 1))
+def test_lexicographic_degree_law(g, mask):
+    edges = sorted(g.edges)
+    h1 = Graph.from_edges(g.n, [e for i, e in enumerate(edges) if (mask >> i) & 1])
+    h2 = Graph.from_edges(g.n, [e for i, e in enumerate(edges) if not (mask >> i) & 1])
+    prod2 = lex_k2_signing(g, SignedGraph.all_plus(h1), SignedGraph.all_plus(h2)).graph
+    prod4 = lex_k4_signing(g, SignedGraph.all_plus(g)).graph
+    assert prod2.n == 2 * g.n and prod4.n == 4 * g.n
+    for x in range(g.n):
+        for i in range(2):
+            assert prod2.degree(2 * x + i) == 2 * g.degree(x)
+        for i in range(4):
+            assert prod4.degree(4 * x + i) == 4 * g.degree(x)
+
+
+def test_lexicographic_with_edgeless_4_is_4d_regular():
+    g = petersen_graph()
+    prod = lex_k4_signing(g, SignedGraph.all_plus(g)).graph
+    assert prod.n == 40
+    assert prod.is_regular and prod.regular_degree == 12
 
 
 def test_is_bipartite():

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from goodsign.conference import core_matrix, paley_conference
 from goodsign.constructions import sign_complete_from_conference
 from goodsign.graphs import (
+    Graph,
     SignedGraph,
     complete_graph,
     cycle_graph,
+    is_bipartite,
     path_graph,
     petersen_graph,
     signed_adjacency,
@@ -246,3 +248,54 @@ def test_report_json_shape():
     assert set(d) == {"eigenvalues", "rho", "degree", "bound", "verdict", "tolerance", "mode"}
     assert len(d["eigenvalues"]) == 4
 
+
+def _nontrivial_spectrum(g):
+    """Split g's spectrum into its trivial eigenvalues and the rest.
+
+    One occurrence of the eigenvalue closest to ``d`` is trivial; for a
+    bipartite graph so is one closest to ``-d``. A connected d-regular graph
+    is Ramanujan when the rest lies in ``[-bound, bound]``.
+    """
+    bound, d = good_signing_bound(g, "regular")
+    eig = list(eigenvalues_symmetric(g.adjacency()))
+    removed = [eig.pop(min(range(len(eig)), key=lambda i: abs(eig[i] - d)))]
+    if is_bipartite(g) is not None:
+        removed.append(eig.pop(min(range(len(eig)), key=lambda i: abs(eig[i] + d))))
+    return eig, removed, bound
+
+
+def test_ramanujan_k4():
+    eig, removed, bound = _nontrivial_spectrum(complete_graph(4))
+    assert multisets_close(eig, [-1, -1, -1], 1e-9)
+    assert abs(removed[0] - 3) < 1e-9
+    assert all(abs(x) <= bound for x in eig)
+
+
+def test_ramanujan_petersen():
+    eig, _, bound = _nontrivial_spectrum(petersen_graph())
+    assert multisets_close(eig, [-2, -2, -2, -2, 1, 1, 1, 1, 1], 1e-9)
+    assert all(abs(x) <= bound for x in eig)
+
+
+def test_ramanujan_6_cycle():
+    # spectrum 2cos(2*pi*k/6): {2, 1, 1, -1, -1, -2}; after removing the
+    # trivial pair the rest sits inside [-2, 2], the degree-2 bound
+    eig, removed, bound = _nontrivial_spectrum(cycle_graph(6))
+    assert multisets_close(removed, [2, -2], 1e-9)
+    assert multisets_close(eig, [-1, -1, 1, 1], 1e-9)
+    assert bound == 2.0
+    assert all(abs(x) <= bound for x in eig)
+
+
+def test_ramanujan_input_validation():
+    # two disjoint copies of K4: 3-regular but disconnected, so a second
+    # eigenvalue 3 survives as nontrivial and breaks the bound
+    g = Graph.from_edges(8, [(u + o, v + o) for o in (0, 4) for u in range(4) for v in range(u + 1, 4)])
+    assert not g.is_connected()
+    eig, _, bound = _nontrivial_spectrum(g)
+    assert multisets_close(eig, [-1] * 6 + [3], 1e-9)
+    assert max(eig) > bound
+    with pytest.raises(ValueError):
+        _nontrivial_spectrum(path_graph(3))  # irregular
+    with pytest.raises(ValueError):
+        _nontrivial_spectrum(complete_graph(2))  # d = 1
