@@ -2,7 +2,7 @@
 
 A conference matrix of order n is a symmetric {0, +-1} matrix with zero
 diagonal satisfying ``C @ C.T == (n-1) * I`` exactly. The identity is checked
-in integer arithmetic throughout; no tolerances are involved. The Paley
+in exact arithmetic throughout; no tolerances are involved. The Paley
 construction covers orders ``q + 1`` for primes ``q = 1 (mod 4)``; prime
 powers would need finite-field arithmetic and are rejected.
 """
@@ -42,8 +42,11 @@ def verify_conference(matrix: np.ndarray) -> bool:
         return False
     if not np.all((m >= -1) & (m <= 1)):
         return False
-    m = m.astype(np.int64, copy=False)  # so that m @ m.T cannot overflow a small dtype
-    return np.array_equal(m @ m.T, (n - 1) * np.eye(n, dtype=np.int64))
+    # float64, because numpy's integer matmul does not use BLAS. Every entry
+    # and partial sum of m @ m.T is an integer of size at most n, far below
+    # 2**53, so the product is exact.
+    m = m.astype(np.float64)
+    return np.array_equal(m @ m.T, (n - 1) * np.eye(n))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Signed constructions: complete-graph families, signed products, 2-lifts.
 
 Each construction is a block formula on integer signed adjacency matrices,
-read back through :meth:`SignedGraph.from_adjacency`. With J the all-ones
-matrix, I the identity and X = [[0, 1], [1, 0]]:
+whose signed graph is read off without the checks of
+:meth:`SignedGraph.from_adjacency`: each call site says why its matrix is
+symmetric, in {0, +-1} and zero on the diagonal. With J the all-ones matrix,
+I the identity and X = [[0, 1], [1, 0]]:
 
 * ``sign_complete_from_conference``: K_{n+case} is ``J - I`` with the core C
   of a normalized conference matrix of order n in the block
@@ -72,7 +74,10 @@ def sign_complete_from_conference(c: ConferenceMatrix, case: int) -> SignedGraph
     if case == 3:
         us, vs = [0, 0, 1], [1, 3, 2]
         a[us, vs] = a[vs, us] = -1
-    return SignedGraph.from_adjacency(a)
+    # J - I, the core of a verified conference matrix (symmetric, {0, +-1},
+    # zero diagonal) on a diagonal block, and -1s set off the diagonal in
+    # mirrored pairs.
+    return SignedGraph._of_adjacency(a)
 
 
 def case_quotient_matrix(case: int, n: int) -> np.ndarray:
@@ -124,7 +129,9 @@ def lex_k2_signing(g: Graph, h1: SignedGraph, h2: SignedGraph) -> SignedGraph:
         )
     j2 = np.ones((2, 2), dtype=np.int64)
     a = np.kron(signed_adjacency(h1), j2) + np.kron(signed_adjacency(h2), 2 * np.eye(2, dtype=np.int64) - j2)
-    return SignedGraph.from_adjacency(a)
+    # Both terms are symmetric with {0, +-1} entries and zero diagonal blocks,
+    # and the decomposition check keeps their nonzero blocks apart.
+    return SignedGraph._of_adjacency(a)
 
 
 def lex_k4_signing(g: Graph, sigma: SignedGraph) -> SignedGraph:
@@ -138,7 +145,8 @@ def lex_k4_signing(g: Graph, sigma: SignedGraph) -> SignedGraph:
     """
     if sigma.graph != g:
         raise ValueError("signing is not on the given base graph")
-    return SignedGraph.from_adjacency(np.kron(signed_adjacency(sigma), 1 - 2 * np.eye(4, dtype=np.int64)))
+    # A symmetric {0, +-1} matrix with zero diagonal, times a symmetric +-1 block.
+    return SignedGraph._of_adjacency(np.kron(signed_adjacency(sigma), 1 - 2 * np.eye(4, dtype=np.int64)))
 
 
 def two_lift(g: Graph, tau: SignedGraph) -> Graph:
@@ -169,7 +177,11 @@ def _lift(a: np.ndarray, b: np.ndarray) -> SignedGraph:
     the entries of a and b agree, crossed pairs where they differ, each
     carrying a's entry."""
     i2 = np.eye(2, dtype=np.int64)
-    return SignedGraph.from_adjacency(np.kron((a + b) // 2, i2) + np.kron((a - b) // 2, 1 - i2))
+    # a and b are symmetric with zero diagonal and +-1 on the edges of g (the
+    # callers check that the signings are on g), so (a + b) / 2 and (a - b) / 2
+    # are too, with {0, +-1} entries and disjoint supports; I_2 and X are
+    # symmetric, and X has zero diagonal.
+    return SignedGraph._of_adjacency(np.kron((a + b) // 2, i2) + np.kron((a - b) // 2, 1 - i2))
 
 
 def pair_cell_partition(n: int) -> Partition:

@@ -9,7 +9,10 @@ space-separated entries. :func:`dumps_json` emits the bytes of
 ``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` with every float first
 rounded to 12 significant digits, so identical inputs give byte-identical
 outputs; a numpy array is written as its ``tolist()``, and an integer table
-straight from the array.
+straight from the array. The encoder appends text fragments to one list,
+which :func:`dumps_json` joins once; a large integer table adds one fragment
+per entry, a word of its column's vocabulary that carries the separator
+before the value.
 """
 
 from __future__ import annotations
@@ -37,47 +40,69 @@ def fmt12(x: float) -> str:
 
 
 def dumps_json(obj: Any) -> str:
-    return _encode(obj, "") + "\n"
+    out: list[str] = []
+    _encode(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _encode(obj: Any, pad: str) -> str:
-    """JSON text of obj with its closing bracket at indent ``pad``."""
+def _encode(obj: Any, pad: str, out: list[str]) -> None:
+    """Append to ``out`` the JSON text of obj with its closing bracket at indent ``pad``."""
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(obj, dict):
-        body = sep.join(
-            json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " + _encode(v, inner)
-            for k, v in sorted(obj.items())
-        )
-        return "{\n" + inner + body + "\n" + pad + "}" if obj else "{}"
+        lead = "{\n" + inner
+        for k, v in sorted(obj.items()):
+            out.append(lead + json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ")
+            _encode(v, inner, out)
+            lead = sep
+        out.append("\n" + pad + "}" if obj else "{}")
+        return
     if isinstance(obj, np.ndarray):
         if obj.ndim == 2 and obj.dtype.kind in "iu" and obj.size:
-            return _int_table(obj, pad)
+            _int_table(obj, pad, out)
+            return
         obj = obj.tolist()
     if not isinstance(obj, (list, tuple)):
         if isinstance(obj, (float, np.floating)):
             obj = float(fmt12(obj))
-        return json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
-    if set(map(type, obj)) == {int}:  # bools, floats and numpy scalars take the general path
-        body = sep.join(map(str, obj))
+        out.append(json.dumps(int(obj) if isinstance(obj, np.integer) else obj))
+    elif set(map(type, obj)) == {int}:  # bools, floats and numpy scalars take the general path
+        out.append("[\n" + inner + sep.join(map(str, obj)) + "\n" + pad + "]")
     else:
-        body = sep.join([_encode(x, inner) for x in obj])
-    return "[\n" + inner + body + "\n" + pad + "]" if obj else "[]"
+        lead = "[\n" + inner
+        for x in obj:
+            out.append(lead)
+            _encode(x, inner, out)
+            lead = sep
+        out.append("\n" + pad + "]" if obj else "[]")
 
 
-def _int_table(a: np.ndarray, pad: str) -> str:
-    """JSON text of the rows of a non-empty 2-d integer array, by %-format or by value lookup."""
+def _int_table(a: np.ndarray, pad: str, out: list[str]) -> None:
+    """Append to ``out`` the JSON text of the rows of a non-empty 2-d integer array.
+
+    A small table, or one whose values span a range wider than its size, is
+    one %-format call. Otherwise each column has a vocabulary: one word per
+    value in ``min..max``, the value's text led by the separator that comes
+    before it in that column (the row break in column 0, the comma in the
+    others). The table is then one word per entry, picked by one index into
+    the vocabularies, with the opening brackets put on the first word.
+    """
     inner = pad + "  "
     lo, hi = int(a.min()), int(a.max())
-    if a.size < 256 or hi - lo >= a.size:  # the lookup table would cost more than it saves
+    if a.size < 256 or hi - lo >= a.size:  # the vocabularies would cost more than they save
         row = "[\n" + inner + "  " + (",\n" + inner + "  ").join(["%d"] * a.shape[1]) + "\n" + inner + "]"
-        return "[\n" + inner + (",\n" + inner).join([row] * len(a)) % tuple(a.ravel().tolist()) + "\n" + pad + "]"
-    parts = np.empty((len(a), 2 * a.shape[1]), dtype=object)
-    parts[:, 0] = "\n" + inner + "],\n" + inner + "[\n" + inner + "  "
-    parts[0, 0] = "[\n" + inner + "[\n" + inner + "  "
-    parts[:, 2::2] = ",\n" + inner + "  "
-    parts[:, 1::2] = np.array(list(map(str, range(lo, hi + 1))), dtype=object)[np.subtract(a, a.min(), dtype=np.int64)]
-    return "".join(parts.ravel().tolist()) + "\n" + inner + "]\n" + pad + "]"
+        out.append("[\n" + inner + (",\n" + inner).join([row] * len(a)) % tuple(a.ravel().tolist()) + "\n" + pad + "]")
+        return
+    values = list(map(str, range(lo, hi + 1)))
+    breaks = ["\n" + inner + "],\n" + inner + "[\n" + inner + "  "] + [",\n" + inner + "  "] * (a.shape[1] - 1)
+    vocabulary = np.array([b + v for b in breaks for v in values], dtype=object)
+    index = np.subtract(a, a.min(), dtype=np.int64)
+    index += np.arange(0, len(vocabulary), len(values))  # where each column's vocabulary starts
+    words = vocabulary[index].ravel().tolist()
+    words[0] = "[\n" + inner + "[\n" + inner + "  " + words[0][len(breaks[0]):]
+    out += words
+    out.append("\n" + inner + "]\n" + pad + "]")
 
 
 # -- graphs ------------------------------------------------------------------
@@ -212,9 +237,14 @@ def matrix_from_text(text: str) -> np.ndarray:
     if any(len(r) != width for r in rows):
         raise ValueError("ragged rows in matrix text")
     try:
-        return np.array([[int(x) for x in r] for r in rows], dtype=np.int64)
+        entries = [[int(x) for x in r] for r in rows]
     except ValueError:
         return np.array([[float(x) for x in r] for r in rows], dtype=np.float64)
+    try:
+        return np.array(entries, dtype=np.int64)
+    except OverflowError:
+        big = next(x for r in entries for x in r if not -(2**63) <= x < 2**63)
+        raise ValueError(f"matrix entry {big} does not fit in int64") from None
 
 
 def load_matrix(path: str | Path) -> np.ndarray:

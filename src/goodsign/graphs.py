@@ -65,8 +65,10 @@ class _EdgeTable:
     the array ``a`` (an integer array of that shape as it is); ``odd``, the
     rows with a vertex that is not a whole number, NaN and infinities
     included; the ends ``lo <= hi`` of each row; their stable lexicographic
-    ``order``; whether each position of it starts a ``new`` pair; and ``uv``,
-    the distinct pairs in sorted order, in the dtype of ``a``.
+    ``order``, an index array, or ``slice(None)`` when the rows' ``(lo, hi)``
+    keys already strictly ascend; whether each position of it starts a
+    ``new`` pair; and ``uv``, the distinct pairs in sorted order, in the dtype
+    of ``a``.
     """
 
     def __init__(self, n, rows: Iterable, width: int) -> None:
@@ -85,10 +87,15 @@ class _EdgeTable:
         if a.dtype.kind == "f":
             self.frac = ~(np.isfinite(ends) & (ends == np.trunc(ends)))
         self.rows, self.a, self.odd = rows, a, self.frac[:, 0] | self.frac[:, 1]
-        self.lo, self.hi = np.minimum(a[:, 0], a[:, 1]), np.maximum(a[:, 0], a[:, 1])
-        self.order = np.lexsort((self.hi, self.lo))
-        lo, hi = self.lo[self.order], self.hi[self.order]
+        self.lo, self.hi = lo, hi = np.minimum(a[:, 0], a[:, 1]), np.maximum(a[:, 0], a[:, 1])
         self.new = np.ones(len(a), dtype=bool)
+        ascending = (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
+        if ascending.all():  # as every file goodsign writes is: already the order lexsort would give
+            self.order = slice(None)
+            self.uv = np.column_stack((lo, hi))
+            return
+        self.order = np.lexsort((hi, lo))
+        lo, hi = lo[self.order], hi[self.order]
         self.new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
         self.uv = np.column_stack((lo[self.new], hi[self.new]))
 
@@ -253,7 +260,7 @@ class SignedGraph:
         if t is None or not np.array_equal(t.uv, graph._uv):  # a key that is not whole matches no int64 row
             raise ValueError("sign map must cover exactly the edge set")
         last = np.roll(t.new, -1)  # the last key of each edge in input order, as new[0] is True
-        _freeze(self, graph=graph, _s=values[t.order[last]].astype(np.int64))
+        _freeze(self, graph=graph, _s=values[t.order][last].astype(np.int64))
 
     @classmethod
     def _of(cls, graph: Graph, s: np.ndarray) -> "SignedGraph":
@@ -272,9 +279,10 @@ class SignedGraph:
         """
         t = _EdgeTable(n, triples, 3)
         s = t.a[t.order, 2]
-        head = s[np.maximum.accumulate(np.where(t.new, np.arange(len(s)), 0))]
-        clash = np.empty(len(s), dtype=bool)
-        clash[t.order] = (s != head) & ((s == s) | (head == head))  # NaN signs count as equal
+        clash = np.zeros(len(s), dtype=bool)
+        if not t.new.all():  # else each edge has one triple, and no two signs can clash
+            head = s[np.maximum.accumulate(np.where(t.new, np.arange(len(s)), 0))]
+            clash[t.order] = (s != head) & ((s == s) | (head == head))  # NaN signs count as equal
         _refuse(t.odd | clash, lambda i: t.not_whole(i) if t.odd[i] else f"conflicting signs for edge {t.edge(i)}")
         _refuse(~((0 <= t.lo) & (t.lo < t.hi) & (t.hi < t.n)),
                 lambda i: f"edge {t.edge(i)} is not canonical for n={t.n}")
@@ -301,9 +309,15 @@ class SignedGraph:
         if bad.any():
             u, v = np.argwhere(bad)[0].tolist()  # above the diagonal, as m is symmetric
             raise ValueError(f"entry ({u}, {v}) = {m[u, v].item()} is not in {{0, -1, +1}}")
-        us, vs = np.nonzero(np.triu(m, 1))  # row-major order is already the sorted order
-        g = Graph._of(m.shape[0], np.column_stack((us, vs)).astype(np.int64, copy=False))
-        return SignedGraph._of(g, m[us, vs].astype(np.int64))
+        return SignedGraph._of_adjacency(m)
+
+    @classmethod
+    def _of_adjacency(cls, m: np.ndarray) -> "SignedGraph":
+        """Signed graph of a square, symmetric {0, +-1} matrix with zero diagonal, unchecked."""
+        i = np.arange(len(m))
+        us, vs = np.nonzero((i[:, None] < i) & m.astype(bool))  # row-major order is already the sorted order
+        g = Graph._of(len(m), np.column_stack((us, vs)).astype(np.int64, copy=False))
+        return cls._of(g, m[us, vs].astype(np.int64, copy=False))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedGraph):

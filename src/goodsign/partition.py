@@ -99,7 +99,7 @@ def _quotient_and_witness(
     """
     if p.n != sg.graph.n:
         raise ValueError("partition does not cover the graph's vertex set")
-    d = signed_adjacency(sg) @ characteristic_matrix(p)
+    d = _adjacency_times_cells(sg, p)
     b = d[[cell[0] for cell in p.cells]]
     for i, cell in enumerate(p.cells):
         bad = d[list(cell)] != b[i]
@@ -108,6 +108,14 @@ def _quotient_and_witness(
             u = cell[int(bad[:, j].argmax())]
             return b, EquitabilityWitness(i, j, cell[0], u, int(b[i, j]), int(d[u, j]))
     return b, None
+
+
+def _adjacency_times_cells(sg: SignedGraph, p: Partition) -> np.ndarray:
+    """``A @ P`` as exact int64, multiplied in float64 because numpy's integer
+    matmul does not use BLAS. Every entry and partial sum is an integer of size
+    at most n, far below 2**53, so float64 is exact."""
+    a = signed_adjacency(sg).astype(np.float64)
+    return (a @ characteristic_matrix(p).astype(np.float64)).astype(np.int64)
 
 
 def characteristic_matrix(p: Partition) -> np.ndarray:
@@ -150,9 +158,7 @@ def verify_quotient_identity(
     bm = np.asarray(b.matrix if isinstance(b, QuotientMatrix) else b, dtype=np.int64)
     if p.n != sg.graph.n or bm.shape != (p.size, p.size):
         return False
-    a = signed_adjacency(sg)
-    pm = characteristic_matrix(p)
-    return np.array_equal(a @ pm, pm @ bm)
+    return np.array_equal(_adjacency_times_cells(sg, p), characteristic_matrix(p) @ bm)
 
 
 def quotient_eigenvalues(b: QuotientMatrix) -> np.ndarray:

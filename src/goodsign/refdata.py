@@ -1,14 +1,17 @@
 """Bundled reference matrices for the reproduction checks.
 
 Each matrix was transcribed once into ``data/`` and is guarded by a sha256
-manifest; loading re-verifies the checksum so a silent edit of a reference
-file cannot go unnoticed.
+manifest, read once per process; every load hashes its file again, so a
+silent edit of a reference file cannot go unnoticed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -29,8 +32,10 @@ def _data_root():
     return resources.files("goodsign") / "data"
 
 
-def reference_checksums() -> dict[str, str]:
-    return json.loads((_data_root() / "checksums.json").read_text())
+@functools.cache
+def reference_checksums() -> Mapping[str, str]:
+    """The sha256 manifest, read once per process; every load hashes its file again."""
+    return MappingProxyType(json.loads((_data_root() / "checksums.json").read_text()))
 
 
 def reference_matrix(name: str) -> np.ndarray:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goodsign.conference import ConferenceMatrix, paley_conference
 from goodsign.constructions import (
@@ -40,6 +42,64 @@ RNG = np.random.default_rng(987654321)
 
 def random_signing(g, rng=RNG):
     return SignedGraph(g, {e: int(rng.choice([-1, 1])) for e in g.edge_list})
+
+
+# -- matrices read without the checks of from_adjacency ---------------------------
+
+
+def _assert_stored_form(sg):
+    for array in (sg.graph._uv, sg._s):
+        assert array.dtype == np.int64 and not array.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([5, 13, 17]), st.sampled_from([1, 2, 3]), st.randoms(use_true_random=False))
+def test_complete_families_equal_from_adjacency_of_their_block_formula(q, case, rnd):
+    # a permutation of the core vertices keeps a normalized conference matrix normalized
+    order = [0] + rnd.sample(range(1, q + 1), q)
+    c = ConferenceMatrix(paley_conference(q).matrix[np.ix_(order, order)])
+    a = 1 - np.eye(q + 1 + case, dtype=np.int64)
+    a[case + 1 :, case + 1 :] = c.matrix[1:, 1:]
+    if case == 3:
+        a[[0, 0, 1], [1, 3, 2]] = a[[1, 3, 2], [0, 0, 1]] = -1
+    sg = sign_complete_from_conference(c, case)
+    assert sg == SignedGraph.from_adjacency(a)
+    _assert_stored_form(sg)
+
+
+@st.composite
+def signings_and_splits(draw, max_n=7):
+    """A graph, two signings of it, and a split of its edges into two parts signed by the first."""
+    n = draw(st.integers(0, max_n))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    g = Graph(n, edges)
+    sigma, sigma_prime = (SignedGraph(g, {e: draw(st.sampled_from([-1, 1])) for e in edges}) for _ in range(2))
+    first = [draw(st.booleans()) for _ in edges]
+    h1, h2 = (
+        SignedGraph(Graph(n, part), {e: sigma.signs[e] for e in part})
+        for part in ([e for e, f in zip(edges, first) if f], [e for e, f in zip(edges, first) if not f])
+    )
+    return g, sigma, sigma_prime, h1, h2
+
+
+@settings(max_examples=100, deadline=None)
+@given(signings_and_splits())
+def test_products_and_lifts_equal_from_adjacency_of_their_block_formula(case):
+    g, sigma, sigma_prime, h1, h2 = case
+    a, b, u = signed_adjacency(sigma), signed_adjacency(sigma_prime), g.adjacency()
+    i2, j2, i4 = np.eye(2, dtype=np.int64), np.ones((2, 2), dtype=np.int64), np.eye(4, dtype=np.int64)
+    x = 1 - i2
+    built = [
+        (lex_k4_signing(g, sigma), np.kron(a, 1 - 2 * i4)),
+        (lex_k2_signing(g, h1, h2), np.kron(signed_adjacency(h1), j2) + np.kron(signed_adjacency(h2), 2 * i2 - j2)),
+        (two_lift_signed(g, sigma, sigma_prime), np.kron((b + a) // 2, i2) + np.kron((b - a) // 2, x)),
+    ]
+    for sg, matrix in built:
+        assert sg == SignedGraph.from_adjacency(matrix)
+        _assert_stored_form(sg)
+    lift = two_lift(g, sigma)
+    assert lift == SignedGraph.from_adjacency(np.kron((u + a) // 2, i2) + np.kron((u - a) // 2, x)).graph
+    assert lift._uv.dtype == np.int64 and not lift._uv.flags.writeable
 
 
 # -- complete-graph families ---------------------------------------------------

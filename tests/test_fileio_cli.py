@@ -60,6 +60,8 @@ def test_matrix_text_round_trip():
         matrix_from_text("1 2\n3\n")
     with pytest.raises(ValueError):
         matrix_from_text("")
+    ends = matrix_from_text(f"0 {2**63 - 1}\n{-(2**63)} 0\n")
+    assert ends.dtype == np.int64 and ends.tolist() == [[0, 2**63 - 1], [-(2**63), 0]]
 
 
 def test_load_signing_for_requires_exact_cover(tmp_path):
@@ -80,6 +82,23 @@ def test_reference_data_checksums():
         reference_matrix(name)  # loads and re-verifies the checksum
     with pytest.raises(KeyError):
         reference_matrix("nonsense")
+
+
+def test_a_reference_file_edited_after_the_checksums_are_cached_is_refused(tmp_path, monkeypatch):
+    from goodsign import refdata
+
+    for name in ("checksums.json", "c6.txt"):
+        (tmp_path / name).write_text((refdata._data_root() / name).read_text())
+    monkeypatch.setattr(refdata, "_data_root", lambda: tmp_path)
+    refdata.reference_checksums.cache_clear()
+    try:
+        c6 = reference_matrix("c6")
+        (tmp_path / "c6.txt").write_text(matrix_to_text(-c6))
+        with pytest.raises(ValueError, match="checksum mismatch for c6.txt"):
+            reference_matrix("c6")
+        assert refdata.reference_checksums.cache_info().misses == 1
+    finally:
+        refdata.reference_checksums.cache_clear()
 
 
 def test_run_manifest_sidecar(tmp_path):
@@ -308,6 +327,25 @@ def test_large_cli_commands_build_no_per_edge_views(tmp_path, monkeypatch, capsy
         assert not vars(sg.graph).keys() & {"edges", "edge_list", "degrees", "_adjacency_lists"}
 
 
+def test_lex_k4_at_n260_peaks_below_3_5_times_the_bytes_it_writes(tmp_path, capsys):
+    # tracemalloc counts every Python and numpy allocation, so the peak is the
+    # same on every run; the table text, its fragments and the encoded bytes
+    # are the largest items
+    import tracemalloc
+
+    s61, lex = tmp_path / "s61.json", tmp_path / "lex260.json"
+    assert run(["sign-complete", "--q", "61", "--case", "3", "--out", str(s61)]) == 0
+    argv = ["lex-k4", "--signing", str(s61), "--out", str(lex)]
+    assert run(argv) == 0  # so that the traced run finds the parser and imports built
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * lex.stat().st_size
+
+
 def test_reading_the_large_cli_files_hands_json_loads_no_large_document(tmp_path, monkeypatch, capsys):
     # the edge tables of the q = 61 signing (85 kB) and of its n = 260 product
     # (1.4 MB) are read by numpy; json.loads sees what is left of each file
@@ -347,20 +385,25 @@ def int_tables(draw):
     return rng.integers(lo, hi + 1, size=(m, width), dtype=np.int64).astype(dtype)
 
 
+def _encoded(obj, pad):
+    """The text ``_encode`` appends for obj at indent ``pad``."""
+    from goodsign.fileio import _encode
+
+    out = []
+    _encode(obj, pad, out)
+    return "".join(out)
+
+
 @settings(max_examples=300, deadline=None)
 @given(int_tables(), st.sampled_from(["", "  ", "      "]))
 def test_integer_tables_encode_as_the_percent_format(table, pad):
-    from goodsign.fileio import _encode
-
     if table.size:
-        assert _encode(table, pad) == _percent_format_rows(table.shape[1], table.ravel().tolist(), pad)
+        assert _encoded(table, pad) == _percent_format_rows(table.shape[1], table.ravel().tolist(), pad)
     obj = {"edges": table, "n": 1}
     assert dumps_json(obj) == reference_json({"edges": table.tolist(), "n": 1})
 
 
 def test_integer_tables_encode_as_the_percent_format_at_the_range_edges():
-    from goodsign.fileio import _encode
-
     for table in (
         np.array([[-(2**62), 2**62]]),
         np.array([[2**63, 2**63 + 1]], dtype=np.uint64),
@@ -372,7 +415,7 @@ def test_integer_tables_encode_as_the_percent_format_at_the_range_edges():
         (2**64 - 1 - np.arange(300, dtype=np.uint64) % 5).reshape(150, 2),
         np.arange(-128, 128, dtype=np.int8).reshape(-1, 1).repeat(2, axis=1),
     ):
-        assert _encode(table, "  ") == _percent_format_rows(table.shape[1], table.ravel().tolist(), "  ")
+        assert _encoded(table, "  ") == _percent_format_rows(table.shape[1], table.ravel().tolist(), "  ")
 
 
 # -- command line --------------------------------------------------------------
@@ -521,8 +564,9 @@ def test_cli_null_values_are_input_errors(tmp_path, capsys, kind, message):
     [
         ("0 inf\ninf 0\n", "matrix entries must be finite"),
         ("0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n", "eigenvalues overflow float64"),
+        (f"0 {10**29}\n{10**29} 0\n", f"matrix entry {10**29} does not fit in int64"),
     ],
-    ids=["inf", "overflow"],
+    ids=["inf", "overflow", "int64"],
 )
 def test_cli_spectrum_refuses_a_non_finite_spectrum(tmp_path, capsys, text, message):
     # Exit 2, not "rho": NaN (which is not JSON) or all-zero eigenvalues with exit 0.

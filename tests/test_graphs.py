@@ -433,14 +433,27 @@ def _outcome(build):
 
 @st.composite
 def triple_tables(draw, max_n=7):
-    """A signing's triples, duplicated, reversed and shuffled, with up to two spoils."""
+    """A signing's triples, with up to two spoils: duplicated, reversed and
+    shuffled, or in sorted canonical order (as every written file is) as they
+    are or with one adjacent swap, one repeated row or one reversed row."""
     n = draw(st.integers(0, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rows = [(u, v, draw(st.sampled_from([-1, 1]))) for u, v in pairs if draw(st.booleans())]
-    if rows:
-        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
-    rows = [(v, u, s) if draw(st.booleans()) else (u, v, s) for u, v, s in rows]
-    rows = list(draw(st.permutations(rows)))
+    layout = draw(st.sampled_from(["shuffled", "sorted", "swap", "repeat", "reverse"]))
+    if layout == "shuffled":
+        if rows:
+            rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+        rows = [(v, u, s) if draw(st.booleans()) else (u, v, s) for u, v, s in rows]
+        rows = list(draw(st.permutations(rows)))
+    elif layout == "swap" and len(rows) > 1:
+        i = draw(st.integers(0, len(rows) - 2))
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    elif layout == "repeat" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.insert(i, rows[i])
+    elif layout == "reverse" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = (rows[i][1], rows[i][0], rows[i][2])
     spoils = [-1, n, 0.5, 2.5, 1.0, True, 0, 2, -1.0, -1.5]
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         i = draw(st.integers(0, len(rows) - 1))
