@@ -11,10 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from goodsign import fileio
+from goodsign.cli import run
 from goodsign.fileio import dumps_json, signed_graph_to_json_dict, graph_to_json_dict
 from goodsign.graphs import Graph, SignedGraph, cycle_graph
 
@@ -90,6 +91,8 @@ SPOILERS = [
 ]
 # slots with one digit byte too few or too many, drawn often so that two can meet in one table
 DIGIT_SHIFTS = ["", " ", "\t", "00", "007", "-01", "-0"]
+# numbers put outside any row, where stripping the brackets would join them to a slot
+STRAYS = ["5", "0", "-2", "12", " 3 ", "\n7"]
 
 
 @st.composite
@@ -117,7 +120,9 @@ def tables(draw, max_n=6, shifts_only=False):
 def table_texts(draw):
     """The table as JSON text with random whitespace, sometimes broken in its brackets or commas."""
     n, tokens, width = draw(tables())
-    breakage = draw(st.sampled_from([None] * 6 + ["ragged", "row comma", "table comma", "missing comma", "extra bracket"]))
+    breakage = draw(st.sampled_from(
+        [None] * 6 + ["ragged", "row comma", "table comma", "missing comma", "extra bracket", "digits at the end", "digits outside a row"]
+    ))
     if breakage == "ragged" and len(tokens) > 1:  # as many values as before, in rows of other widths
         tokens[1].append(tokens[0].pop())
     ws = lambda: draw(st.sampled_from(WHITESPACE))  # noqa: E731
@@ -131,7 +136,19 @@ def table_texts(draw):
         text = text.replace("],", "]", 1)
     elif breakage == "extra bracket":
         text = "[" + text + "]"
+    elif breakage == "digits at the end" and rows:  # between the table's last two brackets
+        text = text[:-1] + draw(st.sampled_from(STRAYS)) + "]"
+    elif breakage == "digits outside a row" and rows:
+        text = _with_a_stray(draw, text)
     return n, text
+
+
+def _with_a_stray(draw, text: str) -> str:
+    """``text`` with a number put after a row's ``]`` or before a row's ``[``."""
+    after_rows = [i + 1 for i, c in enumerate(text[:-1]) if c == "]"]
+    before_rows = [i for i, c in enumerate(text) if c == "[" and i > 0]
+    at = draw(st.sampled_from(after_rows + before_rows))
+    return text[:at] + draw(st.sampled_from(STRAYS)) + text[at:]
 
 
 @st.composite
@@ -170,6 +187,21 @@ def test_slots_a_digit_short_and_a_digit_over_never_cancel(tmp_path_factory, tab
     n, tokens, _ = table
     rows = ",".join("[" + ("," + ws).join(row) + "]" for row in tokens)
     check_document('{"n": %d, "edges": [%s]}' % (n, rows), tmp_path_factory.getbasetemp())
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(max_n=5), st.data())
+def test_a_number_outside_a_row_never_fills_an_empty_slot(tmp_path_factory, table, data):
+    # the first or last number of a row moved out past its bracket: with the brackets
+    # stripped, "[[1, ]5]" reads as [[1, 5]], as many values and digits as the plain table
+    n, tokens, _ = table
+    assume(tokens)
+    i, after = data.draw(st.integers(0, len(tokens) - 1)), data.draw(st.booleans())
+    j = -1 if after else 0
+    stray, tokens[i][j] = tokens[i][j], data.draw(st.sampled_from(["", " ", "\n"]))
+    rows = ["[" + ", ".join(row) + "]" for row in tokens]
+    rows[i] = rows[i] + stray if after else stray + rows[i]
+    check_document('{"n": %d, "edges": [%s]}' % (n, ", ".join(rows)), tmp_path_factory.getbasetemp())
 
 
 @st.composite
@@ -223,6 +255,17 @@ def test_written_graphs_take_the_fast_read(tmp_path_factory, case):
         '{"edges": [[0, 1]]}',
         '{"n": 3, "edges": [[0, 1]]] }',
         '{"n": 3, "edges": [[0, 1]] ',
+        # digits between the table's last two brackets
+        '{"n": 3, "edges": [[1, 2]3]}',
+        '{"n": 3, "edges": [[0, 1], [1, 2]7]}',
+        # a number outside a row, alone or filling an empty slot next to it
+        '{"n": 3, "edges": [[0, 1]5, [1, 2]]}',
+        '{"n": 3, "edges": [[0, 1], 5[1, 2]]}',
+        '{"n": 3, "edges": [7[1, 2]]}',
+        '{"n": 3, "edges": [[0, 1] -1, [1, 2]]}',
+        '{"n": 6, "edges": [[1, ]5, [2, 3]]}',
+        '{"n": 6, "edges": [[0, 1], 5[, 2]]}',
+        '{"n": 6, "edges": [[0, 1], [2, ]\n3]}',
         # an empty slot and a leading zero: one digit short, one digit over
         '{"n": 5, "edges": [[1, ], [02, 3], [0, 1]]}',
         '{"n": 5, "edges": [[ ,1], [1, 002], [0, 1]]}',
@@ -304,6 +347,38 @@ def test_a_numpy_warning_refuses_the_table(tmp_path, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert check_document('{"edges": [[0, 1, 1], [1, 2, -1]], "n": 3}', tmp_path) is None
+
+
+def test_a_bracket_after_the_table_takes_json_loads(tmp_path):
+    # the fast read takes the table to end at the document's last "]"
+    for text in (
+        '{"n": 3, "edges": [[0, 1], [1, 2]], "name": "x]"}',
+        '{"n": 3, "edges": [[0, 1], [1, 2]], "cells": [[0, 1], [2]]}',
+        '{"n": 3, "edges": [[0, 1], [1, 2]], "x": []}',
+    ):
+        assert check_document(text, tmp_path) is None
+    assert check_document('{"x": [], "n": 3, "edges": [[0, 1], [1, 2]]}', tmp_path) is not None
+
+
+@pytest.fixture(scope="module")
+def lex260_text(tmp_path_factory):
+    """The n = 260 lex-k4 product of the q = 61 case-3 signing, as ``goodsign lex-k4`` writes it."""
+    d = tmp_path_factory.mktemp("lex260")
+    assert run(["sign-complete", "--q", "61", "--case", "3", "--out", str(d / "s61.json")]) == 0
+    assert run(["lex-k4", "--signing", str(d / "s61.json"), "--out", str(d / "lex260.json")]) == 0
+    return (d / "lex260.json").read_text()
+
+
+@pytest.mark.parametrize("edges_first", [True, False])
+def test_the_lex_k4_file_at_n260_takes_the_fast_read(tmp_path, lex260_text, edges_first):
+    text = lex260_text
+    if not edges_first:  # the same members, "n" first
+        table, n = text.rsplit(',\n  "n": ', 1)
+        text = '{\n  "n": ' + n.split("\n")[0] + "," + table[1:] + "\n}\n"
+        assert text.index('"n"') < text.index('"edges"')
+    assert len(text) >= 4096  # the cli reads it by the fast read, not by json.loads alone
+    fast = check_document(text, tmp_path)
+    assert fast is not None and fast["n"] == 260 and fast["edges"].shape == (33280, 3)
 
 
 def test_empty_and_bare_tables_take_json_loads(tmp_path):
