@@ -99,9 +99,7 @@ def normalize(c: ConferenceMatrix | np.ndarray) -> ConferenceMatrix:
 
     Idempotent, and the conference identity is preserved exactly.
     """
-    m = c.matrix if isinstance(c, ConferenceMatrix) else np.asarray(c, dtype=np.int64)
-    if not verify_conference(m):
-        raise ValueError("not a symmetric conference matrix")
+    m = (c if isinstance(c, ConferenceMatrix) else ConferenceMatrix(c)).matrix
     d = m[0].copy()
     d[0] = 1
     switched = d[:, None] * m * d[None, :]

@@ -336,9 +336,6 @@ class SignedGraph:
     def sign(self, u: int, v: int) -> int:
         return self.signs[_canon(u, v)]
 
-    def adjacency(self) -> np.ndarray:
-        return signed_adjacency(self)
-
     def negated(self) -> "SignedGraph":
         """Flip every edge sign."""
         return SignedGraph._of(self.graph, -self._s)

@@ -6,6 +6,11 @@ A partition into cells is equitable when ``d(u, C_j)`` depends only on the
 cell containing ``u``; the cell-level numbers form the quotient matrix B,
 which satisfies ``A @ P == P @ B`` exactly in integers, P being the 0/1 cell
 membership matrix.
+
+:func:`_cell_degrees` forms ``D = A @ P`` and reads B and the equitability
+witness off it; ``partition-check`` and ``reproduce``'s case examples test
+the identity on that same D. :func:`verify_quotient_identity` forms its own,
+for a B given from elsewhere.
 """
 
 from __future__ import annotations
@@ -83,39 +88,38 @@ def is_equitable(sg: SignedGraph, p: Partition) -> tuple[bool, EquitabilityWitne
 
     On failure the witness names the offending cell pair and vertex pair.
     """
-    witness = _quotient_and_witness(sg, p)[1]
+    witness = _cell_degrees(sg, p)[2]
     return witness is None, witness
 
 
-def _quotient_and_witness(
+def _cell_degrees(
     sg: SignedGraph, p: Partition
-) -> tuple[np.ndarray, EquitabilityWitness | None]:
-    """B, the first row of ``D = A @ P`` in each cell, and the first witness.
+) -> tuple[np.ndarray, np.ndarray, EquitabilityWitness | None]:
+    """``D = A @ P``, B (the first row of D in each cell), and the first witness.
 
     ``D[u, j] = d(u, C_j)`` in exact integers, so the partition is equitable
-    exactly when D's rows are constant within each cell. The witness is the
-    first (cell, target cell, vertex) in that order whose degree differs from
-    the cell's first vertex.
+    exactly when D's rows are constant within each cell, and then
+    ``D == P @ B``. The witness is the first (cell, target cell, vertex) in
+    that order whose degree differs from the cell's first vertex.
     """
     if p.n != sg.graph.n:
         raise ValueError("partition does not cover the graph's vertex set")
-    d = _adjacency_times_cells(sg, p)
+    d = _adjacency_times(sg, characteristic_matrix(p))
     b = d[[cell[0] for cell in p.cells]]
     for i, cell in enumerate(p.cells):
         bad = d[list(cell)] != b[i]
         if bad.any():
             j = int(bad.any(axis=0).argmax())
             u = cell[int(bad[:, j].argmax())]
-            return b, EquitabilityWitness(i, j, cell[0], u, int(b[i, j]), int(d[u, j]))
-    return b, None
+            return d, b, EquitabilityWitness(i, j, cell[0], u, int(b[i, j]), int(d[u, j]))
+    return d, b, None
 
 
-def _adjacency_times_cells(sg: SignedGraph, p: Partition) -> np.ndarray:
-    """``A @ P`` as exact int64, multiplied in float64 because numpy's integer
+def _adjacency_times(sg: SignedGraph, pm: np.ndarray) -> np.ndarray:
+    """``A @ pm`` as exact int64, multiplied in float64 because numpy's integer
     matmul does not use BLAS. Every entry and partial sum is an integer of size
     at most n, far below 2**53, so float64 is exact."""
-    a = signed_adjacency(sg).astype(np.float64)
-    return (a @ characteristic_matrix(p).astype(np.float64)).astype(np.int64)
+    return (signed_adjacency(sg).astype(np.float64) @ pm.astype(np.float64)).astype(np.int64)
 
 
 def characteristic_matrix(p: Partition) -> np.ndarray:
@@ -145,7 +149,7 @@ def quotient_matrix(sg: SignedGraph, p: Partition) -> QuotientMatrix:
     Raises :class:`NotEquitableError` when the partition is not equitable;
     the quotient is undefined in that case, and nothing is averaged silently.
     """
-    b, witness = _quotient_and_witness(sg, p)
+    _, b, witness = _cell_degrees(sg, p)
     if witness is not None:
         raise NotEquitableError(witness)
     return QuotientMatrix(b, p)
@@ -158,7 +162,8 @@ def verify_quotient_identity(
     bm = np.asarray(b.matrix if isinstance(b, QuotientMatrix) else b, dtype=np.int64)
     if p.n != sg.graph.n or bm.shape != (p.size, p.size):
         return False
-    return np.array_equal(_adjacency_times_cells(sg, p), characteristic_matrix(p) @ bm)
+    pm = characteristic_matrix(p)
+    return np.array_equal(_adjacency_times(sg, pm), pm @ bm)
 
 
 def quotient_eigenvalues(b: QuotientMatrix) -> np.ndarray:

@@ -131,8 +131,23 @@ def test_normalize_output_always_verifies():
 
 
 def test_normalize_rejects_non_conference():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not a symmetric conference matrix$"):
         normalize(np.ones((3, 3), dtype=np.int64))
+
+
+def test_normalize_verifies_a_conference_matrix_once(monkeypatch):
+    import goodsign.conference as conference
+
+    calls = []
+    real = conference.verify_conference
+    monkeypatch.setattr(conference, "verify_conference", lambda m: calls.append(1) or real(m))
+    c = paley_conference(13)
+    calls.clear()
+    normalize(c)
+    assert len(calls) == 1  # the switched output only; the type vouches for the input
+    calls.clear()
+    normalize(c.matrix)
+    assert len(calls) == 2  # a raw array is checked as it comes in, then as it goes out
 
 
 def test_core_structure():

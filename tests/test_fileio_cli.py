@@ -26,7 +26,7 @@ from goodsign.fileio import (
 from goodsign.graphs import Graph, SignedGraph, complete_graph, cycle_graph, petersen_graph
 from goodsign.partition import Partition
 from goodsign.refdata import REFERENCE_NAMES, reference_checksums, reference_matrix
-from goodsign.reproduce import example_ids, run_example
+from goodsign.reproduce import example_ids, lift_base_signings, run_example
 
 
 # -- formats -----------------------------------------------------------------
@@ -636,6 +636,42 @@ def test_cli_partition_check(tmp_path, capsys):
     bad = write_json(tmp_path / "p2.json", {"cells": [[0, 1], [2]]})
     assert run(["partition-check", "--signed", s2, "--partition", bad]) == 1
     assert not json.loads(capsys.readouterr().out)["equitable"]
+
+
+def test_each_partition_verdict_forms_one_signed_adjacency(tmp_path, capsys, monkeypatch):
+    # One A P per verdict: partition-check reads its quotient, witness and
+    # identity off one product, and so does each example's partition check.
+    import goodsign.cli as cli
+    import goodsign.graphs as graphs
+    import goodsign.partition as partition
+
+    calls = []
+    real = graphs.signed_adjacency
+    for module in (cli, partition):
+        monkeypatch.setattr(module, "signed_adjacency", lambda sg: calls.append(sg) or real(sg))
+    lift = two_lift_signed(*lift_base_signings())
+    s = write_json(tmp_path / "s.json", signed_graph_to_json_dict(lift))
+    pairs = write_json(tmp_path / "pairs.json", {"cells": [[2 * u, 2 * u + 1] for u in range(4)]})
+    crossed = write_json(tmp_path / "crossed.json", {"cells": [[0, 3], [2, 5], [4, 7], [6, 1]]})
+    for part, code in ((pairs, 0), (crossed, 1)):
+        calls.clear()
+        assert run(["partition-check", "--signed", s, "--partition", part]) == code
+        assert len(calls) == 1
+    capsys.readouterr()
+    per_example = {}
+    for example_id in example_ids():
+        calls.clear()
+        assert run_example(example_id).passed
+        per_example[example_id] = len(calls)
+    assert per_example == {
+        "c6": 0,
+        "k7-case1-n6": 1,
+        "k8-case2-n6": 1,
+        "k9-case3-n6": 1,
+        "cycle-cover-lex2": 0,
+        "unsigned-lift": 0,
+        "aphi": 1,
+    }
 
 
 def test_cli_search(tmp_path, capsys):
