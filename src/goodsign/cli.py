@@ -88,8 +88,8 @@ def _cmd_lex_k2(args) -> tuple[str, int]:
 
 def _cmd_lex_k4(args) -> tuple[str, int]:
     sigma = load_signed_graph(args.signing)
-    sg = lex_k4_signing(sigma.graph, sigma)
-    return dumps_json(signed_graph_to_json_dict(sg)), EXIT_OK
+    # only the (m, 3) table, not the product's own arrays, stays alive while it is encoded
+    return dumps_json(signed_graph_to_json_dict(lex_k4_signing(sigma.graph, sigma))), EXIT_OK
 
 
 def _cmd_lift2(args) -> tuple[str, int]:

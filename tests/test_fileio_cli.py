@@ -189,6 +189,48 @@ def reference_json(obj):
     return json.dumps(round12_reference(obj), sort_keys=True, indent=2) + "\n"
 
 
+def _is_table(obj):
+    return isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind in "iu" and obj.size > 0
+
+
+def table_reference(rows, pad):
+    """A table's text at indent ``pad`` in the stated layout: one row per line, as ``json.dumps`` writes a row."""
+    inner = pad + "  "
+    return "[\n" + ",\n".join(inner + json.dumps(row) for row in rows) + "\n" + pad + "]"
+
+
+def layout_json(obj):
+    """The reference encoder of the stated layout: ``reference_json``, except that
+    each non-empty 2-d integer array is written one row per line at the indent of its line."""
+    tables = []
+
+    def mark(x):
+        if _is_table(x):
+            tables.append(x.tolist())
+            return f"@table{len(tables) - 1}@"
+        if isinstance(x, dict):
+            return {k: mark(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [mark(v) for v in x]
+        return x
+
+    text = reference_json(mark(obj))
+    for i, rows in enumerate(tables):
+        at = text.index(f'"@table{i}@"')
+        line = text[text.rfind("\n", 0, at) + 1 : at]
+        pad = line[: len(line) - len(line.lstrip(" "))]
+        text = text[:at] + table_reference(rows, pad) + text[at + len(f'"@table{i}@"') :]
+    return text
+
+
+def assert_layout(obj):
+    """``dumps_json(obj)`` is the stated layout byte for byte, and loads as the reference encoder's text does."""
+    text = dumps_json(obj)
+    assert text == layout_json(obj)
+    canonical = json.dumps(json.loads(text), sort_keys=True)  # NaN compares equal as text
+    assert canonical == json.dumps(json.loads(reference_json(obj)), sort_keys=True)
+
+
 def _encoder_payloads():
     from goodsign.constructions import two_lift_signed
     from goodsign.partition import EquitabilityWitness, quotient_matrix
@@ -249,7 +291,17 @@ def pair_partition(n):
 @pytest.mark.parametrize("name", list(_encoder_payloads()))
 def test_dumps_json_matches_the_reference_encoder(name):
     obj = _encoder_payloads()[name]
-    assert dumps_json(obj) == reference_json(obj)
+    assert_layout(obj)
+    if not _has_table(obj):  # only integer tables leave the reference encoder's bytes
+        assert dumps_json(obj) == reference_json(obj)
+
+
+def _has_table(obj):
+    if isinstance(obj, dict):
+        return any(map(_has_table, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return any(map(_has_table, obj))
+    return _is_table(obj)
 
 
 @st.composite
@@ -264,7 +316,7 @@ def signed_graphs(draw, max_n=9):
 @given(signed_graphs())
 def test_dumps_json_matches_the_reference_on_random_signed_graphs(sg):
     for obj in (signed_graph_to_json_dict(sg), graph_to_json_dict(sg.graph)):
-        assert dumps_json(obj) == reference_json(obj)
+        assert_layout(obj)
 
 
 @pytest.mark.parametrize(
@@ -282,7 +334,9 @@ def test_dumps_json_matches_the_reference_on_random_signed_graphs(sg):
 )
 def test_dumps_json_writes_arrays_as_their_lists(array):
     obj = {"rows": array, "n": 2}
-    assert dumps_json(obj) == reference_json({"rows": array.tolist(), "n": 2})
+    assert_layout(obj)
+    if not _is_table(array):
+        assert dumps_json(obj) == reference_json({"rows": array.tolist(), "n": 2})
 
 
 def _sha256(text):
@@ -296,7 +350,8 @@ def test_lex_k4_file_and_partition_check_bytes_are_pinned(tmp_path, capsys):
     s61, lex = tmp_path / "s61.json", tmp_path / "lex260.json"
     assert run(["sign-complete", "--q", "61", "--case", "3", "--out", str(s61)]) == 0
     assert run(["lex-k4", "--signing", str(s61), "--out", str(lex)]) == 0
-    assert _sha256(lex.read_text()) == "9417adc16e27e2a4139e93a135f4af25675a6c192596a654ab0e1ed302deb204"
+    assert lex.stat().st_size == 619856  # one row per line; 1418576 bytes in the indent=2 layout
+    assert _sha256(lex.read_text()) == "79c292047c437d6df8e1dbad576fede744242f89b2b08d764eea800df18d948e"
     cells = [[4 * x + i for x in cell for i in range(4)] for cell in case_cells(3, 62).cells]
     part = write_json(tmp_path / "cells.json", {"cells": cells})
     assert run(["partition-check", "--signed", str(lex), "--partition", part]) == 0
@@ -364,12 +419,33 @@ def test_reading_the_large_cli_files_hands_json_loads_no_large_document(tmp_path
     assert sizes and max(sizes) <= 64 * 1024
 
 
-def _percent_format_rows(width, flat, pad):
-    """The former integer-table encoder: one %-format call over every value."""
-    inner = pad + "  "
-    sep = ",\n" + inner
-    row = "[\n" + inner + "  " + (sep + "  ").join(["%d"] * width) + "\n" + inner + "]"
-    return "[\n" + inner + sep.join([row] * (len(flat) // width)) % tuple(flat) + "\n" + pad + "]"
+def test_an_indent_2_file_at_n260_still_takes_the_fast_read(tmp_path, monkeypatch, capsys):
+    # the n = 260 product as the former encoder wrote it, json.dumps(..., indent=2)
+    # of the same rows, loads through numpy to the same signed graph and the
+    # same partition-check output
+    from goodsign import fileio
+    from goodsign.constructions import case_cells
+
+    s61, lex, old = tmp_path / "s61.json", tmp_path / "lex260.json", tmp_path / "lex260_indent2.json"
+    assert run(["sign-complete", "--q", "61", "--case", "3", "--out", str(s61)]) == 0
+    assert run(["lex-k4", "--signing", str(s61), "--out", str(lex)]) == 0
+    old.write_text(json.dumps(json.loads(lex.read_text()), sort_keys=True, indent=2) + "\n")
+    assert old.stat().st_size == 1418576
+    assert _sha256(old.read_text()) == "9417adc16e27e2a4139e93a135f4af25675a6c192596a654ab0e1ed302deb204"
+    cells = [[4 * x + i for x in cell for i in range(4)] for cell in case_cells(3, 62).cells]
+    part = write_json(tmp_path / "cells.json", {"cells": cells})
+    sizes, fast = [], []
+    loads, read = json.loads, fileio._with_edge_array
+    monkeypatch.setattr(json, "loads", lambda s, **kw: sizes.append(len(s)) or loads(s, **kw))
+    monkeypatch.setattr(fileio, "_with_edge_array", lambda data: fast.append(len(data)) or read(data))
+    stdout = []
+    for path in (lex, old):
+        assert run(["partition-check", "--signed", str(path), "--partition", part]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1]
+    assert fileio.load_signed_graph(old) == fileio.load_signed_graph(lex)
+    assert fast == [619856, 1418576, 1418576, 619856]
+    assert max(sizes) <= 64 * 1024
 
 
 @st.composite
@@ -385,22 +461,28 @@ def int_tables(draw):
     return rng.integers(lo, hi + 1, size=(m, width), dtype=np.int64).astype(dtype)
 
 
-def _encoded(obj, pad):
-    """The text ``_encode`` appends for obj at indent ``pad``."""
-    from goodsign.fileio import _encode
+def _fragments(obj, pad, block_rows=None):
+    """The fragments ``_encode`` appends for obj at indent ``pad``, with the
+    vocabulary branch joining ``block_rows`` rows at a time if given."""
+    from goodsign import fileio
 
     out = []
-    _encode(obj, pad, out)
-    return "".join(out)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(fileio, "_TABLE_BLOCK_ROWS", block_rows)
+        fileio._encode(obj, pad, out)
+    return out
 
 
 @settings(max_examples=300, deadline=None)
-@given(int_tables(), st.sampled_from(["", "  ", "      "]))
-def test_integer_tables_encode_as_the_percent_format(table, pad):
+@given(int_tables(), st.sampled_from(["", "  ", "      "]), st.sampled_from([1, 3, 64, 2048]))
+def test_integer_tables_encode_as_the_percent_format(table, pad, block_rows):
+    # both branches write what the %-format branch writes: the rows of table_reference
     if table.size:
-        assert _encoded(table, pad) == _percent_format_rows(table.shape[1], table.ravel().tolist(), pad)
-    obj = {"edges": table, "n": 1}
-    assert dumps_json(obj) == reference_json({"edges": table.tolist(), "n": 1})
+        text = "".join(_fragments(table, pad, block_rows))
+        assert text == table_reference(table.tolist(), pad)
+        assert json.loads(text) == table.tolist()
+    assert_layout({"edges": table, "n": 1})
 
 
 def test_integer_tables_encode_as_the_percent_format_at_the_range_edges():
@@ -415,7 +497,41 @@ def test_integer_tables_encode_as_the_percent_format_at_the_range_edges():
         (2**64 - 1 - np.arange(300, dtype=np.uint64) % 5).reshape(150, 2),
         np.arange(-128, 128, dtype=np.int8).reshape(-1, 1).repeat(2, axis=1),
     ):
-        assert _encoded(table, "  ") == _percent_format_rows(table.shape[1], table.ravel().tolist(), "  ")
+        for block_rows in (1, 7, 2048):
+            assert "".join(_fragments(table, "  ", block_rows)) == table_reference(table.tolist(), "  ")
+
+
+def test_the_percent_format_and_the_vocabulary_write_the_same_bytes_at_their_switch():
+    # Each pair straddles a switch: the first table takes the %-format branch,
+    # which appends one fragment, and the second, the first with one more row
+    # or one value changed in its last row, takes the vocabulary branch, which
+    # appends one fragment per 64-row block and the closing brackets.
+    rng = np.random.default_rng(5)
+    small = rng.integers(0, 10, size=(256, 1))
+    narrow = rng.integers(0, 300, size=(150, 2))
+    narrow[:2] = [[0, 1], [298, 299]]
+    wide = narrow.copy()
+    wide[-1, -1] = 300
+    triple = rng.integers(-5, 5, size=(86, 3))
+    pairs = [
+        (small[:255], small),  # a.size 255 / 256
+        (wide, narrow),  # hi - lo = size / size - 1
+        (triple[:85], triple),  # a.size 255 / 258
+    ]
+    for percent, vocabulary in pairs:
+        by_percent, by_vocabulary = _fragments(percent, "  "), _fragments(vocabulary, "  ", 64)
+        assert len(by_percent) == 1 and len(by_vocabulary) == -(-len(vocabulary) // 64) + 1
+        p, v = "".join(by_percent), "".join(by_vocabulary)
+        assert p == table_reference(percent.tolist(), "  ")
+        assert v == table_reference(vocabulary.tolist(), "  ")
+        shared = p.rfind(",\n") + 1  # every row but the last of the first table
+        assert shared > 0 and p[:shared] == v[:shared]
+
+
+def test_an_integer_table_is_one_row_per_line():
+    obj = {"rows": np.array([[0, 1, -1], [2, 3, 1]]), "n": 2}
+    assert dumps_json(obj) == '{\n  "n": 2,\n  "rows": [\n    [0, 1, -1],\n    [2, 3, 1]\n  ]\n}\n'
+    assert dumps_json([np.array([[7]], dtype=np.uint8)]) == "[\n  [\n    [7]\n  ]\n]\n"
 
 
 # -- command line --------------------------------------------------------------

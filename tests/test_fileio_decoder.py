@@ -376,7 +376,7 @@ def test_the_lex_k4_file_at_n260_takes_the_fast_read(tmp_path, lex260_text, edge
         table, n = text.rsplit(',\n  "n": ', 1)
         text = '{\n  "n": ' + n.split("\n")[0] + "," + table[1:] + "\n}\n"
         assert text.index('"n"') < text.index('"edges"')
-    assert len(text) >= 4096  # the cli reads it by the fast read, not by json.loads alone
+    assert len(text) >= fileio._FAST_READ_BYTES  # the cli reads it by the fast read, not by json.loads alone
     fast = check_document(text, tmp_path)
     assert fast is not None and fast["n"] == 260 and fast["edges"].shape == (33280, 3)
 
