@@ -1,8 +1,8 @@
 """Symmetric conference matrices: Paley construction, normalization, cores.
 
 A conference matrix of order n is a symmetric {0, +-1} matrix with zero
-diagonal satisfying ``C @ C.T == (n-1) * I`` exactly. The identity is checked
-in exact arithmetic throughout; no tolerances are involved. The Paley
+diagonal satisfying ``C @ C.T == (n-1) * I`` exactly, checked in exact
+arithmetic by ``graphs._signed_matrix`` and ``graphs._exact_matmul``. The Paley
 construction covers orders ``q + 1`` for primes ``q = 1 (mod 4)``; prime
 powers would need finite-field arithmetic and are rejected.
 """
@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .graphs import _exact_matmul, _freeze, _signed_matrix
 
 
 def _is_prime(q: int) -> bool:
@@ -29,24 +31,12 @@ def _is_prime(q: int) -> bool:
 
 def verify_conference(matrix: np.ndarray) -> bool:
     """True iff the matrix is a symmetric conference matrix (exact check)."""
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    try:
+        m = _signed_matrix(np.asarray(matrix))
+    except ValueError:
         return False
-    if not np.issubdtype(m.dtype, np.integer):
-        if not np.array_equal(m, m.astype(np.int64)):
-            return False
-    n = m.shape[0]
-    if not np.array_equal(m, m.T):
-        return False
-    if np.any(np.diagonal(m) != 0):
-        return False
-    if not np.all((m >= -1) & (m <= 1)):
-        return False
-    # float64, because numpy's integer matmul does not use BLAS. Every entry
-    # and partial sum of m @ m.T is an integer of size at most n, far below
-    # 2**53, so the product is exact.
-    m = m.astype(np.float64)
-    return np.array_equal(m @ m.T, (n - 1) * np.eye(n))
+    n = len(m)
+    return n > 0 and np.array_equal(_exact_matmul(m, m.T), (n - 1) * np.eye(n, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -56,11 +46,9 @@ class ConferenceMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.int64).copy()
-        if not verify_conference(m):
+        if not verify_conference(self.matrix):
             raise ValueError("not a symmetric conference matrix")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _freeze(self, matrix=np.asarray(self.matrix).real.astype(np.int64))  # entries 0, +-1: an exact cast
 
     @property
     def order(self) -> int:

@@ -205,7 +205,7 @@ def _switching_equivalence(
     # (min(pos[u], pos[v]), the endpoint of larger pos).
     n, uv = g.n, g._uv
     t = sigma._s * sigma_prime._s
-    order, parent, _ = _bfs_forest(g)
+    order, parent, depth = _bfs_forest(g)
     child = np.array([x for x in order if parent[x] >= 0], dtype=np.int64)
     up = np.array(parent, dtype=np.int64)[child]
     rows = np.searchsorted(uv[:, 0] * n + uv[:, 1], np.minimum(up, child) * n + np.maximum(up, child))
@@ -221,16 +221,11 @@ def _switching_equivalence(
     bu, bv = uv[bad, 0], uv[bad, 1]
     u_first = pos[bu] < pos[bv]
     first = bad[np.lexsort((np.where(u_first, bv, bu), np.where(u_first, pos[bu], pos[bv])))[0]]
-    u, v = uv[first].tolist()
-    chain_u = [u]
-    while parent[chain_u[-1]] != -1:
-        chain_u.append(parent[chain_u[-1]])
-    on_u = {x: i for i, x in enumerate(chain_u)}
-    chain_v = [v]
-    while chain_v[-1] not in on_u:
-        chain_v.append(parent[chain_v[-1]])
-    meet = chain_v[-1]
-    return None, tuple(chain_u[: on_u[meet] + 1] + list(reversed(chain_v[:-1])))
+    a, b = ([x] for x in uv[first].tolist())
+    while a[-1] != b[-1]:  # climb from the deeper end until the two paths meet
+        deeper = a if depth[a[-1]] >= depth[b[-1]] else b
+        deeper.append(parent[deeper[-1]])
+    return None, tuple(a + b[-2::-1])
 
 
 def signing_equivalence(

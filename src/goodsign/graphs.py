@@ -14,7 +14,8 @@ lists, in that order, one ``_refuse`` line each; each reports the first
 offending row in the order the input iterates.
 
 Adjacency matrices are plain numpy arrays: ``int64`` for exact identity
-checks, ``float64`` only where an eigensolver needs them.
+checks, ``float64`` only where an eigensolver needs them. ``_signed_matrix``,
+``_exact_matmul`` and ``_not_whole`` are the one copy of each integer-matrix rule.
 """
 
 from __future__ import annotations
@@ -82,10 +83,7 @@ class _EdgeTable:
                 a = None
             if a is None or a.shape[1:] != (width,) or a.dtype.kind not in "biuf":
                 raise ValueError(f"edges must be {'[u, v]' if width == 2 else '[u, v, sign]'} rows of numbers")
-        ends = a[:, :2]
-        self.frac = np.zeros(ends.shape, dtype=bool)
-        if a.dtype.kind == "f":
-            self.frac = ~(np.isfinite(ends) & (ends == np.trunc(ends)))
+        self.frac = _not_whole(a[:, :2])
         self.rows, self.a, self.odd = rows, a, self.frac[:, 0] | self.frac[:, 1]
         self.lo, self.hi = lo, hi = np.minimum(a[:, 0], a[:, 1]), np.maximum(a[:, 0], a[:, 1])
         self.new = np.ones(len(a), dtype=bool)
@@ -104,6 +102,16 @@ class _EdgeTable:
 
     def edge(self, i: int) -> Edge:
         return _edge_of(self.rows[i])
+
+
+def _not_whole(a: np.ndarray) -> np.ndarray:
+    """Mark the entries of ``a`` that are not whole numbers: fractions, NaN,
+    infinities, and all of an array that holds no real numbers."""
+    if a.dtype.kind == "O":  # objects count as the array numpy makes of them
+        a = np.array(a.tolist())
+    if a.dtype.kind == "f":
+        return ~(np.isfinite(a) & (a == np.trunc(a)))
+    return np.full(a.shape, a.dtype.kind not in "biu")
 
 
 def _refuse(mask: np.ndarray, message: Callable[[int], str]) -> None:
@@ -298,18 +306,7 @@ class SignedGraph:
     @staticmethod
     def from_adjacency(a: np.ndarray) -> "SignedGraph":
         """Recover the signed graph of a symmetric {0, +-1} matrix with zero diagonal."""
-        m = np.asarray(a)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("adjacency matrix must be square")
-        if not np.array_equal(m, m.T):
-            raise ValueError("adjacency matrix must be symmetric")
-        if np.any(np.diagonal(m) != 0):
-            raise ValueError("adjacency matrix must have zero diagonal")
-        bad = (m != 0) & (np.abs(m) != 1)
-        if bad.any():
-            u, v = np.argwhere(bad)[0].tolist()  # above the diagonal, as m is symmetric
-            raise ValueError(f"entry ({u}, {v}) = {m[u, v].item()} is not in {{0, -1, +1}}")
-        return SignedGraph._of_adjacency(m)
+        return SignedGraph._of_adjacency(_signed_matrix(np.asarray(a)))
 
     @classmethod
     def _of_adjacency(cls, m: np.ndarray) -> "SignedGraph":
@@ -353,6 +350,28 @@ class SignedGraph:
 def signed_adjacency(sg: SignedGraph) -> np.ndarray:
     """Signed adjacency matrix: ``sign(uv)`` on edges, 0 elsewhere, exact ``int64``."""
     return _symmetric_matrix(sg.graph.n, sg.graph._uv, sg._s)
+
+
+def _signed_matrix(m: np.ndarray) -> np.ndarray:
+    """``m`` as an int64 array if it is square, symmetric, zero on the diagonal
+    and 0, 1 or -1 elsewhere (1.0 is; 1.4, NaN and 1j are not); else a ValueError."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("adjacency matrix must be square")
+    if not np.array_equal(m, m.T):
+        raise ValueError("adjacency matrix must be symmetric")
+    if np.diagonal(m).any():
+        raise ValueError("adjacency matrix must have zero diagonal")
+    bad = (m != 0) & (m != 1) & (m != -1)
+    if bad.any():
+        u, v = np.argwhere(bad)[0].tolist()  # above the diagonal, as m is symmetric
+        raise ValueError(f"entry ({u}, {v}) = {m[u, v].item()} is not in {{0, -1, +1}}")
+    return m.real.astype(np.int64, copy=False)  # exact, as each entry is 0, 1 or -1
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of {0, +-1} matrices as exact int64. It runs in float64, as numpy's integer matmul has
+    no BLAS; each partial sum is an integer no larger than the inner dimension, far below 2**53."""
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
 def _symmetric_matrix(n: int, uv: np.ndarray, values: int | np.ndarray) -> np.ndarray:

@@ -7,10 +7,11 @@ cell containing ``u``; the cell-level numbers form the quotient matrix B,
 which satisfies ``A @ P == P @ B`` exactly in integers, P being the 0/1 cell
 membership matrix.
 
-:func:`_cell_degrees` forms ``D = A @ P`` and reads B and the equitability
-witness off it; ``partition-check`` and ``reproduce``'s case examples test
-the identity on that same D. :func:`verify_quotient_identity` forms its own,
-for a B given from elsewhere.
+:func:`_cell_degrees` forms ``D = A @ P`` with ``graphs._exact_matmul`` and
+reads B and the equitability witness off it; ``partition-check`` and
+``reproduce``'s case examples test the identity on that same D.
+:func:`verify_quotient_identity` forms its own, for a B given from elsewhere
+and read as a :class:`QuotientMatrix`, whose entries pass ``graphs._not_whole``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import SignedGraph, _integral, signed_adjacency
+from .graphs import SignedGraph, _exact_matmul, _freeze, _integral, _not_whole, signed_adjacency
 from .spectra import eigenvalues_symmetric
 
 
@@ -104,7 +105,7 @@ def _cell_degrees(
     """
     if p.n != sg.graph.n:
         raise ValueError("partition does not cover the graph's vertex set")
-    d = _adjacency_times(sg, characteristic_matrix(p))
+    d = _exact_matmul(signed_adjacency(sg), characteristic_matrix(p))
     b = d[[cell[0] for cell in p.cells]]
     for i, cell in enumerate(p.cells):
         bad = d[list(cell)] != b[i]
@@ -113,13 +114,6 @@ def _cell_degrees(
             u = cell[int(bad[:, j].argmax())]
             return d, b, EquitabilityWitness(i, j, cell[0], u, int(b[i, j]), int(d[u, j]))
     return d, b, None
-
-
-def _adjacency_times(sg: SignedGraph, pm: np.ndarray) -> np.ndarray:
-    """``A @ pm`` as exact int64, multiplied in float64 because numpy's integer
-    matmul does not use BLAS. Every entry and partial sum is an integer of size
-    at most n, far below 2**53, so float64 is exact."""
-    return (signed_adjacency(sg).astype(np.float64) @ pm.astype(np.float64)).astype(np.int64)
 
 
 def characteristic_matrix(p: Partition) -> np.ndarray:
@@ -138,9 +132,10 @@ class QuotientMatrix:
     partition: Partition
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.int64).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        m = np.asarray(self.matrix)
+        if m.dtype != np.int64 and (_not_whole(m).any() or int(np.abs(m).max(initial=0)) >= 2**63):
+            raise ValueError("quotient matrix entries must be whole numbers within int64")
+        _freeze(self, matrix=m.astype(np.int64))
 
 
 def quotient_matrix(sg: SignedGraph, p: Partition) -> QuotientMatrix:
@@ -159,11 +154,14 @@ def verify_quotient_identity(
     sg: SignedGraph, p: Partition, b: QuotientMatrix | np.ndarray | Sequence[Sequence[int]]
 ) -> bool:
     """Exact integer test of ``A @ P == P @ B``."""
-    bm = np.asarray(b.matrix if isinstance(b, QuotientMatrix) else b, dtype=np.int64)
+    try:
+        bm = (b if isinstance(b, QuotientMatrix) else QuotientMatrix(b, p)).matrix
+    except ValueError:
+        return False
     if p.n != sg.graph.n or bm.shape != (p.size, p.size):
         return False
     pm = characteristic_matrix(p)
-    return np.array_equal(_adjacency_times(sg, pm), pm @ bm)
+    return np.array_equal(_exact_matmul(signed_adjacency(sg), pm), pm @ bm)
 
 
 def quotient_eigenvalues(b: QuotientMatrix) -> np.ndarray:

@@ -200,3 +200,47 @@ def test_verify_conference_does_not_depend_on_the_dtype(dtype):
     bad = c.copy()
     bad[1, 2] = bad[2, 1] = -c[1, 2]
     assert not verify_conference(bad.astype(dtype))
+
+
+# -- one rule for the entries: graphs._signed_matrix -----------------------------
+
+
+def _paley5_with(value):
+    m = paley_conference(5).matrix.astype(np.result_type(float, type(value)))
+    m[0, 1] = m[1, 0] = value
+    return m
+
+
+def test_a_fractional_entry_is_refused_not_truncated():
+    m = _paley5_with(1.4)
+    assert not verify_conference(m)
+    for build in (ConferenceMatrix, normalize):
+        with pytest.raises(ValueError, match="not a symmetric conference matrix"):
+            build(m)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1j, -1j], ids=["nan", "inf", "1j", "-1j"])
+def test_nan_infinite_and_imaginary_entries_are_refused_with_no_warning(value):
+    # the pytest configuration turns a RuntimeWarning (a cast of NaN, or a
+    # ComplexWarning) into an error, so passing means no warning was emitted
+    m = _paley5_with(value)
+    assert not verify_conference(m)
+    with pytest.raises(ValueError, match="not a symmetric conference matrix"):
+        ConferenceMatrix(m)
+    assert not verify_conference(np.full((6, 6), np.nan))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.float64, complex, object])
+def test_whole_matrices_of_every_dtype_are_accepted(dtype):
+    c = paley_conference(5).matrix
+    assert verify_conference(c.astype(dtype))
+    for m in (ConferenceMatrix(c.astype(dtype)).matrix, normalize(c.astype(dtype)).matrix):
+        assert m.dtype == np.int64 and np.array_equal(m, c)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, bool])
+def test_whole_unsigned_and_bool_matrices_are_accepted(dtype):
+    c = np.array([[0, 1], [1, 0]])
+    assert verify_conference(c.astype(dtype))
+    assert np.array_equal(ConferenceMatrix(c.astype(dtype)).matrix, c)
+    assert not verify_conference(np.zeros((0, 0), dtype=dtype))

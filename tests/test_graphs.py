@@ -591,3 +591,16 @@ def test_a_vertex_that_is_not_whole_is_reported_before_the_rows_other_errors(bui
     with pytest.raises(ValueError) as err:
         build(3, rows)
     assert str(err.value) == message
+
+
+def test_from_adjacency_refuses_an_imaginary_unit_and_reads_a_real_complex_one():
+    # the values are tested as "not 0, 1 or -1", so |1j| = 1 does not pass
+    with pytest.raises(ValueError) as err:
+        SignedGraph.from_adjacency([[0, 1j], [1j, 0]])
+    assert str(err.value) == "entry (0, 1) = 1j is not in {0, -1, +1}"
+    with pytest.raises(ValueError) as err:
+        SignedGraph.from_adjacency([[0, np.inf], [np.inf, 0]])
+    assert str(err.value) == "entry (0, 1) = inf is not in {0, -1, +1}"
+    # a RuntimeWarning (a ComplexWarning among them) is an error under pytest's configuration
+    sg = SignedGraph.from_adjacency(np.array([[0, -1 + 0j, 1], [-1, 0, 0], [1, 0, 0]]))
+    assert sg == SignedGraph.from_edge_triples(3, [(0, 1, -1), (0, 2, 1)])

@@ -4,6 +4,7 @@ import pytest
 from goodsign.conference import paley_conference
 from goodsign.constructions import (
     case_cells,
+    case_quotient_matrix,
     lex_k4_signing,
     pair_cell_partition,
     sign_complete_from_conference,
@@ -14,6 +15,7 @@ from goodsign.partition import (
     EquitabilityWitness,
     NotEquitableError,
     Partition,
+    QuotientMatrix,
     characteristic_matrix,
     is_equitable,
     quotient_eigenvalues,
@@ -244,3 +246,43 @@ def test_not_equitable_witness_in_a_later_cell():
         quotient_matrix(path, Partition.from_cells([[0, 3], [1, 2], [4], [5]]))
     assert err.value.witness == EquitabilityWitness(1, 2, 1, 2, 1, 0)
     assert str(err.value) == "partition is not equitable: d(1, C2) = 1 but d(2, C2) = 0 within cell C1"
+
+
+# -- one whole-number rule: graphs._not_whole ---------------------------------
+
+
+def _case1_quotient_with(value):
+    b = case_quotient_matrix(1, 6).astype(np.result_type(float, type(value)))
+    b[0, 1] = value
+    return b
+
+
+@pytest.mark.parametrize("value", [1.5, np.inf, -np.inf, np.nan, 1e19, 1j])
+def test_a_quotient_that_is_not_whole_is_refused_not_truncated(value):
+    # a RuntimeWarning is an error under the pytest configuration, so the casts
+    # of inf, NaN and 1e19 to int64 would fail here if they were still made
+    sg, cells = case_signing(1), case_cells(1, 6)
+    b = _case1_quotient_with(value)
+    assert not verify_quotient_identity(sg, cells, b)
+    with pytest.raises(ValueError, match="whole numbers"):
+        QuotientMatrix(b, cells)
+
+
+def test_whole_quotients_of_every_dtype_are_accepted():
+    sg, cells = case_signing(1), case_cells(1, 6)
+    b = case_quotient_matrix(1, 6)
+    for dtype in (np.int8, np.int16, np.uint8, np.float64, object):
+        assert verify_quotient_identity(sg, cells, b.astype(dtype))
+        q = QuotientMatrix(b.astype(dtype), cells).matrix
+        assert q.dtype == np.int64 and np.array_equal(q, b) and not q.flags.writeable
+    assert verify_quotient_identity(sg, cells, b.tolist())
+    assert not verify_quotient_identity(sg, cells, b.astype(bool))
+
+
+def test_a_whole_quotient_entry_beyond_int64_is_refused_not_wrapped():
+    one = Partition.from_cells([[0]])
+    for b in (np.array([[2**63]], dtype=np.uint64), np.array([[2**70]], dtype=object), [[2.0**63]]):
+        with pytest.raises(ValueError, match="within int64"):
+            QuotientMatrix(b, one)
+        assert not verify_quotient_identity(SignedGraph.all_plus(Graph(1, [])), one, b)
+    assert QuotientMatrix([[-(2**63)]], one).matrix[0, 0] == -(2**63)
