@@ -11,7 +11,8 @@ membership matrix.
 reads B and the equitability witness off it; ``partition-check`` and
 ``reproduce``'s case examples test the identity on that same D.
 :func:`verify_quotient_identity` forms its own, for a B given from elsewhere
-and read as a :class:`QuotientMatrix`, whose entries pass ``graphs._not_whole``.
+and read as a :class:`QuotientMatrix`, whose entries pass ``graphs._not_whole``
+and whose shape and cell-size symmetry are those of a quotient.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def characteristic_matrix(p: Partition) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuotientMatrix:
-    """Cell-level signed-degree matrix of an equitable partition."""
+    """Cell-level signed-degree matrix of an equitable partition: k x k for k
+    cells, with ``|C_i| B[i, j] == |C_j| B[j, i]`` in integers, as ``A @ P == P @ B`` implies."""
 
     matrix: np.ndarray
     partition: Partition
@@ -135,7 +137,14 @@ class QuotientMatrix:
         m = np.asarray(self.matrix)
         if m.dtype != np.int64 and (_not_whole(m).any() or int(np.abs(m).max(initial=0)) >= 2**63):
             raise ValueError("quotient matrix entries must be whole numbers within int64")
-        _freeze(self, matrix=m.astype(np.int64))
+        m = m.astype(np.int64)
+        k = self.partition.size
+        if m.shape != (k, k):
+            raise ValueError(f"quotient matrix must be {k} x {k} for {k} cells, got shape {m.shape}")
+        rows, sizes = m.tolist(), [len(c) for c in self.partition.cells]  # Python ints: exact
+        if any(sizes[i] * rows[i][j] != sizes[j] * rows[j][i] for i in range(k) for j in range(i)):
+            raise ValueError("quotient matrix breaks |C_i| B[i, j] == |C_j| B[j, i]")
+        _freeze(self, matrix=m)
 
 
 def quotient_matrix(sg: SignedGraph, p: Partition) -> QuotientMatrix:
@@ -170,8 +179,9 @@ def quotient_eigenvalues(b: QuotientMatrix) -> np.ndarray:
     B itself is rarely symmetric, but ``|C_i| B[i,j] == |C_j| B[j,i]`` (both
     count the signed edges between the two cells), so conjugating by the
     square roots of the cell sizes produces a symmetric matrix with the same
-    spectrum. The conjugate is symmetrised to scrub float roundoff and handed
-    to the symmetric solver.
+    spectrum. ``QuotientMatrix`` refuses any B without that symmetry, so the
+    conjugate is symmetrised only to scrub float roundoff before the
+    symmetric solver.
     """
     sizes = np.array([len(c) for c in b.partition.cells], dtype=np.float64)
     r = np.sqrt(sizes)

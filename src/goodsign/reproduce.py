@@ -2,8 +2,9 @@
 
 Every check rebuilds an object through the public construction pipeline and
 compares it against vendored expected data: bit-exact for integer matrices,
-1e-9 for spectra, 1e-8 for multiset spectrum comparisons. A check that can
-only fail honestly stays a check; known caveats are emitted as notes.
+``VERDICT_TOLERANCE`` (1e-9) for spectra, and ``check_good_signing`` for every
+good/not-good verdict. A check that can only fail honestly stays a check;
+known caveats are emitted as notes.
 
 Each example is a generator that yields ``(name, passed, detail)`` for each
 check in print order; :func:`run_example` turns them into a
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conference import normalize, paley_conference, verify_conference
+from .conference import normalize, paley_conference
 from .constructions import (
     case_cells,
     case_quotient_eigenvalues,
@@ -40,14 +41,7 @@ from .partition import (
     verify_quotient_identity,
 )
 from .refdata import reference_matrix
-from .spectra import (
-    SPECTRAL_MULTISET_TOLERANCE,
-    VERDICT_TOLERANCE,
-    check_good_signing,
-    eigenvalues_symmetric,
-    multisets_close,
-    spectral_radius,
-)
+from .spectra import VERDICT_TOLERANCE, check_good_signing, eigenvalues_symmetric, multisets_close
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,6 @@ def lift_base_signings() -> tuple[Graph, SignedGraph, SignedGraph]:
 
 def _example_c6() -> Iterator[Check]:
     c = paley_conference(5)
-    yield "conference identity", verify_conference(c.matrix), "C C^T = 5 I in exact integers"
     yield (
         "matches bundled reference",
         np.array_equal(c.matrix, reference_matrix("c6")),
@@ -155,12 +148,12 @@ def _example_cycle_cover() -> Iterator[Check]:
     yield "parts are 2-regular and bipartite", parts_ok, ""
     # one negative edge (its first row) per 6-cycle gives the odd cycle-sign class, rho sqrt(3)
     sg1, sg2 = (SignedGraph._of(h, np.where(np.arange(len(h._uv)) == 0, -1, 1).astype(np.int64)) for h in (h1, h2))
-    rho1, rho2 = (spectral_radius(signed_adjacency(sg)) for sg in (sg1, sg2))
-    parts_good = all(abs(r - math.sqrt(3)) <= VERDICT_TOLERANCE for r in (rho1, rho2)) and rho1 <= 2 + VERDICT_TOLERANCE
-    yield "part signings are good for degree 2", parts_good, f"part rho = {rho1:.6f}"
-    rho = spectral_radius(signed_adjacency(lex_k2_signing(g, sg1, sg2)))
-    bound = 2 * max(rho1, rho2)
-    yield "product rho within twice the part maximum", rho <= bound + VERDICT_TOLERANCE, f"rho {rho:.6f} <= {bound:.6f}"
+    parts = [check_good_signing(sg, mode="regular") for sg in (sg1, sg2)]
+    parts_good = all(r.is_good and abs(r.rho - math.sqrt(3)) <= VERDICT_TOLERANCE for r in parts)
+    yield "part signings are good for degree 2", parts_good, f"part rho = {parts[0].rho:.6f}"
+    product = eigenvalues_symmetric(signed_adjacency(lex_k2_signing(g, sg1, sg2)))
+    twice = multisets_close(product, 2 * np.concatenate([r.eigenvalues for r in parts]), VERDICT_TOLERANCE)
+    yield "product spectrum is twice the union of the part spectra", twice, f"rho = {np.abs(product).max():.6f}"
 
 
 def _example_unsigned_lift() -> Iterator[Check]:
@@ -176,7 +169,7 @@ def _example_unsigned_lift() -> Iterator[Check]:
     merged = np.concatenate([eigenvalues_symmetric(g.adjacency()), eigenvalues_symmetric(product)])
     yield (
         "lift spectrum is the union of base and pairing spectra",
-        multisets_close(eigenvalues_symmetric(lifted.adjacency()), merged, SPECTRAL_MULTISET_TOLERANCE),
+        multisets_close(eigenvalues_symmetric(lifted.adjacency()), merged, VERDICT_TOLERANCE),
         "",
     )
 
@@ -194,14 +187,14 @@ def _example_aphi() -> Iterator[Check]:
     # A P = P B' says both at once: each row of A P in cell i is row i of B'.
     identity = verify_quotient_identity(lifted, cells, signed_adjacency(sigma_alt))
     yield "pair cells equitable with quotient equal to the second signing", identity, ""
+    report = check_good_signing(lifted, mode="maxdeg")
     s17 = math.sqrt(17)
     expected = sorted([-(1 + s17) / 2, -2.0, -1.0, 0.0, 1.0, 1.0, (s17 - 1) / 2, 2.0])
     yield (
         "spectrum matches closed form",
-        multisets_close(eigenvalues_symmetric(adjacency), expected, VERDICT_TOLERANCE),
+        multisets_close(report.eigenvalues, expected, VERDICT_TOLERANCE),
         "{-(1+sqrt(17))/2, -2, -1, 0, 1, 1, (sqrt(17)-1)/2, 2}",
     )
-    report = check_good_signing(lifted, mode="maxdeg")
     rho_ok = abs(report.rho - (1 + s17) / 2) <= VERDICT_TOLERANCE
     yield "spectral radius (1+sqrt(17))/2", rho_ok, f"rho = {report.rho:.9f}"
     yield "good signing in maxdeg mode", report.is_good, f"rho {report.rho:.6f} < bound {report.bound:.6f}"

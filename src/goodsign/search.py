@@ -58,7 +58,8 @@ rho^2 bound 5). Each ``jobs`` range prunes against its own minimum.
 Certificates in ``find_good_signing``: ``||A4||_inf <= (bound +
 VERDICT_TOLERANCE / 2)^4`` makes a class good and a rho^4 bound above
 ``_prune_limit(bound, 4)`` not good; each chunk eigensolves only its
-undecided classes before its first certified-good one.
+undecided classes before its first certified-good one and judges them, as
+``min_rho`` judges its minimum, by the one verdict rule ``spectra._is_good``.
 
 The bounds are exact in the direction that matters, at any degree. The
 entries of ``A2`` and ``A4``, and every partial sum of the matmuls, of the
@@ -73,8 +74,8 @@ that, the roundoff of the k-th power and eigvalsh's error in a pruned class's
 rho: roundoff can keep a class that could be pruned, or leave undecided one
 that could be ruled not good, never the reverse. A certified-good class has
 rho <= bound + VERDICT_TOLERANCE / 2 exactly, and eigvalsh's error cannot lift
-its computed rho past bound + VERDICT_TOLERANCE. So every result is that of a
-search that eigensolves every class; only ``eigensolved`` depends on the bounds.
+its computed rho out of ``_is_good``. So every result is that of a search that
+eigensolves every class; only ``eigensolved`` depends on the bounds.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from typing import Iterator
 import numpy as np
 
 from .graphs import Edge, Graph, SignedGraph, _bfs_forest, _canon
-from .spectra import VERDICT_TOLERANCE, _eigvalsh, _rho, good_signing_bound
+from .spectra import VERDICT_TOLERANCE, _eigvalsh, _is_good, _rho, good_signing_bound
 
 DEFAULT_MAX_FREE_EDGES = 24
 CHUNK_BYTES = 1 << 20
@@ -180,7 +181,7 @@ def find_good_signing(
         first = int(certified[0]) if certified.size else len(mats)
         undecided = np.flatnonzero(lower[:first] <= _prune_limit(bound, 4))
         if undecided.size:
-            good = undecided[_rho(_eigvalsh(mats[undecided])) <= bound + VERDICT_TOLERANCE]
+            good = undecided[_is_good(_rho(_eigvalsh(mats[undecided])), bound)]
             first = int(good[0]) if good.size else first
         if first < len(mats):
             return _signing_for_index(g, free, int(positions[first]))
@@ -331,7 +332,7 @@ def min_rho(
         best_rho=best_rho,
         best_signing=_signing_for_index(g, free, int(positions[winner])),
         classes_examined=classes,
-        good_found=bool(best_rho <= bound + VERDICT_TOLERANCE),
+        good_found=bool(_is_good(best_rho, bound)),
         bound_used=float(bound),
         evaluated=count,
         eigensolved=sum(e for _, _, e in found),

@@ -286,3 +286,26 @@ def test_a_whole_quotient_entry_beyond_int64_is_refused_not_wrapped():
             QuotientMatrix(b, one)
         assert not verify_quotient_identity(SignedGraph.all_plus(Graph(1, [])), one, b)
     assert QuotientMatrix([[-(2**63)]], one).matrix[0, 0] == -(2**63)
+
+
+def test_a_quotient_without_the_cell_size_symmetry_is_refused():
+    # A P = P B gives |C_i| B[i, j] = |C_j| B[j, i]. [[0, 2], [1, 0]] breaks it
+    # on two singleton cells, where symmetrising would give eigenvalues +-1.5.
+    singletons = Partition(((0,), (1,)))
+    with pytest.raises(ValueError, match=r"\|C_i\| B\[i, j\] == \|C_j\| B\[j, i\]"):
+        QuotientMatrix([[0, 2], [1, 0]], singletons)
+    assert not verify_quotient_identity(SignedGraph.all_plus(path_graph(2)), singletons, [[0, 2], [1, 0]])
+    # On the path 1 - 0 - 2, cells {0} and {1, 2} give that B, with eigenvalues +-sqrt(2).
+    star = Partition(((0,), (1, 2)))
+    b = quotient_matrix(SignedGraph.all_plus(Graph.from_edges(3, [(0, 1), (0, 2)])), star)
+    assert np.array_equal(b.matrix, [[0, 2], [1, 0]])
+    assert np.allclose(quotient_eigenvalues(b), [-np.sqrt(2), np.sqrt(2)], atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 3), (2,), (2, 2, 1)])
+def test_a_quotient_that_is_not_k_by_k_is_refused(shape):
+    cells = Partition(((0,), (1,)))
+    b = np.zeros(shape, dtype=np.int64)
+    with pytest.raises(ValueError, match="must be 2 x 2 for 2 cells"):
+        QuotientMatrix(b, cells)
+    assert not verify_quotient_identity(SignedGraph.all_plus(path_graph(2)), cells, b)

@@ -3,20 +3,23 @@
 Each defect is one monkeypatch of a construction, a closed form or a check
 that the examples use. ``FLIPS`` pins, for each defect, the lines that no
 longer PASS under it: they print FAIL, or are not printed because the
-equitability check before them failed. ``UNFLIPPED`` names the PASS lines
-that no defect here turns, each as a restatement (a line that cannot fail
-while the example runs) or a blind spot (a line no defect here reaches). No
-defect draws random numbers, so the table is exact.
+equitability check before them failed or because their example raised
+(``reproduce --all`` then prints nothing). ``RAISES`` pins those examples; a
+line lost only that way is not turned by its own check. ``UNFLIPPED`` names
+the PASS lines that no defect here turns, each with the reason. No defect
+draws random numbers, so the table is exact.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 import goodsign.conference as conference
 import goodsign.constructions as constructions
 import goodsign.reproduce as reproduce
 import goodsign.spectra as spectra
+from goodsign.graphs import SignedGraph, signed_adjacency
 from goodsign.partition import Partition
 from goodsign.reproduce import example_ids, run_example
 
@@ -72,6 +75,12 @@ def _swap_paley_vertices(real, q):
     return conference.ConferenceMatrix(real(q).matrix[order][:, order])
 
 
+def _ignore_part_roles(real, g, h1, h2):
+    # Both parts' edges alike, (x, j) joined to (y, 1 - j) alone: the spectrum is
+    # +-spec(A_h1 + A_h2), off by 1.46, and rho = 3.236 stays below twice sqrt(3).
+    return SignedGraph.from_adjacency(np.kron(signed_adjacency(h1) + signed_adjacency(h2), [[0, 1], [1, 0]]))
+
+
 DEFECTS = {
     "core_matrix flips the sign of core entry (0, 1)": (constructions, "core_matrix", _flip_core_sign),
     "case_cells moves the last core vertex into the first cell": (reproduce, "case_cells", _move_core_vertex),
@@ -90,6 +99,7 @@ DEFECTS = {
     # Two more, each aimed at lines the ten above leave unturned.
     "paley_conference swaps vertices 1 and 2": (reproduce, "paley_conference", _swap_paley_vertices),
     "good_signing_bound takes the degree minus 2": (spectra, "good_signing_bound", _bound_from_degree_minus(2)),
+    "lex_k2_signing ignores the parts' roles": (reproduce, "lex_k2_signing", _ignore_part_roles),
 }
 
 _QUOTIENT_LINES = (
@@ -97,6 +107,14 @@ _QUOTIENT_LINES = (
     "quotient matches closed form",
     "quotient identity exact",
     "quotient eigenvalues match closed form",
+)
+
+_CYCLE_COVER_LINES = (
+    "two 6-cycles decompose the base",
+    "base is 4-regular and not bipartite",
+    "parts are 2-regular and bipartite",
+    "part signings are good for degree 2",
+    "product spectrum is twice the union of the part spectra",
 )
 
 FLIPS = {
@@ -138,8 +156,13 @@ FLIPS = {
         "unsigned-lift: entrywise product matches bundled reference",
         "unsigned-lift: lift edge set matches expected pairing",
     ),
-    "good_signing_bound takes the degree minus 1": ("aphi: good signing in maxdeg mode",),
+    "good_signing_bound takes the degree minus 1": (
+        "cycle-cover-lex2: part signings are good for degree 2",
+        "aphi: good signing in maxdeg mode",
+    ),
     "normalize negates row 0": ("c6: normalization idempotent",),
+    # Unturned: both parts are a 6-cycle with one negative edge, so swapping
+    # them leaves every spectrum as it was.
     "lex_k2_signing swaps h1 and h2": (),
     "paley_conference swaps vertices 1 and 2": (
         "c6: matches bundled reference",
@@ -149,41 +172,58 @@ FLIPS = {
     "good_signing_bound takes the degree minus 2": (
         "k7-case1-n6: good signing for K7",
         "k9-case3-n6: good signing for K9",
+        *(f"cycle-cover-lex2: {name}" for name in _CYCLE_COVER_LINES),
         "aphi: good signing in maxdeg mode",
+    ),
+    "lex_k2_signing ignores the parts' roles": (
+        "cycle-cover-lex2: product spectrum is twice the union of the part spectra",
     ),
 }
 
+# The degree of each 6-cycle part drops to 0, and the bound's sqrt(-1) raises.
+RAISES = {"good_signing_bound takes the degree minus 2": ("cycle-cover-lex2",)}
+
 UNFLIPPED = {
-    # Restatement: paley_conference returns a ConferenceMatrix, whose
-    # constructor refuses any matrix without C C^T = (n-1) I.
-    "c6: conference identity": "restatement",
-    # Blind spots: every line of the example checks fixed data or a product
-    # of its two parts, and both parts have rho = sqrt(3), so swapping them
-    # changes nothing printed.
-    "cycle-cover-lex2: two 6-cycles decompose the base": "blind spot",
-    "cycle-cover-lex2: base is 4-regular and not bipartite": "blind spot",
-    "cycle-cover-lex2: parts are 2-regular and bipartite": "blind spot",
-    "cycle-cover-lex2: part signings are good for degree 2": "blind spot",
-    "cycle-cover-lex2: product rho within twice the part maximum": "blind spot",
+    # Fixed data: each checks the example's literal edge lists, which no
+    # defect of the package's code can change.
+    "cycle-cover-lex2: two 6-cycles decompose the base": "fixed data",
+    "cycle-cover-lex2: base is 4-regular and not bipartite": "fixed data",
+    "cycle-cover-lex2: parts are 2-regular and bipartite": "fixed data",
 }
 
 
 def _passing():
-    return [f"{e}: {check.name}" for e in example_ids() for check in run_example(e).checks if check.passed]
+    """The PASS lines of ``reproduce --all``, and the examples that raised.
+
+    An example that raises prints none of its lines.
+    """
+    lines, raised = [], []
+    for e in example_ids():
+        try:
+            checks = run_example(e).checks
+        except ValueError:
+            raised.append(e)
+            continue
+        lines += [f"{e}: {check.name}" for check in checks if check.passed]
+    return lines, tuple(raised)
 
 
-CLEAN = _passing()
+CLEAN, _ = _passing()
 
 
 @pytest.mark.parametrize("defect", DEFECTS)
 def test_planted_defect_turns_the_pinned_lines(defect, monkeypatch):
     module, name, wrong = DEFECTS[defect]
     _wrap(monkeypatch, module, name, wrong)
-    passing = set(_passing())
+    passing, raised = _passing()
     assert tuple(line for line in CLEAN if line not in passing) == FLIPS[defect]
+    assert raised == RAISES.get(defect, ())
 
 
 def test_every_pass_line_is_turned_by_a_defect_or_named_unturned():
-    assert len(CLEAN) == 36  # every PASS line of reproduce --all
-    turned = {line for lines in FLIPS.values() for line in lines}
+    assert _passing() == (CLEAN, ())
+    assert len(CLEAN) == 35  # every PASS line of reproduce --all
+    turned = {
+        line for defect, lines in FLIPS.items() for line in lines if line.split(":")[0] not in RAISES.get(defect, ())
+    }
     assert [line for line in CLEAN if line not in turned] == list(UNFLIPPED)

@@ -18,10 +18,12 @@ from goodsign.graphs import (
     petersen_graph,
     signed_adjacency,
 )
+from goodsign import search, spectra
 from goodsign.refdata import reference_matrix
 from goodsign.spectra import (
     JACOBI_RELATIVE_TOLERANCE,
     _eigvalsh,
+    _is_good,
     _rho,
     check_good_signing,
     eigenvalues_symmetric,
@@ -229,6 +231,35 @@ def test_all_plus_k4_is_not_good():
     assert abs(report.rho - 3.0) < 1e-9
     assert report.verdict == "not_good"
     assert not report.is_good
+
+
+@pytest.mark.parametrize("bound", [2.0, 2 * math.sqrt(6), 2 * math.sqrt(60)])
+def test_verdict_rule_keeps_its_tolerance_on_scalars_and_arrays(bound):
+    assert _is_good(bound + 0.9e-9, bound) and not _is_good(bound + 1.1e-9, bound)
+    rhos = bound + np.array([-1.0, 0.0, 0.9e-9, 1.1e-9, 1.0])
+    assert _is_good(rhos, bound).tolist() == [True, True, True, False, False]
+
+
+def test_every_verdict_reaches_the_one_rule(monkeypatch):
+    # check_good_signing, find_good_signing's eigensolved classes and
+    # min_rho's good_found all decide through spectra._is_good, and keep
+    # their results when it is wrapped.
+    calls = []
+
+    def counted(rho, bound):
+        calls.append(np.size(rho))
+        return _is_good(rho, bound)
+
+    monkeypatch.setattr(spectra, "_is_good", counted)
+    monkeypatch.setattr(search, "_is_good", counted)
+    g = petersen_graph()
+    assert not check_good_signing(SignedGraph.all_plus(g)).is_good
+    assert calls == [1]
+    assert search.find_good_signing(g) is not None
+    assert len(calls) > 1
+    calls.clear()
+    assert search.min_rho(g).good_found
+    assert calls == [1]
 
 
 def test_bundled_lift_is_good_in_maxdeg_mode(lift_pair):
