@@ -161,18 +161,15 @@ def _cmd_reproduce(args) -> tuple[str, int]:
     if args.list:
         return "".join(example_id + "\n" for example_id in example_ids()), EXIT_OK
     ids = list(example_ids()) if args.all else [args.id]
+    reports = [run_example(example_id) for example_id in ids]
     lines = []
-    all_ok = True
-    for example_id in ids:
-        report = run_example(example_id)
+    for report in reports:
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
             detail = f" ({check.detail})" if check.detail else ""
             lines.append(f"{status} [{report.example_id}] {check.name}{detail}\n")
-        for note in report.notes:
-            lines.append(f"NOTE [{report.example_id}] {note}\n")
-        all_ok = all_ok and report.passed
-    return "".join(lines), EXIT_OK if all_ok else EXIT_FALSE
+        lines += [f"NOTE [{report.example_id}] {note}\n" for note in report.notes]
+    return "".join(lines), EXIT_OK if all(report.passed for report in reports) else EXIT_FALSE
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,8 +8,9 @@ known caveats are emitted as notes.
 
 Each example is a generator that yields ``(name, passed, detail)`` for each
 check in print order; :func:`run_example` turns them into a
-:class:`ReproReport` with the example's static notes. The three
-conference-core signings of K7, K8 and K9 are one generator,
+:class:`ReproReport` with the example's static notes. A ``ValueError`` that
+stops an example becomes its last check, failed: ``raised ValueError``. The
+three conference-core signings of K7, K8 and K9 are one generator,
 ``_example_case``, driven by the case table ``_CASES``.
 """
 from __future__ import annotations
@@ -232,5 +233,10 @@ def run_example(example_id: str) -> ReproReport:
     """Run one named reproduction; raises ``KeyError`` for unknown ids."""
     if example_id not in _EXAMPLES:
         raise KeyError(f"unknown example id {example_id!r}; known: {', '.join(_EXAMPLES)}")
-    checks = tuple(ReproCheck(name, bool(passed), detail) for name, passed, detail in _EXAMPLES[example_id]())
-    return ReproReport(example_id, checks, _NOTES.get(example_id, ()))
+    checks = []
+    try:
+        for name, passed, detail in _EXAMPLES[example_id]():
+            checks.append(ReproCheck(name, bool(passed), detail))
+    except ValueError as exc:
+        checks.append(ReproCheck(f"raised {type(exc).__name__}", False, str(exc)))
+    return ReproReport(example_id, tuple(checks), _NOTES.get(example_id, ()))

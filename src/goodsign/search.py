@@ -25,8 +25,8 @@ covered by its negation.
 Classes are evaluated in chunks: one vectorised scatter writes a chunk's sign
 patterns into copies of the base adjacency, and batched ``eigvalsh`` calls
 yield the spectral radii of the classes that the moment bounds below leave
-undecided. Chunks hold at most ``CHUNK_BYTES`` of matrices, so memory does
-not grow with the number of classes.
+undecided. One block per search range holds a chunk's matrices, at most
+``CHUNK_BYTES``, and two work stacks: memory does not grow with the classes.
 ``find_good_signing`` starts at 32 classes and doubles, so it stops soon
 after an early good class; ``min_rho`` never stops early and starts at the
 full chunk size.
@@ -103,8 +103,6 @@ def _free_edges(g: Graph) -> tuple[list[Edge], int]:
     Bit ``i`` of the mask is set when ``free[i]`` closes an odd cycle with
     the tree, so negating every sign maps class ``index`` to ``index ^ mask``.
     """
-    if g.n == 0:
-        raise ValueError("graph has no vertices")
     _, parent, depth = _bfs_forest(g)
     if parent.count(-1) > 1:
         raise ValueError("graph must be connected")
@@ -133,30 +131,29 @@ def _chunk_classes(g: Graph) -> int:
     return max(1, CHUNK_BYTES // (8 * g.n * g.n))
 
 
-def _class_chunks(g: Graph, free: list[Edge], lo: int, hi: int, first: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(positions, matrices)`` for consecutive chunks of positions ``[lo, hi)``.
+def _class_chunks(g: Graph, free: list[Edge], lo: int, hi: int, first: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield ``(positions, matrices, work)`` for consecutive chunks of positions ``[lo, hi)``.
 
     Bit ``i`` of a position, when set, makes ``free[i]`` -1. The first chunk
     holds ``first`` classes, and each next one twice as many, up to
-    ``_chunk_classes(g)``. The matrices are the classes' signed adjacencies in
-    float64, written into one buffer that the next chunk overwrites.
+    ``_chunk_classes(g)``. The matrices, the classes' signed adjacencies, and
+    ``work``, the two stacks of ``_Moments``, share one block each chunk reuses.
     """
     base = g.adjacency().astype(np.float64)
-    rows = np.array([u for u, _ in free], dtype=np.intp)
-    cols = np.array([v for _, v in free], dtype=np.intp)
+    rows, cols = np.array(free, dtype=np.intp).reshape(-1, 2).T
     shifts = np.arange(len(free))
     cap = _chunk_classes(g)
     size = min(first, cap)
-    stack = np.empty((min(cap, hi - lo),) + base.shape)
+    block = np.empty((3, min(cap, hi - lo)) + base.shape)
     start = lo
     while start < hi:
         positions = np.arange(start, min(start + size, hi))
-        mats = stack[: len(positions)]
+        mats = block[0, : len(positions)]
         mats[:] = base
         signs = 1.0 - 2.0 * ((positions[:, None] >> shifts) & 1)
         mats[:, rows, cols] = signs
         mats[:, cols, rows] = signs
-        yield positions, mats
+        yield positions, mats, block[1:]
         start += len(positions)
         size = min(2 * size, cap)
 
@@ -172,9 +169,7 @@ def find_good_signing(
     """
     bound, _ = good_signing_bound(g, mode)
     free, _ = _evaluated_free(g, max_free_edges)
-    count = 1 << len(free)
-    work = np.empty((2, min(_chunk_classes(g), count), g.n, g.n))
-    for positions, mats in _class_chunks(g, free, 0, count, 32):
+    for positions, mats, work in _class_chunks(g, free, 0, 1 << len(free), 32):
         moments = _Moments(mats, work)
         lower = moments.lower4()
         certified = np.flatnonzero(moments.upper4() <= (bound + VERDICT_TOLERANCE / 2) ** 4)
@@ -213,9 +208,9 @@ class _Moments:
 
     ``A2 = M @ M`` is formed for the whole stack, and ``A4 = A2 @ A2`` by
     ``lower4`` for the chosen matrices (indices into the stack; all by
-    default), once: A4 may overwrite A2. ``upper4`` reads that A4. Products,
-    gathered matrices and absolute values go into ``work``, two stacks reused
-    across chunks, so no chunk pays page faults.
+    default), once: A4 may overwrite A2. ``upper4`` takes |A4| in place, so
+    it comes after ``lower4``. Products and gathered matrices go into ``work``,
+    the two stacks that ``_class_chunks`` reuses, so no chunk pays page faults.
     """
 
     def __init__(self, mats: np.ndarray, work: np.ndarray):
@@ -232,12 +227,12 @@ class _Moments:
         if chosen is not None:
             # mode="clip" writes straight into `out`; the default mode buffers it.
             a2, out = np.take(a2, chosen, axis=0, out=out[: len(chosen)], mode="clip"), self._work[0]
-        self._a4, self._spare = np.matmul(a2, a2, out=out[: len(a2)]), a2
+        self._a4 = np.matmul(a2, a2, out=out[: len(a2)])
         return _max_quotient(self._a4)
 
     def upper4(self) -> np.ndarray:
-        """``||A4||_inf >= rho^4`` of the matrices of the last ``lower4``."""
-        return _row_sums("bij->ib", np.abs(self._a4, out=self._spare)).max(axis=0)
+        """``||A4||_inf >= rho^4`` of the matrices of the last ``lower4``; overwrites A4."""
+        return _row_sums("bij->ib", np.abs(self._a4, out=self._a4)).max(axis=0)
 
 
 def _max_quotient(ak: np.ndarray) -> np.ndarray:
@@ -283,8 +278,7 @@ def _near_ties(g: Graph, free: list[Edge], lo: int, hi: int) -> tuple[np.ndarray
     # number of classes eigensolved. A pruned class reads inf and is never kept.
     positions, rhos = np.empty(0, dtype=np.int64), np.empty(0)
     best, eigensolved = np.inf, 0
-    work = np.empty((2, min(_chunk_classes(g), hi - lo), g.n, g.n))
-    for chunk_positions, mats in _class_chunks(g, free, lo, hi, _chunk_classes(g)):
+    for chunk_positions, mats, work in _class_chunks(g, free, lo, hi, _chunk_classes(g)):
         chunk = _pruned_rhos(mats, best, work)
         eigensolved += int(np.count_nonzero(chunk < np.inf))
         best = min(best, float(chunk.min()))
@@ -314,10 +308,12 @@ def min_rho(
     global one, so the winner is always kept and never pruned, and the merged
     ranges give it.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     bound, _ = good_signing_bound(g, mode)
     free, classes = _evaluated_free(g, max_free_edges)
     count = 1 << len(free)
-    parts = min(max(1, int(jobs)), count // _chunk_classes(g))
+    parts = min(int(jobs), count // _chunk_classes(g))
     if parts <= 1:
         found = [_near_ties(g, free, 0, count)]
     else:

@@ -808,6 +808,21 @@ def test_cli_search(tmp_path, capsys):
     assert data["good_found"] and data["classes_examined"] == 2
 
 
+@pytest.mark.parametrize(
+    "graph, jobs, message",
+    [
+        (cycle_graph(4), "0", "jobs must be at least 1, got 0"),
+        (cycle_graph(4), "-3", "jobs must be at least 1, got -3"),
+        (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), "1", "graph must be connected"),
+    ],
+    ids=["jobs 0", "jobs -3", "two triangles"],
+)
+def test_cli_search_refusals_exit_2(tmp_path, capsys, graph, jobs, message):
+    g = write_json(tmp_path / "g.json", graph_to_json_dict(graph))
+    assert run(["search", "--graph", g, "--jobs", jobs]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_lift_product_pipeline(tmp_path, capsys):
     sigma = SignedGraph.from_adjacency(reference_matrix("sign4"))
     sigma_alt = SignedGraph.from_adjacency(reference_matrix("sign4_alt"))

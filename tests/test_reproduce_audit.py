@@ -3,11 +3,11 @@
 Each defect is one monkeypatch of a construction, a closed form or a check
 that the examples use. ``FLIPS`` pins, for each defect, the lines that no
 longer PASS under it: they print FAIL, or are not printed because the
-equitability check before them failed or because their example raised
-(``reproduce --all`` then prints nothing). ``RAISES`` pins those examples; a
-line lost only that way is not turned by its own check. ``UNFLIPPED`` names
-the PASS lines that no defect here turns, each with the reason. No defect
-draws random numbers, so the table is exact.
+equitability check before them failed or because their example raised (it
+then ends with ``FAIL [id] raised ValueError``). ``RAISES`` pins those
+examples; a line lost only that way is not turned by its own check. Every
+PASS line turns under some defect. No defect draws random numbers, so the
+table is exact.
 """
 
 import math
@@ -19,7 +19,8 @@ import goodsign.conference as conference
 import goodsign.constructions as constructions
 import goodsign.reproduce as reproduce
 import goodsign.spectra as spectra
-from goodsign.graphs import SignedGraph, signed_adjacency
+from goodsign.cli import run
+from goodsign.graphs import DecompositionReport, SignedGraph, signed_adjacency
 from goodsign.partition import Partition
 from goodsign.reproduce import example_ids, run_example
 
@@ -81,6 +82,11 @@ def _ignore_part_roles(real, g, h1, h2):
     return SignedGraph.from_adjacency(np.kron(signed_adjacency(h1) + signed_adjacency(h2), [[0, 1], [1, 0]]))
 
 
+def _report_shared_edge(real, g, parts):
+    report = real(g, parts)
+    return DecompositionReport(False, (min(g.edges),), report.missing_edges, report.foreign_edges)
+
+
 DEFECTS = {
     "core_matrix flips the sign of core entry (0, 1)": (constructions, "core_matrix", _flip_core_sign),
     "case_cells moves the last core vertex into the first cell": (reproduce, "case_cells", _move_core_vertex),
@@ -100,6 +106,10 @@ DEFECTS = {
     "paley_conference swaps vertices 1 and 2": (reproduce, "paley_conference", _swap_paley_vertices),
     "good_signing_bound takes the degree minus 2": (spectra, "good_signing_bound", _bound_from_degree_minus(2)),
     "lex_k2_signing ignores the parts' roles": (reproduce, "lex_k2_signing", _ignore_part_roles),
+    # Three on the cycle cover's graph checks, which the ones above leave unturned.
+    "is_bipartite returns a bipartition for every graph": (reproduce, "is_bipartite", lambda real, g: (range(g.n), ())),
+    "is_bipartite returns None": (reproduce, "is_bipartite", lambda real, g: None),
+    "verify_decomposition reports a shared edge": (reproduce, "verify_decomposition", _report_shared_edge),
 }
 
 _QUOTIENT_LINES = (
@@ -172,39 +182,33 @@ FLIPS = {
     "good_signing_bound takes the degree minus 2": (
         "k7-case1-n6: good signing for K7",
         "k9-case3-n6: good signing for K9",
-        *(f"cycle-cover-lex2: {name}" for name in _CYCLE_COVER_LINES),
+        *(f"cycle-cover-lex2: {name}" for name in _CYCLE_COVER_LINES[3:]),
         "aphi: good signing in maxdeg mode",
     ),
     "lex_k2_signing ignores the parts' roles": (
         "cycle-cover-lex2: product spectrum is twice the union of the part spectra",
     ),
+    "is_bipartite returns a bipartition for every graph": ("cycle-cover-lex2: base is 4-regular and not bipartite",),
+    "is_bipartite returns None": ("cycle-cover-lex2: parts are 2-regular and bipartite",),
+    "verify_decomposition reports a shared edge": ("cycle-cover-lex2: two 6-cycles decompose the base",),
 }
 
-# The degree of each 6-cycle part drops to 0, and the bound's sqrt(-1) raises.
+# The degree of each 6-cycle part drops to 0, and the bound's sqrt(-1) raises
+# in the part check, after the example's three graph checks.
 RAISES = {"good_signing_bound takes the degree minus 2": ("cycle-cover-lex2",)}
-
-UNFLIPPED = {
-    # Fixed data: each checks the example's literal edge lists, which no
-    # defect of the package's code can change.
-    "cycle-cover-lex2: two 6-cycles decompose the base": "fixed data",
-    "cycle-cover-lex2: base is 4-regular and not bipartite": "fixed data",
-    "cycle-cover-lex2: parts are 2-regular and bipartite": "fixed data",
-}
 
 
 def _passing():
     """The PASS lines of ``reproduce --all``, and the examples that raised.
 
-    An example that raises prints none of its lines.
+    An example that raises ends with a failed ``raised ValueError`` check.
     """
     lines, raised = [], []
     for e in example_ids():
-        try:
-            checks = run_example(e).checks
-        except ValueError:
-            raised.append(e)
-            continue
+        checks = run_example(e).checks
         lines += [f"{e}: {check.name}" for check in checks if check.passed]
+        if checks[-1].name == "raised ValueError" and not checks[-1].passed:
+            raised.append(e)
     return lines, tuple(raised)
 
 
@@ -220,10 +224,24 @@ def test_planted_defect_turns_the_pinned_lines(defect, monkeypatch):
     assert raised == RAISES.get(defect, ())
 
 
-def test_every_pass_line_is_turned_by_a_defect_or_named_unturned():
+def test_every_pass_line_is_turned_by_a_defect():
     assert _passing() == (CLEAN, ())
     assert len(CLEAN) == 35  # every PASS line of reproduce --all
     turned = {
         line for defect, lines in FLIPS.items() for line in lines if line.split(":")[0] not in RAISES.get(defect, ())
     }
-    assert [line for line in CLEAN if line not in turned] == list(UNFLIPPED)
+    assert [line for line in CLEAN if line not in turned] == []
+
+
+def test_reproduce_all_prints_every_example_when_one_raises(monkeypatch, capsys):
+    module, name, wrong = DEFECTS["good_signing_bound takes the degree minus 2"]
+    _wrap(monkeypatch, module, name, wrong)
+    assert run(["reproduce", "--all"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [e for e in example_ids() if f"[{e}]" not in out] == []
+    cycle_cover = [line for line in out.splitlines() if "[cycle-cover-lex2]" in line]
+    assert cycle_cover == [
+        *(f"PASS [cycle-cover-lex2] {name}" for name in _CYCLE_COVER_LINES[:3]),
+        "FAIL [cycle-cover-lex2] raised ValueError (math domain error)",
+    ]

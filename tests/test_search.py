@@ -185,6 +185,31 @@ def test_find_good_signing_errors():
         min_rho(petersen_graph(), max_free_edges=3)
 
 
+TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
+@pytest.mark.parametrize("search_fn", [min_rho, find_good_signing])
+def test_searches_refuse_a_disconnected_graph(search_fn):
+    # 2-regular, so the bound accepts it in both modes and the tree refuses it.
+    for mode in ("regular", "maxdeg"):
+        with pytest.raises(ValueError, match="^graph must be connected$"):
+            search_fn(TWO_TRIANGLES, mode)
+
+
+@pytest.mark.parametrize("search_fn", [min_rho, find_good_signing])
+def test_searches_refuse_an_empty_graph_at_the_bound(search_fn):
+    with pytest.raises(ValueError, match="^graph is not regular$"):
+        search_fn(Graph(0, []), "regular")
+    with pytest.raises(ValueError, match="^degree of an empty graph is undefined$"):
+        search_fn(Graph(0, []), "maxdeg")
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_min_rho_refuses_fewer_than_one_job(jobs):
+    with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+        min_rho(cycle_graph(4), jobs=jobs)
+
+
 def test_rho_is_switching_invariant():
     g = petersen_graph()
     for _ in range(5):
