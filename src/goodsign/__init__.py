@@ -48,12 +48,7 @@ from .partition import (
     quotient_matrix,
     verify_quotient_identity,
 )
-from .search import (
-    SearchResult,
-    SearchSpaceError,
-    find_good_signing,
-    min_rho,
-)
+from .search import SearchResult, SearchSpaceError, find_good_signing, min_rho
 from .spectra import (
     JacobiConvergenceError,
     JacobiResult,

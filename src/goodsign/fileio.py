@@ -25,9 +25,8 @@ import os
 import re
 import stat
 import warnings
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -318,8 +317,7 @@ def sha256_of_text(text: str) -> str:
 # -- run manifest ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """Reproducibility record written alongside every file a command emits."""
 
     command: str
@@ -329,7 +327,9 @@ class RunManifest:
     version: str
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "tolerances": dict(TOLERANCES)}
+        """The manifest's object: these five fields and ``tolerances``, whatever fields the record gains."""
+        return {"command": self.command, "inputs": self.inputs, "parameters": self.parameters,
+                "output": self.output, "version": self.version, "tolerances": dict(TOLERANCES)}
 
     def write_alongside(self, output_path: str | Path) -> Path:
         side = Path(str(output_path) + ".manifest.json")

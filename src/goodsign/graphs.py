@@ -21,10 +21,9 @@ checks, ``float64`` only where an eigensolver needs them. ``_signed_matrix``,
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,8 +128,16 @@ def _freeze(obj, **fields):
     return obj
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
-class Graph:
+class _Frozen:
+    """Fields are set once, by ``_freeze``; assigning or deleting one raises ``AttributeError``."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Graph(_Frozen):
     """Simple undirected graph on vertices ``0..n-1`` (no loops, no multi-edges).
 
     The stored form is ``n`` and ``_uv``: the edges as a read-only ``(m, 2)``
@@ -235,8 +242,7 @@ class Graph:
         return _symmetric_matrix(self.n, self._uv, 1)
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
-class SignedGraph:
+class SignedGraph(_Frozen):
     """A graph together with a total edge-sign map into ``{-1, +1}``.
 
     The stored form is ``graph`` and ``_s``: a read-only ``(m,)`` int64 sign
@@ -463,8 +469,7 @@ def is_bipartite(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     return side0, side1
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Outcome of :func:`verify_decomposition` with the violating edges listed."""
 
     ok: bool

@@ -18,7 +18,7 @@ and whose shape and cell-size symmetry are those of a quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,8 +63,7 @@ class Partition:
         return len(self.cells)
 
 
-@dataclass(frozen=True)
-class EquitabilityWitness:
+class EquitabilityWitness(NamedTuple):
     """Two vertices of one cell whose signed degrees into a cell differ."""
 
     cell: int

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,18 +42,16 @@ from .partition import (
     verify_quotient_identity,
 )
 from .refdata import reference_matrix
-from .spectra import VERDICT_TOLERANCE, check_good_signing, eigenvalues_symmetric, multisets_close
+from .spectra import VERDICT_TOLERANCE, SpectralReport, check_good_signing, eigenvalues_symmetric, multisets_close
 
 
-@dataclass(frozen=True)
-class ReproCheck:
+class ReproCheck(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ReproReport:
+class ReproReport(NamedTuple):
     example_id: str
     checks: tuple[ReproCheck, ...]
     notes: tuple[str, ...] = ()
@@ -137,8 +135,7 @@ def _example_case(case: int) -> Iterator[Check]:
         yield "quotient eigenvalues match closed form", eigenvalues_ok, ""
     report = check_good_signing(sg, mode="regular")
     yield f"spectral radius {rho_label}", abs(report.rho - rho_value) <= VERDICT_TOLERANCE, f"rho = {report.rho:.9f}"
-    relation = "<=" if good else ">"
-    yield verdict_name, report.is_good == good, f"rho {report.rho:.6f} {relation} bound {report.bound:.6f}"
+    yield verdict_name, report.is_good == good, _versus(report, "<=")
 
 
 def _example_cycle_cover() -> Iterator[Check]:
@@ -198,7 +195,13 @@ def _example_aphi() -> Iterator[Check]:
     )
     rho_ok = abs(report.rho - (1 + s17) / 2) <= VERDICT_TOLERANCE
     yield "spectral radius (1+sqrt(17))/2", rho_ok, f"rho = {report.rho:.9f}"
-    yield "good signing in maxdeg mode", report.is_good, f"rho {report.rho:.6f} < bound {report.bound:.6f}"
+    yield "good signing in maxdeg mode", report.is_good, _versus(report, "<")
+
+
+def _versus(report: SpectralReport, below: str) -> str:
+    """``rho R bound`` to six places, R the relation those printed numbers satisfy: ``below`` when rho is less."""
+    rho, bound = (float(f"{x:.6f}") for x in (report.rho, report.bound))
+    return f"rho {rho:.6f} {below if rho < bound else '=' if rho == bound else '>'} bound {bound:.6f}"
 
 
 _EXAMPLES: dict[str, Callable[[], Iterator[Check]]] = {

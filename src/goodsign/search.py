@@ -81,8 +81,7 @@ eigensolves every class; only ``eigensolved`` depends on the bounds.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -183,8 +182,7 @@ def find_good_signing(
     return None
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Minimum spectral radius over all switching classes of a graph.
 
     ``classes_examined`` counts every switching class, ``evaluated`` those

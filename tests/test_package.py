@@ -1,7 +1,23 @@
 import ast
+import dataclasses
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import goodsign
+from goodsign.fileio import RunManifest
+from goodsign.graphs import DecompositionReport, Graph, SignedGraph, complete_graph
+from goodsign.partition import EquitabilityWitness
+from goodsign.reproduce import ReproCheck, ReproReport
+from goodsign.search import SearchResult
+from goodsign.spectra import JacobiResult, SpectralReport
+
+MODULES = [importlib.import_module(f"goodsign.{m.name}") for m in pkgutil.iter_modules(goodsign.__path__)]
 
 
 def test_all_matches_the_package():
@@ -26,3 +42,63 @@ def test_readme_quick_start_runs():
     exec(compile(block, "README.md quick start", "exec"), names)
     assert names["result"].classes_examined == 64  # as the block's comment says
     assert names["report"].is_good
+
+
+def test_only_the_validated_value_classes_are_dataclasses():
+    # The result records are named tuples and the graphs sit on a frozen base:
+    # a dataclass generates its methods with exec at import time.
+    defined = [
+        name
+        for module in MODULES
+        for name, obj in vars(module).items()
+        if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+    ]
+    assert sorted(defined) == ["ConferenceMatrix", "Partition", "QuotientMatrix"]
+
+
+_K2 = SignedGraph.all_plus(complete_graph(2))
+_RECORDS = {
+    "DecompositionReport(ok=False, shared_edges=((0, 1),), missing_edges=(), foreign_edges=())": DecompositionReport(
+        False, ((0, 1),), (), ()
+    ),
+    "JacobiResult(eigenvalues=(-1.0, 1.0), sweeps=1, off_diagonal_norm=0.0, initial_norm=1.5)": JacobiResult(
+        (-1.0, 1.0), 1, 0.0, 1.5
+    ),
+    "SpectralReport(eigenvalues=(-1.0, 1.0), rho=1.0, degree=1, bound=0.0, verdict='not_good', tolerance=1e-09,"
+    " mode='maxdeg')": SpectralReport((-1.0, 1.0), 1.0, 1, 0.0, "not_good", 1e-9, "maxdeg"),
+    "EquitabilityWitness(cell=1, target_cell=2, vertex_a=1, vertex_b=2, degree_a=1, degree_b=0)": EquitabilityWitness(
+        1, 2, 1, 2, 1, 0
+    ),
+    "SearchResult(best_rho=1.0, best_signing=SignedGraph.from_edge_triples(2, [[0, 1, 1]]), classes_examined=1,"
+    " good_found=False, bound_used=0.0, evaluated=1, eigensolved=1)": SearchResult(1.0, _K2, 1, False, 0.0, 1, 1),
+    "RunManifest(command='verify', inputs=('g.json',), parameters={'mode': 'regular'}, output='-', version='0.1.0')":
+        RunManifest("verify", ("g.json",), {"mode": "regular"}, "-", "0.1.0"),
+    "ReproCheck(name='x', passed=True, detail='')": ReproCheck("x", True),
+    "ReproReport(example_id='c6', checks=(ReproCheck(name='x', passed=True, detail=''),), notes=())": ReproReport(
+        "c6", (ReproCheck("x", True),)
+    ),
+    "Graph(2, [[0, 1]])": _K2.graph,
+    "SignedGraph.from_edge_triples(2, [[0, 1, 1]])": _K2,
+}
+
+
+@pytest.mark.parametrize("text", _RECORDS)
+def test_records_and_graphs_refuse_assignment_and_keep_their_repr(text):
+    obj = _RECORDS[text]
+    assert repr(obj) == text
+    first = obj._fields[0] if isinstance(obj, tuple) else "n" if isinstance(obj, Graph) else "graph"
+    for name in (first, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert repr(obj) == text
+
+
+def test_cli_imports_only_the_standard_library_beyond_numpy():
+    code = "import sys, numpy; before = set(sys.modules); import goodsign.cli; print(*set(sys.modules) - before)"
+    env = {**os.environ, "PYTHONPATH": str(Path(goodsign.__file__).resolve().parent.parent)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    roots = {name.partition(".")[0] for name in loaded.split()}
+    assert "goodsign" in roots
+    assert sorted(roots - sys.stdlib_module_names - {"goodsign"}) == []

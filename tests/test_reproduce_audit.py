@@ -7,10 +7,13 @@ equitability check before them failed or because their example raised (it
 then ends with ``FAIL [id] raised ValueError``). ``RAISES`` pins those
 examples; a line lost only that way is not turned by its own check. Every
 PASS line turns under some defect. No defect draws random numbers, so the
-table is exact.
+table is exact. Under every defect, each verdict line states a relation that
+its printed rho and bound satisfy.
 """
 
 import math
+import operator
+import re
 
 import numpy as np
 import pytest
@@ -245,3 +248,23 @@ def test_reproduce_all_prints_every_example_when_one_raises(monkeypatch, capsys)
         *(f"PASS [cycle-cover-lex2] {name}" for name in _CYCLE_COVER_LINES[:3]),
         "FAIL [cycle-cover-lex2] raised ValueError (math domain error)",
     ]
+
+
+_VERDICT = re.compile(r"rho (\S+) (<=|<|=|>) bound (\S+)")
+_RELATIONS = {"<=": operator.le, "<": operator.lt, "=": operator.eq, ">": operator.gt}
+
+
+@pytest.mark.parametrize("defect", [None, *DEFECTS])
+def test_verdict_details_state_a_relation_that_holds(defect, monkeypatch):
+    if defect is not None:
+        _wrap(monkeypatch, *DEFECTS[defect])
+    verdicts = {
+        e: check.detail for e in example_ids() for check in run_example(e).checks if _VERDICT.fullmatch(check.detail)
+    }
+    assert list(verdicts) == ["k7-case1-n6", "k8-case2-n6", "k9-case3-n6", "aphi"]
+    for detail in verdicts.values():
+        rho, relation, bound = _VERDICT.fullmatch(detail).groups()
+        assert _RELATIONS[relation](float(rho), float(bound)), detail
+    if defect == "good_signing_bound takes the degree minus 2":
+        assert verdicts["k7-case1-n6"] == "rho 3.701562 > bound 3.464102"
+        assert verdicts["aphi"] == "rho 2.561553 > bound 0.000000"
