@@ -2,18 +2,17 @@
 
 A conference matrix of order n is a symmetric {0, +-1} matrix with zero
 diagonal satisfying ``C @ C.T == (n-1) * I`` exactly, checked in exact
-arithmetic by ``graphs._signed_matrix`` and ``graphs._exact_matmul``. The Paley
+arithmetic by ``graphs._signed_matrix`` and ``graphs._exact_matmul`` when a
+:class:`ConferenceMatrix`, a ``graphs._Frozen`` value, is built. The Paley
 construction covers orders ``q + 1`` for primes ``q = 1 (mod 4)``; prime
 powers would need finite-field arithmetic and are rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .graphs import _exact_matmul, _freeze, _signed_matrix
+from .graphs import _exact_matmul, _freeze, _Frozen, _signed_matrix
 
 
 def _is_prime(q: int) -> bool:
@@ -39,16 +38,16 @@ def verify_conference(matrix: np.ndarray) -> bool:
     return n > 0 and np.array_equal(_exact_matmul(m, m.T), (n - 1) * np.eye(n, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class ConferenceMatrix:
-    """A verified symmetric conference matrix."""
+class ConferenceMatrix(_Frozen):
+    """A verified symmetric conference matrix, stored as a read-only int64 array."""
 
+    _fields = ("matrix",)
     matrix: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not verify_conference(self.matrix):
+    def __init__(self, matrix: np.ndarray) -> None:
+        if not verify_conference(matrix):
             raise ValueError("not a symmetric conference matrix")
-        _freeze(self, matrix=np.asarray(self.matrix).real.astype(np.int64))  # entries 0, +-1: an exact cast
+        _freeze(self, matrix=np.asarray(matrix).real.astype(np.int64))  # entries 0, +-1: an exact cast
 
     @property
     def order(self) -> int:

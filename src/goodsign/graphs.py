@@ -5,8 +5,9 @@ canonical ``(min, max)`` order. A graph stores its edges as one read-only,
 sorted, duplicate-free ``(m, 2)`` int64 array, and a signed graph adds an
 ``(m,)`` int64 sign vector aligned with those rows. The tuple, set and dict
 views (``edges``, ``edge_list``, ``signs``, ``degrees``, ``neighbors``) are
-built from the arrays on first use. Everything here is immutable after
-construction, so values can be shared and sent between threads freely.
+built from the arrays on first use. These values, and those of ``conference``
+and ``partition``, sit on ``_Frozen``: immutable and compared by value, so
+they can be shared and sent between threads freely.
 
 Every builder from an edge table, the keys of a sign map included, runs the
 shared steps once in ``_EdgeTable``, then states the checks its docstring
@@ -129,12 +130,28 @@ def _freeze(obj, **fields):
 
 
 class _Frozen:
-    """Fields are set once, by ``_freeze``; assigning or deleting one raises ``AttributeError``."""
+    """A validated value whose ``_fields``, set once by ``_freeze``, give its equality
+    (same type, arrays by shape and bytes), hash and ``Name(field=value, ...)`` repr."""
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        values = map(self.__getattribute__, self._fields)
+        return tuple([(v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
 
 class Graph(_Frozen):
@@ -145,6 +162,7 @@ class Graph(_Frozen):
     when ``n`` and the edge sets are, and hash to match.
     """
 
+    _fields = ("n", "_uv")
     n: int
     _uv: np.ndarray
 
@@ -179,14 +197,6 @@ class Graph(_Frozen):
                 lambda i: t.not_whole(i) if t.odd[i] else f"self-loop at vertex {int(t.rows[i][0])}")
         _refuse(~((0 <= t.lo) & (t.hi < t.n)), lambda i: f"edge {t.edge(i)} is not canonical for n={t.n}")
         return Graph._of(t.n, t.uv.astype(np.int64, copy=False))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self is other or (self.n == other.n and np.array_equal(self._uv, other._uv))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._uv.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {self._uv.tolist()})"
@@ -250,6 +260,7 @@ class SignedGraph(_Frozen):
     view. Signed graphs compare by graph and signs and are unhashable.
     """
 
+    _fields = ("graph", "_s")
     graph: Graph
     _s: np.ndarray
     __hash__ = None
@@ -321,11 +332,6 @@ class SignedGraph(_Frozen):
         us, vs = np.nonzero((i[:, None] < i) & m.astype(bool))  # row-major order is already the sorted order
         g = Graph._of(len(m), np.column_stack((us, vs)).astype(np.int64, copy=False))
         return cls._of(g, m[us, vs].astype(np.int64, copy=False))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedGraph):
-            return NotImplemented
-        return self.graph == other.graph and np.array_equal(self._s, other._s)
 
     def __repr__(self) -> str:
         rows = np.column_stack((self.graph._uv, self._s)).tolist()

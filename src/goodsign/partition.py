@@ -17,23 +17,26 @@ and whose shape and cell-size symmetry are those of a quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import SignedGraph, _exact_matmul, _freeze, _integral, _not_whole, signed_adjacency
+from .graphs import SignedGraph, _exact_matmul, _freeze, _Frozen, _integral, _not_whole, signed_adjacency
 from .spectra import eigenvalues_symmetric
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Ordered list of disjoint, non-empty cells covering ``0..n-1``."""
+class Partition(_Frozen):
+    """Ordered list of disjoint, non-empty, sorted cells covering ``0..n-1``."""
 
+    _fields = ("cells",)
     cells: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        fixed = tuple(tuple(sorted(_integral(v, "vertex") for v in cell)) for cell in self.cells)
+    def __init__(self, cells: Iterable[Iterable[int]]) -> None:
+        try:
+            cells = [tuple(c) for c in cells]
+        except TypeError:
+            raise ValueError("cells must be a list of lists of vertices") from None
+        fixed = tuple(tuple(sorted(_integral(v, "vertex") for v in cell)) for cell in cells)
         seen: set[int] = set()
         for cell in fixed:
             if not cell:
@@ -44,19 +47,11 @@ class Partition:
         n = len(seen)
         if seen != set(range(n)):
             raise ValueError("cells must cover the vertices 0..n-1 exactly")
-        object.__setattr__(self, "cells", fixed)
+        _freeze(self, cells=fixed, n=n)
 
     @staticmethod
     def from_cells(cells: Iterable[Iterable[int]]) -> "Partition":
-        try:
-            listed = tuple(tuple(c) for c in cells)
-        except TypeError:
-            raise ValueError("cells must be a list of lists of vertices") from None
-        return Partition(listed)
-
-    @property
-    def n(self) -> int:
-        return sum(len(c) for c in self.cells)
+        return Partition(cells)
 
     @property
     def size(self) -> int:
@@ -124,26 +119,26 @@ def characteristic_matrix(p: Partition) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
+class QuotientMatrix(_Frozen):
     """Cell-level signed-degree matrix of an equitable partition: k x k for k
     cells, with ``|C_i| B[i, j] == |C_j| B[j, i]`` in integers, as ``A @ P == P @ B`` implies."""
 
+    _fields = ("matrix", "partition")
     matrix: np.ndarray
     partition: Partition
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix)
+    def __init__(self, matrix: np.ndarray, partition: Partition) -> None:
+        m = np.asarray(matrix)
         if m.dtype != np.int64 and (_not_whole(m).any() or int(np.abs(m).max(initial=0)) >= 2**63):
             raise ValueError("quotient matrix entries must be whole numbers within int64")
         m = m.astype(np.int64)
-        k = self.partition.size
+        k = partition.size
         if m.shape != (k, k):
             raise ValueError(f"quotient matrix must be {k} x {k} for {k} cells, got shape {m.shape}")
-        rows, sizes = m.tolist(), [len(c) for c in self.partition.cells]  # Python ints: exact
+        rows, sizes = m.tolist(), [len(c) for c in partition.cells]  # Python ints: exact
         if any(sizes[i] * rows[i][j] != sizes[j] * rows[j][i] for i in range(k) for j in range(i)):
             raise ValueError("quotient matrix breaks |C_i| B[i, j] == |C_j| B[j, i]")
-        _freeze(self, matrix=m)
+        _freeze(self, matrix=m, partition=partition)
 
 
 def quotient_matrix(sg: SignedGraph, p: Partition) -> QuotientMatrix:

@@ -7,12 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import goodsign
+from goodsign.conference import ConferenceMatrix
 from goodsign.fileio import RunManifest
-from goodsign.graphs import DecompositionReport, Graph, SignedGraph, complete_graph
-from goodsign.partition import EquitabilityWitness
+from goodsign.graphs import DecompositionReport, Graph, SignedGraph, _Frozen, complete_graph
+from goodsign.partition import EquitabilityWitness, Partition, QuotientMatrix
 from goodsign.reproduce import ReproCheck, ReproReport
 from goodsign.search import SearchResult
 from goodsign.spectra import JacobiResult, SpectralReport
@@ -44,16 +46,48 @@ def test_readme_quick_start_runs():
     assert names["report"].is_good
 
 
-def test_only_the_validated_value_classes_are_dataclasses():
-    # The result records are named tuples and the graphs sit on a frozen base:
-    # a dataclass generates its methods with exec at import time.
-    defined = [
-        name
-        for module in MODULES
-        for name, obj in vars(module).items()
-        if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+def test_every_public_class_is_an_exception_a_named_tuple_or_a_frozen_value():
+    # One value model: the records are named tuples and the validated values
+    # sit on _Frozen. A dataclass generates its methods with exec at import time.
+    classes = [obj for obj in map(goodsign.__dict__.get, goodsign.__all__) if isinstance(obj, type)]
+    records = [cls for cls in classes if issubclass(cls, tuple) and hasattr(cls, "_make")]
+    assert [cls.__name__ for cls in classes if not issubclass(cls, (Exception, _Frozen)) and cls not in records] == []
+    assert sorted(cls.__name__ for cls in classes if issubclass(cls, _Frozen)) == [
+        "ConferenceMatrix",
+        "Graph",
+        "Partition",
+        "QuotientMatrix",
+        "SignedGraph",
     ]
-    assert sorted(defined) == ["ConferenceMatrix", "Partition", "QuotientMatrix"]
+    assert [name for module in MODULES for name, obj in vars(module).items() if dataclasses.is_dataclass(obj)] == []
+
+
+def _k3_with_a_tail(sign):
+    return SignedGraph.from_edge_triples(4, np.array([[0, 1, sign], [0, 2, 1], [1, 2, 1], [2, 3, 1]]))
+
+
+_STAR = Partition([np.array([0]), np.array([1, 2])])
+# A maker of equal copies on new arrays, and a value one entry (of a symmetric matrix, one pair) away.
+_EQUAL_AND_ONE_ENTRY_OFF = [
+    (lambda: Graph(4, np.array([[0, 1], [1, 2]])), Graph(4, [[0, 1], [1, 3]])),
+    (lambda: _k3_with_a_tail(1), _k3_with_a_tail(-1)),
+    (lambda: ConferenceMatrix(np.array([[0, 1], [1, 0]])), ConferenceMatrix([[0, -1], [-1, 0]])),
+    (lambda: Partition([np.array([0]), np.array([2, 1])]), Partition([[0, 1], [2]])),
+    (lambda: QuotientMatrix(np.array([[0, 2], [1, 0]]), Partition([[0], [1, 2]])),
+     QuotientMatrix([[1, 2], [1, 0]], _STAR)),
+]
+
+
+def test_values_compare_by_content_and_hash_to_match():
+    for make, off in _EQUAL_AND_ONE_ENTRY_OFF:
+        a, b = make(), make()
+        assert a == b and not a != b and a in [b]
+        assert a != off and off not in [a, b]
+        if isinstance(a, SignedGraph):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(a)
+        else:
+            assert hash(a) == hash(b) and len({a, b, off}) == 2
 
 
 _K2 = SignedGraph.all_plus(complete_graph(2))
@@ -78,6 +112,10 @@ _RECORDS = {
         "c6", (ReproCheck("x", True),)
     ),
     "Graph(2, [[0, 1]])": _K2.graph,
+    "ConferenceMatrix(matrix=array([[0]]))": ConferenceMatrix([[0]]),
+    "Partition(cells=((0,), (1, 2)))": _STAR,
+    "QuotientMatrix(matrix=array([[1]]), partition=Partition(cells=((0, 1),)))":
+        QuotientMatrix([[1]], Partition([[1, 0]])),
     "SignedGraph.from_edge_triples(2, [[0, 1, 1]])": _K2,
 }
 
@@ -86,8 +124,7 @@ _RECORDS = {
 def test_records_and_graphs_refuse_assignment_and_keep_their_repr(text):
     obj = _RECORDS[text]
     assert repr(obj) == text
-    first = obj._fields[0] if isinstance(obj, tuple) else "n" if isinstance(obj, Graph) else "graph"
-    for name in (first, "extra"):
+    for name in (obj._fields[0], "extra"):
         with pytest.raises(AttributeError):
             setattr(obj, name, 0)
         with pytest.raises(AttributeError):
@@ -100,5 +137,5 @@ def test_cli_imports_only_the_standard_library_beyond_numpy():
     env = {**os.environ, "PYTHONPATH": str(Path(goodsign.__file__).resolve().parent.parent)}
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     roots = {name.partition(".")[0] for name in loaded.split()}
-    assert "goodsign" in roots
+    assert "goodsign" in roots and "dataclasses" not in roots
     assert sorted(roots - sys.stdlib_module_names - {"goodsign"}) == []

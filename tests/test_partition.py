@@ -43,6 +43,14 @@ def test_partition_validation():
     assert p.n == 3 and p.size == 2
 
 
+@pytest.mark.parametrize("cells", [5, None, [[0], 1]])
+def test_partition_refuses_cells_that_are_not_lists_of_vertices(cells):
+    # from_cells is Partition itself: one path, one message, whichever is called.
+    for build in (Partition, Partition.from_cells):
+        with pytest.raises(ValueError, match="cells must be a list of lists of vertices"):
+            build(cells)
+
+
 def test_signed_degree_examples():
     k4 = SignedGraph.all_plus(complete_graph(4))
     assert signed_degree(k4, 0, [1, 2, 3]) == 3
