@@ -10,6 +10,8 @@ validates equitable partitions exactly in integers, and searches all
 switching classes of small graphs exhaustively.
 """
 
+from types import ModuleType as _ModuleType
+
 from .conference import ConferenceMatrix, core_matrix, normalize, paley_conference, verify_conference
 from .constructions import (
     case_cells,
@@ -30,7 +32,6 @@ from .graphs import (
     SignedGraph,
     complete_graph,
     cycle_graph,
-    entrywise_product,
     is_bipartite,
     path_graph,
     petersen_graph,
@@ -63,54 +64,4 @@ from .spectra import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConferenceMatrix",
-    "DecompositionReport",
-    "EquitabilityWitness",
-    "Graph",
-    "JacobiConvergenceError",
-    "JacobiResult",
-    "NotEquitableError",
-    "Partition",
-    "QuotientMatrix",
-    "SearchResult",
-    "SearchSpaceError",
-    "SignedGraph",
-    "SpectralReport",
-    "case_cells",
-    "case_quotient_eigenvalues",
-    "case_quotient_matrix",
-    "characteristic_matrix",
-    "check_good_signing",
-    "complete_graph",
-    "core_matrix",
-    "cycle_graph",
-    "eigenvalues_symmetric",
-    "entrywise_product",
-    "find_good_signing",
-    "good_signing_bound",
-    "is_bipartite",
-    "is_equitable",
-    "jacobi_diagonalize",
-    "lex_k2_signing",
-    "lex_k4_signing",
-    "min_rho",
-    "multisets_close",
-    "normalize",
-    "pair_cell_partition",
-    "paley_conference",
-    "path_graph",
-    "petersen_graph",
-    "quotient_eigenvalues",
-    "quotient_matrix",
-    "sign_complete_from_conference",
-    "signed_adjacency",
-    "signing_equivalence",
-    "spectral_radius",
-    "switching_witness_cycle",
-    "two_lift",
-    "two_lift_signed",
-    "verify_conference",
-    "verify_decomposition",
-    "verify_quotient_identity",
-]
+__all__ = sorted(n for n, v in vars().items() if not n.startswith("_") and not isinstance(v, _ModuleType))

@@ -4,10 +4,11 @@ Each ``_cmd_*`` function takes the parsed arguments and returns the text the
 command emits and its exit code; :func:`run` writes that text, the only
 writer. Exit codes are a stable contract: 0 for success (or a ``good``
 verdict), 1 for a check that came back false, 2 for usage, parse, or
-precondition errors. Whenever ``--out`` is given, the text goes to that file
-and a ``<out>.manifest.json`` sidecar records the command, its input files
-(the values of the command's file options, in parser order), its parameters,
-the version, and the tolerance settings.
+precondition errors and for inputs too large to allocate. Whenever ``--out``
+is given, the text goes to that file and a ``<out>.manifest.json`` sidecar
+records the command, its input files (the values of the command's file
+options, in parser order), its parameters, the version, and the tolerance
+settings.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         text, code = args.func(args)
         _emit(args, text)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return code

@@ -56,7 +56,7 @@ def case_cells(case: int, n: int) -> Partition:
         head: list[tuple[int, ...]] = [(0, 1), (2, 3)]
     else:
         head = [(v,) for v in range(core_start)]
-    return Partition.from_cells(head + [tuple(range(core_start, m))])
+    return Partition(head + [tuple(range(core_start, m))])
 
 
 def sign_complete_from_conference(c: ConferenceMatrix, case: int) -> SignedGraph:
@@ -186,7 +186,7 @@ def _lift(a: np.ndarray, b: np.ndarray) -> SignedGraph:
 
 def pair_cell_partition(n: int) -> Partition:
     """Cells {2u, 2u+1} for each base vertex u of a 2-lift."""
-    return Partition.from_cells([(2 * u, 2 * u + 1) for u in range(n)])
+    return Partition([(2 * u, 2 * u + 1) for u in range(n)])
 
 
 def _switching_equivalence(

@@ -144,7 +144,7 @@ def signed_graph_from_json_dict(d: dict) -> SignedGraph:
 
 
 def partition_from_json_dict(d: dict) -> Partition:
-    return Partition.from_cells(_required(d, "cells"))
+    return Partition(_required(d, "cells"))
 
 
 _EDGES = re.compile(rb'"edges"[ \t\n\r]*:[ \t\n\r]*\[')

@@ -393,17 +393,6 @@ def _symmetric_matrix(n: int, uv: np.ndarray, values: int | np.ndarray) -> np.nd
     return a
 
 
-def entrywise_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise matrix product; both arguments must have the same square shape."""
-    x = np.asarray(a)
-    y = np.asarray(b)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError("first matrix must be square")
-    if x.shape != y.shape:
-        raise ValueError(f"order mismatch: {x.shape} vs {y.shape}")
-    return x * y
-
-
 def complete_graph(m: int) -> Graph:
     """K_m on vertices ``0..m-1``."""
     if m < 1:

@@ -49,10 +49,6 @@ class Partition(_Frozen):
             raise ValueError("cells must cover the vertices 0..n-1 exactly")
         _freeze(self, cells=fixed, n=n)
 
-    @staticmethod
-    def from_cells(cells: Iterable[Iterable[int]]) -> "Partition":
-        return Partition(cells)
-
     @property
     def size(self) -> int:
         return len(self.cells)

@@ -168,11 +168,11 @@ def spectral_radius(a: np.ndarray) -> float:
     return float(_rho(eigenvalues_symmetric(a)))
 
 
-def multisets_close(a, b, tol: float) -> bool:
-    """Whether two eigenvalue multisets agree elementwise after sorting."""
+def multisets_close(a, b) -> bool:
+    """Whether two eigenvalue multisets agree elementwise, within ``VERDICT_TOLERANCE``, after sorting."""
     xs = np.sort(np.asarray(a, dtype=np.float64))
     ys = np.sort(np.asarray(b, dtype=np.float64))
-    return xs.shape == ys.shape and bool(np.all(np.abs(xs - ys) <= tol))
+    return xs.shape == ys.shape and bool(np.all(np.abs(xs - ys) <= VERDICT_TOLERANCE))
 
 
 def good_signing_bound(g: Graph, mode: str) -> tuple[float, int]:

@@ -96,7 +96,7 @@ def test_criterion_02_core_spectrum():
         "core spectrum",
         [
             ("spectrum is {-sqrt5, -sqrt5, 0, sqrt5, sqrt5}",
-             multisets_close(eig, [-s5, -s5, 0.0, s5, s5], 1e-9)),
+             multisets_close(eig, [-s5, -s5, 0.0, s5, s5])),
             ("largest eigenvalue is sqrt(n-1)", abs(eig[-1] - s5) <= 1e-9),
         ],
     )
@@ -122,7 +122,7 @@ def test_criterion_03_case1_pinned_construction():
             ),
             (
                 "quotient spectrum matches its closed form",
-                multisets_close(quotient_eigenvalues(b), case_quotient_eigenvalues(1, 6), 1e-9),
+                multisets_close(quotient_eigenvalues(b), case_quotient_eigenvalues(1, 6)),
             ),
         ],
     )
@@ -150,7 +150,7 @@ def test_criterion_03_case1_stated_eigenvalues():
                 "stated quotient spectrum {(1-sqrt33)/2, -1, (1+sqrt33)/2}; the "
                 "pinned quotient [[0,1,5],[1,0,5],[1,1,0]] has characteristic "
                 "polynomial (x+1)(x^2-x-10), i.e. {(1-sqrt41)/2, -1, (1+sqrt41)/2}",
-                multisets_close(quotient_eigenvalues(b), stated, 1e-9),
+                multisets_close(quotient_eigenvalues(b), stated),
             ),
         ],
     )
@@ -172,8 +172,8 @@ def test_criterion_04_case2_honest_failure():
             ),
             (
                 "quotient eigenvalues are {5, -1, -1, -3} per the closed form",
-                multisets_close(quotient_eigenvalues(b), formula, 1e-9)
-                and multisets_close(formula, [-3.0, -1.0, -1.0, 5.0], 1e-12),
+                multisets_close(quotient_eigenvalues(b), formula)
+                and formula == [-3.0, -1.0, -1.0, 5.0],
             ),
             ("rho equals 5", abs(report.rho - 5.0) <= 1e-9),
             ("rho exceeds 2*sqrt(6)", report.rho > 2 * math.sqrt(6)),
@@ -239,8 +239,8 @@ def test_criterion_07_unsigned_lift_spectrum():
         "unsigned lift spectrum equals base plus pairing spectra",
         [
             (
-                "multiset equality within 1e-8",
-                multisets_close(eigenvalues_symmetric(lifted.adjacency()), merged, 1e-8),
+                "multiset equality within 1e-9",
+                multisets_close(eigenvalues_symmetric(lifted.adjacency()), merged),
             )
         ],
     )
@@ -284,7 +284,7 @@ def test_criterion_08_signed_lift_stated_spectrum():
             (
                 "stated list has -1 twice and +1 once; the pinned matrix's "
                 f"spectrum is {np.round(actual, 6).tolist()} (+1 twice, -1 once)",
-                multisets_close(actual, stated, 1e-9),
+                multisets_close(actual, stated),
             )
         ],
     )

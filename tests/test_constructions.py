@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from goodsign.conference import ConferenceMatrix, paley_conference
 from goodsign.constructions import (
+    CASES,
     _switching_equivalence,
     case_cells,
     case_quotient_eigenvalues,
@@ -32,10 +33,17 @@ from goodsign.graphs import (
     petersen_graph,
     signed_adjacency,
 )
-from goodsign.partition import is_equitable, quotient_eigenvalues, quotient_matrix
+from goodsign.partition import characteristic_matrix, is_equitable, quotient_eigenvalues, quotient_matrix
 from goodsign.refdata import reference_matrix
 from goodsign.reproduce import EXPECTED_LIFT_EDGES, cycle_cover_base
-from goodsign.spectra import eigenvalues_symmetric, multisets_close, spectral_radius
+from goodsign.spectra import (
+    VERDICT_TOLERANCE,
+    check_good_signing,
+    eigenvalues_symmetric,
+    multisets_close,
+    spectral_radius,
+)
+from test_conference import PALEY_PRIMES
 
 RNG = np.random.default_rng(987654321)
 
@@ -130,7 +138,7 @@ def test_cases_scale_to_larger_cores(case, q):
     sg = sign_complete_from_conference(c, case)
     b = quotient_matrix(sg, case_cells(case, n))
     assert np.array_equal(b.matrix, case_quotient_matrix(case, n))
-    assert multisets_close(quotient_eigenvalues(b), case_quotient_eigenvalues(case, n), 1e-9)
+    assert multisets_close(quotient_eigenvalues(b), case_quotient_eigenvalues(case, n))
 
 
 def test_construction_input_validation():
@@ -160,7 +168,7 @@ def test_case_quotient_eigenvalues_match_numerics(case):
     b = quotient_matrix(
         sign_complete_from_conference(paley_conference(5), case), case_cells(case, 6)
     )
-    assert multisets_close(quotient_eigenvalues(b), case_quotient_eigenvalues(case, 6), 1e-9)
+    assert multisets_close(quotient_eigenvalues(b), case_quotient_eigenvalues(case, 6))
 
 
 def test_case_rhos():
@@ -171,6 +179,55 @@ def test_case_rhos():
     assert abs(rho2 - 5.0) < 1e-9
     rho3 = spectral_radius(signed_adjacency(sign_complete_from_conference(c, 3)))
     assert abs(rho3 - math.sqrt(21)) < 1e-9
+
+
+# The family theorem in q. With n = q + 1, case c signs K_{n+c}, of degree q + c, so the bound is
+# 2 sqrt(q + c - 1). The spectrum is the quotient's closed form and, on the complement of the cells,
+# +-sqrt(q) (and +-sqrt(5) in case 3 once q > 5). Each verdict then reduces to integers:
+#   case 1: (1 + sqrt(8q + 1))/2 <= 2 sqrt(q)      <=>  q >= 1
+#   case 2: 1 + sqrt(3q + 1)     <= 2 sqrt(q + 1)  <=>  16(q + 1) <= (q + 4)^2
+#   case 3: sqrt(4q + 1)         <= 2 sqrt(q + 2)  <=>  4q + 1 <= 4q + 8
+_FAMILY_RULES = {
+    1: (lambda q: q >= 1, lambda q: max((1 + math.sqrt(8 * q + 1)) / 2, math.sqrt(q))),
+    2: (lambda q: 16 * (q + 1) <= (q + 4) ** 2, lambda q: 1 + math.sqrt(3 * q + 1)),
+    3: (lambda q: 4 * q + 1 <= 4 * q + 8, lambda q: max(math.sqrt(4 * q + 1), math.sqrt(q), math.sqrt(5))),
+}
+
+
+def _complement_annihilated(a, cells, roots_squared):
+    # prod (A^2 - r I) kills every vector orthogonal to the cell indicators, checked on the columns of
+    # L (I - P (P^T P)^-1 P^T), L the lcm of the cell sizes. The products run in float64 and stay exact:
+    # every partial sum is an integer of at most n^4 L, far below 2**53.
+    p = characteristic_matrix(cells)
+    sizes = p.sum(axis=0)
+    scale = math.lcm(*sizes.tolist())
+    m = scale * np.eye(len(a)) - (p * (scale // sizes)) @ p.T
+    a = a.astype(np.float64)
+    a2 = a @ a
+    for r in roots_squared:
+        m = (a2 - r * np.eye(len(a))) @ m
+    return not m.any()
+
+
+def test_family_verdicts_follow_the_integer_rule_for_every_paley_prime():
+    not_good = []
+    for q in PALEY_PRIMES:
+        c = paley_conference(q)
+        for case in CASES:
+            good, closed_rho = (rule(q) for rule in _FAMILY_RULES[case])
+            sg = sign_complete_from_conference(c, case)
+            report = check_good_signing(sg, mode="regular")
+            assert report.is_good == good and abs(report.rho - closed_rho) <= VERDICT_TOLERANCE, (q, case)
+            assert report.bound == 2 * math.sqrt(q + case - 1)
+            a, cells = signed_adjacency(sg), case_cells(case, q + 1)
+            roots = (q,) if case < 3 or q == 5 else (5, q)
+            assert _complement_annihilated(a, cells, roots), (q, case)
+            assert all(not _complement_annihilated(a, cells, roots[:k] + roots[k + 1:]) for k in range(len(roots)))
+            if not good:
+                not_good.append((q, case))
+            if (q, case) == (197, 3):
+                assert round(report.bound - report.rho, 4) == 0.1243
+    assert not_good == [(5, 2)]
 
 
 # -- products -------------------------------------------------------------------
@@ -194,7 +251,7 @@ def test_lex_k2_single_edge_alternating_block():
     assert product.sign(0, 2) == 1 and product.sign(1, 3) == 1
     assert product.sign(0, 3) == -1 and product.sign(1, 2) == -1
     eig = eigenvalues_symmetric(signed_adjacency(product))
-    assert multisets_close(eig, [-2.0, 0.0, 0.0, 2.0], 1e-9)
+    assert multisets_close(eig, [-2.0, 0.0, 0.0, 2.0])
     assert spectral_radius(signed_adjacency(product)) <= 2.0 + 1e-9
 
 
@@ -224,7 +281,7 @@ def test_lex_k4_single_edge():
     assert product.sign(0, 4) == -1  # parallel edge flips
     assert product.sign(0, 5) == 1
     eig = eigenvalues_symmetric(signed_adjacency(product))
-    assert multisets_close(eig, [-2, -2, -2, -2, 2, 2, 2, 2], 1e-9)
+    assert multisets_close(eig, [-2, -2, -2, -2, 2, 2, 2, 2])
 
 
 @pytest.mark.parametrize(
@@ -247,7 +304,7 @@ def test_lex_k4_cell_quotient_doubles_the_signing():
     cells = [tuple(range(4 * x, 4 * x + 4)) for x in range(4)]
     from goodsign.partition import Partition
 
-    p = Partition.from_cells(cells)
+    p = Partition(cells)
     ok, _ = is_equitable(product, p)
     assert ok
     assert np.array_equal(quotient_matrix(product, p).matrix, 2 * signed_adjacency(sigma))
@@ -271,7 +328,6 @@ def test_all_plus_lift_is_two_copies():
     assert multisets_close(
         eigenvalues_symmetric(lifted.adjacency()),
         np.repeat(eigenvalues_symmetric(g.adjacency()), 2),
-        1e-9,
     )
 
 
@@ -304,7 +360,7 @@ def test_lift_spectrum_merges_base_and_pairing():
                 eigenvalues_symmetric(signed_adjacency(tau)),
             ]
         )
-        assert multisets_close(eigenvalues_symmetric(lifted.adjacency()), merged, 1e-8)
+        assert multisets_close(eigenvalues_symmetric(lifted.adjacency()), merged)
 
 
 def test_signed_lift_matches_reference(lift_pair):
@@ -317,9 +373,7 @@ def test_signed_lift_with_equal_signings_is_two_copies(lift_pair):
     g, sigma, _ = lift_pair
     lifted = two_lift_signed(g, sigma, sigma)
     base_eig = eigenvalues_symmetric(signed_adjacency(sigma))
-    assert multisets_close(
-        eigenvalues_symmetric(signed_adjacency(lifted)), np.repeat(base_eig, 2), 1e-9
-    )
+    assert multisets_close(eigenvalues_symmetric(signed_adjacency(lifted)), np.repeat(base_eig, 2))
     assert abs(
         spectral_radius(signed_adjacency(lifted)) - spectral_radius(signed_adjacency(sigma))
     ) < 1e-9
@@ -345,9 +399,7 @@ def test_signed_lift_spectrum_splits(lift_pair):
                 eigenvalues_symmetric(signed_adjacency(s2)),
             ]
         )
-        assert multisets_close(
-            eigenvalues_symmetric(signed_adjacency(lifted)), merged, 1e-8
-        )
+        assert multisets_close(eigenvalues_symmetric(signed_adjacency(lifted)), merged)
 
 
 def test_lift_degree_preservation():

@@ -46,7 +46,7 @@ def test_signed_graph_json_round_trip():
 
 
 def test_partition_json_round_trip():
-    p = Partition.from_cells([[0, 1], [2]])
+    p = Partition([[0, 1], [2]])
     assert partition_from_json_dict({"cells": [list(c) for c in p.cells]}) == p
 
 
@@ -287,7 +287,7 @@ def _encoder_payloads():
 
 
 def pair_partition(n):
-    return Partition.from_cells([(2 * u, 2 * u + 1) for u in range(n)])
+    return Partition([(2 * u, 2 * u + 1) for u in range(n)])
 
 
 @pytest.mark.parametrize("name", list(_encoder_payloads()))
@@ -702,6 +702,20 @@ def test_cli_spectrum_refuses_a_non_finite_spectrum(tmp_path, capsys, text, mess
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_cli_reports_a_failed_allocation_as_an_input_error(tmp_path, capsys, monkeypatch):
+    # The real n x n int64 matrix would need 7.28 TiB; the stub fails the way numpy does, at once.
+    import goodsign.graphs
+
+    def refuse(n, uv, values):
+        raise MemoryError(f"Unable to allocate 7.28 TiB for an array with shape ({n}, {n}) and data type int64")
+
+    monkeypatch.setattr(goodsign.graphs, "_symmetric_matrix", refuse)
+    g = write_json(tmp_path / "huge.json", {"n": 1000000, "edges": [[0, 1]]})
+    assert run(["spectrum", "--graph", g]) == 2
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) and data type int64"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_spectrum_of_conference_matrix(tmp_path, capsys):

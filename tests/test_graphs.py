@@ -8,7 +8,6 @@ from goodsign.graphs import (
     SignedGraph,
     complete_graph,
     cycle_graph,
-    entrywise_product,
     is_bipartite,
     path_graph,
     petersen_graph,
@@ -307,39 +306,6 @@ def test_switching_round_trip():
     with pytest.raises(ValueError):
         sg.switched([1, 1.5, 1, 1])
     assert sg.switched(np.array([1.0, -1.0, True, -1])).signs == sg.switched(d).signs
-
-
-def test_entrywise_product_examples():
-    a = reference_matrix("sign4")
-    b = reference_matrix("sign4_alt")
-    assert np.array_equal(entrywise_product(a, b), reference_matrix("sign4_product"))
-    # squaring a signing recovers the unsigned adjacency
-    sg = SignedGraph.from_adjacency(a)
-    assert np.array_equal(entrywise_product(a, a), sg.graph.adjacency())
-    zero = np.zeros_like(a)
-    assert np.array_equal(entrywise_product(a, zero), zero)
-    # the support pattern acts as the identity
-    assert np.array_equal(entrywise_product(a, np.abs(a)), a)
-    with pytest.raises(ValueError):
-        entrywise_product(a, np.zeros((3, 3), dtype=np.int64))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 5), st.randoms(use_true_random=False))
-def test_entrywise_product_commutes_and_associates(n, rnd):
-    def rand_sym():
-        m = np.zeros((n, n), dtype=np.int64)
-        for u in range(n):
-            for v in range(u + 1, n):
-                m[u, v] = m[v, u] = rnd.choice([-1, 0, 1])
-        return m
-
-    a, b, c = rand_sym(), rand_sym(), rand_sym()
-    assert np.array_equal(entrywise_product(a, b), entrywise_product(b, a))
-    assert np.array_equal(
-        entrywise_product(entrywise_product(a, b), c),
-        entrywise_product(a, entrywise_product(b, c)),
-    )
 
 
 # -- the tuple/dict construction the arrays replaced, kept as a loop reference --

@@ -1,4 +1,3 @@
-import ast
 import dataclasses
 import importlib
 import os
@@ -22,18 +21,28 @@ from goodsign.spectra import JacobiResult, SpectralReport
 MODULES = [importlib.import_module(f"goodsign.{m.name}") for m in pkgutil.iter_modules(goodsign.__path__)]
 
 
+PUBLIC_NAMES = [
+    "ConferenceMatrix", "DecompositionReport", "EquitabilityWitness", "Graph", "JacobiConvergenceError",
+    "JacobiResult", "NotEquitableError", "Partition", "QuotientMatrix", "SearchResult", "SearchSpaceError",
+    "SignedGraph", "SpectralReport", "case_cells", "case_quotient_eigenvalues", "case_quotient_matrix",
+    "characteristic_matrix", "check_good_signing", "complete_graph", "core_matrix", "cycle_graph",
+    "eigenvalues_symmetric", "find_good_signing", "good_signing_bound", "is_bipartite", "is_equitable",
+    "jacobi_diagonalize", "lex_k2_signing", "lex_k4_signing", "min_rho", "multisets_close", "normalize",
+    "pair_cell_partition", "paley_conference", "path_graph", "petersen_graph", "quotient_eigenvalues",
+    "quotient_matrix", "sign_complete_from_conference", "signed_adjacency", "signing_equivalence", "spectral_radius",
+    "switching_witness_cycle", "two_lift", "two_lift_signed", "verify_conference", "verify_decomposition",
+    "verify_quotient_identity",
+]
+
+
 def test_all_matches_the_package():
-    names = goodsign.__all__
-    assert len(names) == len(set(names)), "duplicate names in __all__"
-    assert [n for n in names if not hasattr(goodsign, n)] == []
-    tree = ast.parse(Path(goodsign.__file__).read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
-    assert sorted(n for n in imported if not n.startswith("_") and n not in names) == []
+    assert goodsign.__all__ == PUBLIC_NAMES
+
+
+def test_star_import_binds_the_public_names_alone():
+    names = {}
+    exec("from goodsign import *", names)
+    assert sorted(name for name in names if name != "__builtins__") == PUBLIC_NAMES
 
 
 def test_readme_quick_start_runs():

@@ -33,22 +33,20 @@ def case_signing(case):
 
 def test_partition_validation():
     with pytest.raises(ValueError):
-        Partition.from_cells([[0, 1], [1, 2]])  # overlap
+        Partition([[0, 1], [1, 2]])  # overlap
     with pytest.raises(ValueError):
-        Partition.from_cells([[0], [2]])  # gap
+        Partition([[0], [2]])  # gap
     with pytest.raises(ValueError):
-        Partition.from_cells([[0], []])  # empty cell
-    p = Partition.from_cells([[2, 0], [1]])
+        Partition([[0], []])  # empty cell
+    p = Partition([[2, 0], [1]])
     assert p.cells == ((0, 2), (1,))
     assert p.n == 3 and p.size == 2
 
 
 @pytest.mark.parametrize("cells", [5, None, [[0], 1]])
 def test_partition_refuses_cells_that_are_not_lists_of_vertices(cells):
-    # from_cells is Partition itself: one path, one message, whichever is called.
-    for build in (Partition, Partition.from_cells):
-        with pytest.raises(ValueError, match="cells must be a list of lists of vertices"):
-            build(cells)
+    with pytest.raises(ValueError, match="cells must be a list of lists of vertices"):
+        Partition(cells)
 
 
 def test_signed_degree_examples():
@@ -75,7 +73,7 @@ def test_is_equitable_trivial_partitions():
 
 def test_is_equitable_witness():
     sg = SignedGraph.all_plus(path_graph(3))
-    ok, witness = is_equitable(sg, Partition.from_cells([[0, 1], [2]]))
+    ok, witness = is_equitable(sg, Partition([[0, 1], [2]]))
     assert not ok
     assert witness.cell == 0 and witness.target_cell == 1
     assert {witness.degree_a, witness.degree_b} == {0, 1}
@@ -118,7 +116,7 @@ def test_singleton_quotient_is_the_signed_adjacency():
 def test_quotient_requires_equitable():
     sg = SignedGraph.all_plus(path_graph(3))
     with pytest.raises(NotEquitableError) as err:
-        quotient_matrix(sg, Partition.from_cells([[0, 1], [2]]))
+        quotient_matrix(sg, Partition([[0, 1], [2]]))
     assert err.value.witness.target_cell == 1
 
 
@@ -205,7 +203,7 @@ def _random_signing(rng, n):
 
 def _random_partition(rng, n):
     labels = rng.integers(0, rng.integers(1, n + 1), size=n)
-    return Partition.from_cells([np.flatnonzero(labels == x).tolist() for x in np.unique(labels)])
+    return Partition([np.flatnonzero(labels == x).tolist() for x in np.unique(labels)])
 
 
 def _differential_cases():
@@ -219,12 +217,12 @@ def _differential_cases():
         other = SignedGraph(base.graph, {e: int(rng.choice([-1, 1])) for e in base.graph.edge_list})
         cases.append((two_lift_signed(base.graph, base, other), pair_cell_partition(base.graph.n)))
         small = _random_signing(rng, int(rng.integers(1, 4)))
-        fibres = Partition.from_cells([range(4 * x, 4 * x + 4) for x in range(small.graph.n)])
+        fibres = Partition([range(4 * x, 4 * x + 4) for x in range(small.graph.n)])
         cases.append((lex_k4_signing(small.graph, small), fibres))
         cases.append((base, Partition(tuple((v,) for v in range(base.graph.n)))))
     # the first failing pair is in cell 1, target cell 2: vertex 1 sees 4, vertex 2 does not
     path = SignedGraph.all_plus(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (1, 4)]))
-    cases.append((path, Partition.from_cells([[0, 3], [1, 2], [4], [5]])))
+    cases.append((path, Partition([[0, 3], [1, 2], [4], [5]])))
     return cases
 
 
@@ -251,7 +249,7 @@ def test_partition_checks_match_the_loop_reference():
 def test_not_equitable_witness_in_a_later_cell():
     path = SignedGraph.all_plus(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (1, 4)]))
     with pytest.raises(NotEquitableError) as err:
-        quotient_matrix(path, Partition.from_cells([[0, 3], [1, 2], [4], [5]]))
+        quotient_matrix(path, Partition([[0, 3], [1, 2], [4], [5]]))
     assert err.value.witness == EquitabilityWitness(1, 2, 1, 2, 1, 0)
     assert str(err.value) == "partition is not equitable: d(1, C2) = 1 but d(2, C2) = 0 within cell C1"
 
@@ -288,7 +286,7 @@ def test_whole_quotients_of_every_dtype_are_accepted():
 
 
 def test_a_whole_quotient_entry_beyond_int64_is_refused_not_wrapped():
-    one = Partition.from_cells([[0]])
+    one = Partition([[0]])
     for b in (np.array([[2**63]], dtype=np.uint64), np.array([[2**70]], dtype=object), [[2.0**63]]):
         with pytest.raises(ValueError, match="within int64"):
             QuotientMatrix(b, one)

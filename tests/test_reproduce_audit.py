@@ -56,7 +56,12 @@ def _change_closed_form_eigenvalue(real, case, n):
 
 
 def _cross_pair_cells(real, n):
-    return Partition.from_cells([(2 * u, (2 * u + 3) % (2 * n)) for u in range(n)])
+    return Partition([(2 * u, (2 * u + 3) % (2 * n)) for u in range(n)])
+
+
+def _negate_second_signing(real):
+    g, sigma, sigma_alt = real()
+    return g, sigma, SignedGraph.from_adjacency(-signed_adjacency(sigma_alt))
 
 
 def _bound_from_degree_minus(k):
@@ -101,7 +106,7 @@ DEFECTS = {
     ),
     "_lift crosses every pair": (constructions, "_lift", lambda real, a, b: real(a, -a)),
     "pair_cell_partition pairs 2u with 2u + 3": (reproduce, "pair_cell_partition", _cross_pair_cells),
-    "entrywise_product is negated": (reproduce, "entrywise_product", lambda real, a, b: -real(a, b)),
+    "lift_base_signings negates the second signing": (reproduce, "lift_base_signings", _negate_second_signing),
     "good_signing_bound takes the degree minus 1": (spectra, "good_signing_bound", _bound_from_degree_minus(1)),
     "normalize negates row 0": (reproduce, "normalize", _negate_row_0),
     "lex_k2_signing swaps h1 and h2": (reproduce, "lex_k2_signing", lambda real, g, h1, h2: real(g, h2, h1)),
@@ -165,9 +170,10 @@ FLIPS = {
     "pair_cell_partition pairs 2u with 2u + 3": (
         "aphi: pair cells equitable with quotient equal to the second signing",
     ),
-    "entrywise_product is negated": (
+    "lift_base_signings negates the second signing": (
         "unsigned-lift: entrywise product matches bundled reference",
         "unsigned-lift: lift edge set matches expected pairing",
+        "aphi: signed lift matches bundled reference",
     ),
     "good_signing_bound takes the degree minus 1": (
         "cycle-cover-lex2: part signings are good for degree 2",
