@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import _exact_matmul, _freeze, _Frozen, _signed_matrix
+from .graphs import _exact_matmul, _freeze, _Frozen, _integral, _signed_matrix
 
 
 def _is_prime(q: int) -> bool:
@@ -66,6 +66,7 @@ def paley_conference(q: int) -> ConferenceMatrix:
     exactly when ``j - i`` is a nonzero square mod q, which makes the result
     normalized as built.
     """
+    q = _integral(q, "q")
     if not _is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     if q % 4 != 1:

@@ -32,6 +32,7 @@ from .graphs import (
     Graph,
     SignedGraph,
     _bfs_forest,
+    _integral,
     signed_adjacency,
     verify_decomposition,
 )
@@ -40,23 +41,25 @@ from .partition import Partition
 CASES = (1, 2, 3)
 
 
-def _case_layout(case: int, n: int) -> tuple[int, int]:
-    """(number of vertices, index of the first core vertex) for a family case."""
+def _case_order(case: int, n: int) -> tuple[int, int]:
+    """``case`` and the conference order ``n`` as ints; a ValueError naming
+    either unless it is a whole number, the case in CASES and n at least 6."""
+    case, n = _integral(case, "case"), _integral(n, "conference order")
     if case not in CASES:
         raise ValueError(f"unknown case {case}; expected 1, 2 or 3")
     if n < 6:
         raise ValueError(f"conference order must be at least 6, got {n}")
-    return n + case, case + 1
+    return case, n
 
 
 def case_cells(case: int, n: int) -> Partition:
     """The canonical cell partition used by each complete-graph family."""
-    m, core_start = _case_layout(case, n)
+    case, n = _case_order(case, n)
     if case == 3:
         head: list[tuple[int, ...]] = [(0, 1), (2, 3)]
     else:
-        head = [(v,) for v in range(core_start)]
-    return Partition(head + [tuple(range(core_start, m))])
+        head = [(v,) for v in range(case + 1)]
+    return Partition(head + [tuple(range(case + 1, n + case))])
 
 
 def sign_complete_from_conference(c: ConferenceMatrix, case: int) -> SignedGraph:
@@ -68,9 +71,9 @@ def sign_complete_from_conference(c: ConferenceMatrix, case: int) -> SignedGraph
     u1u2 = v1v2 = +1, u1v2 = v1u2 = -1, every pair-to-core edge positive.
     The partition from :func:`case_cells` is equitable for the result.
     """
-    m, core_start = _case_layout(case, c.order)
-    a = 1 - np.eye(m, dtype=np.int64)
-    a[core_start:, core_start:] = core_matrix(c)
+    case, n = _case_order(case, c.order)
+    a = 1 - np.eye(n + case, dtype=np.int64)
+    a[case + 1 :, case + 1 :] = core_matrix(c)
     if case == 3:
         us, vs = [0, 0, 1], [1, 3, 2]
         a[us, vs] = a[vs, us] = -1
@@ -82,7 +85,7 @@ def sign_complete_from_conference(c: ConferenceMatrix, case: int) -> SignedGraph
 
 def case_quotient_matrix(case: int, n: int) -> np.ndarray:
     """Quotient of the family signing over :func:`case_cells`, in closed form."""
-    _case_layout(case, n)
+    case, n = _case_order(case, n)
     if case == 1:
         b = [[0, 1, n - 1], [1, 0, n - 1], [1, 1, 0]]
     elif case == 2:
@@ -100,7 +103,7 @@ def case_quotient_eigenvalues(case: int, n: int) -> tuple[float, ...]:
     Case 2: ``(x + 1)^2 (x^2 - 2x - (3n-3))``, giving ``1 +- sqrt(3n-2)``
     and -1 twice. Case 3: ``x (x^2 - (4n-3))``, giving ``+-sqrt(4n-3)`` and 0.
     """
-    _case_layout(case, n)
+    case, n = _case_order(case, n)
     if case == 1:
         r = math.sqrt(8 * n - 7)
         return ((1 - r) / 2, -1.0, (1 + r) / 2)

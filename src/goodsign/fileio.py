@@ -3,8 +3,9 @@
 Graph JSON: ``{"n": int, "edges": [[u, v], ...]}``; signed graphs carry
 ``[[u, v, s], ...]`` with s in {-1, 1}; partitions are
 ``{"cells": [[v, ...], ...]}``; the graph dicts hold their edge rows as one
-int64 array. Any valid JSON loads; numpy parses a plain integer ``"edges"``
-table closed by the document's last ``]``, as in every file goodsign writes,
+int64 array. Any valid JSON loads; numpy parses an ``"edges"`` table closed
+by the document's last ``]`` when :func:`_int_table`, writing what numpy
+read, gives back the table's exact bytes, as in every file goodsign writes,
 and ``json.loads`` reads every other document. Matrices travel as plain text
 with newline-separated rows and space-separated entries. :func:`dumps_json`
 emits the bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` with
@@ -166,70 +167,39 @@ def _load(path: str | Path, build: Callable[[Any], Any]) -> Any:
 
 def _with_edge_array(data: bytes) -> dict:
     """The JSON object in ``data`` with its top-level ``"edges"`` table as an
-    int64 array; a ValueError unless ``json.loads`` reads the same numbers.
+    int64 array; a ValueError unless the table is as :func:`dumps_json` writes it.
 
     The table runs from ``"edges": [`` to the document's last ``]``, as in
-    every file goodsign writes; a document with a ``]`` after its table is
-    refused, and so read by ``json.loads``. The table's brackets and commas
-    must form ``m`` rows of one width, and :func:`_plain_slots` must pass, so
-    that numpy, reading the table without its brackets, reads each slot as
-    one value of no more digits than its text. The table's digits and signs
-    must then number what ``str()`` writes for the values: an empty slot,
-    which numpy reads as 0, is one digit short.
+    every file goodsign writes. numpy reads its numbers, and
+    :func:`_int_table`, writing them as the table of a top-level member,
+    must give back exactly the table's bytes; ``json.loads`` then reads the
+    same numbers from them.
     """
     head = _EDGES.search(data)
     if not head or not data.isascii():  # a BOM or other non-ASCII text decodes as it always did
         raise ValueError("no plain edge table")
     start, end = head.end() - 1, data.rfind(b"]") + 1
     span = data[start:end]
-    packed = span.translate(None, b" \t\n\r")
-    shape = packed.translate(None, b"0123456789-")
-    row = b"[" + b"," * (shape.find(b"]") - 2) + b"]"  # b"[,,]" for width 3
-    width, m = len(row) - 1, (len(shape) - 1) // (len(row) + 1)
-    if shape != b"[" + row + (b"," + row) * (m - 1) + b"]" or not _plain_slots(span, packed):
-        raise ValueError("not a plain edge table")
     with warnings.catch_warnings(record=True) as caught:  # an older numpy warns, not raises, where it stops early
         warnings.simplefilter("always")
         v = np.fromstring(span.translate(None, b"[]"), dtype=np.int64, sep=",")
-    if caught or v.size != m * width or not -(10**18) < v.min() <= v.max() < 10**18:
+    width = span.count(b",", 0, span.find(b"]")) + 1  # the first row's
+    if caught or not v.size or v.size % width:
         raise ValueError("not a plain edge table")
-    a = np.abs(v)
-    written = v.size + np.count_nonzero(v < 0) + sum(np.count_nonzero(a >= 10**k) for k in range(1, len(str(a.max()))))
+    table, out, at = v.reshape(-1, width), [], start
+    _int_table(table, "  ", out)
+    for text in map(str.encode, out):  # fragment by fragment: the fragments are never joined
+        if not data.startswith(text, at):
+            raise ValueError("not a plain edge table")
+        at += len(text)
     rest = data[:start] + b"NaN" + data[end:]
     keys = []
     hook = lambda pairs: keys.append([k for k, _ in pairs]) or dict(pairs)  # noqa: E731
     doc = json.loads(rest, object_pairs_hook=hook, parse_constant=lambda c: _HOLE if c == "NaN" else float(c))
-    if not (
-        len(packed) - len(shape) == written  # the digits and signs of each value as str() writes it
-        and rest.count(b"NaN") == 1 and type(doc) is dict and keys[-1].count("edges") == 1 and doc["edges"] is _HOLE
-    ):
+    if not (at == end and rest.count(b"NaN") == 1 and type(doc) is dict and keys[-1].count("edges") == 1 and doc["edges"] is _HOLE):
         raise ValueError("not a plain edge table")
-    doc["edges"] = v.reshape(m, width)
+    doc["edges"] = table
     return doc
-
-
-def _plain_slots(span: bytes, packed: bytes) -> bool:
-    """Whether the digits and signs of the table ``span`` lie in its slots,
-    none led by a ``0`` or a ``-`` that ``str()`` would not write; ``packed``
-    is ``span`` without whitespace, and holds only brackets, commas, digits
-    and ``-``.
-
-    Refused: a ``-`` not followed by a digit 1-9 (numpy reads ``- 1`` as -1;
-    ``str()`` writes no ``-0``), a slot that starts with ``0`` and goes on,
-    and a digit or ``-`` outside a row, after a ``]`` or before a ``[``: with
-    the brackets stripped it joins the slot next to it, and ``[[1, ]5]``
-    reads as ``[[1, 5]]``.
-    """
-    s = np.frombuffer(span, np.uint8)
-    b = np.frombuffer(packed, np.uint8)
-    number = b - np.uint8(ord("-")) < 13  # "-" or a digit
-    before_slot = (b == ord("[")) | (b == ord(","))
-    return not (
-        (s[np.flatnonzero(s == ord("-")) + 1] - np.uint8(ord("1")) > 8).any()
-        or (before_slot[:-2] & (b[1:-1] == ord("0")) & number[2:]).any()
-        or ((b[:-1] == ord("]")) & number[1:]).any()
-        or (number[:-1] & (b[1:] == ord("["))).any()
-    )
 
 
 def load_graph(path: str | Path) -> Graph:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,30 @@ def test_construction_input_validation():
         case_quotient_eigenvalues(1, 5)  # order below 6
 
 
+# each family entry point, called with a whole number in one argument and the rest fixed
+_ORDER_TAKERS = {
+    "case_cells n": (6, lambda x: case_cells(1, x)),
+    "case_cells case": (1, lambda x: case_cells(x, 6)),
+    "case_quotient_matrix n": (6, lambda x: case_quotient_matrix(1, x)),
+    "case_quotient_eigenvalues n": (6, lambda x: case_quotient_eigenvalues(3, x)),
+    "case_quotient_eigenvalues case": (1, lambda x: case_quotient_eigenvalues(x, 6)),
+    "sign_complete_from_conference case": (1, lambda x: sign_complete_from_conference(paley_conference(5), x)),
+    "paley_conference q": (5, paley_conference),
+}
+
+
+@pytest.mark.parametrize("taker", list(_ORDER_TAKERS))
+def test_fractional_orders_and_cases_are_refused_not_truncated(taker):
+    whole, call = _ORDER_TAKERS[taker]
+    want = call(whole)
+    for same in (float(whole), np.int64(whole)):
+        got = call(same)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+    for bad in (whole + 0.5, math.nan, str(whole)):
+        with pytest.raises(ValueError, match=r" %s is not an integer$" % re.escape(repr(bad))):
+            call(bad)
+
+
 def test_case_quotient_eigenvalue_values():
     e1 = case_quotient_eigenvalues(1, 6)
     r41 = math.sqrt(41)
@@ -209,8 +234,16 @@ def _complement_annihilated(a, cells, roots_squared):
     return not m.any()
 
 
+# bound - rho, to 4 places, at the ends of PALEY_PRIMES and where case 2 turns good
+_FAMILY_MARGINS = {
+    (5, 1): 0.7706, (197, 1): 7.7156,
+    (5, 2): -0.1010, (13, 2): 0.1588, (197, 2): 2.8114,
+    (5, 3): 0.7089, (197, 3): 0.1243,
+}
+
+
 def test_family_verdicts_follow_the_integer_rule_for_every_paley_prime():
-    not_good = []
+    not_good, margins = [], {case: [] for case in CASES}
     for q in PALEY_PRIMES:
         c = paley_conference(q)
         for case in CASES:
@@ -225,9 +258,14 @@ def test_family_verdicts_follow_the_integer_rule_for_every_paley_prime():
             assert all(not _complement_annihilated(a, cells, roots[:k] + roots[k + 1:]) for k in range(len(roots)))
             if not good:
                 not_good.append((q, case))
-            if (q, case) == (197, 3):
-                assert round(report.bound - report.rho, 4) == 0.1243
+            margins[case].append(report.bound - report.rho)
+            if (q, case) in _FAMILY_MARGINS:
+                assert round(report.bound - report.rho, 4) == _FAMILY_MARGINS[q, case], (q, case)
     assert not_good == [(5, 2)]
+    # the case-1 and case-2 margins grow with q, about as sqrt(q); the case-3 margin shrinks, about as 7/(4 sqrt(q))
+    for case, grows in ((1, True), (2, True), (3, False)):
+        steps = np.diff(margins[case])
+        assert (steps > 0).all() if grows else (steps < 0).all(), case
 
 
 # -- products -------------------------------------------------------------------

@@ -421,10 +421,10 @@ def test_reading_the_large_cli_files_hands_json_loads_no_large_document(tmp_path
     assert sizes and max(sizes) <= 64 * 1024
 
 
-def test_an_indent_2_file_at_n260_still_takes_the_fast_read(tmp_path, monkeypatch, capsys):
+def test_an_indent_2_file_at_n260_loads_by_json_loads_to_the_same_graph(tmp_path, monkeypatch, capsys):
     # the n = 260 product as the former encoder wrote it, json.dumps(..., indent=2)
-    # of the same rows, loads through numpy to the same signed graph and the
-    # same partition-check output
+    # of the same rows: the fast read refuses it, and json.loads reads it to the
+    # same signed graph and the same partition-check output
     from goodsign import fileio
     from goodsign.constructions import case_cells
 
@@ -437,17 +437,60 @@ def test_an_indent_2_file_at_n260_still_takes_the_fast_read(tmp_path, monkeypatc
     cells = [[4 * x + i for x in cell for i in range(4)] for cell in case_cells(3, 62).cells]
     part = write_json(tmp_path / "cells.json", {"cells": cells})
     sizes, fast = [], []
-    loads, read = json.loads, fileio._with_edge_array
+    loads = json.loads
     monkeypatch.setattr(json, "loads", lambda s, **kw: sizes.append(len(s)) or loads(s, **kw))
-    monkeypatch.setattr(fileio, "_with_edge_array", lambda data: fast.append(len(data)) or read(data))
+    monkeypatch.setattr(fileio, "_with_edge_array", _recording_fast_read(fast))
     stdout = []
     for path in (lex, old):
         assert run(["partition-check", "--signed", str(path), "--partition", part]) == 0
         stdout.append(capsys.readouterr().out)
     assert stdout[0] == stdout[1]
     assert fileio.load_signed_graph(old) == fileio.load_signed_graph(lex)
-    assert fast == [619856, 1418576, 1418576, 619856]
-    assert max(sizes) <= 64 * 1024
+    assert fast == [(619856, True), (1418576, False), (1418576, False), (619856, True)]
+    assert sorted(sizes)[-2:] == [1418576, 1418576] and sorted(sizes)[-3] <= 64 * 1024
+
+
+def _recording_fast_read(taken):
+    """``fileio._with_edge_array``, appending to ``taken`` each file's size and whether it took the file."""
+    from goodsign import fileio
+
+    read = fileio._with_edge_array
+
+    def recording(data):
+        try:
+            doc = read(data)
+        except ValueError:
+            taken.append((len(data), False))
+            raise
+        taken.append((len(data), True))
+        return doc
+
+    return recording
+
+
+def test_the_cli_benchmark_files_take_the_fast_read(tmp_path, monkeypatch, capsys):
+    # the goodsign-written files of the cli benchmark that reach the fast read's size:
+    # the q = 61 case-3 signing, its n = 260 lex-k4 product, and a 2-lift at n = 34
+    from goodsign import fileio
+    from goodsign.constructions import case_cells
+
+    taken = []
+    monkeypatch.setattr(fileio, "_with_edge_array", _recording_fast_read(taken))
+    s61, lex, s13, lift = (tmp_path / name for name in ("s61.json", "lex260.json", "s13.json", "lift34.json"))
+    cells = [[4 * x + i for x in cell for i in range(4)] for cell in case_cells(3, 62).cells]
+    assert run(["sign-complete", "--q", "61", "--case", "3", "--out", str(s61)]) == 0
+    assert run(["lex-k4", "--signing", str(s61), "--out", str(lex)]) == 0
+    assert run(["partition-check", "--signed", str(lex), "--partition", write_json(tmp_path / "cells.json", {"cells": cells})]) == 0
+    assert run(["sign-complete", "--q", "13", "--case", "3", "--out", str(s13)]) == 0
+    switched = fileio.load_signed_graph(s13).switched([(-1) ** (v % 3) for v in range(17)])
+    sw = write_json(tmp_path / "sw13.json", signed_graph_to_json_dict(switched))
+    assert run(["lift2", "--sigma", str(s13), "--sigma-prime", sw, "--out", str(lift)]) == 0
+    pairs = write_json(tmp_path / "pairs.json", {"cells": [[2 * x, 2 * x + 1] for x in range(17)]})
+    assert run(["partition-check", "--signed", str(lift), "--partition", pairs]) == 0
+    capsys.readouterr()
+    sizes = [p.stat().st_size for p in (s61, lex, lift)]
+    assert sizes[:2] == [35669, 619856] and sizes[2] >= fileio._FAST_READ_BYTES
+    assert taken == [(size, True) for size in sizes]
 
 
 @st.composite

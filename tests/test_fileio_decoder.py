@@ -1,9 +1,10 @@
 """The numpy read of a plain ``"edges"`` table against ``json.loads``.
 
 ``fileio._with_edge_array`` either refuses a document (ValueError) or returns
-exactly what ``json.loads`` returns, with the table as an int64 array. The
-loaders built on it must give the same graph as ``json.loads`` of
-``Path.read_text``, or the same exception with the same message.
+exactly what ``json.loads`` returns, with the table as an int64 array; it
+takes a table only in the layout ``dumps_json`` writes. The loaders built on
+it must give the same graph as ``json.loads`` of ``Path.read_text``, or the
+same exception with the same message.
 """
 
 import json
@@ -34,6 +35,9 @@ LOADERS = {
     "signed": (fileio.load_signed_graph, fileio.signed_graph_from_json_dict),
     "signing for C4": (lambda path: fileio.load_signing_for(cycle_graph(4), path), _signing_for_c4),
 }
+
+
+FAST_READ_BYTES = fileio._FAST_READ_BYTES  # the size the cli's loaders try the fast read from
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -213,20 +217,22 @@ def written_graphs(draw):
     obj = signed_graph_to_json_dict(sg) if draw(st.booleans()) else graph_to_json_dict(sg.graph)
     indent = draw(st.sampled_from(["dumps_json", None, 0, 1, 4]))
     if indent == "dumps_json":
-        return obj, dumps_json(obj)
+        return obj, dumps_json(obj), True
     plain = {"n": obj["n"], "edges": obj["edges"].tolist()}
     if draw(st.booleans()):
         plain = {"edges": plain["edges"], "n": plain["n"]}
-    return obj, json.dumps(plain, indent=indent, separators=(",", ":") if indent is None else None)
+    return obj, json.dumps(plain, indent=indent, separators=(",", ":") if indent is None else None), False
 
 
 @settings(max_examples=150, deadline=None)
 @given(written_graphs())
 def test_written_graphs_take_the_fast_read(tmp_path_factory, case):
-    obj, text = case
+    # what dumps_json writes is taken; json.dumps's layouts load by json.loads to the same graph
+    obj, text, by_dumps_json = case
     fast = check_document(text, tmp_path_factory.getbasetemp())
     if len(obj["edges"]):
-        assert fast is not None and np.array_equal(fast["edges"], obj["edges"])
+        assert (fast is not None) == by_dumps_json
+        assert fast is None or np.array_equal(fast["edges"], obj["edges"])
 
 
 @pytest.mark.parametrize(
@@ -305,14 +311,15 @@ def test_fast_read_matches_json_loads_on_pinned_documents(tmp_path, text):
     "slot, taken",
     [
         ("2", True), ("-2", True), ("0", True), ("10", True), ("999999999999999999", True),
-        ("-999999999999999999", True), ("1.0", False), ("1e0", False), ("-0", False),
-        ("007", False), ("1234567890123456789", False), ("12345678901234567890", False),
-        ("-12345678901234567890", False), ("", False), (" ", False), ("1 2", False),
-        ("- 1", False), ("-\t1", False), ("+1", False), ("--1", False), ("１", False),
+        ("-999999999999999999", True), ("1234567890123456789", True), ("9223372036854775807", True),
+        ("1.0", False), ("1e0", False), ("-0", False), ("007", False),
+        ("9223372036854775808", False),  # numpy reads it as 2**63 - 1, with no warning
+        ("12345678901234567890", False), ("-12345678901234567890", False), ("", False), (" ", False),
+        ("1 2", False), ("- 1", False), ("-\t1", False), ("+1", False), ("--1", False), ("１", False),
     ],
 )
 def test_which_slots_the_fast_read_takes(tmp_path, slot, taken):
-    text = '{"edges": [[0, 1, %s], [1, 2, 3]], "n": 3}' % slot
+    text = '{\n  "edges": [\n    [0, 1, %s],\n    [1, 2, 3]\n  ],\n  "n": 3\n}\n' % slot  # as dumps_json writes it
     assert (check_document(text, tmp_path) is not None) == taken
 
 
@@ -351,13 +358,12 @@ def test_a_numpy_warning_refuses_the_table(tmp_path, monkeypatch):
 
 def test_a_bracket_after_the_table_takes_json_loads(tmp_path):
     # the fast read takes the table to end at the document's last "]"
-    for text in (
-        '{"n": 3, "edges": [[0, 1], [1, 2]], "name": "x]"}',
-        '{"n": 3, "edges": [[0, 1], [1, 2]], "cells": [[0, 1], [2]]}',
-        '{"n": 3, "edges": [[0, 1], [1, 2]], "x": []}',
-    ):
-        assert check_document(text, tmp_path) is None
-    assert check_document('{"x": [], "n": 3, "edges": [[0, 1], [1, 2]]}', tmp_path) is not None
+    edges = np.array([[0, 1], [1, 2]])
+    for after in ({"name": "x]"}, {"x": [[0, 1], [2]]}, {"x": []}):
+        assert check_document(dumps_json({"n": 3, "edges": edges, **after}), tmp_path) is None
+    # the written table, then one "]" too many: not JSON
+    assert check_document(dumps_json({"n": 3, "edges": edges}).replace("\n  ]", "\n  ]]"), tmp_path) is None
+    assert check_document(dumps_json({"a": [], "n": 3, "edges": edges}), tmp_path) is not None
 
 
 @pytest.fixture(scope="module")
@@ -376,9 +382,18 @@ def test_the_lex_k4_file_at_n260_takes_the_fast_read(tmp_path, lex260_text, edge
         table, n = text.rsplit(',\n  "n": ', 1)
         text = '{\n  "n": ' + n.split("\n")[0] + "," + table[1:] + "\n}\n"
         assert text.index('"n"') < text.index('"edges"')
-    assert len(text) >= fileio._FAST_READ_BYTES  # the cli reads it by the fast read, not by json.loads alone
+    assert len(text) >= FAST_READ_BYTES  # the cli reads it by the fast read, not by json.loads alone
     fast = check_document(text, tmp_path)
     assert fast is not None and fast["n"] == 260 and fast["edges"].shape == (33280, 3)
+
+
+def test_a_wide_range_table_at_full_size_takes_the_fast_read(tmp_path):
+    # values spanning more than the table's size: dumps_json writes it by the %-format branch
+    rows = np.random.default_rng(7).integers(-(2**62), 2**62, size=(300, 3))
+    text = dumps_json({"n": 3, "edges": rows})
+    assert len(text) >= FAST_READ_BYTES and rows.max() - rows.min() >= rows.size
+    fast = check_document(text, tmp_path)
+    assert fast is not None and np.array_equal(fast["edges"], rows)
 
 
 def test_empty_and_bare_tables_take_json_loads(tmp_path):
