@@ -132,7 +132,7 @@ def _required(d: Any, key: str) -> Any:
 
 
 def graph_from_json_dict(d: dict) -> Graph:
-    return Graph.from_edges(_required(d, "n"), d.get("edges", []))
+    return Graph(_required(d, "n"), d.get("edges", []))
 
 
 def signed_graph_to_json_dict(sg: SignedGraph) -> dict:
@@ -213,16 +213,10 @@ def load_signed_graph(path: str | Path) -> SignedGraph:
 def load_signing_for(graph: Graph, path: str | Path) -> SignedGraph:
     """Signing file for an existing graph: signed JSON or a bare triple list.
 
-    The signs must cover exactly the graph's edge set.
+    The triples must cover exactly the graph's edge set, as the items of a
+    sign map given to ``SignedGraph`` must.
     """
-
-    def signing(raw: Any) -> SignedGraph:
-        sg = SignedGraph.from_edge_triples(graph.n, _required(raw, "edges") if isinstance(raw, dict) else raw)
-        if sg.graph != graph:
-            raise ValueError("signing does not cover exactly the graph's edge set")
-        return sg
-
-    return _load(path, signing)
+    return _load(path, lambda raw: SignedGraph._covering(graph, _required(raw, "edges") if isinstance(raw, dict) else raw))
 
 
 def load_partition(path: str | Path) -> Partition:

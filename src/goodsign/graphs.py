@@ -9,9 +9,11 @@ built from the arrays on first use. These values, and those of ``conference``
 and ``partition``, sit on ``_Frozen``: immutable and compared by value, so
 they can be shared and sent between threads freely.
 
-Every builder from an edge table, the keys of a sign map included, runs the
-shared steps once in ``_EdgeTable``, then states the checks its docstring
-lists, in that order, one ``_refuse`` line each; each reports the first
+Each value has one validating builder from an edge table: ``Graph(n, edges)``
+for pairs and ``SignedGraph.from_edge_triples`` for ``(u, v, sign)`` triples,
+the items of a sign map and the rows of a signing file included. Both run the
+shared steps once in ``_EdgeTable``, then state the checks their docstrings
+list, in that order, one ``_refuse`` line each; each reports the first
 offending row in the order the input iterates.
 
 Adjacency matrices are plain numpy arrays: ``int64`` for exact identity
@@ -52,10 +54,6 @@ def _vertex_count(n) -> int:
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     return n
-
-
-def _edge_of(row: Sequence) -> Edge:
-    return _canon(int(row[0]), int(row[1]))
 
 
 class _EdgeTable:
@@ -101,7 +99,7 @@ class _EdgeTable:
         return f"vertex {self.rows[i][0] if self.frac[i, 0] else self.rows[i][1]!r} is not an integer"
 
     def edge(self, i: int) -> Edge:
-        return _edge_of(self.rows[i])
+        return _canon(int(self.rows[i][0]), int(self.rows[i][1]))
 
 
 def _not_whole(a: np.ndarray) -> np.ndarray:
@@ -167,16 +165,16 @@ class Graph(_Frozen):
     _uv: np.ndarray
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]) -> None:
-        """Graph on canonical pairs ``(u, v)``, ``0 <= u < v < n``; repeats collapse.
+        """Graph on any iterable of vertex pairs, in either order; repeats collapse.
 
         Checks, in order: the vertex count, the table's shape, the first
-        vertex that is not a whole number, the first pair that is not
-        canonical.
+        pair with a vertex that is not a whole number or with a self-loop,
+        the first pair out of range.
         """
         t = _EdgeTable(n, edges, 2)
-        _refuse(t.odd, t.not_whole)
-        _refuse(~((0 <= t.a[:, 0]) & (t.a[:, 0] < t.a[:, 1]) & (t.a[:, 1] < t.n)),
-                lambda i: f"edge ({t.rows[i][0]}, {t.rows[i][1]}) is not canonical for n={t.n}")
+        _refuse(t.odd | (t.lo == t.hi),
+                lambda i: t.not_whole(i) if t.odd[i] else f"self-loop at vertex {int(t.rows[i][0])}")
+        _refuse(~((0 <= t.lo) & (t.hi < t.n)), lambda i: f"edge {t.edge(i)} is not canonical for n={t.n}")
         _freeze(self, n=t.n, _uv=t.uv.astype(np.int64, copy=False))
 
     @classmethod
@@ -186,17 +184,8 @@ class Graph(_Frozen):
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        """Build a graph from any iterable of vertex pairs, canonicalising order.
-
-        Repeats collapse. Checks, in order: the vertex count, the table's
-        shape, the first pair with a vertex that is not a whole number or
-        with a self-loop, the first pair out of range.
-        """
-        t = _EdgeTable(n, edges, 2)
-        _refuse(t.odd | (t.lo == t.hi),
-                lambda i: t.not_whole(i) if t.odd[i] else f"self-loop at vertex {int(t.rows[i][0])}")
-        _refuse(~((0 <= t.lo) & (t.hi < t.n)), lambda i: f"edge {t.edge(i)} is not canonical for n={t.n}")
-        return Graph._of(t.n, t.uv.astype(np.int64, copy=False))
+        """``Graph(n, edges)``, under the name older callers use."""
+        return Graph(n, edges)
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {self._uv.tolist()})"
@@ -266,31 +255,29 @@ class SignedGraph(_Frozen):
     __hash__ = None
 
     def __init__(self, graph: Graph, signs: Mapping[Edge, int]) -> None:
-        """Signed graph from a map of edges, in either vertex order, to signs.
-
-        Checks, in order: the first value outside {-1, +1}, then that the
-        keys, made canonical, are exactly the edge set. A key that is not a
-        pair of whole numbers matches no edge; of two keys for one edge, the
-        later one's sign is kept.
-        """
-        keys = list(signs)
-        values = np.fromiter(signs.values(), dtype=object, count=len(keys))
-        # compares values: 1.0, True and numpy ints pass, 1.5 does not
-        _refuse((values != 1) & (values != -1),
-                lambda i: f"sign of edge {_edge_of(keys[i])} must be -1 or +1, got {values[i]}")
-        try:
-            t = _EdgeTable(graph.n, keys, 2)
-        except ValueError:
-            t = None
-        if t is None or not np.array_equal(t.uv, graph._uv):  # a key that is not whole matches no int64 row
-            raise ValueError("sign map must cover exactly the edge set")
-        last = np.roll(t.new, -1)  # the last key of each edge in input order, as new[0] is True
-        _freeze(self, graph=graph, _s=values[t.order][last].astype(np.int64))
+        """Signed graph from a map of edges, in either vertex order, to signs,
+        its items read as ``(u, v, sign)`` triples by :meth:`_covering`."""
+        try:  # one int table, as every map goodsign makes gives, takes no tuple per item
+            keys, values = np.array(list(signs)), np.array(list(signs.values()))
+            triples = np.column_stack((keys, values)) if keys.dtype.kind == values.dtype.kind == "i" else None
+        except ValueError:  # keys numpy cannot stack
+            triples = None
+        if triples is None:  # the items as given, for messages to quote; a key that is no tuple is no row
+            triples = [(*k, s) if isinstance(k, tuple) else (k, s) for k, s in signs.items()]
+        _freeze(self, graph=graph, _s=SignedGraph._covering(graph, triples)._s)
 
     @classmethod
     def _of(cls, graph: Graph, s: np.ndarray) -> "SignedGraph":
         """Signed graph on a new int64 +-1 vector aligned with ``graph._uv``."""
         return _freeze(object.__new__(cls), graph=graph, _s=s)
+
+    @staticmethod
+    def _covering(graph: Graph, triples: Iterable[Sequence[int]]) -> "SignedGraph":
+        """:meth:`from_edge_triples` on ``graph``'s vertices, refused unless its edges are exactly ``graph``'s."""
+        sg = SignedGraph.from_edge_triples(graph.n, triples)
+        if sg.graph != graph:
+            raise ValueError("signing does not cover exactly the graph's edge set")
+        return SignedGraph._of(graph, sg._s)
 
     @staticmethod
     def from_edge_triples(n: int, triples: Iterable[Sequence[int]]) -> "SignedGraph":
@@ -404,14 +391,14 @@ def cycle_graph(m: int) -> Graph:
     """C_m: the cycle 0-1-...-(m-1)-0."""
     if m < 3:
         raise ValueError("cycle needs at least three vertices")
-    return Graph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
+    return Graph(m, [(i, (i + 1) % m) for i in range(m)])
 
 
 def path_graph(m: int) -> Graph:
     """P_m: the path 0-1-...-(m-1)."""
     if m < 1:
         raise ValueError("path needs at least one vertex")
-    return Graph.from_edges(m, [(i, i + 1) for i in range(m - 1)])
+    return Graph(m, [(i, i + 1) for i in range(m - 1)])
 
 
 def petersen_graph() -> Graph:
@@ -419,7 +406,7 @@ def petersen_graph() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
-    return Graph.from_edges(10, edges)
+    return Graph(10, edges)
 
 
 def _bfs_forest(g: Graph) -> tuple[list[int], list[int], list[int]]:
@@ -480,12 +467,9 @@ def verify_decomposition(g: Graph, parts: Sequence[Graph | SignedGraph]) -> Deco
     graphs; only their edge sets matter here.
     """
     part_graphs = [p.graph if isinstance(p, SignedGraph) else p for p in parts]
-    for p in part_graphs:
-        if p.n != g.n:
-            raise ValueError("decomposition parts must share the vertex set of g")
-    counts: Counter[Edge] = Counter()
-    for p in part_graphs:
-        counts.update(p.edges)
+    if any(p.n != g.n for p in part_graphs):
+        raise ValueError("decomposition parts must share the vertex set of g")
+    counts = Counter(e for p in part_graphs for e in p.edges)
     shared = tuple(sorted(e for e, c in counts.items() if c > 1))
     missing = tuple(sorted(g.edges - set(counts)))
     foreign = tuple(sorted(set(counts) - g.edges))

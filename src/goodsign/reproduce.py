@@ -76,9 +76,9 @@ EXPECTED_LIFT_EDGES = frozenset(
 
 def cycle_cover_base() -> tuple[Graph, Graph, Graph]:
     """6-vertex 4-regular graph split into two edge-disjoint 6-cycles."""
-    h1 = Graph.from_edges(6, CYCLE_COVER_PART_1)
-    h2 = Graph.from_edges(6, CYCLE_COVER_PART_2)
-    g = Graph.from_edges(6, CYCLE_COVER_PART_1 + CYCLE_COVER_PART_2)
+    h1 = Graph(6, CYCLE_COVER_PART_1)
+    h2 = Graph(6, CYCLE_COVER_PART_2)
+    g = Graph(6, CYCLE_COVER_PART_1 + CYCLE_COVER_PART_2)
     return g, h1, h2
 
 

@@ -85,7 +85,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .graphs import Edge, Graph, SignedGraph, _bfs_forest, _canon
+from .graphs import Edge, Graph, SignedGraph, _bfs_forest, _canon, _integral
 from .spectra import VERDICT_TOLERANCE, _eigvalsh, _is_good, _rho, good_signing_bound
 
 DEFAULT_MAX_FREE_EDGES = 24
@@ -119,6 +119,7 @@ def _signing_for_index(g: Graph, free: list[Edge], index: int) -> SignedGraph:
 def _evaluated_free(g: Graph, max_free_edges: int) -> tuple[list[Edge], int]:
     # The free edges the search enumerates, without the one negation pairing
     # holds at +1, and the number of switching classes.
+    max_free_edges = _integral(max_free_edges, "max_free_edges")
     free, mask = _free_edges(g)
     if len(free) > max_free_edges:
         raise SearchSpaceError(f"{len(free)} free edges exceed the guard of {max_free_edges}")
@@ -306,12 +307,13 @@ def min_rho(
     global one, so the winner is always kept and never pruned, and the merged
     ranges give it.
     """
+    jobs = _integral(jobs, "jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     bound, _ = good_signing_bound(g, mode)
     free, classes = _evaluated_free(g, max_free_edges)
     count = 1 << len(free)
-    parts = min(int(jobs), count // _chunk_classes(g))
+    parts = min(jobs, count // _chunk_classes(g))
     if parts <= 1:
         found = [_near_ties(g, free, 0, count)]
     else:

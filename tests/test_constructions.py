@@ -737,3 +737,15 @@ def test_lex_products_are_bit_for_bit_stable(name, k4_digest, k2_digest):
 def test_complete_families_are_bit_for_bit_stable(case, digest):
     # digests of the q = 13 signings of K_{14+case} from the per-pair loop construction
     assert _digest(sign_complete_from_conference(paley_conference(13), case)) == digest
+
+
+def test_lifts_refuse_a_signing_of_another_graph():
+    c4, c5 = cycle_graph(4), cycle_graph(5)
+    with pytest.raises(ValueError) as err:
+        two_lift(c4, SignedGraph.all_plus(c5))
+    assert str(err.value) == "pairing signing is not on the given base graph"
+    for sigma, sigma_prime in ((SignedGraph.all_plus(c5), SignedGraph.all_plus(c4)),
+                               (SignedGraph.all_plus(c4), SignedGraph.all_plus(c5))):
+        with pytest.raises(ValueError) as err:
+            two_lift_signed(c4, sigma, sigma_prime)
+        assert str(err.value) == "both signings must be on the given base graph"

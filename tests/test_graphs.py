@@ -189,21 +189,30 @@ def test_signed_graph_validation():
         (lambda: SignedGraph.from_edge_triples(3, [(0, 1, 1), (1, 3, 1)]),
          "edge (1, 3) is not canonical for n=3"),
         (lambda: SignedGraph(cycle_graph(4), {(0, 1): 1, (1, 2): 1, (2, 3): 1}),
-         "sign map must cover exactly the edge set"),
+         "signing does not cover exactly the graph's edge set"),
         (lambda: SignedGraph(cycle_graph(4), {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1, (0, 2): 1}),
-         "sign map must cover exactly the edge set"),
+         "signing does not cover exactly the graph's edge set"),
+        # a sign map's items are triples: two keys for one edge must agree, and the table's order of checks holds
+        (lambda: SignedGraph(complete_graph(2), {(0, 1): 1, (1, 0): -1}),
+         "conflicting signs for edge (0, 1)"),
+        (lambda: SignedGraph(complete_graph(3), {(0, 1): 2, (0, 5): 1}),
+         "edge (0, 5) is not canonical for n=3"),
         # non-integral values are rejected, not truncated by int()
         (lambda: SignedGraph(complete_graph(2), {(0, 1): 1.5}),
          "sign of edge (0, 1) must be -1 or +1, got 1.5"),
         (lambda: SignedGraph(complete_graph(2), {(0.5, 1): 1}),
-         "sign map must cover exactly the edge set"),
-        # keys that are not vertex pairs match no edge either
+         "vertex 0.5 is not an integer"),
+        # keys that are not vertex pairs make rows of another width
         (lambda: SignedGraph(complete_graph(2), {(0, 1, 2): 1}),
-         "sign map must cover exactly the edge set"),
+         "edges must be [u, v, sign] rows of numbers"),
         (lambda: SignedGraph(complete_graph(2), {"ab": 1}),
-         "sign map must cover exactly the edge set"),
+         "edges must be [u, v, sign] rows of numbers"),
         (lambda: SignedGraph(complete_graph(2), {0: 1}),
-         "sign map must cover exactly the edge set"),
+         "edges must be [u, v, sign] rows of numbers"),
+        (lambda: SignedGraph(complete_graph(3), {(0, 1): 1, (0, 1, 2): 1}),  # keys numpy cannot stack
+         "edges must be [u, v, sign] rows of numbers"),
+        (lambda: SignedGraph(complete_graph(2), {(0, 1): False}),
+         "sign of edge (0, 1) must be -1 or +1, got False"),
         (lambda: SignedGraph.from_edge_triples(3, [(0.9, 1.2, -1.4)]),
          "vertex 0.9 is not an integer"),
         (lambda: SignedGraph.from_edge_triples(3, [(0, 1.2, 1)]),
@@ -218,11 +227,11 @@ def test_signed_graph_validation():
          "entry (0, 1) = 0.5 is not in {0, -1, +1}"),
         (lambda: SignedGraph.from_adjacency(np.array([[0, 1, 0], [1, 0, 1.7], [0, 1.7, 0]])),
          "entry (1, 2) = 1.7 is not in {0, -1, +1}"),
-        # the constructor checks integrality too, before the canonical order
+        # the constructor is from_edges: integrality first, then self-loops
         (lambda: Graph(3, frozenset({(0.5, 1.2)})),
          "vertex 0.5 is not an integer"),
-        (lambda: Graph(3, [(0, 1), (2, 1)]),
-         "edge (2, 1) is not canonical for n=3"),
+        (lambda: Graph(3, [(2, 2)]),
+         "self-loop at vertex 2"),
         (lambda: Graph(2.5, []),
          "vertex count 2.5 is not an integer"),
         (lambda: Graph.from_edges(-1, []),
@@ -263,7 +272,7 @@ def test_signed_graph_error_texts(build, message):
         (SignedGraph.from_edge_triples, 3, [(0, 1, 1), (1, 3, 1)], "edge (1, 3) is not canonical for n=3"),
         (SignedGraph.from_edge_triples, 3, [(0, 1, 2), (2, 7, 1), (1, 9, 1)], "edge (2, 7) is not canonical for n=3"),
         (SignedGraph.from_edge_triples, 3, [(0, 1)], "edges must be [u, v, sign] rows of numbers"),
-        (Graph, 3, [(0, 1), (2, 1)], "edge (2, 1) is not canonical for n=3"),
+        (Graph, 3, [(0, 1), (2, 2)], "self-loop at vertex 2"),
         (Graph, 2.5, [(0, 1)], "vertex count 2.5 is not an integer"),
         (Graph.from_edges, 3, [(0, 4), (1, 1), (2, 2)], "self-loop at vertex 1"),
         (Graph.from_edges, 3, [(0, 1), (3, 1)], "edge (1, 3) is not canonical for n=3"),
@@ -286,6 +295,13 @@ def test_integer_arrays_give_the_messages_lists_give(build, n, rows, message, as
     with pytest.raises(ValueError) as err:
         build(n, as_table(rows))
     assert str(err.value) == message
+
+
+def test_the_constructor_takes_pairs_in_either_order():
+    g = Graph(3, [(0, 1), (2, 1), (1, 2)])
+    assert g == Graph(3, [(0, 1), (1, 2)]) == Graph.from_edges(3, [(1, 0), (1, 2)])
+    assert g.edge_list == ((0, 1), (1, 2))
+
 
 def test_signed_graph_keys_and_signs_become_canonical_python_ints():
     c4 = cycle_graph(4)
@@ -313,7 +329,12 @@ def test_switching_round_trip():
 # The loops below are the former per-edge builders. Where several rules are
 # broken they check in the same order as the array builders; the one change
 # is that an out-of-range edge is the first in input order, where the former
-# frozenset was walked in hash order.
+# frozenset was walked in hash order. ``ref_from_edges`` is the reference for
+# ``Graph(n, edges)`` and ``ref_sign_map`` for ``SignedGraph(graph, signs)``;
+# ``RefGraph`` and ``RefSigned`` on their own are those constructors' former
+# rules (canonical pairs only; signs checked first, and of two keys for one
+# edge the later one's sign kept), against which every input they accepted
+# must still build the same value.
 
 
 def _ref_canon(u, v):
@@ -388,6 +409,13 @@ def ref_from_edge_triples(n, triples):
         if old is not s and old != s:
             raise ValueError(f"conflicting signs for edge {e}")
     return RefSigned(RefGraph(n, signs), signs)
+
+
+def ref_sign_map(graph, raw):
+    sg = ref_from_edge_triples(graph.n, [(u, v, s) for (u, v), s in raw.items()])
+    if sg.graph.edges != graph.edges:
+        raise ValueError("signing does not cover exactly the graph's edge set")
+    return sg
 
 
 def _outcome(build):
@@ -476,17 +504,20 @@ def test_array_builders_match_the_loop_reference(case, other):
 
     pairs = [r[:2] for r in rows]
     m, other_pairs = other[0], [r[:2] for r in other[1]]
-    for build, ref_build in ((Graph.from_edges, ref_from_edges), (Graph, RefGraph)):
-        got, ref = _outcome(lambda: build(n, pairs)), _outcome(lambda: ref_build(n, pairs))
+    for build in (Graph, Graph.from_edges):
+        got, ref = _outcome(lambda: build(n, pairs)), _outcome(lambda: ref_from_edges(n, pairs))
         assert isinstance(got, str) == isinstance(ref, str)
         if isinstance(ref, str):
             assert got == ref
             continue
         _assert_graph_matches(got, ref)
-        h, ref_h = _outcome(lambda: build(m, other_pairs)), _outcome(lambda: ref_build(m, other_pairs))
+        h, ref_h = _outcome(lambda: build(m, other_pairs)), _outcome(lambda: ref_from_edges(m, other_pairs))
         if not isinstance(ref_h, str):
             assert (got == h) == (n == m and ref.edges == ref_h.edges)
             assert got != h or hash(got) == hash(h)
+    former = _outcome(lambda: RefGraph(n, pairs))
+    if not isinstance(former, str):
+        _assert_graph_matches(Graph(n, pairs), former)
 
 
 @settings(max_examples=100, deadline=None)
@@ -532,7 +563,7 @@ def sign_maps(draw, max_n=6):
 def test_sign_maps_match_the_loop_reference(case):
     g, items = case
     raw = dict(items)
-    got, ref = _outcome(lambda: SignedGraph(g, raw)), _outcome(lambda: RefSigned(g, raw))
+    got, ref = _outcome(lambda: SignedGraph(g, raw)), _outcome(lambda: ref_sign_map(g, raw))
     assert isinstance(got, str) == isinstance(ref, str)
     if isinstance(ref, str):
         assert got == ref
@@ -540,12 +571,15 @@ def test_sign_maps_match_the_loop_reference(case):
         assert got.graph is g
         assert list(got.signs.items()) == list(ref.signs.items())
         assert all(type(x) is int for e, s in got.signs.items() for x in (*e, s))
+    former = _outcome(lambda: RefSigned(g, raw))
+    if not isinstance(former, str):  # built as before, unless two keys for one edge disagree
+        assert got.startswith("ValueError: conflicting signs") if isinstance(got, str) else got.signs == former.signs
 
 
 @pytest.mark.parametrize(
     "build, rows, message",
     [
-        (Graph, [(0, 1), (2.5, 1)], "vertex 2.5 is not an integer"),  # also not canonical
+        (Graph, [(0, 1), (2.5, 7)], "vertex 2.5 is not an integer"),  # also out of range
         (Graph.from_edges, [(0, 1), (2.5, 2.5)], "vertex 2.5 is not an integer"),  # also a self-loop
         (SignedGraph.from_edge_triples, [(0, 1, 1), (2.5, 2.5, 7)], "vertex 2.5 is not an integer"),  # loop, sign
         (SignedGraph.from_edge_triples, [(0, 1, 1), (2.5, 9, 1)], "vertex 2.5 is not an integer"),  # out of range
@@ -570,3 +604,15 @@ def test_from_adjacency_refuses_an_imaginary_unit_and_reads_a_real_complex_one()
     # a RuntimeWarning (a ComplexWarning among them) is an error under pytest's configuration
     sg = SignedGraph.from_adjacency(np.array([[0, -1 + 0j, 1], [-1, 0, 0], [1, 0, 0]]))
     assert sg == SignedGraph.from_edge_triples(3, [(0, 1, -1), (0, 2, 1)])
+
+
+def test_small_builders_refuse_what_they_cannot_build():
+    assert (Graph(2, []) == "x") is False and Graph(2, []) != "x"
+    for build, message in [
+        (lambda: SignedGraph.from_adjacency(np.zeros((2, 3))), "adjacency matrix must be square"),
+        (lambda: cycle_graph(2), "cycle needs at least three vertices"),
+        (lambda: path_graph(0), "path needs at least one vertex"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message

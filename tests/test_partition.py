@@ -315,3 +315,17 @@ def test_a_quotient_that_is_not_k_by_k_is_refused(shape):
     with pytest.raises(ValueError, match="must be 2 x 2 for 2 cells"):
         QuotientMatrix(b, cells)
     assert not verify_quotient_identity(SignedGraph.all_plus(path_graph(2)), cells, b)
+
+
+def test_a_partition_of_another_order_is_refused_or_false():
+    sg = SignedGraph.all_plus(cycle_graph(4))
+    with pytest.raises(ValueError) as err:
+        is_equitable(sg, Partition([[0, 1, 2]]))
+    assert str(err.value) == "partition does not cover the graph's vertex set"
+    p3 = Partition([[0, 1, 2]])
+    assert verify_quotient_identity(sg, p3, [[2]]) is False
+    p4 = Partition([[0, 2], [1, 3]])
+    b = quotient_matrix(sg, p4)
+    assert verify_quotient_identity(sg, p4, b) is True
+    # a QuotientMatrix of another cell count, though valid for its own partition
+    assert verify_quotient_identity(sg, p4, quotient_matrix(sg, Partition([[0, 1, 2, 3]]))) is False

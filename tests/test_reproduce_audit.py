@@ -274,3 +274,9 @@ def test_verdict_details_state_a_relation_that_holds(defect, monkeypatch):
     if defect == "good_signing_bound takes the degree minus 2":
         assert verdicts["k7-case1-n6"] == "rho 3.701562 > bound 3.464102"
         assert verdicts["aphi"] == "rho 2.561553 > bound 0.000000"
+
+
+def test_an_unknown_example_id_raises_key_error():
+    with pytest.raises(KeyError) as err:
+        run_example("nope")
+    assert err.value.args == (f"unknown example id 'nope'; known: {', '.join(example_ids())}",)

@@ -730,3 +730,29 @@ def test_moment_bounds_match_an_unpruned_scan(monkeypatch, bipartite, free_edges
             assert result.good_found == bool(rhos[winner] <= bound + VERDICT_TOLERANCE)
         found = find_good_signing(g, mode="maxdeg")
         assert (class_index(g, found) if found is not None else None) == (int(good[0]) if good.size else None)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("max_free_edges", float("nan")), ("max_free_edges", 2.5), ("max_free_edges", "20"),
+     ("jobs", 2.7), ("jobs", "2"), ("jobs", float("nan"))],
+)
+def test_search_options_must_be_whole_numbers(option, value):
+    # neither truncated (jobs=2.7 ran as 2) nor passed by a failed comparison (len(free) > nan is False)
+    with pytest.raises(ValueError) as err:
+        min_rho(complete_graph(6), **{option: value})
+    assert str(err.value) == f"{option} {value!r} is not an integer"
+    if option == "max_free_edges":
+        with pytest.raises(ValueError) as err:
+            find_good_signing(complete_graph(6), max_free_edges=value)
+        assert str(err.value) == f"{option} {value!r} is not an integer"
+        with pytest.raises(SearchSpaceError, match="^6 free edges exceed the guard of 3$"):  # read as the int 3
+            min_rho(petersen_graph(), max_free_edges=3.0)
+    whole = min_rho(complete_graph(6), **{option: 2.0 if option == "jobs" else 10.0})
+    assert whole == min_rho(complete_graph(6), **{option: True if option == "jobs" else 10})
+
+
+def test_find_good_signing_returns_none_when_no_class_meets_the_bound(monkeypatch):
+    # every signing of C4 has rho 2 or sqrt(2), both above a bound of 1
+    monkeypatch.setattr(search, "good_signing_bound", lambda g, mode: (1.0, 2))
+    assert find_good_signing(cycle_graph(4)) is None

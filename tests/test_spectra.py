@@ -333,3 +333,10 @@ def test_ramanujan_input_validation():
         _nontrivial_spectrum(path_graph(3))  # irregular
     with pytest.raises(ValueError):
         _nontrivial_spectrum(complete_graph(2))  # d = 1
+
+
+def test_jacobi_reports_no_convergence_within_its_sweeps(monkeypatch):
+    monkeypatch.setattr(spectra, "JACOBI_MAX_SWEEPS", 0)
+    with pytest.raises(spectra.JacobiConvergenceError) as err:
+        jacobi_diagonalize(np.array([[0, 1], [1, 0]]))
+    assert str(err.value) == "no convergence after 0 sweeps: off-diagonal norm 1.414e+00"
