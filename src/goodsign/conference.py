@@ -35,7 +35,12 @@ def verify_conference(matrix: np.ndarray) -> bool:
     except ValueError:
         return False
     n = len(m)
-    return n > 0 and np.array_equal(_exact_matmul(m, m.T), (n - 1) * np.eye(n, dtype=np.int64))
+    if n == 0:
+        return False
+    f = m.astype(np.float64)  # one conversion serves both factors
+    g = _exact_matmul(f, f.T)
+    g.reshape(-1)[:: n + 1] -= n - 1  # C C^T - (n-1) I, which must be zero
+    return not g.any()
 
 
 class ConferenceMatrix(_Frozen):
@@ -56,7 +61,7 @@ class ConferenceMatrix(_Frozen):
     @property
     def normalized(self) -> bool:
         """Whether the first row (and by symmetry the first column) is all +1 off the diagonal."""
-        return bool(np.all(self.matrix[0, 1:] == 1))
+        return bool((self.matrix[0, 1:] == 1).all())
 
 
 def paley_conference(q: int) -> ConferenceMatrix:
@@ -71,14 +76,13 @@ def paley_conference(q: int) -> ConferenceMatrix:
         raise ValueError(f"q must be prime, got {q}")
     if q % 4 != 1:
         raise ValueError(f"q must be congruent to 1 mod 4, got {q}")
-    residue = -np.ones(q, dtype=np.int64)
-    residue[np.arange(1, q) ** 2 % q] = 1
-    residue[0] = 0
     i = np.arange(q)
-    c = np.zeros((q + 1, q + 1), dtype=np.int64)
-    c[0, 1:] = 1
-    c[1:, 0] = 1
-    c[1:, 1:] = residue[(i[None, :] - i[:, None]) % q]
+    residue = np.full(q, -1, dtype=np.int64)
+    residue[i * i % q] = 1
+    residue[0] = 0
+    c = np.ones((q + 1, q + 1), dtype=np.int64)
+    c[0, 0] = 0
+    c[1:, 1:] = residue[(i - i[:, None]) % q]
     return ConferenceMatrix(c)
 
 

@@ -56,10 +56,11 @@ def case_cells(case: int, n: int) -> Partition:
     """The canonical cell partition used by each complete-graph family."""
     case, n = _case_order(case, n)
     if case == 3:
-        head: list[tuple[int, ...]] = [(0, 1), (2, 3)]
+        head: tuple[tuple[int, ...], ...] = ((0, 1), (2, 3))
     else:
-        head = [(v,) for v in range(case + 1)]
-    return Partition(head + [tuple(range(case + 1, n + case))])
+        head = tuple((v,) for v in range(case + 1))
+    # sorted, disjoint and non-empty, and they cover 0..n+case-1
+    return Partition._of(head + (tuple(range(case + 1, n + case)),), n + case)
 
 
 def sign_complete_from_conference(c: ConferenceMatrix, case: int) -> SignedGraph:
@@ -189,7 +190,8 @@ def _lift(a: np.ndarray, b: np.ndarray) -> SignedGraph:
 
 def pair_cell_partition(n: int) -> Partition:
     """Cells {2u, 2u+1} for each base vertex u of a 2-lift."""
-    return Partition([(2 * u, 2 * u + 1) for u in range(n)])
+    cells = tuple((2 * u, 2 * u + 1) for u in range(n))
+    return Partition._of(cells, 2 * len(cells))  # sorted, disjoint, covering 0..2n-1
 
 
 def _switching_equivalence(

@@ -201,9 +201,10 @@ class Graph(_Frozen):
 
     @cached_property
     def _adjacency_lists(self) -> tuple[tuple[int, ...], ...]:
-        tails = np.concatenate((self._uv[:, 0], self._uv[:, 1]))
-        heads = np.concatenate((self._uv[:, 1], self._uv[:, 0]))
-        heads = heads[np.lexsort((heads, tails))].tolist()
+        # The rows (u, x) give x's smaller neighbours, u ascending, and the rows (x, v) its
+        # larger ones, v ascending; a stable sort by tail keeps both runs, in that order.
+        tails = np.concatenate((self._uv[:, 1], self._uv[:, 0]))
+        heads = np.concatenate((self._uv[:, 0], self._uv[:, 1]))[np.argsort(tails, kind="stable")].tolist()
         ends = np.cumsum(np.bincount(tails, minlength=self.n)).tolist()
         return tuple(tuple(heads[a:b]) for a, b in zip([0] + ends, ends))
 
@@ -317,12 +318,20 @@ class SignedGraph(_Frozen):
         """Signed graph of a square, symmetric {0, +-1} matrix with zero diagonal, unchecked."""
         i = np.arange(len(m))
         us, vs = np.nonzero((i[:, None] < i) & m.astype(bool))  # row-major order is already the sorted order
-        g = Graph._of(len(m), np.column_stack((us, vs)).astype(np.int64, copy=False))
-        return cls._of(g, m[us, vs].astype(np.int64, copy=False))
+        uv = np.empty((len(us), 2), dtype=np.int64)
+        uv[:, 0], uv[:, 1] = us, vs
+        return cls._of(Graph._of(len(m), uv), m[us, vs].astype(np.int64, copy=False))
 
     def __repr__(self) -> str:
         rows = np.column_stack((self.graph._uv, self._s)).tolist()
         return f"SignedGraph.from_edge_triples({self.graph.n}, {rows})"
+
+    @cached_property
+    def _adjacency(self) -> np.ndarray:
+        """The signed adjacency matrix, read-only; :func:`signed_adjacency` hands out copies."""
+        a = _symmetric_matrix(self.graph.n, self.graph._uv, self._s)
+        a.setflags(write=False)
+        return a
 
     @cached_property
     def signs(self) -> Mapping[Edge, int]:
@@ -338,17 +347,17 @@ class SignedGraph(_Frozen):
 
     def switched(self, diag: Sequence[int]) -> "SignedGraph":
         """Apply the switching ``sign'(uv) = d_u * sign(uv) * d_v`` for ``d`` in {-1,+1}^n."""
-        d = np.fromiter(diag, dtype=object)
-        if len(d) != self.graph.n or ((d != 1) & (d != -1)).any():
+        d = list(diag)
+        if len(d) != self.graph.n or not all(x == 1 or x == -1 for x in d):
             raise ValueError("switching vector must be a +-1 vector of length n")
-        d = d.astype(np.int64)
+        d = np.array(d, dtype=np.int64)
         uv = self.graph._uv
         return SignedGraph._of(self.graph, d[uv[:, 0]] * self._s * d[uv[:, 1]])
 
 
 def signed_adjacency(sg: SignedGraph) -> np.ndarray:
-    """Signed adjacency matrix: ``sign(uv)`` on edges, 0 elsewhere, exact ``int64``."""
-    return _symmetric_matrix(sg.graph.n, sg.graph._uv, sg._s)
+    """Signed adjacency matrix: ``sign(uv)`` on edges, 0 elsewhere, exact ``int64``; a new array each call."""
+    return sg._adjacency.copy()
 
 
 def _signed_matrix(m: np.ndarray) -> np.ndarray:
@@ -356,11 +365,11 @@ def _signed_matrix(m: np.ndarray) -> np.ndarray:
     and 0, 1 or -1 elsewhere (1.0 is; 1.4, NaN and 1j are not); else a ValueError."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("adjacency matrix must be square")
-    if not np.array_equal(m, m.T):
+    if not (m == m.T).all():
         raise ValueError("adjacency matrix must be symmetric")
-    if np.diagonal(m).any():
+    if m.diagonal().any():
         raise ValueError("adjacency matrix must have zero diagonal")
-    bad = (m != 0) & (m != 1) & (m != -1)
+    bad = (m < -1) | (m > 1) if m.dtype.kind in "biu" else (m != 0) & (m != 1) & (m != -1)
     if bad.any():
         u, v = np.argwhere(bad)[0].tolist()  # above the diagonal, as m is symmetric
         raise ValueError(f"entry ({u}, {v}) = {m[u, v].item()} is not in {{0, -1, +1}}")
@@ -370,7 +379,7 @@ def _signed_matrix(m: np.ndarray) -> np.ndarray:
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` of {0, +-1} matrices as exact int64. It runs in float64, as numpy's integer matmul has
     no BLAS; each partial sum is an integer no larger than the inner dimension, far below 2**53."""
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)).astype(np.int64)
 
 
 def _symmetric_matrix(n: int, uv: np.ndarray, values: int | np.ndarray) -> np.ndarray:
@@ -417,6 +426,7 @@ def _bfs_forest(g: Graph) -> tuple[list[int], list[int], list[int]]:
     vertices as visited, ``parent[v]`` is -1 exactly at a root, and
     ``depth[v]`` counts tree edges up to the root.
     """
+    neighbors = g._adjacency_lists
     parent = [-1] * g.n
     depth = [-1] * g.n
     order: list[int] = []
@@ -426,12 +436,13 @@ def _bfs_forest(g: Graph) -> tuple[list[int], list[int], list[int]]:
         depth[root] = 0
         head = len(order)
         order.append(root)
-        while head < len(order):
+        while head < len(order) < g.n:  # once every vertex is in the forest, no scan can add to it
             u = order[head]
             head += 1
-            for v in g.neighbors(u):
+            below = depth[u] + 1
+            for v in neighbors[u]:
                 if depth[v] < 0:
-                    depth[v] = depth[u] + 1
+                    depth[v] = below
                     parent[v] = u
                     order.append(v)
     return order, parent, depth

@@ -7,9 +7,16 @@ cell containing ``u``; the cell-level numbers form the quotient matrix B,
 which satisfies ``A @ P == P @ B`` exactly in integers, P being the 0/1 cell
 membership matrix.
 
-:func:`_cell_degrees` forms ``D = A @ P`` with ``graphs._exact_matmul`` and
-reads B and the equitability witness off it; ``partition-check`` and
-``reproduce``'s case examples test the identity on that same D.
+A :class:`Partition` builds its membership map once, when it is made: the
+cell of every vertex, the first vertex and the size of every cell. Every
+verdict reads that map, so ``P @ B`` is ``B[cell_of]``, the rows of B picked
+by each vertex's cell.
+
+:func:`_cell_degrees` forms ``D = A @ P`` with ``graphs._exact_matmul``,
+reads B off D's rows at the cells' first vertices, and compares D with
+``B[cell_of]`` once; the first witness, if any, is read off that one
+comparison. ``partition-check`` and ``reproduce``'s case examples test the
+identity on that same D.
 :func:`verify_quotient_identity` forms its own, for a B given from elsewhere
 and read as a :class:`QuotientMatrix`, whose entries pass ``graphs._not_whole``
 and whose shape and cell-size symmetry are those of a quotient.
@@ -22,11 +29,17 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .graphs import SignedGraph, _exact_matmul, _freeze, _Frozen, _integral, _not_whole, signed_adjacency
-from .spectra import eigenvalues_symmetric
+from .spectra import _eigvalsh, _snapped
 
 
 class Partition(_Frozen):
-    """Ordered list of disjoint, non-empty, sorted cells covering ``0..n-1``."""
+    """Ordered list of disjoint, non-empty, sorted cells covering ``0..n-1``.
+
+    Its membership map, built here once, is read-only arrays: ``_cell_of[v]``,
+    the cell of vertex v; ``_heads[j]``, the first vertex of cell j;
+    ``_sizes[j]``, the size of cell j; and ``_membership``, the matrix P in
+    float64, as ``graphs._exact_matmul`` takes it.
+    """
 
     _fields = ("cells",)
     cells: tuple[tuple[int, ...], ...]
@@ -36,7 +49,7 @@ class Partition(_Frozen):
             cells = [tuple(c) for c in cells]
         except TypeError:
             raise ValueError("cells must be a list of lists of vertices") from None
-        fixed = tuple(tuple(sorted(_integral(v, "vertex") for v in cell)) for cell in cells)
+        fixed = tuple(tuple(sorted([v if type(v) is int else _integral(v, "vertex") for v in c])) for c in cells)
         seen: set[int] = set()
         for cell in fixed:
             if not cell:
@@ -47,7 +60,26 @@ class Partition(_Frozen):
         n = len(seen)
         if seen != set(range(n)):
             raise ValueError("cells must cover the vertices 0..n-1 exactly")
-        _freeze(self, cells=fixed, n=n)
+        self._build(fixed, n)
+
+    @classmethod
+    def _of(cls, cells: tuple[tuple[int, ...], ...], n: int) -> "Partition":
+        """Partition on sorted, disjoint, non-empty cells already known to cover ``0..n-1``."""
+        p = object.__new__(cls)
+        p._build(cells, n)
+        return p
+
+    def _build(self, cells: tuple[tuple[int, ...], ...], n: int) -> None:
+        cell_of = [0] * n
+        for j, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = j
+        cell_of = np.array(cell_of, dtype=np.int64)
+        membership = np.zeros((n, len(cells)))
+        membership[np.arange(n), cell_of] = 1.0
+        _freeze(self, cells=cells, n=n, _cell_of=cell_of, _membership=membership,
+                _heads=np.array([cell[0] for cell in cells], dtype=np.int64),
+                _sizes=np.array([len(cell) for cell in cells], dtype=np.int64))
 
     @property
     def size(self) -> int:
@@ -90,29 +122,29 @@ def _cell_degrees(
     """``D = A @ P``, B (the first row of D in each cell), and the first witness.
 
     ``D[u, j] = d(u, C_j)`` in exact integers, so the partition is equitable
-    exactly when D's rows are constant within each cell, and then
-    ``D == P @ B``. The witness is the first (cell, target cell, vertex) in
-    that order whose degree differs from the cell's first vertex.
+    exactly when D's rows are constant within each cell, that is when
+    ``D == B[cell_of] == P @ B``. The witness is the first (cell, target
+    cell, vertex) in that order whose degree differs from the cell's first
+    vertex.
     """
     if p.n != sg.graph.n:
         raise ValueError("partition does not cover the graph's vertex set")
-    d = _exact_matmul(signed_adjacency(sg), characteristic_matrix(p))
-    b = d[[cell[0] for cell in p.cells]]
-    for i, cell in enumerate(p.cells):
-        bad = d[list(cell)] != b[i]
-        if bad.any():
-            j = int(bad.any(axis=0).argmax())
-            u = cell[int(bad[:, j].argmax())]
-            return d, b, EquitabilityWitness(i, j, cell[0], u, int(b[i, j]), int(d[u, j]))
-    return d, b, None
+    d = _exact_matmul(signed_adjacency(sg), p._membership)
+    b = d[p._heads]
+    bad = d != b[p._cell_of]
+    if not bad.any():
+        return d, b, None
+    i = int(p._cell_of[bad.any(axis=1)].min())
+    cell = p.cells[i]
+    bad = bad[list(cell)]
+    j = int(bad.any(axis=0).argmax())
+    u = cell[int(bad[:, j].argmax())]
+    return d, b, EquitabilityWitness(i, j, cell[0], u, int(b[i, j]), int(d[u, j]))
 
 
 def characteristic_matrix(p: Partition) -> np.ndarray:
     """0/1 membership matrix P of shape (n, k): ``P[v, j] = 1`` iff v is in cell j."""
-    m = np.zeros((p.n, p.size), dtype=np.int64)
-    for j, cell in enumerate(p.cells):
-        m[list(cell), j] = 1
-    return m
+    return p._membership.astype(np.int64)
 
 
 class QuotientMatrix(_Frozen):
@@ -131,8 +163,13 @@ class QuotientMatrix(_Frozen):
         k = partition.size
         if m.shape != (k, k):
             raise ValueError(f"quotient matrix must be {k} x {k} for {k} cells, got shape {m.shape}")
-        rows, sizes = m.tolist(), [len(c) for c in partition.cells]  # Python ints: exact
-        if any(sizes[i] * rows[i][j] != sizes[j] * rows[j][i] for i in range(k) for j in range(i)):
+        if max(int(m.max(initial=0)), -int(m.min(initial=0))) * partition.n < 2**63:  # int64 products are exact
+            s = partition._sizes[:, None] * m
+            balanced = bool((s == s.T).all())
+        else:
+            rows, sizes = m.tolist(), partition._sizes.tolist()  # Python ints: exact
+            balanced = all(sizes[i] * rows[i][j] == sizes[j] * rows[j][i] for i in range(k) for j in range(i))
+        if not balanced:
             raise ValueError("quotient matrix breaks |C_i| B[i, j] == |C_j| B[j, i]")
         _freeze(self, matrix=m, partition=partition)
 
@@ -159,8 +196,7 @@ def verify_quotient_identity(
         return False
     if p.n != sg.graph.n or bm.shape != (p.size, p.size):
         return False
-    pm = characteristic_matrix(p)
-    return np.array_equal(_exact_matmul(signed_adjacency(sg), pm), pm @ bm)
+    return bool((_exact_matmul(signed_adjacency(sg), p._membership) == bm[p._cell_of]).all())
 
 
 def quotient_eigenvalues(b: QuotientMatrix) -> np.ndarray:
@@ -173,7 +209,6 @@ def quotient_eigenvalues(b: QuotientMatrix) -> np.ndarray:
     conjugate is symmetrised only to scrub float roundoff before the
     symmetric solver.
     """
-    sizes = np.array([len(c) for c in b.partition.cells], dtype=np.float64)
-    r = np.sqrt(sizes)
-    s = b.matrix * (r[:, None] / r[None, :])
-    return eigenvalues_symmetric((s + s.T) / 2.0)
+    r = np.sqrt(b.partition._sizes)
+    s = b.matrix * (r[:, None] / r)
+    return _snapped(_eigvalsh((s + s.T) / 2.0))[0]  # finite and exactly symmetric as built

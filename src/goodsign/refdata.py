@@ -1,8 +1,9 @@
 """Bundled reference matrices for the reproduction checks.
 
 Each matrix was transcribed once into ``data/`` and is guarded by a sha256
-manifest, read once per process; every load hashes its file again, so a
-silent edit of a reference file cannot go unnoticed.
+manifest. The data directory is resolved and the manifest read once per
+process; every load reads and hashes its file again, so a silent edit of a
+reference file cannot go unnoticed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ REFERENCE_NAMES = (
 )
 
 
+@functools.cache
 def _data_root():
+    """The bundled data directory, resolved once per process."""
     return resources.files("goodsign") / "data"
 
 

@@ -2,9 +2,11 @@
 
 Every eigenvalue and spectral radius in the package comes from one seam,
 ``_eigvalsh``: LAPACK's symmetric solver through ``numpy.linalg.eigvalsh``,
-on a single matrix or on a stack of them. Eigenvalues within ``1e-12`` times
-``max(1, rho)`` of zero are reported as exactly ``0.0``, so printed spectra
-do not carry solver roundoff.
+on a single matrix or on a stack of them. ``_symmetric`` checks a single
+matrix first, one pass per rule: square, real (a complex entry only with a
+zero imaginary part), finite, and equal to its transpose. Eigenvalues within
+``1e-12`` times ``max(1, rho)`` of zero are reported as exactly ``0.0``, so
+printed spectra do not carry solver roundoff.
 
 Every verdict ``rho <= 2 sqrt(d - 1)`` is one rule, ``_is_good``: ``rho <=
 bound + VERDICT_TOLERANCE`` (1e-9), ties counting as good. That tolerance also
@@ -130,9 +132,19 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
     m = np.asarray(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    if not np.array_equal(m, m.T):
+    if m.dtype.kind not in "biu":  # integers are finite
+        if m.dtype.kind == "O":  # objects count as the array numpy makes of them, if it makes one
+            try:
+                m = np.array(m.tolist())
+            except ValueError:
+                pass
+        if m.dtype.kind == "c" and not m.imag.any():  # 1+0j is real
+            m = m.real
+        if m.dtype.kind not in "biuf" or m.shape != np.shape(a):
+            raise ValueError("matrix entries must be real numbers")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
+    if not (m == m.T).all():
         raise ValueError("matrix must be symmetric")
     return m
 
@@ -149,23 +161,32 @@ def _rho(eig: np.ndarray) -> np.ndarray:
     return np.abs(eig).max(axis=-1, initial=0.0)
 
 
+def _snapped(eig: np.ndarray) -> tuple[np.ndarray, float]:
+    # The eigenvalues with the zero snap applied in place, and their rho after it.
+    mag = np.abs(eig)
+    rho = float(mag.max(initial=0.0))  # NaN or inf when any eigenvalue is
+    if not math.isfinite(rho):
+        raise ValueError("eigenvalues overflow float64")
+    snap = ZERO_SNAP_TOLERANCE * max(1.0, rho)
+    eig[mag <= snap] = 0.0
+    return eig, rho if rho > snap else 0.0
+
+
 def eigenvalues_symmetric(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, as float64.
 
-    Raises ``ValueError`` for non-square, non-finite or non-symmetric input,
-    and for eigenvalues beyond the float64 range. Values within
-    ``ZERO_SNAP_TOLERANCE * max(1, rho)`` of zero are returned as ``0.0``.
+    Raises ``ValueError`` for non-square input, for entries that are not
+    real numbers (a complex entry counts as real when its imaginary part is
+    zero), for non-finite or non-symmetric input, and for eigenvalues beyond
+    the float64 range. Values within ``ZERO_SNAP_TOLERANCE * max(1, rho)``
+    of zero are returned as ``0.0``.
     """
-    eig = _eigvalsh(_symmetric(a))
-    if not np.isfinite(eig).all():
-        raise ValueError("eigenvalues overflow float64")
-    eig[np.abs(eig) <= ZERO_SNAP_TOLERANCE * max(1.0, float(_rho(eig)))] = 0.0
-    return eig
+    return _snapped(_eigvalsh(_symmetric(a)))[0]
 
 
 def spectral_radius(a: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
-    return float(_rho(eigenvalues_symmetric(a)))
+    return _snapped(_eigvalsh(_symmetric(a)))[1]
 
 
 def multisets_close(a, b) -> bool:
@@ -228,11 +249,10 @@ def check_good_signing(sg: SignedGraph, mode: str = "regular") -> SpectralReport
     ``rho <= bound + VERDICT_TOLERANCE``.
     """
     bound, degree = good_signing_bound(sg.graph, mode)
-    eig = eigenvalues_symmetric(signed_adjacency(sg))
-    rho = float(_rho(eig))
+    eig, rho = _snapped(_eigvalsh(signed_adjacency(sg)))  # symmetric and integer as built
     verdict = GOOD if _is_good(rho, bound) else NOT_GOOD
     return SpectralReport(
-        eigenvalues=tuple(float(x) for x in eig),
+        eigenvalues=tuple(eig.tolist()),
         rho=rho,
         degree=degree,
         bound=bound,

@@ -587,6 +587,34 @@ def _random_graph(rng, n):
     return Graph.from_edges(n, edges)
 
 
+def _reference_bfs_forest(g):
+    """The BFS forest with every dequeued vertex's neighbours scanned to the end."""
+    parent, depth, order = [-1] * g.n, [-1] * g.n, []
+    for root in range(g.n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v in g.neighbors(u):
+                if depth[v] < 0:
+                    depth[v], parent[v] = depth[u] + 1, u
+                    order.append(v)
+    return order, parent, depth
+
+
+def test_bfs_forest_matches_the_full_scan():
+    # _bfs_forest stops scanning once every vertex is in the forest
+    rng = np.random.default_rng(20261019)
+    graphs = [complete_graph(m) for m in (1, 2, 16, 41)] + [petersen_graph(), cycle_graph(9), Graph(5, [])]
+    graphs += [_random_graph(rng, int(rng.integers(1, 13))) for _ in range(300)]
+    for g in graphs:
+        assert _bfs_forest(g) == _reference_bfs_forest(g)
+
+
 def _assert_same_as_reference(g, sigma, sigma_prime):
     d, witness = _switching_equivalence(g, sigma, sigma_prime)
     d_ref, witness_ref = _reference_switching_equivalence(g, sigma, sigma_prime)

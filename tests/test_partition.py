@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goodsign.conference import paley_conference
 from goodsign.constructions import (
@@ -16,6 +18,7 @@ from goodsign.partition import (
     NotEquitableError,
     Partition,
     QuotientMatrix,
+    _cell_degrees,
     characteristic_matrix,
     is_equitable,
     quotient_eigenvalues,
@@ -246,6 +249,77 @@ def test_partition_checks_match_the_loop_reference():
     assert equitable >= 45 and late_witness >= 1
 
 
+# -- the per-cell witness loop, kept as the reference for the one comparison ---
+
+
+def cell_degrees_reference(sg, p):
+    """``_cell_degrees`` as it was before it compared D with B[cell_of] once:
+    P built cell by cell, D in numpy's integer matmul, and a scan of the cells
+    for the first witness."""
+    if p.n != sg.graph.n:
+        raise ValueError("partition does not cover the graph's vertex set")
+    pm = np.zeros((p.n, p.size), dtype=np.int64)
+    for j, cell in enumerate(p.cells):
+        pm[list(cell), j] = 1
+    d = signed_adjacency(sg) @ pm
+    b = d[[cell[0] for cell in p.cells]]
+    for i, cell in enumerate(p.cells):
+        bad = d[list(cell)] != b[i]
+        if bad.any():
+            j = int(bad.any(axis=0).argmax())
+            u = cell[int(bad[:, j].argmax())]
+            return d, b, EquitabilityWitness(i, j, cell[0], u, int(b[i, j]), int(d[u, j]))
+    return d, b, None
+
+
+def _drawn_signing(draw, n, graph=None):
+    if graph is None:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    else:
+        edges = list(graph.edge_list)
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(edges), max_size=len(edges)))
+    return SignedGraph.from_edge_triples(n, [(u, v, s) for (u, v), s in zip(edges, signs)])
+
+
+@st.composite
+def graphs_and_partitions(draw):
+    """Half equitable by construction (the cells of a complete-graph case or
+    the pair cells of a signed 2-lift), then left alone, given one flipped
+    sign or one moved vertex; half a random signing and partition."""
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            case, q = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([5, 13]))
+            sg, p = sign_complete_from_conference(paley_conference(q), case), case_cells(case, q + 1)
+        else:
+            base = _drawn_signing(draw, draw(st.integers(1, 6)))
+            other = _drawn_signing(draw, base.graph.n, base.graph)
+            sg, p = two_lift_signed(base.graph, base, other), pair_cell_partition(base.graph.n)
+        cells = [list(cell) for cell in p.cells]
+        change = draw(st.sampled_from(["none", "sign", "vertex"]))
+        if change == "sign" and sg.graph.edge_list:
+            flip = draw(st.integers(0, len(sg.graph.edge_list) - 1))
+            rows = [(u, v, -s if i == flip else s) for i, ((u, v), s) in enumerate(sg.signs.items())]
+            sg = SignedGraph.from_edge_triples(sg.graph.n, rows)
+        elif change == "vertex" and len(cells) > 1 and any(len(cell) > 1 for cell in cells):
+            source = draw(st.sampled_from([i for i, cell in enumerate(cells) if len(cell) > 1]))
+            vertex = cells[source].pop(draw(st.integers(0, len(cells[source]) - 1)))
+            cells[draw(st.sampled_from([i for i in range(len(cells)) if i != source]))].append(vertex)
+        return sg, Partition(cells)
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return _drawn_signing(draw, n), Partition([[v for v in range(n) if labels[v] == x] for x in sorted(set(labels))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_partitions())
+def test_cell_degrees_match_the_per_cell_loop(graph_and_partition):
+    sg, p = graph_and_partition
+    d, b, witness = _cell_degrees(sg, p)
+    ref_d, ref_b, ref_witness = cell_degrees_reference(sg, p)
+    assert np.array_equal(d, ref_d) and np.array_equal(b, ref_b) and witness == ref_witness
+
+
 def test_not_equitable_witness_in_a_later_cell():
     path = SignedGraph.all_plus(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (1, 4)]))
     with pytest.raises(NotEquitableError) as err:
@@ -292,6 +366,14 @@ def test_a_whole_quotient_entry_beyond_int64_is_refused_not_wrapped():
             QuotientMatrix(b, one)
         assert not verify_quotient_identity(SignedGraph.all_plus(Graph(1, [])), one, b)
     assert QuotientMatrix([[-(2**63)]], one).matrix[0, 0] == -(2**63)
+
+
+def test_the_cell_size_rule_stays_exact_where_int64_products_would_wrap():
+    # |C_0| B[0, 1] = 2 * 2**62 = 2**63 wraps to -2**63 in int64, which is |C_1| B[1, 0]
+    pair = Partition(((0, 1), (2,)))
+    with pytest.raises(ValueError, match=r"\|C_i\| B\[i, j\] == \|C_j\| B\[j, i\]"):
+        QuotientMatrix([[0, 2**62], [-(2**63), 0]], pair)
+    assert QuotientMatrix([[0, 2**61], [2**62, 0]], pair).matrix[1, 0] == 2**62
 
 
 def test_a_quotient_without_the_cell_size_symmetry_is_refused():

@@ -183,6 +183,46 @@ def test_non_finite_input_or_spectrum_is_refused(m, message):
         eigenvalues_symmetric(np.array(m))
 
 
+# -- entries that are not real numbers ------------------------------------------
+
+
+@pytest.mark.parametrize("solve", [eigenvalues_symmetric, spectral_radius, jacobi_diagonalize])
+def test_complex_entries_are_refused_not_read_as_hermitian(solve):
+    # [[0, 1j], [1j, 0]] has eigenvalues +-i; LAPACK's Hermitian solver would
+    # read the lower triangle and report -1 and 1, and Jacobi would drop the
+    # imaginary part with a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix entries must be real numbers"):
+            solve(np.array([[0, 1j], [1j, 0]]))
+
+
+def test_a_complex_matrix_with_zero_imaginary_part_is_read_as_real():
+    m = np.array([[0, 1 + 0j], [1 + 0j, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eigenvalues_symmetric(m).tolist() == [-1.0, 1.0]
+        assert spectral_radius(m) == 1.0
+        assert np.allclose(jacobi_diagonalize(m).eigenvalues, [-1.0, 1.0])
+
+
+def _off_diagonal_objects(x):
+    m = np.zeros((2, 2), dtype=object)
+    m[0, 1] = m[1, 0] = x
+    return m
+
+
+@pytest.mark.parametrize("x", ["1", None, 1j, (1,)], ids=["str", "None", "complex", "tuple"])
+def test_object_arrays_hold_numbers_or_are_refused(x):
+    # read as graphs._not_whole reads them, as the array numpy makes of them;
+    # anything but real numbers is the ValueError the docstring promises, not
+    # numpy's TypeError
+    assert eigenvalues_symmetric(_off_diagonal_objects(1)).tolist() == [-1.0, 1.0]
+    for solve in (eigenvalues_symmetric, spectral_radius, jacobi_diagonalize):
+        with pytest.raises(ValueError, match="matrix entries must be real numbers"):
+            solve(_off_diagonal_objects(x))
+
+
 def test_input_matrix_not_modified():
     m = rand_symmetric(6)
     before = m.copy()
