@@ -18,7 +18,8 @@ I the identity and X = [[0, 1], [1, 0]]:
   + kron((A_sigma' - A_sigma) / 2, X)`` (the Bilu-Linial signed 2-lift).
 
 So vertex (u, j) of a product or lift with k copies has index ``k*u + j``,
-and every matrix is reproducible bit for bit.
+and every matrix is reproducible bit for bit. The cell partitions are built
+by ``Partition(cells)``, with the checks a partition file passes.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ def case_cells(case: int, n: int) -> Partition:
         head: tuple[tuple[int, ...], ...] = ((0, 1), (2, 3))
     else:
         head = tuple((v,) for v in range(case + 1))
-    # sorted, disjoint and non-empty, and they cover 0..n+case-1
-    return Partition._of(head + (tuple(range(case + 1, n + case)),), n + case)
+    return Partition(head + (range(case + 1, n + case),))
 
 
 def sign_complete_from_conference(c: ConferenceMatrix, case: int) -> SignedGraph:
@@ -190,8 +190,7 @@ def _lift(a: np.ndarray, b: np.ndarray) -> SignedGraph:
 
 def pair_cell_partition(n: int) -> Partition:
     """Cells {2u, 2u+1} for each base vertex u of a 2-lift."""
-    cells = tuple((2 * u, 2 * u + 1) for u in range(n))
-    return Partition._of(cells, 2 * len(cells))  # sorted, disjoint, covering 0..2n-1
+    return Partition((2 * u, 2 * u + 1) for u in range(n))
 
 
 def _switching_equivalence(

@@ -7,10 +7,10 @@ cell containing ``u``; the cell-level numbers form the quotient matrix B,
 which satisfies ``A @ P == P @ B`` exactly in integers, P being the 0/1 cell
 membership matrix.
 
-A :class:`Partition` builds its membership map once, when it is made: the
-cell of every vertex, the first vertex and the size of every cell. Every
-verdict reads that map, so ``P @ B`` is ``B[cell_of]``, the rows of B picked
-by each vertex's cell.
+A :class:`Partition` has one builder, ``Partition(cells)``, whose one pass
+checks the cells and fills the membership map: the cell of every vertex, the
+first vertex and the size of every cell. Every verdict reads that map, so
+``P @ B`` is ``B[cell_of]``, the rows of B picked by each vertex's cell.
 
 :func:`_cell_degrees` forms ``D = A @ P`` with ``graphs._exact_matmul``,
 reads B off D's rows at the cells' first vertices, and compares D with
@@ -45,41 +45,38 @@ class Partition(_Frozen):
     cells: tuple[tuple[int, ...], ...]
 
     def __init__(self, cells: Iterable[Iterable[int]]) -> None:
+        """One pass over the vertices, in cell order, reads each with ``_integral``
+        and maps it to its cell. Then it refuses, in this order, the first empty or
+        overlapping cell, vertices that are not exactly ``0..n-1``, and a vertex
+        listed twice in one cell."""
         try:
             cells = [tuple(c) for c in cells]
         except TypeError:
             raise ValueError("cells must be a list of lists of vertices") from None
-        fixed = tuple(tuple(sorted([v if type(v) is int else _integral(v, "vertex") for v in c])) for c in cells)
-        seen: set[int] = set()
-        for cell in fixed:
-            if not cell:
-                raise ValueError("empty cell in partition")
-            if seen.intersection(cell):
-                raise ValueError("cells are not disjoint")
-            seen.update(cell)
-        n = len(seen)
-        if seen != set(range(n)):
-            raise ValueError("cells must cover the vertices 0..n-1 exactly")
-        self._build(fixed, n)
-
-    @classmethod
-    def _of(cls, cells: tuple[tuple[int, ...], ...], n: int) -> "Partition":
-        """Partition on sorted, disjoint, non-empty cells already known to cover ``0..n-1``."""
-        p = object.__new__(cls)
-        p._build(cells, n)
-        return p
-
-    def _build(self, cells: tuple[tuple[int, ...], ...], n: int) -> None:
-        cell_of = [0] * n
+        fixed, where, refused, listed = [], {}, None, 0
         for j, cell in enumerate(cells):
+            cell = tuple(sorted([v if type(v) is int else _integral(v, "vertex") for v in cell]))
             for v in cell:
-                cell_of[v] = j
-        cell_of = np.array(cell_of, dtype=np.int64)
-        membership = np.zeros((n, len(cells)))
+                if where.setdefault(v, j) != j:
+                    refused = refused or "cells are not disjoint"
+            if not cell:
+                refused = refused or "empty cell in partition"
+            fixed.append(cell)
+            listed += len(cell)
+        if refused:
+            raise ValueError(refused)
+        n = len(where)
+        if where.keys() != set(range(n)):
+            raise ValueError("cells must cover the vertices 0..n-1 exactly")
+        if listed > n:
+            v = next(a for c in fixed for a, b in zip(c, c[1:]) if a == b)
+            raise ValueError(f"vertex {v} is listed twice in one cell")
+        cell_of = np.fromiter(map(where.__getitem__, range(n)), np.int64, n)
+        membership = np.zeros((n, len(fixed)))
         membership[np.arange(n), cell_of] = 1.0
-        _freeze(self, cells=cells, n=n, _cell_of=cell_of, _membership=membership,
-                _heads=np.array([cell[0] for cell in cells], dtype=np.int64),
-                _sizes=np.array([len(cell) for cell in cells], dtype=np.int64))
+        _freeze(self, cells=tuple(fixed), n=n, _cell_of=cell_of, _membership=membership,
+                _heads=np.array([c[0] for c in fixed], dtype=np.int64),
+                _sizes=np.array([len(c) for c in fixed], dtype=np.int64))
 
     @property
     def size(self) -> int:

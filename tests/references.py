@@ -8,7 +8,7 @@ representatives, so the tests that use it check those.
 
 from typing import Iterable, Iterator
 
-from goodsign.graphs import Graph, SignedGraph
+from goodsign.graphs import Graph, SignedGraph, _integral
 from goodsign.search import _free_edges, _signing_for_index
 
 
@@ -35,6 +35,36 @@ def multiset_within(sub, full, tol: float) -> bool:
             return False
         j += 1
     return True
+
+
+def partition_reference(cells) -> tuple[tuple[tuple[int, ...], ...], int, list[int]]:
+    """The sorted cells, n and the cell of each vertex, by the rule ``Partition``
+    kept before it refused a vertex listed twice in one cell, which this accepts.
+
+    Every vertex is read first; then, cell by cell, the first empty cell or one
+    that meets an earlier cell is refused; then the cells must cover ``0..n-1``,
+    n counting distinct vertices.
+    """
+    try:
+        cells = [tuple(c) for c in cells]
+    except TypeError:
+        raise ValueError("cells must be a list of lists of vertices") from None
+    fixed = tuple(tuple(sorted([_integral(v, "vertex") for v in c])) for c in cells)
+    seen: set[int] = set()
+    for cell in fixed:
+        if not cell:
+            raise ValueError("empty cell in partition")
+        if seen.intersection(cell):
+            raise ValueError("cells are not disjoint")
+        seen.update(cell)
+    n = len(seen)
+    if seen != set(range(n)):
+        raise ValueError("cells must cover the vertices 0..n-1 exactly")
+    cell_of = [0] * n
+    for j, cell in enumerate(fixed):
+        for v in cell:
+            cell_of[v] = j
+    return fixed, n, cell_of
 
 
 def enumerate_signing_classes(g: Graph) -> Iterator[SignedGraph]:

@@ -44,6 +44,7 @@ from goodsign.spectra import (
     multisets_close,
     spectral_radius,
 )
+from references import multiset_within
 from test_conference import PALEY_PRIMES
 
 RNG = np.random.default_rng(987654321)
@@ -447,6 +448,50 @@ def test_lift_degree_preservation():
     for u in range(g.n):
         assert lifted.degree(2 * u) == g.degree(u)
         assert lifted.degree(2 * u + 1) == g.degree(u)
+
+
+# -- the paper's product and lift theorems on drawn inputs -------------------------
+
+
+@st.composite
+def signings_and_splits(draw):
+    """A graph on at most 8 vertices, two signings of it, a split of its edges
+    into h1 and h2 (signed as the first signing), and a switching vector."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    m = len(g.edge_list)
+    sigma, sigma_prime = (
+        SignedGraph(g, dict(zip(g.edge_list, draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m)))))
+        for _ in range(2)
+    )
+    in_h1 = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    h1, h2 = (
+        SignedGraph.from_edge_triples(n, [(*e, sigma.signs[e]) for e, x in zip(g.edge_list, in_h1) if x == side])
+        for side in (True, False)
+    )
+    return g, sigma, sigma_prime, h1, h2, draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+
+
+def _spectrum(sg):
+    return eigenvalues_symmetric(signed_adjacency(sg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(signings_and_splits())
+def test_products_and_lifts_split_the_spectra_of_their_parts(drawn):
+    g, sigma, sigma_prime, h1, h2, d = drawn
+    s, s_prime = _spectrum(sigma), _spectrum(sigma_prime)
+    lift = two_lift_signed(g, sigma, sigma_prime)
+    # so two good signings give a good 2-lift
+    assert multisets_close(_spectrum(lift), np.concatenate([s, s_prime]))
+    assert multisets_close(_spectrum(lex_k4_signing(g, sigma)), np.concatenate([2 * s, np.repeat(-2 * s, 3)]))
+    assert multisets_close(_spectrum(lex_k2_signing(g, h1, h2)), np.concatenate([2 * _spectrum(h1), 2 * _spectrum(h2)]))
+    assert multisets_close(_spectrum(sigma.switched(d)), s)
+    assert multisets_close(_spectrum(sigma.negated()), -s)  # so negation keeps rho
+    b = quotient_matrix(lift, pair_cell_partition(g.n))
+    assert np.array_equal(b.matrix, signed_adjacency(sigma_prime))
+    assert multiset_within(quotient_eigenvalues(b), _spectrum(lift), VERDICT_TOLERANCE)
 
 
 # -- switching equivalence --------------------------------------------------------

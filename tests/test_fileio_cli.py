@@ -728,6 +728,16 @@ def test_cli_null_values_are_input_errors(tmp_path, capsys, kind, message):
     assert captured.err == f"error: {message}\n"
 
 
+def test_cli_partition_check_refuses_a_vertex_listed_twice_in_one_cell(tmp_path, capsys):
+    # Counted twice, vertex 0 made this partition of the all-plus C4 read "equitable": true.
+    signed = write_json(tmp_path / "c4.json", signed_graph_to_json_dict(SignedGraph.all_plus(cycle_graph(4))))
+    cells = write_json(tmp_path / "cells.json", {"cells": [[0, 0, 1], [2, 3]]})
+    assert run(["partition-check", "--signed", signed, "--partition", cells]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vertex 0 is listed twice in one cell\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -12,6 +12,7 @@ from goodsign.constructions import (
     sign_complete_from_conference,
     two_lift_signed,
 )
+from goodsign.fileio import partition_from_json_dict
 from goodsign.graphs import Graph, SignedGraph, complete_graph, cycle_graph, path_graph, signed_adjacency
 from goodsign.partition import (
     EquitabilityWitness,
@@ -27,7 +28,7 @@ from goodsign.partition import (
 )
 from goodsign.refdata import reference_matrix
 from goodsign.spectra import eigenvalues_symmetric
-from references import multiset_within, signed_degree
+from references import multiset_within, partition_reference, signed_degree
 
 
 def case_signing(case):
@@ -50,6 +51,90 @@ def test_partition_validation():
 def test_partition_refuses_cells_that_are_not_lists_of_vertices(cells):
     with pytest.raises(ValueError, match="cells must be a list of lists of vertices"):
         Partition(cells)
+
+
+@pytest.mark.parametrize("build", [Partition, lambda cells: partition_from_json_dict({"cells": cells})])
+@pytest.mark.parametrize("cells", [[[0, 0], [1]], [[1, 0, 0], [2]]])
+def test_a_vertex_listed_twice_in_one_cell_is_refused(build, cells):
+    # it was counted twice: [[0, 0], [1]] built n = 2 with cell sizes [2, 1]
+    with pytest.raises(ValueError) as err:
+        build(cells)
+    assert str(err.value) == "vertex 0 is listed twice in one cell"
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([[0, 0], [0]], "cells are not disjoint"),
+        ([[0, 0], [2]], "cells must cover the vertices 0..n-1 exactly"),
+        ([[0, 0], []], "empty cell in partition"),
+        ([[0, 0], ["x"]], "vertex 'x' is not an integer"),
+    ],
+)
+def test_a_repeat_is_reported_only_after_every_other_check(cells, message):
+    with pytest.raises(ValueError) as err:
+        Partition(cells)
+    assert str(err.value) == message
+
+
+_odd_vertices = st.sampled_from(
+    [-1, 2**63, 2**64 + 1, 1.0, True, False, np.int64(2), np.uint64(1), np.float64(0.0), 1.5, float("nan"), None, "1"]
+)
+
+
+@st.composite
+def cell_lists(draw):
+    """Half the time the cells of a partition of 0..n-1, shuffled, then given a
+    few edits (a repeat in a cell or in another cell, an empty cell, a dropped
+    or an odd vertex); else anything: short lists of small or odd vertices,
+    strings, or values that are not lists at all."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 7))
+        labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        cells = [[v for v in draw(st.permutations(range(n))) if labels[v] == x] for x in sorted(set(labels))]
+        for _ in range(draw(st.integers(0, 2))):
+            if not cells:
+                break
+            cell = draw(st.sampled_from(cells))
+            edit = draw(st.sampled_from(["repeat", "across", "empty", "drop", "odd"]))
+            if edit == "empty":
+                cells.insert(draw(st.integers(0, len(cells))), [])
+            elif cell and edit == "repeat":
+                cell.insert(draw(st.integers(0, len(cell))), draw(st.sampled_from(cell)))
+            elif cell and edit == "across":
+                draw(st.sampled_from(cells)).append(draw(st.sampled_from(cell)))
+            elif cell and edit == "drop":
+                cell.pop(draw(st.integers(0, len(cell) - 1)))
+            elif cell:
+                cell[draw(st.integers(0, len(cell) - 1))] = draw(_odd_vertices)
+        return cells
+    vertex = st.one_of(st.integers(-1, 4), _odd_vertices)
+    cell = st.one_of(st.lists(vertex, max_size=4), st.text(max_size=2), st.none(), st.integers())
+    return draw(st.one_of(st.lists(cell, max_size=4), st.none(), st.integers()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_lists())
+def test_partition_matches_the_loop_reference(cells):
+    # Equal cells, n and membership map, or the same message; the one allowed
+    # difference is the refusal of a vertex listed twice in one cell.
+    try:
+        ref_cells, n, cell_of = partition_reference(cells)
+    except ValueError as ref:
+        with pytest.raises(ValueError) as ours:
+            Partition(cells)
+        assert str(ours.value) == str(ref)
+        return
+    repeats = [v for cell in ref_cells for v, w in zip(cell, cell[1:]) if v == w]
+    if repeats:
+        with pytest.raises(ValueError) as ours:
+            Partition(cells)
+        assert str(ours.value) == f"vertex {repeats[0]} is listed twice in one cell"
+        return
+    p = Partition(cells)
+    assert p.cells == ref_cells and p.n == n and p._cell_of.tolist() == cell_of
+    assert p._heads.tolist() == [c[0] for c in ref_cells] and p._sizes.tolist() == [len(c) for c in ref_cells]
+    assert np.array_equal(p._membership, np.eye(len(ref_cells))[cell_of])
 
 
 def test_signed_degree_examples():
