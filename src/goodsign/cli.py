@@ -89,7 +89,7 @@ def _cmd_lex_k2(args) -> tuple[str, int]:
 
 def _cmd_lex_k4(args) -> tuple[str, int]:
     sigma = load_signed_graph(args.signing)
-    # only the (m, 3) table, not the product's own arrays, stays alive while it is encoded
+    # the product's edges and signs are columns of its one (m, 3) table, which is encoded as it is
     return dumps_json(signed_graph_to_json_dict(lex_k4_signing(sigma.graph, sigma))), EXIT_OK
 
 

@@ -34,6 +34,7 @@ from .graphs import (
     SignedGraph,
     _bfs_forest,
     _integral,
+    _vertex_count,
     signed_adjacency,
     verify_decomposition,
 )
@@ -149,8 +150,8 @@ def lex_k4_signing(g: Graph, sigma: SignedGraph) -> SignedGraph:
     """
     if sigma.graph != g:
         raise ValueError("signing is not on the given base graph")
-    # A symmetric {0, +-1} matrix with zero diagonal, times a symmetric +-1 block.
-    return SignedGraph._of_adjacency(np.kron(signed_adjacency(sigma), 1 - 2 * np.eye(4, dtype=np.int64)))
+    # A symmetric {0, +-1} matrix with zero diagonal, times a symmetric +-1 block; int8 holds it exactly.
+    return SignedGraph._of_adjacency(np.kron(sigma._adjacency.astype(np.int8), 1 - 2 * np.eye(4, dtype=np.int8)))
 
 
 def two_lift(g: Graph, tau: SignedGraph) -> Graph:
@@ -189,8 +190,8 @@ def _lift(a: np.ndarray, b: np.ndarray) -> SignedGraph:
 
 
 def pair_cell_partition(n: int) -> Partition:
-    """Cells {2u, 2u+1} for each base vertex u of a 2-lift."""
-    return Partition((2 * u, 2 * u + 1) for u in range(n))
+    """Cells {2u, 2u+1} for each base vertex u of a 2-lift; n is read as ``Graph`` reads a vertex count."""
+    return Partition((2 * u, 2 * u + 1) for u in range(_vertex_count(n)))
 
 
 def _switching_equivalence(

@@ -6,16 +6,17 @@ Graph JSON: ``{"n": int, "edges": [[u, v], ...]}``; signed graphs carry
 int64 array. Any valid JSON loads; numpy parses an ``"edges"`` table closed
 by the document's last ``]`` when :func:`_int_table`, writing what numpy
 read, gives back the table's exact bytes, as in every file goodsign writes,
-and ``json.loads`` reads every other document. Matrices travel as plain text
-with newline-separated rows and space-separated entries. :func:`dumps_json`
-emits the bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` with
-every float first rounded to 12 significant digits, so identical inputs give
-byte-identical outputs, except that a non-empty 2-d integer numpy array is
-written straight from the array, one row per line (``    [0, 4, 1],``); any
-other numpy array is written as its ``tolist()``. The encoder appends text
-fragments to one list, which :func:`dumps_json` joins once; a large integer
-table adds one fragment per block of rows, joined from words of its columns'
-vocabularies, each word carrying the separator before its value.
+and ``json.loads`` reads every other document; the graph built keeps the
+array numpy filled. Matrices travel as plain text with newline-separated
+rows and space-separated entries. :func:`dumps_json` emits the bytes of
+``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` with every float first
+rounded to 12 significant digits, so identical inputs give byte-identical
+outputs, except that a non-empty 2-d integer numpy array is written straight
+from the array, one row per line (``    [0, 4, 1],``); any other numpy array
+is written as its ``tolist()``. The encoder appends text fragments to one
+list, which :func:`dumps_json` joins once; a large integer table adds one
+fragment per block of rows, made when asked for and joined from words of
+its columns' vocabularies, each word carrying the separator before its value.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 import stat
 import warnings
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def _encode(obj: Any, pad: str, out: list[str]) -> None:
         return
     if isinstance(obj, np.ndarray):
         if obj.ndim == 2 and obj.dtype.kind in "iu" and obj.size:
-            _int_table(obj, pad, out)
+            out.extend(_int_table(obj, pad))
             return
         obj = obj.tolist()
     if not isinstance(obj, (list, tuple)):
@@ -83,8 +84,8 @@ def _encode(obj: Any, pad: str, out: list[str]) -> None:
 _TABLE_BLOCK_ROWS = 2048
 
 
-def _int_table(a: np.ndarray, pad: str, out: list[str]) -> None:
-    """Append to ``out`` the JSON text of a non-empty 2-d integer array, one row per line.
+def _int_table(a: np.ndarray, pad: str) -> Iterator[str]:
+    """The JSON text of a non-empty 2-d integer array, one row per line, fragment by fragment.
 
     A small table, or one whose values span a range wider than its size, is
     one %-format call. Otherwise each column has a vocabulary: one word per
@@ -93,25 +94,24 @@ def _int_table(a: np.ndarray, pad: str, out: list[str]) -> None:
     ``, `` in the others). Each block of rows is then one word per entry,
     picked by one index into the vocabularies and joined into one fragment,
     so no list of words for the whole table exists; the first word's row
-    break opens the table instead.
+    break opens the table instead, and each fragment is made when asked for.
     """
     inner = pad + "  "
     base = a.min()
     lo, hi = int(base), int(a.max())
     if a.size < 256 or hi - lo >= a.size:  # the vocabularies would cost more than they save
         row = "[" + ", ".join(["%d"] * a.shape[1]) + "]"
-        out.append("[\n" + inner + (",\n" + inner).join([row] * len(a)) % tuple(a.ravel().tolist()) + "\n" + pad + "]")
+        yield "[\n" + inner + (",\n" + inner).join([row] * len(a)) % tuple(a.ravel().tolist()) + "\n" + pad + "]"
         return
     values = list(map(str, range(lo, hi + 1)))
     breaks = ["],\n" + inner + "["] + [", "] * (a.shape[1] - 1)
     vocabulary = np.array([b + v for b in breaks for v in values], dtype=object)
     starts = np.arange(0, len(vocabulary), len(values))  # where each column's vocabulary starts
-    head = len(out)
     for first in range(0, len(a), _TABLE_BLOCK_ROWS):
         index = np.subtract(a[first : first + _TABLE_BLOCK_ROWS], base, dtype=np.int64)
-        out.append("".join(vocabulary[index + starts].ravel().tolist()))
-    out[head] = "[" + out[head][2:]  # "],\n    [" less its "]," opens the table
-    out.append("]\n" + pad + "]")
+        text = "".join(vocabulary[index + starts].ravel().tolist())
+        yield text if first else "[" + text[2:]  # "],\n    [" less its "]," opens the table
+    yield "]\n" + pad + "]"
 
 
 # -- graphs ------------------------------------------------------------------
@@ -137,7 +137,7 @@ def graph_from_json_dict(d: dict) -> Graph:
 
 def signed_graph_to_json_dict(sg: SignedGraph) -> dict:
     """``n`` and the ``(m, 3)`` array of ``[u, v, sign]`` rows, which :func:`dumps_json` writes as rows."""
-    return {"n": sg.graph.n, "edges": np.column_stack((sg.graph._uv, sg._s))}
+    return {"n": sg.graph.n, "edges": sg._triples}
 
 
 def signed_graph_from_json_dict(d: dict) -> SignedGraph:
@@ -170,25 +170,27 @@ def _with_edge_array(data: bytes) -> dict:
     int64 array; a ValueError unless the table is as :func:`dumps_json` writes it.
 
     The table runs from ``"edges": [`` to the document's last ``]``, as in
-    every file goodsign writes. numpy reads its numbers, and
-    :func:`_int_table`, writing them as the table of a top-level member,
-    must give back exactly the table's bytes; ``json.loads`` then reads the
-    same numbers from them.
+    every file goodsign writes. numpy fills one array with as many numbers as
+    the table has commas plus one, read from its text less brackets, spaces
+    and newlines; :func:`_int_table`, writing them as the table of a
+    top-level member, must give back exactly the table's bytes, which an
+    array numpy stopped short in never does, so ``json.loads`` would read
+    the same numbers from them.
     """
     head = _EDGES.search(data)
     if not head or not data.isascii():  # a BOM or other non-ASCII text decodes as it always did
         raise ValueError("no plain edge table")
     start, end = head.end() - 1, data.rfind(b"]") + 1
-    span = data[start:end]
+    numbers = data[start:end].translate(None, b"[] \n")
     with warnings.catch_warnings(record=True) as caught:  # an older numpy warns, not raises, where it stops early
         warnings.simplefilter("always")
-        v = np.fromstring(span.translate(None, b"[]"), dtype=np.int64, sep=",")
-    width = span.count(b",", 0, span.find(b"]")) + 1  # the first row's
-    if caught or not v.size or v.size % width:
+        table = np.fromstring(numbers, dtype=np.int64, count=numbers.count(b",") + 1, sep=",")
+    width = data.count(b",", start, data.find(b"]", start)) + 1  # the first row's
+    if caught or not numbers or table.size % width:
         raise ValueError("not a plain edge table")
-    table, out, at = v.reshape(-1, width), [], start
-    _int_table(table, "  ", out)
-    for text in map(str.encode, out):  # fragment by fragment: the fragments are never joined
+    del numbers  # the round trip holds the file, the table and one fragment
+    table.shape, at = (-1, width), start
+    for text in map(str.encode, _int_table(table, "  ")):  # one fragment at a time, never joined
         if not data.startswith(text, at):
             raise ValueError("not a plain edge table")
         at += len(text)
@@ -198,6 +200,7 @@ def _with_edge_array(data: bytes) -> dict:
     doc = json.loads(rest, object_pairs_hook=hook, parse_constant=lambda c: _HOLE if c == "NaN" else float(c))
     if not (at == end and rest.count(b"NaN") == 1 and type(doc) is dict and keys[-1].count("edges") == 1 and doc["edges"] is _HOLE):
         raise ValueError("not a plain edge table")
+    table.setflags(write=False)  # so the graph built from it keeps it rather than a copy
     doc["edges"] = table
     return doc
 

@@ -3,11 +3,11 @@
 Vertices are always the integers ``0..n-1``; edges are unordered pairs kept in
 canonical ``(min, max)`` order. A graph stores its edges as one read-only,
 sorted, duplicate-free ``(m, 2)`` int64 array, and a signed graph adds an
-``(m,)`` int64 sign vector aligned with those rows. The tuple, set and dict
-views (``edges``, ``edge_list``, ``signs``, ``degrees``, ``neighbors``) are
-built from the arrays on first use. These values, and those of ``conference``
-and ``partition``, sit on ``_Frozen``: immutable and compared by value, so
-they can be shared and sent between threads freely.
+``(m,)`` int64 sign vector aligned with those rows (often both are columns of
+one ``(m, 3)`` ``[u, v, sign]`` table). Views (``edges``, ``edge_list``,
+``signs``, ``degrees``, ``neighbors``) are built on first use. These values,
+and those of ``conference`` and ``partition``, sit on ``_Frozen``: immutable
+and compared by value, so they can be shared and sent between threads freely.
 
 Each value has one validating builder from an edge table: ``Graph(n, edges)``
 for pairs and ``SignedGraph.from_edge_triples`` for ``(u, v, sign)`` triples,
@@ -63,11 +63,13 @@ class _EdgeTable:
     ``(m, width)`` numbers. Keeps ``rows`` as given, for messages to quote;
     the array ``a`` (an integer array of that shape as it is); ``odd``, the
     rows with a vertex that is not a whole number, NaN and infinities
-    included; the ends ``lo <= hi`` of each row; their stable lexicographic
-    ``order``, an index array, or ``slice(None)`` when the rows' ``(lo, hi)``
-    keys already strictly ascend; whether each position of it starts a
-    ``new`` pair; and ``uv``, the distinct pairs in sorted order, in the dtype
-    of ``a``.
+    included; the ends ``lo <= hi`` of each row, views of ``a`` when every
+    u < v; their stable lexicographic ``order``, an index array, or
+    ``slice(None)`` when the rows' ``(lo, hi)`` keys already strictly ascend;
+    whether each position of it starts a ``new`` pair; and ``kept``, the row
+    starting each pair, sorted, with ``lo`` and ``hi`` as its first two
+    columns: ``a`` itself when it is canonical, sorted, and new here or
+    read-only and owning its data (the fast read's table).
     """
 
     def __init__(self, n, rows: Iterable, width: int) -> None:
@@ -83,17 +85,20 @@ class _EdgeTable:
                 raise ValueError(f"edges must be {'[u, v]' if width == 2 else '[u, v, sign]'} rows of numbers")
         self.frac = _not_whole(a[:, :2])
         self.rows, self.a, self.odd = rows, a, self.frac[:, 0] | self.frac[:, 1]
-        self.lo, self.hi = lo, hi = np.minimum(a[:, 0], a[:, 1]), np.maximum(a[:, 0], a[:, 1])
+        u, v = a[:, 0], a[:, 1]
+        self.lo, self.hi = lo, hi = (u, v) if (u < v).all() else (np.minimum(u, v), np.maximum(u, v))
         self.new = np.ones(len(a), dtype=bool)
         ascending = (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))
         if ascending.all():  # as every file goodsign writes is: already the order lexsort would give
             self.order = slice(None)
-            self.uv = np.column_stack((lo, hi))
-            return
-        self.order = np.lexsort((hi, lo))
-        lo, hi = lo[self.order], hi[self.order]
-        self.new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        self.uv = np.column_stack((lo[self.new], hi[self.new]))
+            self.kept = a if lo is u and (a is not rows or not (a.flags.writeable or a.base is not None)) else a.copy()
+        else:
+            self.order = np.lexsort((hi, lo))
+            lo, hi = lo[self.order], hi[self.order]
+            self.new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            self.kept, lo, hi = a[self.order[self.new]], lo[self.new], hi[self.new]
+        if lo is not u:
+            self.kept[:, 0], self.kept[:, 1] = lo, hi
 
     def not_whole(self, i: int) -> str:
         return f"vertex {self.rows[i][0] if self.frac[i, 0] else self.rows[i][1]!r} is not an integer"
@@ -175,7 +180,7 @@ class Graph(_Frozen):
         _refuse(t.odd | (t.lo == t.hi),
                 lambda i: t.not_whole(i) if t.odd[i] else f"self-loop at vertex {int(t.rows[i][0])}")
         _refuse(~((0 <= t.lo) & (t.hi < t.n)), lambda i: f"edge {t.edge(i)} is not canonical for n={t.n}")
-        _freeze(self, n=t.n, _uv=t.uv.astype(np.int64, copy=False))
+        _freeze(self, n=t.n, _uv=t.kept.astype(np.int64, copy=False))
 
     @classmethod
     def _of(cls, n: int, uv: np.ndarray) -> "Graph":
@@ -301,8 +306,7 @@ class SignedGraph(_Frozen):
                 lambda i: f"edge {t.edge(i)} is not canonical for n={t.n}")
         _refuse((t.a[:, 2] != 1) & (t.a[:, 2] != -1),
                 lambda i: f"sign of edge {t.edge(i)} must be -1 or +1, got {t.rows[i][2]}")
-        uv = t.uv.astype(np.int64, copy=False)
-        return SignedGraph._of(Graph._of(t.n, uv), s[t.new].astype(np.int64, copy=False))
+        return SignedGraph._of_table(t.n, t.kept.astype(np.int64, copy=False))
 
     @staticmethod
     def all_plus(graph: Graph) -> "SignedGraph":
@@ -314,17 +318,29 @@ class SignedGraph(_Frozen):
         return SignedGraph._of_adjacency(_signed_matrix(np.asarray(a)))
 
     @classmethod
+    def _of_table(cls, n: int, t: np.ndarray) -> "SignedGraph":
+        """Signed graph whose edges and signs are the columns of ``t``, a new canonical sorted int64 table."""
+        return _freeze(object.__new__(cls), graph=Graph._of(n, t[:, :2]), _s=t[:, 2], _triples=t)
+
+    @classmethod
     def _of_adjacency(cls, m: np.ndarray) -> "SignedGraph":
         """Signed graph of a square, symmetric {0, +-1} matrix with zero diagonal, unchecked."""
         i = np.arange(len(m))
-        us, vs = np.nonzero((i[:, None] < i) & m.astype(bool))  # row-major order is already the sorted order
-        uv = np.empty((len(us), 2), dtype=np.int64)
-        uv[:, 0], uv[:, 1] = us, vs
-        return cls._of(Graph._of(len(m), uv), m[us, vs].astype(np.int64, copy=False))
+        at = np.flatnonzero((i[:, None] < i) & (m != 0))  # row-major order is already the sorted order
+        t = np.empty((len(at), 3), dtype=np.int64)
+        np.divmod(at, len(m), out=(t[:, 0], t[:, 1]))
+        t[:, 2] = m.ravel()[at]
+        return cls._of_table(len(m), t)
+
+    @cached_property
+    def _triples(self) -> np.ndarray:
+        """The ``(m, 3)`` table of ``[u, v, sign]`` rows, read-only; a builder that had one keeps it here."""
+        t = np.column_stack((self.graph._uv, self._s))
+        t.setflags(write=False)
+        return t
 
     def __repr__(self) -> str:
-        rows = np.column_stack((self.graph._uv, self._s)).tolist()
-        return f"SignedGraph.from_edge_triples({self.graph.n}, {rows})"
+        return f"SignedGraph.from_edge_triples({self.graph.n}, {self._triples.tolist()})"
 
     @cached_property
     def _adjacency(self) -> np.ndarray:

@@ -12,11 +12,11 @@ checks the cells and fills the membership map: the cell of every vertex, the
 first vertex and the size of every cell. Every verdict reads that map, so
 ``P @ B`` is ``B[cell_of]``, the rows of B picked by each vertex's cell.
 
-:func:`_cell_degrees` forms ``D = A @ P`` with ``graphs._exact_matmul``,
-reads B off D's rows at the cells' first vertices, and compares D with
-``B[cell_of]`` once; the first witness, if any, is read off that one
-comparison. ``partition-check`` and ``reproduce``'s case examples test the
-identity on that same D.
+:func:`_cell_degrees` forms ``D = A @ P`` with ``graphs._exact_matmul``
+from the signed graph's cached A, reads B off D's rows at the cells' first
+vertices, and compares D with ``B[cell_of]`` once; the first witness, if
+any, is read off that one comparison. ``partition-check`` and
+``reproduce``'s case examples test the identity on that same D.
 :func:`verify_quotient_identity` forms its own, for a B given from elsewhere
 and read as a :class:`QuotientMatrix`, whose entries pass ``graphs._not_whole``
 and whose shape and cell-size symmetry are those of a quotient.
@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import SignedGraph, _exact_matmul, _freeze, _Frozen, _integral, _not_whole, signed_adjacency
+from .graphs import SignedGraph, _exact_matmul, _freeze, _Frozen, _integral, _not_whole
 from .spectra import _eigvalsh, _snapped
 
 
@@ -126,7 +126,7 @@ def _cell_degrees(
     """
     if p.n != sg.graph.n:
         raise ValueError("partition does not cover the graph's vertex set")
-    d = _exact_matmul(signed_adjacency(sg), p._membership)
+    d = _exact_matmul(sg._adjacency, p._membership)
     b = d[p._heads]
     bad = d != b[p._cell_of]
     if not bad.any():
@@ -193,7 +193,7 @@ def verify_quotient_identity(
         return False
     if p.n != sg.graph.n or bm.shape != (p.size, p.size):
         return False
-    return bool((_exact_matmul(signed_adjacency(sg), p._membership) == bm[p._cell_of]).all())
+    return bool((_exact_matmul(sg._adjacency, p._membership) == bm[p._cell_of]).all())
 
 
 def quotient_eigenvalues(b: QuotientMatrix) -> np.ndarray:

@@ -34,7 +34,7 @@ from goodsign.graphs import (
     petersen_graph,
     signed_adjacency,
 )
-from goodsign.partition import characteristic_matrix, is_equitable, quotient_eigenvalues, quotient_matrix
+from goodsign.partition import Partition, characteristic_matrix, is_equitable, quotient_eigenvalues, quotient_matrix
 from goodsign.refdata import reference_matrix
 from goodsign.reproduce import EXPECTED_LIFT_EDGES, cycle_cover_base
 from goodsign.spectra import (
@@ -165,6 +165,7 @@ _ORDER_TAKERS = {
     "case_quotient_eigenvalues case": (1, lambda x: case_quotient_eigenvalues(x, 6)),
     "sign_complete_from_conference case": (1, lambda x: sign_complete_from_conference(paley_conference(5), x)),
     "paley_conference q": (5, paley_conference),
+    "pair_cell_partition n": (2, pair_cell_partition),
 }
 
 
@@ -178,6 +179,13 @@ def test_fractional_orders_and_cases_are_refused_not_truncated(taker):
     for bad in (whole + 0.5, math.nan, str(whole)):
         with pytest.raises(ValueError, match=r" %s is not an integer$" % re.escape(repr(bad))):
             call(bad)
+
+
+def test_pair_cells_refuse_a_negative_vertex_count():
+    # read as Graph reads n: -2 is refused, not taken as the empty partition
+    with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+        pair_cell_partition(-2)
+    assert pair_cell_partition(0) == Partition([])
 
 
 def test_case_quotient_eigenvalue_values():

@@ -384,6 +384,22 @@ def test_large_cli_commands_build_no_per_edge_views(tmp_path, monkeypatch, capsy
         assert not vars(sg.graph).keys() & {"edges", "edge_list", "degrees", "_adjacency_lists"}
 
 
+def test_a_signed_graph_read_by_numpy_keeps_the_table_it_parsed(tmp_path):
+    # the fast read hands its table on read-only, and the graph stores its
+    # edges and signs as columns of that one table, which it writes back
+    from goodsign.fileio import _FAST_READ_BYTES, load_signed_graph
+
+    sg = sign_complete_from_conference(paley_conference(17), 3)
+    path = tmp_path / "s21.json"
+    path.write_text(dumps_json(signed_graph_to_json_dict(sg)))
+    assert path.stat().st_size >= _FAST_READ_BYTES
+    got = load_signed_graph(path)
+    t = got._triples
+    assert got == sg and t.flags.owndata and not t.flags.writeable
+    assert got.graph._uv.base is t and got._s.base is t
+    assert signed_graph_to_json_dict(got)["edges"] is t
+
+
 def test_lex_k4_at_n260_peaks_below_3_5_times_the_bytes_it_writes(tmp_path, capsys):
     # tracemalloc counts every Python and numpy allocation, so the peak is the
     # same on every run; the table text, its fragments and the encoded bytes
@@ -401,6 +417,30 @@ def test_lex_k4_at_n260_peaks_below_3_5_times_the_bytes_it_writes(tmp_path, caps
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * lex.stat().st_size
+
+
+def test_partition_check_at_n260_peaks_below_3_2_times_the_file_it_reads(tmp_path, capsys):
+    # the parsed table, which the signed graph keeps, the adjacency and its
+    # float64 cast for A P are the largest items; the file, its numbers'
+    # text and the table are alive together only before the round trip
+    import tracemalloc
+
+    from goodsign.constructions import case_cells
+
+    s61, lex = tmp_path / "s61.json", tmp_path / "lex260.json"
+    assert run(["sign-complete", "--q", "61", "--case", "3", "--out", str(s61)]) == 0
+    assert run(["lex-k4", "--signing", str(s61), "--out", str(lex)]) == 0
+    cells = [[4 * x + i for x in cell for i in range(4)] for cell in case_cells(3, 62).cells]
+    argv = ["partition-check", "--signed", str(lex), "--partition", write_json(tmp_path / "cells.json", {"cells": cells})]
+    assert run(argv) == 0  # so that the traced run finds the parser and imports built
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 3.2 * lex.stat().st_size
 
 
 def test_reading_the_large_cli_files_hands_json_loads_no_large_document(tmp_path, monkeypatch, capsys):
@@ -832,38 +872,43 @@ def test_cli_partition_check(tmp_path, capsys):
 
 
 def test_each_partition_verdict_forms_one_signed_adjacency(tmp_path, capsys, monkeypatch):
-    # One A P per verdict: partition-check reads its quotient, witness and
-    # identity off one product, and so does each example's partition check.
-    import goodsign.cli as cli
-    import goodsign.graphs as graphs
-    import goodsign.partition as partition
+    # One A per verdict: partition-check reads its quotient, witness and
+    # identity off the one adjacency its signed graph builds, and each
+    # example's partition check reads the one its signed graph built.
+    from functools import cached_property
 
-    calls = []
-    real = graphs.signed_adjacency
-    for module in (cli, partition):
-        monkeypatch.setattr(module, "signed_adjacency", lambda sg: calls.append(sg) or real(sg))
+    import goodsign.reproduce as reproduce
+
+    built, judged = [], []
+    real = SignedGraph.__dict__["_adjacency"].func
+    counted = cached_property(lambda sg: built.append(sg) or real(sg))
+    counted.__set_name__(SignedGraph, "_adjacency")
+    monkeypatch.setattr(SignedGraph, "_adjacency", counted)
+    for name in ("_cell_degrees", "verify_quotient_identity"):
+        monkeypatch.setattr(reproduce, name, lambda sg, *a, _fn=getattr(reproduce, name): judged.append(sg) or _fn(sg, *a))
     lift = two_lift_signed(*lift_base_signings())
     s = write_json(tmp_path / "s.json", signed_graph_to_json_dict(lift))
     pairs = write_json(tmp_path / "pairs.json", {"cells": [[2 * u, 2 * u + 1] for u in range(4)]})
     crossed = write_json(tmp_path / "crossed.json", {"cells": [[0, 3], [2, 5], [4, 7], [6, 1]]})
     for part, code in ((pairs, 0), (crossed, 1)):
-        calls.clear()
+        built.clear()
         assert run(["partition-check", "--signed", s, "--partition", part]) == code
-        assert len(calls) == 1
+        assert len(built) == 1
     capsys.readouterr()
     per_example = {}
     for example_id in example_ids():
-        calls.clear()
+        built.clear()
+        judged.clear()
         assert run_example(example_id).passed
-        per_example[example_id] = len(calls)
+        per_example[example_id] = [sum(b is sg for b in built) for sg in judged]
     assert per_example == {
-        "c6": 0,
-        "k7-case1-n6": 1,
-        "k8-case2-n6": 1,
-        "k9-case3-n6": 1,
-        "cycle-cover-lex2": 0,
-        "unsigned-lift": 0,
-        "aphi": 1,
+        "c6": [],
+        "k7-case1-n6": [1],
+        "k8-case2-n6": [1],
+        "k9-case3-n6": [1],
+        "cycle-cover-lex2": [],
+        "unsigned-lift": [],
+        "aphi": [1],
     }
 
 

@@ -534,6 +534,34 @@ def test_integer_arrays_build_what_lists_build(case):
         assert _outcome(lambda: build(n, table[:, :2])) == _outcome(lambda: build(n, [r[:2] for r in rows]))
 
 
+def test_a_sorted_table_is_kept_unless_its_caller_can_still_write_it():
+    rows = np.array([[0, 1, 1], [0, 2, -1], [1, 2, 1]], dtype=np.int64)
+    sg = SignedGraph.from_edge_triples(3, rows)  # writable: copied
+    rows[0, 2] = -1
+    assert sg.signs == {(0, 1): 1, (0, 2): -1, (1, 2): 1}
+    assert not np.shares_memory(sg._s, rows)
+    rows.setflags(write=False)  # read-only and owning its data, as the fast read's table is: kept
+    frozen = SignedGraph.from_edge_triples(3, rows)
+    assert frozen._triples is rows
+    assert frozen.graph._uv.base is rows and frozen._s.base is rows
+    view, writable = rows[:, :2], rows[:, :2].copy()  # a read-only view and a writable array: both copied
+    assert Graph(3, view)._uv is not view and Graph(3, writable)._uv is not writable
+    writable.setflags(write=False)
+    assert Graph(3, writable)._uv is writable
+    unsorted = np.array([[1, 2, 1], [0, 1, 1]], dtype=np.int64)
+    unsorted.setflags(write=False)
+    assert SignedGraph.from_edge_triples(3, unsorted).graph.edge_list == ((0, 1), (1, 2))
+
+
+def test_a_matrix_read_off_keeps_one_table_for_edges_and_signs():
+    sg = lex_k4_signing(cycle_graph(4), SignedGraph.from_edge_triples(4, [(0, 1, -1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]))
+    t = sg._triples
+    assert t.shape == (64, 3) and t.dtype == np.int64 and not t.flags.writeable
+    assert sg.graph._uv.base is t and sg._s.base is t
+    assert np.array_equal(t, np.column_stack((sg.graph._uv, sg._s)))
+    assert SignedGraph.from_adjacency(signed_adjacency(sg)) == sg
+
+
 @st.composite
 def sign_maps(draw, max_n=6):
     """A graph and the items of a sign map on it: keys reversed at random, up to three entries spoilt."""
