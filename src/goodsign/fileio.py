@@ -6,16 +6,15 @@ Graph JSON: ``{"n": int, "edges": [[u, v], ...]}``; signed graphs carry
 int64 array. Any valid JSON loads; numpy parses an ``"edges"`` table closed
 by the document's last ``]`` when :func:`_int_table`, writing what numpy
 read, gives back the table's exact bytes, as in every file goodsign writes,
-and ``json.loads`` reads every other document; the graph built keeps the
-array numpy filled. Matrices travel as plain text with newline-separated
-rows and space-separated entries. :func:`dumps_json` emits the bytes of
-``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` with every float first
-rounded to 12 significant digits, so identical inputs give byte-identical
-outputs, except that a non-empty 2-d integer numpy array is written straight
-from the array, one row per line (``    [0, 4, 1],``); any other numpy array
-is written as its ``tolist()``. The encoder appends text fragments to one
-list, which :func:`dumps_json` joins once; a large integer table adds one
-fragment per block of rows, made when asked for and joined from words of
+and ``json.loads`` reads every other document. Matrices travel as plain text
+with newline-separated rows and space-separated entries. :func:`dumps_json`
+emits the bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` with
+every float first rounded to 12 significant digits, so identical inputs give
+byte-identical outputs, except that a non-empty 2-d integer numpy array is
+written straight from the array, one row per line (``    [0, 4, 1],``); any
+other numpy array is written as its ``tolist()``. The encoder appends text
+fragments to one list, which :func:`dumps_json` joins once; a large integer
+table adds one fragment per block of rows, made when asked for, from words of
 its columns' vocabularies, each word carrying the separator before its value.
 """
 
@@ -150,6 +149,7 @@ def partition_from_json_dict(d: dict) -> Partition:
 
 _EDGES = re.compile(rb'"edges"[ \t\n\r]*:[ \t\n\r]*\[')
 _HOLE = object()
+_NOT_NUMBERS = bytes(sorted(set(range(256)) - set(b"-,0123456789")))  # what the text numpy reads is stripped of
 _FAST_READ_BYTES = 3072  # json.loads alone reads a smaller file as quickly (the tie is at 2.6-3.4 kB)
 
 
@@ -170,23 +170,24 @@ def _with_edge_array(data: bytes) -> dict:
     int64 array; a ValueError unless the table is as :func:`dumps_json` writes it.
 
     The table runs from ``"edges": [`` to the document's last ``]``, as in
-    every file goodsign writes. numpy fills one array with as many numbers as
-    the table has commas plus one, read from its text less brackets, spaces
-    and newlines; :func:`_int_table`, writing them as the table of a
-    top-level member, must give back exactly the table's bytes, which an
-    array numpy stopped short in never does, so ``json.loads`` would read
-    the same numbers from them.
+    every file goodsign writes. numpy reads the table's commas plus one
+    numbers, from the document's digits, minus signs and commas, into one
+    array; :func:`_int_table`, writing them as the table of a top-level
+    member, must give back exactly the table's bytes, which an array numpy
+    stopped short in never does, so ``json.loads`` would read the same
+    numbers from them.
     """
     head = _EDGES.search(data)
     if not head or not data.isascii():  # a BOM or other non-ASCII text decodes as it always did
         raise ValueError("no plain edge table")
     start, end = head.end() - 1, data.rfind(b"]") + 1
-    numbers = data[start:end].translate(None, b"[] \n")
+    numbers = data.translate(None, _NOT_NUMBERS)[len(data[:start].translate(None, _NOT_NUMBERS)) :]  # from the table on
+    size = len(numbers) - len(data[end:].translate(None, _NOT_NUMBERS))  # the table's part; numpy stops there
     with warnings.catch_warnings(record=True) as caught:  # an older numpy warns, not raises, where it stops early
         warnings.simplefilter("always")
-        table = np.fromstring(numbers, dtype=np.int64, count=numbers.count(b",") + 1, sep=",")
+        table = np.fromstring(numbers, dtype=np.int64, count=numbers.count(b",", 0, size) + 1, sep=",")
     width = data.count(b",", start, data.find(b"]", start)) + 1  # the first row's
-    if caught or not numbers or table.size % width:
+    if caught or not size or table.size % width:
         raise ValueError("not a plain edge table")
     del numbers  # the round trip holds the file, the table and one fragment
     table.shape, at = (-1, width), start

@@ -66,10 +66,9 @@ class _EdgeTable:
     included; the ends ``lo <= hi`` of each row, views of ``a`` when every
     u < v; their stable lexicographic ``order``, an index array, or
     ``slice(None)`` when the rows' ``(lo, hi)`` keys already strictly ascend;
-    whether each position of it starts a ``new`` pair; and ``kept``, the row
-    starting each pair, sorted, with ``lo`` and ``hi`` as its first two
-    columns: ``a`` itself when it is canonical, sorted, and new here or
-    read-only and owning its data (the fast read's table).
+    whether each position of it starts a ``new`` pair; and ``kept``, each
+    pair's first row, sorted, with ``lo`` and ``hi`` as its first columns:
+    ``a`` itself if canonical, sorted, and new or read-only owning its data.
     """
 
     def __init__(self, n, rows: Iterable, width: int) -> None:
