@@ -35,7 +35,6 @@ from .graphs import (
     _bfs_forest,
     _integral,
     _vertex_count,
-    signed_adjacency,
     verify_decomposition,
 )
 from .partition import Partition
@@ -133,7 +132,7 @@ def lex_k2_signing(g: Graph, h1: SignedGraph, h2: SignedGraph) -> SignedGraph:
             f"foreign={report.foreign_edges}"
         )
     j2 = np.ones((2, 2), dtype=np.int64)
-    a = np.kron(signed_adjacency(h1), j2) + np.kron(signed_adjacency(h2), 2 * np.eye(2, dtype=np.int64) - j2)
+    a = np.kron(h1._adjacency, j2) + np.kron(h2._adjacency, 2 * np.eye(2, dtype=np.int64) - j2)
     # Both terms are symmetric with {0, +-1} entries and zero diagonal blocks,
     # and the decomposition check keeps their nonzero blocks apart.
     return SignedGraph._of_adjacency(a)
@@ -161,7 +160,7 @@ def two_lift(g: Graph, tau: SignedGraph) -> Graph:
     of g and of the signed adjacency of tau."""
     if tau.graph != g:
         raise ValueError("pairing signing is not on the given base graph")
-    return _lift(g.adjacency(), signed_adjacency(tau)).graph
+    return _lift(g.adjacency(), tau._adjacency).graph
 
 
 def two_lift_signed(g: Graph, sigma: SignedGraph, sigma_prime: SignedGraph) -> SignedGraph:
@@ -174,7 +173,7 @@ def two_lift_signed(g: Graph, sigma: SignedGraph, sigma_prime: SignedGraph) -> S
     """
     if sigma.graph != g or sigma_prime.graph != g:
         raise ValueError("both signings must be on the given base graph")
-    return _lift(signed_adjacency(sigma_prime), signed_adjacency(sigma))
+    return _lift(sigma_prime._adjacency, sigma._adjacency)
 
 
 def _lift(a: np.ndarray, b: np.ndarray) -> SignedGraph:

@@ -261,14 +261,9 @@ class SignedGraph(_Frozen):
 
     def __init__(self, graph: Graph, signs: Mapping[Edge, int]) -> None:
         """Signed graph from a map of edges, in either vertex order, to signs,
-        its items read as ``(u, v, sign)`` triples by :meth:`_covering`."""
-        try:  # one int table, as every map goodsign makes gives, takes no tuple per item
-            keys, values = np.array(list(signs)), np.array(list(signs.values()))
-            triples = np.column_stack((keys, values)) if keys.dtype.kind == values.dtype.kind == "i" else None
-        except ValueError:  # keys numpy cannot stack
-            triples = None
-        if triples is None:  # the items as given, for messages to quote; a key that is no tuple is no row
-            triples = [(*k, s) if isinstance(k, tuple) else (k, s) for k, s in signs.items()]
+        its items read as ``(u, v, sign)`` triples by :meth:`_covering`; a key
+        that is no tuple is no row."""
+        triples = [(*k, s) if isinstance(k, tuple) else (k, s) for k, s in signs.items()]
         _freeze(self, graph=graph, _s=SignedGraph._covering(graph, triples)._s)
 
     @classmethod
@@ -380,7 +375,7 @@ def _signed_matrix(m: np.ndarray) -> np.ndarray:
     and 0, 1 or -1 elsewhere (1.0 is; 1.4, NaN and 1j are not); else a ValueError."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("adjacency matrix must be square")
-    if not (m == m.T).all():
+    if not ((m == m.T) | ((m != m) & (m.T != m.T))).all():  # a mirrored NaN breaks a later rule
         raise ValueError("adjacency matrix must be symmetric")
     if m.diagonal().any():
         raise ValueError("adjacency matrix must have zero diagonal")

@@ -15,8 +15,8 @@ first vertex and the size of every cell. Every verdict reads that map, so
 :func:`_cell_degrees` forms ``D = A @ P`` with ``graphs._exact_matmul``
 from the signed graph's cached A, reads B off D's rows at the cells' first
 vertices, and compares D with ``B[cell_of]`` once; the first witness, if
-any, is read off that one comparison. ``partition-check`` and
-``reproduce``'s case examples test the identity on that same D.
+any, is read off that one comparison, the identity ``A @ P == P @ B`` that
+``partition-check`` reports; ``reproduce``'s case examples test it on that D.
 :func:`verify_quotient_identity` forms its own, for a B given from elsewhere
 and read as a :class:`QuotientMatrix`, whose entries pass ``graphs._not_whole``
 and whose shape and cell-size symmetry are those of a quotient.

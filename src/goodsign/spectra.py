@@ -4,9 +4,10 @@ Every eigenvalue and spectral radius in the package comes from one seam,
 ``_eigvalsh``: LAPACK's symmetric solver through ``numpy.linalg.eigvalsh``,
 on a single matrix or on a stack of them. ``_symmetric`` checks a single
 matrix first, one pass per rule: square, real (a complex entry only with a
-zero imaginary part), finite, and equal to its transpose. Eigenvalues within
-``1e-12`` times ``max(1, rho)`` of zero are reported as exactly ``0.0``, so
-printed spectra do not carry solver roundoff.
+zero imaginary part), finite, and equal to its transpose; ``check_good_signing``
+passes its signing's cached, read-only ``SignedGraph._adjacency`` as it is.
+Eigenvalues within ``1e-12`` times ``max(1, rho)`` of zero are reported as
+exactly ``0.0``, so printed spectra do not carry solver roundoff.
 
 Every verdict ``rho <= 2 sqrt(d - 1)`` is one rule, ``_is_good``: ``rho <=
 bound + VERDICT_TOLERANCE`` (1e-9), ties counting as good. That tolerance also
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, SignedGraph, signed_adjacency
+from .graphs import Graph, SignedGraph
 
 JACOBI_RELATIVE_TOLERANCE = 1e-12
 JACOBI_MAX_SWEEPS = 64
@@ -249,7 +250,7 @@ def check_good_signing(sg: SignedGraph, mode: str = "regular") -> SpectralReport
     ``rho <= bound + VERDICT_TOLERANCE``.
     """
     bound, degree = good_signing_bound(sg.graph, mode)
-    eig, rho = _snapped(_eigvalsh(signed_adjacency(sg)))  # symmetric and integer as built
+    eig, rho = _snapped(_eigvalsh(sg._adjacency))  # symmetric and integer as built
     verdict = GOOD if _is_good(rho, bound) else NOT_GOOD
     return SpectralReport(
         eigenvalues=tuple(eig.tolist()),

@@ -830,3 +830,21 @@ def test_lifts_refuse_a_signing_of_another_graph():
         with pytest.raises(ValueError) as err:
             two_lift_signed(c4, sigma, sigma_prime)
         assert str(err.value) == "both signings must be on the given base graph"
+
+
+def test_internal_readers_leave_the_cached_adjacency_as_it_was():
+    # the constructions and the verdict read each signing's cached A, never a copy, and write nothing to it
+    c4 = cycle_graph(4)
+    sigma = SignedGraph.from_edge_triples(4, [(0, 1, -1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    sigma_prime = sigma.switched([1, -1, 1, 1])
+    h1 = SignedGraph.from_edge_triples(4, [(0, 1, 1), (2, 3, -1)])
+    h2 = SignedGraph.from_edge_triples(4, [(1, 2, -1), (0, 3, 1)])
+    inputs = (sigma, sigma_prime, h1, h2)
+    cached = [(sg._adjacency, sg._adjacency.tobytes()) for sg in inputs]
+    check_good_signing(sigma)
+    two_lift(c4, sigma)
+    two_lift_signed(c4, sigma, sigma_prime)
+    lex_k2_signing(c4, h1, h2)
+    lex_k4_signing(c4, sigma_prime)
+    for sg, (a, data) in zip(inputs, cached):
+        assert sg._adjacency is a and not a.flags.writeable and a.tobytes() == data

@@ -486,7 +486,9 @@ def test_an_indent_2_file_at_n260_loads_by_json_loads_to_the_same_graph(tmp_path
         stdout.append(capsys.readouterr().out)
     assert stdout[0] == stdout[1]
     assert fileio.load_signed_graph(old) == fileio.load_signed_graph(lex)
-    assert fast == [(619856, True), (1418576, False), (1418576, False), (619856, True)]
+    cells_size = (tmp_path / "cells.json").stat().st_size  # over the gate, and refused: it has no edge table
+    assert fast == [(619856, True), (cells_size, False), (1418576, False), (cells_size, False),
+                    (1418576, False), (619856, True)]
     assert sorted(sizes)[-2:] == [1418576, 1418576] and sorted(sizes)[-3] <= 64 * 1024
 
 
@@ -509,8 +511,9 @@ def _recording_fast_read(taken):
 
 
 def test_the_cli_benchmark_files_take_the_fast_read(tmp_path, monkeypatch, capsys):
-    # the goodsign-written files of the cli benchmark that reach the fast read's size:
-    # the q = 61 case-3 signing, its n = 260 lex-k4 product, and a 2-lift at n = 34
+    # the goodsign-written files of the cli benchmark that reach the fast read's size: the q = 61
+    # case-3 signing, its n = 260 lex-k4 product, the q = 13 case-3 signing (read twice) and a
+    # switching of it, and a 2-lift at n = 34 take it; the n = 260 cells, with no edge table, do not
     from goodsign import fileio
     from goodsign.constructions import case_cells
 
@@ -520,7 +523,8 @@ def test_the_cli_benchmark_files_take_the_fast_read(tmp_path, monkeypatch, capsy
     cells = [[4 * x + i for x in cell for i in range(4)] for cell in case_cells(3, 62).cells]
     assert run(["sign-complete", "--q", "61", "--case", "3", "--out", str(s61)]) == 0
     assert run(["lex-k4", "--signing", str(s61), "--out", str(lex)]) == 0
-    assert run(["partition-check", "--signed", str(lex), "--partition", write_json(tmp_path / "cells.json", {"cells": cells})]) == 0
+    part = write_json(tmp_path / "cells.json", {"cells": cells})
+    assert run(["partition-check", "--signed", str(lex), "--partition", part]) == 0
     assert run(["sign-complete", "--q", "13", "--case", "3", "--out", str(s13)]) == 0
     switched = fileio.load_signed_graph(s13).switched([(-1) ** (v % 3) for v in range(17)])
     sw = write_json(tmp_path / "sw13.json", signed_graph_to_json_dict(switched))
@@ -528,9 +532,10 @@ def test_the_cli_benchmark_files_take_the_fast_read(tmp_path, monkeypatch, capsy
     pairs = write_json(tmp_path / "pairs.json", {"cells": [[2 * x, 2 * x + 1] for x in range(17)]})
     assert run(["partition-check", "--signed", str(lift), "--partition", pairs]) == 0
     capsys.readouterr()
-    sizes = [p.stat().st_size for p in (s61, lex, lift)]
-    assert sizes[:2] == [35669, 619856] and sizes[2] >= fileio._FAST_READ_BYTES
-    assert taken == [(size, True) for size in sizes]
+    files = [s61, lex, tmp_path / "cells.json", s13, s13, tmp_path / "sw13.json", lift]
+    sizes = [p.stat().st_size for p in files]
+    assert sizes[:2] == [35669, 619856] and min(sizes) >= fileio._FAST_READ_BYTES
+    assert taken == [(size, p.name != "cells.json") for size, p in zip(sizes, files)]
 
 
 @st.composite

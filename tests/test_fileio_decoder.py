@@ -8,8 +8,10 @@ same exception with the same message.
 """
 
 import json
+import os
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,3 +413,52 @@ def test_a_builder_error_is_raised_from_the_one_build(tmp_path, monkeypatch):
         fileio.load_signed_graph(path)
     assert len(builds) == 1 and isinstance(builds[0]["edges"], np.ndarray)
     assert len(reads) == 1 and reads[0] < len(path.read_text())  # the fast read's, with the table cut out
+
+
+# -- one read per load ---------------------------------------------------------
+
+
+def _files(tmp_path) -> dict:
+    """A file the fast read takes, a file under the gate, and one at full size it refuses."""
+    signed = SignedGraph.from_edge_triples(20, [(u, v, 1 - 2 * ((u + v) % 2)) for u in range(20) for v in range(u + 1, 20)])
+    files = {"taken": dumps_json(signed_graph_to_json_dict(signed)),
+             "small": dumps_json(signed_graph_to_json_dict(SignedGraph.from_edge_triples(3, [(0, 1, 1), (1, 2, -1)]))),
+             "refused": json.dumps({"n": 20, "edges": signed._triples.tolist()}, indent=2)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return files
+
+
+def test_each_load_reads_its_file_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_FAST_READ_BYTES", FAST_READ_BYTES)
+    files = _files(tmp_path)
+    assert len(files["small"]) < FAST_READ_BYTES <= min(len(files["taken"]), len(files["refused"]))
+    assert _fast_doc(files["taken"].encode()) is not None and _fast_doc(files["refused"].encode()) is None
+    counts = {}
+    for owner, name in [(Path, "read_bytes"), (Path, "read_text"), (os.path, "getsize")]:
+        def counted(*args, _call=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    for name in files:
+        counts.clear()
+        want = fileio.signed_graph_from_json_dict(json.loads(files[name]))
+        assert fileio.load_signed_graph(tmp_path / name) == want
+        assert counts.get("read_bytes", 0) + counts.get("read_text", 0) == 1 and "getsize" not in counts, name
+
+
+@pytest.mark.parametrize("size", ["taken", "small", "refused"])
+@pytest.mark.parametrize("edit", ["bom", "crlf", "cr", "latin-1"])
+def test_a_bom_or_crlf_file_loads_as_its_text_reads(tmp_path, monkeypatch, size, edit):
+    # the document, or the error text, is that of json.loads of Path.read_text, at the gate the cli uses
+    monkeypatch.setattr(fileio, "_FAST_READ_BYTES", FAST_READ_BYTES)
+    text = _files(tmp_path)[size]
+    data = {"bom": b"\xef\xbb\xbf" + text.encode(), "crlf": text.replace("\n", "\r\n").encode(),
+            "cr": text.replace("\n", "\r").encode(), "latin-1": text.replace("}", ', "x": "\xe9"}').encode("latin-1")}[edit]
+    path = tmp_path / "edited.json"
+    path.write_bytes(data)
+    for load, build in LOADERS.values():
+        assert _outcome(lambda: load(path)) == _outcome(lambda: build(json.loads(path.read_text())))
+    if edit == "bom":
+        with pytest.raises(ValueError, match=r"^Unexpected UTF-8 BOM \(decode using utf-8-sig\): line 1 column 1"):
+            fileio.load_signed_graph(path)

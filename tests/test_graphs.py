@@ -14,6 +14,7 @@ from goodsign.graphs import (
     signed_adjacency,
     verify_decomposition,
 )
+from goodsign.conference import verify_conference
 from goodsign.constructions import lex_k2_signing, lex_k4_signing
 from goodsign.refdata import reference_matrix
 from goodsign.reproduce import cycle_cover_base
@@ -632,6 +633,37 @@ def test_from_adjacency_refuses_an_imaginary_unit_and_reads_a_real_complex_one()
     # a RuntimeWarning (a ComplexWarning among them) is an error under pytest's configuration
     sg = SignedGraph.from_adjacency(np.array([[0, -1 + 0j, 1], [-1, 0, 0], [1, 0, 0]]))
     assert sg == SignedGraph.from_edge_triples(3, [(0, 1, -1), (0, 2, 1)])
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        ([[0, np.nan], [np.nan, 0]], "entry (0, 1) = nan is not in {0, -1, +1}"),
+        ([[0, 1, np.nan], [1, 0, 0], [np.nan, 0, 0]], "entry (0, 2) = nan is not in {0, -1, +1}"),
+        ([[0, complex(np.nan, 0)], [complex(np.nan, 0), 0]], "entry (0, 1) = (nan+0j) is not in {0, -1, +1}"),
+        ([[np.nan, 1], [1, 0]], "adjacency matrix must have zero diagonal"),
+        ([[0, np.nan], [1, 0]], "adjacency matrix must be symmetric"),  # a NaN without a mirror
+        ([[0, np.nan], [0, 0]], "adjacency matrix must be symmetric"),
+    ],
+)
+def test_a_mirrored_nan_is_refused_by_the_rule_it_breaks(m, message):
+    # NaN != NaN, yet a NaN and its mirror are symmetric: the entry rule or the diagonal rule refuses them
+    with pytest.raises(ValueError) as err:
+        SignedGraph.from_adjacency(m)
+    assert str(err.value) == message
+    assert not verify_conference(np.array(m))
+
+
+def test_sign_maps_of_integers_build_as_their_triples():
+    # all-integer maps, numpy integers included, in either key order, build the signing their triples give
+    g = cycle_graph(4)
+    want = SignedGraph.from_edge_triples(4, [(0, 1, -1), (1, 2, 1), (2, 3, 1), (0, 3, -1)])
+    for signs in ({(0, 1): -1, (1, 2): 1, (2, 3): 1, (0, 3): -1},
+                  {(np.int64(3), np.int64(0)): np.int64(-1), (np.int32(2), np.int32(1)): np.int32(1),
+                   (2, 3): np.int8(1), (1, 0): -1}):
+        sg = SignedGraph(g, signs)
+        assert sg == want and sg.graph is g
+        assert all(type(x) is int for e, s in sg.signs.items() for x in (*e, s))
 
 
 def test_small_builders_refuse_what_they_cannot_build():
