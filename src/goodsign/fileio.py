@@ -21,7 +21,6 @@ its columns' vocabularies, each word carrying the separator before its value.
 from __future__ import annotations
 
 import json
-import hashlib
 import io
 import os
 import re
@@ -240,6 +239,8 @@ def matrix_to_text(a: np.ndarray) -> str:
 
 def matrix_from_text(text: str) -> np.ndarray:
     """Parse the plain-text matrix format; integral input yields int64."""
+    if text.startswith("\ufeff"):  # refused as json.loads refuses it, not as an unparsable entry
+        raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)")
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
     if not rows:
         raise ValueError("empty matrix text")
@@ -277,10 +278,6 @@ def write_text(path: str | Path, text: str) -> None:
         f.flush()
         if stat.S_ISREG(os.fstat(fd).st_mode):
             os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
-
-
-def sha256_of_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # -- run manifest ------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Bundled reference matrices for the reproduction checks.
 
 Each matrix was transcribed once into ``data/`` and is guarded by a sha256
-manifest. The data directory is resolved and the manifest read once per
-process; every load reads and hashes its file again, so a silent edit of a
-reference file cannot go unnoticed.
+manifest. The data directory is resolved, the manifest read and ``hashlib``
+loaded once per process, at the first check; every load reads and hashes its
+file again, so a silent edit of a reference file cannot go unnoticed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .fileio import matrix_from_text, sha256_of_text
+from .fileio import matrix_from_text
 
 REFERENCE_NAMES = (
     "c6",
@@ -39,6 +39,11 @@ def _data_root():
 def reference_checksums() -> Mapping[str, str]:
     """The sha256 manifest, read once per process; every load hashes its file again."""
     return MappingProxyType(json.loads((_data_root() / "checksums.json").read_text()))
+
+
+def sha256_of_text(text: str) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, which only these checks need
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def reference_matrix(name: str) -> np.ndarray:

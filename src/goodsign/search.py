@@ -80,7 +80,6 @@ eigensolves every class; only ``eigensolved`` depends on the bounds.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -317,6 +316,7 @@ def min_rho(
     if parts <= 1:
         found = [_near_ties(g, free, 0, count)]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only here: it loads logging, which a serial search never needs
         ranges = [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
         with ThreadPoolExecutor(max_workers=parts) as pool:
             found = list(pool.map(lambda r: _near_ties(g, free, *r), ranges))

@@ -462,3 +462,22 @@ def test_a_bom_or_crlf_file_loads_as_its_text_reads(tmp_path, monkeypatch, size,
     if edit == "bom":
         with pytest.raises(ValueError, match=r"^Unexpected UTF-8 BOM \(decode using utf-8-sig\): line 1 column 1"):
             fileio.load_signed_graph(path)
+
+
+@pytest.mark.parametrize("edit", ["bom", "crlf", "cr"])
+def test_a_matrix_file_with_a_bom_is_refused_as_the_json_loaders_refuse_one(tmp_path, capsys, edit):
+    text = "0 1 -1\n1 0 1\n-1 1 0\n"
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    assert run(["spectrum", "--matrix", str(path)]) == 0
+    plain = capsys.readouterr()
+    path.write_bytes({"bom": b"\xef\xbb\xbf" + text.encode(), "crlf": text.replace("\n", "\r\n").encode(),
+                      "cr": text.replace("\n", "\r").encode()}[edit])
+    code = run(["spectrum", "--matrix", str(path)])
+    captured = capsys.readouterr()
+    if edit == "bom":
+        with pytest.raises(ValueError) as json_error:  # the text the JSON loaders give a BOM file
+            json.loads("\ufeff{}")
+        assert (code, captured.out, captured.err) == (2, "", f"error: {json_error.value}\n")
+    else:
+        assert (code, captured) == (0, plain)

@@ -141,10 +141,47 @@ def test_records_and_graphs_refuse_assignment_and_keep_their_repr(text):
     assert repr(obj) == text
 
 
-def test_cli_imports_only_the_standard_library_beyond_numpy():
-    code = "import sys, numpy; before = set(sys.modules); import goodsign.cli; print(*set(sys.modules) - before)"
+def _run_fresh(code):
+    """stdout of ``code`` run in a fresh interpreter that imports goodsign from this tree."""
     env = {**os.environ, "PYTHONPATH": str(Path(goodsign.__file__).resolve().parent.parent)}
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_imports_only_the_standard_library_beyond_numpy():
+    loaded = _run_fresh("import sys, numpy; before = set(sys.modules); import goodsign.cli; print(*set(sys.modules) - before)")
     roots = {name.partition(".")[0] for name in loaded.split()}
     assert "goodsign" in roots and "dataclasses" not in roots
     assert sorted(roots - sys.stdlib_module_names - {"goodsign"}) == []
+
+
+HEAVY = ["hashlib", "_hashlib", "concurrent.futures", "logging"]
+IMPORT_EVERYTHING = f"""
+import importlib, sys
+for name in ["goodsign", *{[m.__name__ for m in MODULES]!r}]:
+    importlib.import_module(name)
+print([m for m in {HEAVY!r} if m in sys.modules])
+print([m for m in sys.modules if m.partition(".")[0] not in {["goodsign", *(m.partition(".")[0] for m in HEAVY)]!r}])
+from goodsign import complete_graph, min_rho
+from goodsign.refdata import reference_matrix
+from goodsign.search import _free_edges
+reference_matrix("c6")
+print("hashlib" in sys.modules, "concurrent.futures" in sys.modules)
+k7 = complete_graph(7)
+signs = min_rho(k7, jobs=2).best_signing.signs
+print("concurrent.futures" in sys.modules, sum(1 << i for i, e in enumerate(_free_edges(k7)[0]) if signs[e] == -1))
+"""
+
+
+def test_hashing_and_the_thread_pool_load_only_where_they_run():
+    # hashlib loads OpenSSL and concurrent.futures loads logging: importing
+    # goodsign loads neither, the first reference check loads hashlib, and
+    # the first search split over threads loads concurrent.futures.
+    imported, others, *after = _run_fresh(IMPORT_EVERYTHING).splitlines()
+    # what the same modules, less goodsign's, load by themselves: nothing on CPython 3.10-3.12
+    alone = _run_fresh(
+        f"import contextlib, importlib, sys\nfor name in {others}:\n"
+        f"    with contextlib.suppress(ImportError):\n        importlib.import_module(name)\n"
+        f"print([m for m in {HEAVY!r} if m in sys.modules])"
+    )
+    assert imported == alone.strip()
+    assert after == ["True False", "True 1749"]

@@ -11,6 +11,8 @@ table is exact. Under every defect, each verdict line states a relation that
 its printed rho and bound satisfy.
 """
 
+import hashlib
+import json
 import math
 import operator
 import re
@@ -20,6 +22,7 @@ import pytest
 
 import goodsign.conference as conference
 import goodsign.constructions as constructions
+import goodsign.refdata as refdata
 import goodsign.reproduce as reproduce
 import goodsign.spectra as spectra
 from goodsign.cli import run
@@ -280,3 +283,21 @@ def test_an_unknown_example_id_raises_key_error():
     with pytest.raises(KeyError) as err:
         run_example("nope")
     assert err.value.args == (f"unknown example id 'nope'; known: {', '.join(example_ids())}",)
+
+
+def test_an_edited_reference_file_is_refused(tmp_path, monkeypatch, request):
+    # the same data directory with one entry of c6.txt changed
+    for source in refdata._data_root().iterdir():
+        (tmp_path / source.name).write_text(source.read_text())
+    edited = (tmp_path / "c6.txt").read_text().replace("0 1 1", "0 -1 1", 1)
+    (tmp_path / "c6.txt").write_text(edited)
+    refdata._data_root.cache_clear()
+    refdata.reference_checksums.cache_clear()
+    request.addfinalizer(refdata.reference_checksums.cache_clear)
+    monkeypatch.setattr(refdata, "_data_root", lambda: tmp_path)
+    expected = json.loads((tmp_path / "checksums.json").read_text())["c6.txt"]
+    got = hashlib.sha256(edited.encode()).hexdigest()
+    with pytest.raises(ValueError) as err:
+        refdata.reference_matrix("c6")
+    assert str(err.value) == f"checksum mismatch for c6.txt: expected {expected}, got {got}"
+    assert refdata.reference_matrix("k7_case1").shape == (7, 7)  # the untouched files still load

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -365,7 +366,7 @@ def test_thread_pool_only_for_large_class_spaces(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(search, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)  # min_rho imports it from there
     min_rho(complete_graph(6), jobs=2)  # 512 evaluated classes, one chunk
     assert workers == []
     k7 = complete_graph(7)
