@@ -473,12 +473,15 @@ def is_bipartite(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
 
 
 class DecompositionReport(NamedTuple):
-    """Outcome of :func:`verify_decomposition` with the violating edges listed."""
+    """Outcome of :func:`verify_decomposition`: the violating edges, with ``ok`` derived from them."""
 
-    ok: bool
     shared_edges: tuple[Edge, ...]
     missing_edges: tuple[Edge, ...]
     foreign_edges: tuple[Edge, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not (self.shared_edges or self.missing_edges or self.foreign_edges)
 
 
 def verify_decomposition(g: Graph, parts: Sequence[Graph | SignedGraph]) -> DecompositionReport:
@@ -494,5 +497,4 @@ def verify_decomposition(g: Graph, parts: Sequence[Graph | SignedGraph]) -> Deco
     shared = tuple(sorted(e for e, c in counts.items() if c > 1))
     missing = tuple(sorted(g.edges - set(counts)))
     foreign = tuple(sorted(set(counts) - g.edges))
-    ok = not shared and not missing and not foreign
-    return DecompositionReport(ok, shared, missing, foreign)
+    return DecompositionReport(shared, missing, foreign)

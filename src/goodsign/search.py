@@ -189,16 +189,20 @@ class SearchResult(NamedTuple):
     left after negation pairing, and ``eigensolved`` those actually passed to
     the eigensolver after moment pruning, summed over the ``jobs`` ranges.
     ``eigensolved`` is a cost counter: it may vary with ``jobs`` and the
-    chunk size, while the winner and every other field do not.
+    chunk size, while the winner and every other field do not. ``good_found``
+    is derived: ``best_rho`` judged against ``bound_used`` by ``_is_good``.
     """
 
     best_rho: float
     best_signing: SignedGraph
     classes_examined: int
-    good_found: bool
     bound_used: float
     evaluated: int
     eigensolved: int
+
+    @property
+    def good_found(self) -> bool:
+        return bool(_is_good(self.best_rho, self.bound_used))
 
 
 class _Moments:
@@ -323,12 +327,10 @@ def min_rho(
     positions = np.concatenate([p for p, _, _ in found])
     rhos = np.concatenate([r for _, r, _ in found])
     winner = int(np.flatnonzero(rhos <= rhos.min() + VERDICT_TOLERANCE)[0])
-    best_rho = float(rhos[winner])
     return SearchResult(
-        best_rho=best_rho,
+        best_rho=float(rhos[winner]),
         best_signing=_signing_for_index(g, free, int(positions[winner])),
         classes_examined=classes,
-        good_found=bool(_is_good(best_rho, bound)),
         bound_used=float(bound),
         evaluated=count,
         eigensolved=sum(e for _, _, e in found),

@@ -10,8 +10,10 @@ Eigenvalues within ``1e-12`` times ``max(1, rho)`` of zero are reported as
 exactly ``0.0``, so printed spectra do not carry solver roundoff.
 
 Every verdict ``rho <= 2 sqrt(d - 1)`` is one rule, ``_is_good``: ``rho <=
-bound + VERDICT_TOLERANCE`` (1e-9), ties counting as good. That tolerance also
-serves every comparison of a computed spectrum with a closed form.
+bound + VERDICT_TOLERANCE`` (1e-9), ties counting as good. A record stores rho
+and the bound and derives its verdict from them, so ``_replace(rho=...)``
+judges again. That tolerance also serves every comparison of a computed
+spectrum with a closed form.
 
 ``jacobi_diagonalize`` is an independent cyclic Jacobi solver in plain
 Python, kept as the reference the seam is tested against. Convergence is
@@ -33,9 +35,6 @@ JACOBI_MAX_SWEEPS = 64
 VERDICT_TOLERANCE = 1e-9
 ZERO_SNAP_TOLERANCE = 1e-12
 TOLERANCES = {"verdict": VERDICT_TOLERANCE, "zero_snap": ZERO_SNAP_TOLERANCE}
-
-GOOD = "good"
-NOT_GOOD = "not_good"
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -218,24 +217,26 @@ def good_signing_bound(g: Graph, mode: str) -> tuple[float, int]:
 
 
 class SpectralReport(NamedTuple):
-    """Eigenvalues of a signing plus the bound verdict."""
+    """Eigenvalues of a signing and the bound; the verdict is derived from rho and the bound."""
 
     eigenvalues: tuple[float, ...]
     rho: float
     degree: int
     bound: float
-    verdict: str
-    tolerance: float
     mode: str
 
     @property
     def is_good(self) -> bool:
-        return self.verdict == GOOD
+        return bool(_is_good(self.rho, self.bound))
+
+    @property
+    def verdict(self) -> str:
+        return "good" if self.is_good else "not_good"
 
     def to_json_dict(self) -> dict:
         """The object ``cli verify`` prints: these seven keys, whatever fields the record gains."""
         return {"eigenvalues": self.eigenvalues, "rho": self.rho, "degree": self.degree, "bound": self.bound,
-                "verdict": self.verdict, "tolerance": self.tolerance, "mode": self.mode}
+                "verdict": self.verdict, "tolerance": VERDICT_TOLERANCE, "mode": self.mode}
 
 
 def _is_good(rho, bound):
@@ -244,20 +245,7 @@ def _is_good(rho, bound):
 
 
 def check_good_signing(sg: SignedGraph, mode: str = "regular") -> SpectralReport:
-    """Verdict on whether a signing meets the spectral bound for its mode.
-
-    Ties count as good: the verdict is ``good`` iff
-    ``rho <= bound + VERDICT_TOLERANCE``.
-    """
+    """The spectrum and rho of a signing against its mode's bound; good iff ``rho <= bound + VERDICT_TOLERANCE``."""
     bound, degree = good_signing_bound(sg.graph, mode)
     eig, rho = _snapped(_eigvalsh(sg._adjacency))  # symmetric and integer as built
-    verdict = GOOD if _is_good(rho, bound) else NOT_GOOD
-    return SpectralReport(
-        eigenvalues=tuple(eig.tolist()),
-        rho=rho,
-        degree=degree,
-        bound=bound,
-        verdict=verdict,
-        tolerance=VERDICT_TOLERANCE,
-        mode=mode,
-    )
+    return SpectralReport(eigenvalues=tuple(eig.tolist()), rho=rho, degree=degree, bound=bound, mode=mode)

@@ -101,19 +101,20 @@ def test_values_compare_by_content_and_hash_to_match():
 
 _K2 = SignedGraph.all_plus(complete_graph(2))
 _RECORDS = {
-    "DecompositionReport(ok=False, shared_edges=((0, 1),), missing_edges=(), foreign_edges=())": DecompositionReport(
-        False, ((0, 1),), (), ()
+    "DecompositionReport(shared_edges=((0, 1),), missing_edges=(), foreign_edges=())": DecompositionReport(
+        ((0, 1),), (), ()
     ),
     "JacobiResult(eigenvalues=(-1.0, 1.0), sweeps=1, off_diagonal_norm=0.0, initial_norm=1.5)": JacobiResult(
         (-1.0, 1.0), 1, 0.0, 1.5
     ),
-    "SpectralReport(eigenvalues=(-1.0, 1.0), rho=1.0, degree=1, bound=0.0, verdict='not_good', tolerance=1e-09,"
-    " mode='maxdeg')": SpectralReport((-1.0, 1.0), 1.0, 1, 0.0, "not_good", 1e-9, "maxdeg"),
+    "SpectralReport(eigenvalues=(-1.0, 1.0), rho=1.0, degree=1, bound=0.0, mode='maxdeg')": SpectralReport(
+        (-1.0, 1.0), 1.0, 1, 0.0, "maxdeg"
+    ),
     "EquitabilityWitness(cell=1, target_cell=2, vertex_a=1, vertex_b=2, degree_a=1, degree_b=0)": EquitabilityWitness(
         1, 2, 1, 2, 1, 0
     ),
     "SearchResult(best_rho=1.0, best_signing=SignedGraph.from_edge_triples(2, [[0, 1, 1]]), classes_examined=1,"
-    " good_found=False, bound_used=0.0, evaluated=1, eigensolved=1)": SearchResult(1.0, _K2, 1, False, 0.0, 1, 1),
+    " bound_used=0.0, evaluated=1, eigensolved=1)": SearchResult(1.0, _K2, 1, 0.0, 1, 1),
     "RunManifest(command='verify', inputs=('g.json',), parameters={'mode': 'regular'}, output='-', version='0.1.0')":
         RunManifest("verify", ("g.json",), {"mode": "regular"}, "-", "0.1.0"),
     "ReproCheck(name='x', passed=True, detail='')": ReproCheck("x", True),

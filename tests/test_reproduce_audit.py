@@ -95,7 +95,7 @@ def _ignore_part_roles(real, g, h1, h2):
 
 def _report_shared_edge(real, g, parts):
     report = real(g, parts)
-    return DecompositionReport(False, (min(g.edges),), report.missing_edges, report.foreign_edges)
+    return DecompositionReport((min(g.edges),), report.missing_edges, report.foreign_edges)
 
 
 DEFECTS = {

@@ -17,11 +17,13 @@ from goodsign.graphs import (
     path_graph,
     petersen_graph,
     signed_adjacency,
+    verify_decomposition,
 )
 from goodsign import search, spectra
 from goodsign.refdata import reference_matrix
 from goodsign.spectra import (
     JACOBI_RELATIVE_TOLERANCE,
+    VERDICT_TOLERANCE,
     _eigvalsh,
     _is_good,
     _rho,
@@ -303,6 +305,29 @@ def test_every_verdict_reaches_the_one_rule(monkeypatch):
     calls.clear()
     assert search.min_rho(g).good_found
     assert calls == [1]
+
+
+def test_a_records_verdict_follows_its_numbers():
+    # Each record stores the numbers it judges and derives its verdict from
+    # them, so a copy with a moved number is judged again at the rule's edge.
+    k7 = check_good_signing(sign_complete_from_conference(paley_conference(5), 1))
+    assert k7.is_good and not k7._replace(rho=10.0).is_good
+    assert k7._replace(rho=10.0).to_json_dict()["verdict"] == "not_good"
+    edge = k7.bound + VERDICT_TOLERANCE
+    for rho, good in ((edge, True), (np.nextafter(edge, np.inf), False)):
+        report = k7._replace(rho=rho)
+        assert report.is_good is good and report.verdict == ("good" if good else "not_good")
+        assert report.to_json_dict()["verdict"] == report.verdict
+    result = search.min_rho(petersen_graph())
+    edge = result.bound_used + VERDICT_TOLERANCE
+    assert result._replace(best_rho=edge).good_found is True
+    assert result._replace(best_rho=np.nextafter(edge, np.inf)).good_found is False
+    h1 = SignedGraph.from_edge_triples(4, [(0, 1, 1), (2, 3, -1)])
+    h2 = SignedGraph.from_edge_triples(4, [(1, 2, -1), (0, 3, 1)])
+    report = verify_decomposition(cycle_graph(4), [h1, h2])
+    assert report.ok and report._fields == ("shared_edges", "missing_edges", "foreign_edges")
+    for i in range(3):
+        assert not report._replace(**{report._fields[i]: ((0, 1),)}).ok
 
 
 def test_bundled_lift_is_good_in_maxdeg_mode(lift_pair):
