@@ -114,7 +114,8 @@ def _cmd_equiv(args) -> tuple[str, int]:
 def _cmd_verify(args) -> tuple[str, int]:
     g = load_graph(args.graph)
     sg = load_signing_for(g, args.signing)
-    report = check_good_signing(sg, mode=args.mode)
+    # the graph's own mode, exactly: a regular graph's max degree is its degree, so both modes give one bound
+    report = check_good_signing(sg, mode="regular" if g.is_regular else "maxdeg")
     return dumps_json(report.to_json_dict()), EXIT_OK if report.is_good else EXIT_FALSE
 
 
@@ -146,7 +147,7 @@ def _cmd_partition_check(args) -> tuple[str, int]:
 
 def _cmd_search(args) -> tuple[str, int]:
     g = load_graph(args.graph)
-    result = min_rho(g, mode=args.mode, max_free_edges=args.max_free_edges, jobs=args.jobs)
+    result = min_rho(g, mode="regular" if g.is_regular else "maxdeg", max_free_edges=args.max_free_edges, jobs=args.jobs)
     payload = {
         "best_rho": result.best_rho,
         "best_signing": signed_graph_to_json_dict(result.best_signing),
@@ -222,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a signing against the spectral bound")
     p.add_argument("--graph", required=True)
     p.add_argument("--signing", required=True)
-    p.add_argument("--mode", choices=("regular", "maxdeg"), default="regular")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("spectrum", help="eigenvalues of a matrix or graph")
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive minimum spectral radius over signings")
     p.add_argument("--graph", required=True)
-    p.add_argument("--mode", choices=("regular", "maxdeg"), default="regular")
     p.add_argument("--max-free-edges", type=int, default=DEFAULT_MAX_FREE_EDGES, dest="max_free_edges")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")

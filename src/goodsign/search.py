@@ -119,6 +119,8 @@ def _evaluated_free(g: Graph, max_free_edges: int) -> tuple[list[Edge], int]:
     # The free edges the search enumerates, without the one negation pairing
     # holds at +1, and the number of switching classes.
     max_free_edges = _integral(max_free_edges, "max_free_edges")
+    if max_free_edges < 0:
+        raise ValueError(f"max_free_edges must be at least 0, got {max_free_edges}")
     free, mask = _free_edges(g)
     if len(free) > max_free_edges:
         raise SearchSpaceError(f"{len(free)} free edges exceed the guard of {max_free_edges}")

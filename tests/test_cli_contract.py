@@ -73,13 +73,12 @@ CORPUS = [
     # equiv: an equivalent and an inequivalent pair
     "equiv --sigma <tmp>/c4_plus.json --sigma-prime <tmp>/c4_switched.json",
     "equiv --sigma <tmp>/c4_plus.json --sigma-prime <tmp>/c4_minus.json",
-    # verify: good and not good in each mode, then the input errors
+    # verify: good and not good on regular graphs, good on two irregular ones, then an input error
     "verify --graph <tmp>/c4.json --signing <tmp>/c4_minus.json",
-    "verify --graph <tmp>/k4.json --signing <tmp>/k4_plus.json --mode regular",
-    "verify --graph <tmp>/lift8g.json --signing <tmp>/lift8.json --mode maxdeg",
-    "verify --graph <tmp>/k4.json --signing <tmp>/k4_plus.json --mode maxdeg",
-    "verify --graph <tmp>/bad.json --signing <tmp>/k4_plus.json --mode regular",
-    "verify --graph <tmp>/p3.json --signing <tmp>/p3_plus.json --mode regular",
+    "verify --graph <tmp>/k4.json --signing <tmp>/k4_plus.json",
+    "verify --graph <tmp>/lift8g.json --signing <tmp>/lift8.json",
+    "verify --graph <tmp>/bad.json --signing <tmp>/k4_plus.json",
+    "verify --graph <tmp>/p3.json --signing <tmp>/p3_plus.json",
     # spectrum of a matrix, a graph and a signed graph, then the input errors
     "spectrum --matrix <tmp>/c13.txt",
     "spectrum --graph <tmp>/c4.json",
@@ -100,7 +99,7 @@ CORPUS = [
     "search --graph <tmp>/petersen.json --jobs 2 --out <tmp>/petersen.search.json",
     "search --graph <tmp>/k7.json --jobs 1",
     "search --graph <tmp>/k7.json --jobs 2",
-    "search --graph <tmp>/petersen.json --mode maxdeg --max-free-edges 5",
+    "search --graph <tmp>/petersen.json --max-free-edges 5",
     # reproduce
     "reproduce --list",
     "reproduce --all",

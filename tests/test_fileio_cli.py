@@ -23,10 +23,12 @@ from goodsign.fileio import (
     signed_graph_to_json_dict,
     write_text,
 )
-from goodsign.graphs import Graph, SignedGraph, complete_graph, cycle_graph, petersen_graph
+from goodsign.graphs import Graph, SignedGraph, complete_graph, cycle_graph, path_graph, petersen_graph
 from goodsign.partition import Partition
 from goodsign.refdata import REFERENCE_NAMES, reference_checksums, reference_matrix
 from goodsign.reproduce import example_ids, lift_base_signings, run_example
+from goodsign.search import min_rho
+from goodsign.spectra import check_good_signing
 
 
 # -- formats -----------------------------------------------------------------
@@ -236,8 +238,7 @@ def assert_layout(obj):
 def _encoder_payloads():
     from goodsign.constructions import two_lift_signed
     from goodsign.partition import EquitabilityWitness, quotient_matrix
-    from goodsign.search import min_rho
-    from goodsign.spectra import check_good_signing, eigenvalues_symmetric
+    from goodsign.spectra import eigenvalues_symmetric
 
     k5 = complete_graph(5)
     signed_k5 = SignedGraph(k5, {e: (-1) ** (e[0] + e[1]) for e in k5.edge_list})
@@ -660,7 +661,7 @@ def test_cli_sign_complete_matrix_output(capsys):
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
-    # the bundled signed lift is good in maxdeg mode
+    # the bundled signed lift is irregular, and good in maxdeg mode
     from goodsign.constructions import two_lift_signed
 
     sigma = SignedGraph.from_adjacency(reference_matrix("sign4"))
@@ -668,7 +669,7 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     lift = two_lift_signed(sigma.graph, sigma, sigma_alt)
     graph_file = write_json(tmp_path / "g.json", graph_to_json_dict(lift.graph))
     sign_file = write_json(tmp_path / "s.json", signed_graph_to_json_dict(lift))
-    assert run(["verify", "--graph", graph_file, "--signing", sign_file, "--mode", "maxdeg"]) == 0
+    assert run(["verify", "--graph", graph_file, "--signing", sign_file]) == 0
     report = json.loads(capsys.readouterr().out)
     assert abs(report["rho"] - (1 + math.sqrt(17)) / 2) < 1e-9
     assert report["verdict"] == "good"
@@ -676,23 +677,51 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     k4 = SignedGraph.all_plus(complete_graph(4))
     graph_file = write_json(tmp_path / "k4.json", graph_to_json_dict(k4.graph))
     sign_file = write_json(tmp_path / "k4s.json", signed_graph_to_json_dict(k4))
-    assert run(["verify", "--graph", graph_file, "--signing", sign_file, "--mode", "regular"]) == 1
+    assert run(["verify", "--graph", graph_file, "--signing", sign_file]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "not_good"
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert run(["verify", "--graph", str(bad), "--signing", sign_file, "--mode", "regular"]) == 2
+    assert run(["verify", "--graph", str(bad), "--signing", sign_file]) == 2
 
 
-def test_cli_verify_mode_mismatch_is_an_error(tmp_path, capsys):
-    from goodsign.graphs import path_graph
+@pytest.mark.parametrize(
+    "sg, mode",
+    [
+        (SignedGraph.all_plus(complete_graph(4)), "regular"),
+        (SignedGraph.from_adjacency(reference_matrix("k7_case1")), "regular"),
+        (SignedGraph.from_adjacency(reference_matrix("lift8")), "maxdeg"),
+        (SignedGraph.all_plus(path_graph(3)), "maxdeg"),
+    ],
+    ids=["K4 all-plus", "K7 case 1", "bundled lift", "P3 all-plus"],
+)
+def test_cli_verify_takes_the_mode_from_the_graph(tmp_path, capsys, sg, mode):
+    # 2*sqrt(d-1) on a d-regular graph, 2*sqrt(maxdeg-1) otherwise; --mode is a usage error
+    report = check_good_signing(sg, mode=mode)
+    graph_file = write_json(tmp_path / "g.json", graph_to_json_dict(sg.graph))
+    sign_file = write_json(tmp_path / "s.json", signed_graph_to_json_dict(sg))
+    assert run(["verify", "--graph", graph_file, "--signing", sign_file]) == (0 if report.is_good else 1)
+    assert capsys.readouterr() == (dumps_json(report.to_json_dict()), "")
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--graph", graph_file, "--signing", sign_file, "--mode", mode])
+    assert exc.value.code == 2 and "unrecognized arguments: --mode" in capsys.readouterr().err
 
-    g = path_graph(3)
-    sg = SignedGraph.all_plus(g)
-    graph_file = write_json(tmp_path / "p.json", graph_to_json_dict(g))
-    sign_file = write_json(tmp_path / "ps.json", signed_graph_to_json_dict(sg))
-    assert run(["verify", "--graph", graph_file, "--signing", sign_file, "--mode", "regular"]) == 2
-    capsys.readouterr()
+
+def test_cli_search_takes_the_mode_from_the_graph(tmp_path, capsys):
+    result = min_rho(path_graph(3), mode="maxdeg")
+    payload = {
+        "best_rho": result.best_rho,
+        "best_signing": signed_graph_to_json_dict(result.best_signing),
+        "classes_examined": result.classes_examined,
+        "good_found": result.good_found,
+        "bound_used": result.bound_used,
+    }
+    g = write_json(tmp_path / "p3.json", graph_to_json_dict(path_graph(3)))
+    assert run(["search", "--graph", g]) == 0
+    assert capsys.readouterr() == (dumps_json(payload), "")
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "--graph", g, "--mode", "maxdeg"])
+    assert exc.value.code == 2 and "unrecognized arguments: --mode" in capsys.readouterr().err
 
 
 def test_cli_spectrum_deterministic(tmp_path, capsys):
@@ -867,8 +896,6 @@ def test_cli_partition_check(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["equitable"] and data["identity_holds"] and data["quotient"] == [[3]]
 
-    from goodsign.graphs import path_graph
-
     sg2 = SignedGraph.all_plus(path_graph(3))
     s2 = write_json(tmp_path / "s2.json", signed_graph_to_json_dict(sg2))
     bad = write_json(tmp_path / "p2.json", {"cells": [[0, 1], [2]]})
@@ -919,24 +946,25 @@ def test_each_partition_verdict_forms_one_signed_adjacency(tmp_path, capsys, mon
 
 def test_cli_search(tmp_path, capsys):
     g = write_json(tmp_path / "c4.json", graph_to_json_dict(cycle_graph(4)))
-    assert run(["search", "--graph", g, "--mode", "regular"]) == 0
+    assert run(["search", "--graph", g]) == 0
     data = json.loads(capsys.readouterr().out)
     assert abs(data["best_rho"] - math.sqrt(2)) < 1e-9
     assert data["good_found"] and data["classes_examined"] == 2
 
 
 @pytest.mark.parametrize(
-    "graph, jobs, message",
+    "graph, option, value, message",
     [
-        (cycle_graph(4), "0", "jobs must be at least 1, got 0"),
-        (cycle_graph(4), "-3", "jobs must be at least 1, got -3"),
-        (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), "1", "graph must be connected"),
+        (cycle_graph(4), "--jobs", "0", "jobs must be at least 1, got 0"),
+        (cycle_graph(4), "--jobs", "-3", "jobs must be at least 1, got -3"),
+        (cycle_graph(4), "--max-free-edges", "-1", "max_free_edges must be at least 0, got -1"),
+        (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), "--jobs", "1", "graph must be connected"),
     ],
-    ids=["jobs 0", "jobs -3", "two triangles"],
+    ids=["jobs 0", "jobs -3", "guard -1", "two triangles"],
 )
-def test_cli_search_refusals_exit_2(tmp_path, capsys, graph, jobs, message):
+def test_cli_search_refusals_exit_2(tmp_path, capsys, graph, option, value, message):
     g = write_json(tmp_path / "g.json", graph_to_json_dict(graph))
-    assert run(["search", "--graph", g, "--jobs", jobs]) == 2
+    assert run(["search", "--graph", g, option, value]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 

@@ -211,6 +211,14 @@ def test_min_rho_refuses_fewer_than_one_job(jobs):
         min_rho(cycle_graph(4), jobs=jobs)
 
 
+@pytest.mark.parametrize("search_fn", [min_rho, find_good_signing])
+def test_searches_refuse_a_negative_guard(search_fn):
+    with pytest.raises(ValueError, match="^max_free_edges must be at least 0, got -1$"):
+        search_fn(cycle_graph(4), max_free_edges=-1)
+    # a guard of 0 stays valid: a tree has no free edges
+    assert search_fn(path_graph(3), "maxdeg", max_free_edges=0) is not None
+
+
 def test_rho_is_switching_invariant():
     g = petersen_graph()
     for _ in range(5):
