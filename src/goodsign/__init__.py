@@ -1,12 +1,12 @@
 """Edge signings of graphs: constructions, spectra, and good-signing checks.
 
-A signing assigns -1 or +1 to every edge; a signing of a d-regular graph is
-good when the spectral radius of its signed adjacency matrix is at most
-``2*sqrt(d-1)`` (``2*sqrt(max_degree-1)`` in the irregular variant). This
-package builds signings of complete graphs from conference-matrix cores,
-signs lexicographic products and 2-lifts, verifies the bound with LAPACK's
-symmetric eigensolver (a plain-Python Jacobi solver is kept as a reference),
-validates equitable partitions exactly in integers, and searches all
+A signing assigns -1 or +1 to every edge; a signing of a graph is good when
+the spectral radius of its signed adjacency matrix is at most ``2*sqrt(d-1)``,
+with d the graph's max degree: its degree when the graph is regular, as in the
+paper. This package builds signings of complete graphs from conference-matrix
+cores, signs lexicographic products and 2-lifts, verifies the bound with
+LAPACK's symmetric eigensolver (a plain-Python Jacobi solver is kept as a
+reference), validates equitable partitions exactly in integers, and searches all
 switching classes of small graphs exhaustively.
 """
 

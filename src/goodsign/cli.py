@@ -114,8 +114,7 @@ def _cmd_equiv(args) -> tuple[str, int]:
 def _cmd_verify(args) -> tuple[str, int]:
     g = load_graph(args.graph)
     sg = load_signing_for(g, args.signing)
-    # the graph's own mode, exactly: a regular graph's max degree is its degree, so both modes give one bound
-    report = check_good_signing(sg, mode="regular" if g.is_regular else "maxdeg")
+    report = check_good_signing(sg)
     return dumps_json(report.to_json_dict()), EXIT_OK if report.is_good else EXIT_FALSE
 
 
@@ -147,7 +146,7 @@ def _cmd_partition_check(args) -> tuple[str, int]:
 
 def _cmd_search(args) -> tuple[str, int]:
     g = load_graph(args.graph)
-    result = min_rho(g, mode="regular" if g.is_regular else "maxdeg", max_free_edges=args.max_free_edges, jobs=args.jobs)
+    result = min_rho(g, max_free_edges=args.max_free_edges, jobs=args.jobs)
     payload = {
         "best_rho": result.best_rho,
         "best_signing": signed_graph_to_json_dict(result.best_signing),

@@ -132,7 +132,7 @@ def _example_case(case: int) -> Iterator[Check]:
         eigenvalues = quotient_eigenvalues(QuotientMatrix(b, cells))
         eigenvalues_ok = multisets_close(eigenvalues, case_quotient_eigenvalues(case, n))
         yield "quotient eigenvalues match closed form", eigenvalues_ok, ""
-    report = check_good_signing(sg, mode="regular")
+    report = check_good_signing(sg)
     yield f"spectral radius {rho_label}", abs(report.rho - rho_value) <= VERDICT_TOLERANCE, f"rho = {report.rho:.9f}"
     yield verdict_name, report.is_good == good, _versus(report, "<=")
 
@@ -145,7 +145,7 @@ def _example_cycle_cover() -> Iterator[Check]:
     yield "parts are 2-regular and bipartite", parts_ok, ""
     # one negative edge (its first row) per 6-cycle gives the odd cycle-sign class, rho sqrt(3)
     sg1, sg2 = (SignedGraph._of(h, np.where(np.arange(len(h._uv)) == 0, -1, 1).astype(np.int64)) for h in (h1, h2))
-    parts = [check_good_signing(sg, mode="regular") for sg in (sg1, sg2)]
+    parts = [check_good_signing(sg) for sg in (sg1, sg2)]
     parts_good = all(r.is_good and abs(r.rho - math.sqrt(3)) <= VERDICT_TOLERANCE for r in parts)
     yield "part signings are good for degree 2", parts_good, f"part rho = {parts[0].rho:.6f}"
     product = eigenvalues_symmetric(signed_adjacency(lex_k2_signing(g, sg1, sg2)))
@@ -184,7 +184,7 @@ def _example_aphi() -> Iterator[Check]:
     # A P = P B' says both at once: each row of A P in cell i is row i of B'.
     identity = verify_quotient_identity(lifted, cells, signed_adjacency(sigma_alt))
     yield "pair cells equitable with quotient equal to the second signing", identity, ""
-    report = check_good_signing(lifted, mode="maxdeg")
+    report = check_good_signing(lifted)
     s17 = math.sqrt(17)
     expected = sorted([-(1 + s17) / 2, -2.0, -1.0, 0.0, 1.0, 1.0, (s17 - 1) / 2, 2.0])
     yield (

@@ -159,16 +159,15 @@ def _class_chunks(g: Graph, free: list[Edge], lo: int, hi: int, first: int) -> I
         size = min(2 * size, cap)
 
 
-def find_good_signing(
-    g: Graph, mode: str = "regular", max_free_edges: int = DEFAULT_MAX_FREE_EDGES
-) -> SignedGraph | None:
+def find_good_signing(g: Graph, max_free_edges: int = DEFAULT_MAX_FREE_EDGES) -> SignedGraph | None:
     """First enumerated signing class meeting the bound, or None after exhaustion.
 
-    Moment certificates decide most classes without an eigensolve (see the
-    module docstring); the class returned is the one an eigensolve of every
-    class would find first.
+    The bound is ``good_signing_bound(g)``, ``2*sqrt(max_degree-1)``. Moment
+    certificates decide most classes without an eigensolve (see the module
+    docstring); the class returned is the one an eigensolve of every class
+    would find first.
     """
-    bound, _ = good_signing_bound(g, mode)
+    bound, _ = good_signing_bound(g)
     free, _ = _evaluated_free(g, max_free_edges)
     for positions, mats, work in _class_chunks(g, free, 0, 1 << len(free), 32):
         moments = _Moments(mats, work)
@@ -293,14 +292,10 @@ def _near_ties(g: Graph, free: list[Edge], lo: int, hi: int) -> tuple[np.ndarray
     return positions, rhos, eigensolved
 
 
-def min_rho(
-    g: Graph,
-    mode: str = "regular",
-    max_free_edges: int = DEFAULT_MAX_FREE_EDGES,
-    jobs: int = 1,
-) -> SearchResult:
+def min_rho(g: Graph, max_free_edges: int = DEFAULT_MAX_FREE_EDGES, jobs: int = 1) -> SearchResult:
     """Exact minimum of the spectral radius over every switching class.
 
+    ``bound_used`` is ``good_signing_bound(g)``, ``2*sqrt(max_degree-1)``.
     Deterministic: the winner is the smallest class index (binary-counter
     order) whose rho lies within ``VERDICT_TOLERANCE`` of the minimum, and
     ``best_rho`` is that class's own rho, so roundoff among near-equal radii,
@@ -315,7 +310,7 @@ def min_rho(
     jobs = _integral(jobs, "jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    bound, _ = good_signing_bound(g, mode)
+    bound, _ = good_signing_bound(g)
     free, classes = _evaluated_free(g, max_free_edges)
     count = 1 << len(free)
     parts = min(jobs, count // _chunk_classes(g))

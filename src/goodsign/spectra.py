@@ -10,9 +10,10 @@ Eigenvalues within ``1e-12`` times ``max(1, rho)`` of zero are reported as
 exactly ``0.0``, so printed spectra do not carry solver roundoff.
 
 Every verdict ``rho <= 2 sqrt(d - 1)`` is one rule, ``_is_good``: ``rho <=
-bound + VERDICT_TOLERANCE`` (1e-9), ties counting as good. A record stores rho
-and the bound and derives its verdict from them, so ``_replace(rho=...)``
-judges again. That tolerance also serves every comparison of a computed
+bound + VERDICT_TOLERANCE`` (1e-9), ties counting as good. The degree d comes
+from the graph: its max degree, which on a regular graph is its degree. A
+record stores rho and the bound and derives its verdict from them, so
+``_replace(rho=...)`` judges again. That tolerance also serves every comparison of a computed
 spectrum with a closed form.
 
 ``jacobi_diagonalize`` is an independent cyclic Jacobi solver in plain
@@ -196,23 +197,16 @@ def multisets_close(a, b) -> bool:
     return xs.shape == ys.shape and bool(np.all(np.abs(xs - ys) <= VERDICT_TOLERANCE))
 
 
-def good_signing_bound(g: Graph, mode: str) -> tuple[float, int]:
-    """The verdict bound and the degree it is based on.
+def good_signing_bound(g: Graph) -> tuple[float, int]:
+    """The verdict bound ``2*sqrt(max_degree-1)`` and the degree it is based on.
 
-    ``regular`` mode demands a d-regular graph with d > 1 and yields
-    ``2*sqrt(d-1)``; ``maxdeg`` demands max degree > 1 and yields
-    ``2*sqrt(max_degree-1)``.
+    On a d-regular graph the max degree is d, so this is the paper's
+    ``2*sqrt(d-1)``. A max degree of at most 1 is refused.
     """
-    if mode == "regular":
-        d = g.regular_degree
-        if d <= 1:
-            raise ValueError(f"regular mode needs degree > 1, got d={d}")
-    elif mode == "maxdeg":
-        d = g.max_degree
-        if d <= 1:
-            raise ValueError(f"maxdeg mode needs max degree > 1, got {d}")
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'regular' or 'maxdeg'")
+    d = g.max_degree
+    if d <= 1:
+        raise ValueError(f"regular mode needs degree > 1, got d={d}" if g.is_regular
+                         else f"maxdeg mode needs max degree > 1, got {d}")
     return 2.0 * math.sqrt(d - 1), d
 
 
@@ -244,8 +238,9 @@ def _is_good(rho, bound):
     return rho <= bound + VERDICT_TOLERANCE
 
 
-def check_good_signing(sg: SignedGraph, mode: str = "regular") -> SpectralReport:
-    """The spectrum and rho of a signing against its mode's bound; good iff ``rho <= bound + VERDICT_TOLERANCE``."""
-    bound, degree = good_signing_bound(sg.graph, mode)
+def check_good_signing(sg: SignedGraph) -> SpectralReport:
+    """The spectrum and rho of a signing against its graph's bound; good iff ``rho <= bound + VERDICT_TOLERANCE``."""
+    bound, degree = good_signing_bound(sg.graph)
     eig, rho = _snapped(_eigvalsh(sg._adjacency))  # symmetric and integer as built
+    mode = "regular" if sg.graph.is_regular else "maxdeg"
     return SpectralReport(eigenvalues=tuple(eig.tolist()), rho=rho, degree=degree, bound=bound, mode=mode)

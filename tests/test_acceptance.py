@@ -104,7 +104,7 @@ def test_criterion_02_core_spectrum():
 
 def test_criterion_03_case1_pinned_construction():
     sg = sign_complete_from_conference(paley_conference(5), 1)
-    report = check_good_signing(sg, mode="regular")
+    report = check_good_signing(sg)
     b = quotient_matrix(sg, case_cells(1, 6))
     _report(
         "03a",
@@ -158,7 +158,7 @@ def test_criterion_03_case1_stated_eigenvalues():
 
 def test_criterion_04_case2_honest_failure():
     sg = sign_complete_from_conference(paley_conference(5), 2)
-    report = check_good_signing(sg, mode="regular")
+    report = check_good_signing(sg)
     b = quotient_matrix(sg, case_cells(2, 6))
     formula = sorted([-math.sqrt(3 * 6 - 2) + 1, -1.0, -1.0, math.sqrt(3 * 6 - 2) + 1])
     repro = run_example("k8-case2-n6")
@@ -188,7 +188,7 @@ def test_criterion_04_case2_honest_failure():
 
 def test_criterion_05_case3():
     sg = sign_complete_from_conference(paley_conference(5), 3)
-    report = check_good_signing(sg, mode="regular")
+    report = check_good_signing(sg)
     b = quotient_matrix(sg, case_cells(3, 6))
     _report(
         "05",
@@ -249,7 +249,7 @@ def test_criterion_07_unsigned_lift_spectrum():
 def test_criterion_08_signed_lift_pinned_construction():
     g, sigma, sigma_alt = _bundled_pair()
     lifted = two_lift_signed(g, sigma, sigma_alt)
-    report = check_good_signing(lifted, mode="maxdeg")
+    report = check_good_signing(lifted)
     _report(
         "08a",
         "signed lift pinned construction and verdict",

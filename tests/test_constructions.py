@@ -258,7 +258,7 @@ def test_family_verdicts_follow_the_integer_rule_for_every_paley_prime():
         for case in CASES:
             good, closed_rho = (rule(q) for rule in _FAMILY_RULES[case])
             sg = sign_complete_from_conference(c, case)
-            report = check_good_signing(sg, mode="regular")
+            report = check_good_signing(sg)
             assert report.is_good == good and abs(report.rho - closed_rho) <= VERDICT_TOLERANCE, (q, case)
             assert report.bound == 2 * math.sqrt(q + case - 1)
             a, cells = signed_adjacency(sg), case_cells(case, q + 1)

@@ -247,7 +247,7 @@ def _encoder_payloads():
     lift = two_lift_signed(sigma.graph, sigma, sigma_alt)
     eig = eigenvalues_symmetric(reference_matrix("lift8"))
     w = EquitabilityWitness(1, 2, 1, 2, 1, 0)
-    search = min_rho(cycle_graph(4), mode="regular")
+    search = min_rho(cycle_graph(4))
     manifest = RunManifest("search", ("g.json",), {"mode": "regular", "jobs": 1, "out": None}, "-", "0.1.0")
     return {
         "empty graph": graph_to_json_dict(Graph(0, frozenset())),
@@ -256,7 +256,7 @@ def _encoder_payloads():
         "signed K5": signed_graph_to_json_dict(signed_k5),
         "graph-only lift": graph_to_json_dict(lift.graph),
         "spectrum": {"eigenvalues": list(eig), "rho": float(np.abs(eig).max())},
-        "verdict": check_good_signing(lift, mode="maxdeg").to_json_dict(),
+        "verdict": check_good_signing(lift).to_json_dict(),
         "witness": {
             "equitable": False,
             "witness": {"cell": w.cell, "target_cell": w.target_cell, "vertices": [1, 2], "degrees": [1, 0]},
@@ -697,7 +697,8 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
 )
 def test_cli_verify_takes_the_mode_from_the_graph(tmp_path, capsys, sg, mode):
     # 2*sqrt(d-1) on a d-regular graph, 2*sqrt(maxdeg-1) otherwise; --mode is a usage error
-    report = check_good_signing(sg, mode=mode)
+    report = check_good_signing(sg)
+    assert report.mode == mode
     graph_file = write_json(tmp_path / "g.json", graph_to_json_dict(sg.graph))
     sign_file = write_json(tmp_path / "s.json", signed_graph_to_json_dict(sg))
     assert run(["verify", "--graph", graph_file, "--signing", sign_file]) == (0 if report.is_good else 1)
@@ -708,7 +709,7 @@ def test_cli_verify_takes_the_mode_from_the_graph(tmp_path, capsys, sg, mode):
 
 
 def test_cli_search_takes_the_mode_from_the_graph(tmp_path, capsys):
-    result = min_rho(path_graph(3), mode="maxdeg")
+    result = min_rho(path_graph(3))
     payload = {
         "best_rho": result.best_rho,
         "best_signing": signed_graph_to_json_dict(result.best_signing),

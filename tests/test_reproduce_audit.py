@@ -68,8 +68,8 @@ def _negate_second_signing(real):
 
 
 def _bound_from_degree_minus(k):
-    def bound(real, g, mode):
-        d = real(g, mode)[1] - k
+    def bound(real, g):
+        d = real(g)[1] - k
         return 2.0 * math.sqrt(d - 1), d
 
     return bound

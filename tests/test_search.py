@@ -27,7 +27,13 @@ from goodsign.search import (
     find_good_signing,
     min_rho,
 )
-from goodsign.spectra import VERDICT_TOLERANCE, good_signing_bound, jacobi_diagonalize, spectral_radius
+from goodsign.spectra import (
+    VERDICT_TOLERANCE,
+    check_good_signing,
+    good_signing_bound,
+    jacobi_diagonalize,
+    spectral_radius,
+)
 from references import enumerate_signing_classes
 
 RNG = np.random.default_rng(424242)
@@ -178,8 +184,6 @@ def test_find_good_signing_first_match_semantics():
 def test_find_good_signing_errors():
     with pytest.raises(ValueError):
         find_good_signing(complete_graph(2))  # degree 1
-    with pytest.raises(ValueError):
-        find_good_signing(path_graph(3))  # irregular in regular mode
     with pytest.raises(SearchSpaceError):
         find_good_signing(petersen_graph(), max_free_edges=3)
     with pytest.raises(SearchSpaceError):
@@ -191,18 +195,9 @@ TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3,
 
 @pytest.mark.parametrize("search_fn", [min_rho, find_good_signing])
 def test_searches_refuse_a_disconnected_graph(search_fn):
-    # 2-regular, so the bound accepts it in both modes and the tree refuses it.
-    for mode in ("regular", "maxdeg"):
-        with pytest.raises(ValueError, match="^graph must be connected$"):
-            search_fn(TWO_TRIANGLES, mode)
-
-
-@pytest.mark.parametrize("search_fn", [min_rho, find_good_signing])
-def test_searches_refuse_an_empty_graph_at_the_bound(search_fn):
-    with pytest.raises(ValueError, match="^graph is not regular$"):
-        search_fn(Graph(0, []), "regular")
-    with pytest.raises(ValueError, match="^degree of an empty graph is undefined$"):
-        search_fn(Graph(0, []), "maxdeg")
+    # 2-regular, so the bound accepts it and the tree refuses it.
+    with pytest.raises(ValueError, match="^graph must be connected$"):
+        search_fn(TWO_TRIANGLES)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -216,7 +211,7 @@ def test_searches_refuse_a_negative_guard(search_fn):
     with pytest.raises(ValueError, match="^max_free_edges must be at least 0, got -1$"):
         search_fn(cycle_graph(4), max_free_edges=-1)
     # a guard of 0 stays valid: a tree has no free edges
-    assert search_fn(path_graph(3), "maxdeg", max_free_edges=0) is not None
+    assert search_fn(path_graph(3), max_free_edges=0) is not None
 
 
 def test_rho_is_switching_invariant():
@@ -485,7 +480,7 @@ def test_min_rho_maxdeg_matches_the_class_oracle():
     rhos = class_rhos(g)
     expected = int(np.flatnonzero(rhos <= rhos.min() + 1e-9)[0])
     for jobs in (1, 2):
-        result = min_rho(g, mode="maxdeg", jobs=jobs)
+        result = min_rho(g, jobs=jobs)
         assert class_index(g, result.best_signing) == expected
         assert abs(result.best_rho - rhos[expected]) < 1e-12
         assert result.classes_examined == 8 and result.evaluated == 4
@@ -695,7 +690,7 @@ def random_connected_graph(seed, bipartite, vertices=(7, 10), free_edges=(6, 12)
 def test_min_rho_matches_the_bit_insert_reference(monkeypatch, g):
     monkeypatch.setattr(search, "CHUNK_BYTES", 7 * 8 * g.n * g.n)
     for jobs in (1, 2, 3):
-        result = min_rho(g, mode="maxdeg", jobs=jobs)
+        result = min_rho(g, jobs=jobs)
         got = (class_index(g, result.best_signing), result.best_rho, result.evaluated, result.eigensolved)
         assert got == reference_min_rho(g, jobs)
 
@@ -712,6 +707,39 @@ def unpruned_scan(g):
     return np.abs(np.linalg.eigvalsh(mats)).max(axis=1)
 
 
+K5_MINUS_EDGE = Graph.from_edges(5, [e for e in combinations(range(5), 2) if e != (0, 1)])
+K34 = Graph.from_edges(7, [(u, 3 + v) for u in range(3) for v in range(4)])
+
+
+@pytest.mark.parametrize(
+    "g, regular",
+    [(random_4_regular_8(seed), True) for seed in range(3)]
+    + [(random_connected_graph(seed, bipartite), False) for bipartite in (False, True) for seed in (10, 11)]
+    + [(K5_MINUS_EDGE, False), (K34, False)],
+    ids=[f"4-regular {seed}" for seed in range(3)]
+    + [f"{kind} {seed}" for kind in ("general", "bipartite") for seed in (10, 11)] + ["K5 minus an edge", "K3,4"],
+)
+def test_every_verdict_uses_the_max_degree_bound(g, regular):
+    # all-plus K3,4 has rho = sqrt(12) = 2*sqrt(4-1) exactly: a tie, so good
+    assert g.is_regular == regular
+    max_degree = int(g.adjacency().sum(axis=1).max())
+    bound = 2 * math.sqrt(max_degree - 1)
+    assert good_signing_bound(g) == (bound, max_degree)
+    rng = np.random.default_rng(g.n)
+    for signs in (np.ones(len(g.edge_list), dtype=int), rng.choice((-1, 1), len(g.edge_list))):
+        a = np.zeros((g.n, g.n), dtype=int)
+        for (u, v), s in zip(g.edge_list, signs):
+            a[u, v] = a[v, u] = s
+        report = check_good_signing(SignedGraph.from_adjacency(a))
+        assert (report.degree, report.bound) == (max_degree, bound)
+        assert report.mode == ("regular" if regular else "maxdeg")
+        assert report.is_good == (np.abs(np.linalg.eigvalsh(a)).max() <= bound + 1e-9)
+    good = bool(unpruned_scan(g).min() <= bound + 1e-9)
+    result = min_rho(g)
+    assert result.bound_used == bound and result.good_found == good
+    assert (find_good_signing(g) is not None) == good
+
+
 @pytest.mark.parametrize(
     "bipartite, free_edges",
     [(False, (1, 3)), (False, (4, 6)), (False, (7, 9)), (False, (10, 12))]
@@ -725,19 +753,19 @@ def test_moment_bounds_match_an_unpruned_scan(monkeypatch, bipartite, free_edges
     # pays a whole chunk's fixed cost, once for each jobs value.
     g = random_connected_graph(100 + free_edges[0], bipartite, vertices=(5, 10), free_edges=free_edges)
     rhos = unpruned_scan(g)
-    bound, _ = good_signing_bound(g, "maxdeg")
+    bound, _ = good_signing_bound(g)
     winner = int(np.flatnonzero(rhos <= rhos.min() + VERDICT_TOLERANCE)[0])
     good = np.flatnonzero(rhos <= bound + VERDICT_TOLERANCE)
     for classes_per_chunk in (1, 3, 7):
         monkeypatch.setattr(search, "CHUNK_BYTES", classes_per_chunk * 8 * g.n * g.n)
         for jobs in (1, 2, 3):
-            result = min_rho(g, mode="maxdeg", jobs=jobs)
+            result = min_rho(g, jobs=jobs)
             assert class_index(g, result.best_signing) == winner
             assert result.best_rho == rhos[winner]
             assert result.classes_examined == rhos.size
             assert result.evaluated == rhos.size >> (not bipartite)
             assert result.good_found == bool(rhos[winner] <= bound + VERDICT_TOLERANCE)
-        found = find_good_signing(g, mode="maxdeg")
+        found = find_good_signing(g)
         assert (class_index(g, found) if found is not None else None) == (int(good[0]) if good.size else None)
 
 
@@ -763,5 +791,5 @@ def test_search_options_must_be_whole_numbers(option, value):
 
 def test_find_good_signing_returns_none_when_no_class_meets_the_bound(monkeypatch):
     # every signing of C4 has rho 2 or sqrt(2), both above a bound of 1
-    monkeypatch.setattr(search, "good_signing_bound", lambda g, mode: (1.0, 2))
+    monkeypatch.setattr(search, "good_signing_bound", lambda g: (1.0, 2))
     assert find_good_signing(cycle_graph(4)) is None

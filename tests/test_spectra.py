@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from goodsign.graphs import (
     verify_decomposition,
 )
 from goodsign import search, spectra
+from goodsign.search import find_good_signing, min_rho
 from goodsign.refdata import reference_matrix
 from goodsign.spectra import (
     JACOBI_RELATIVE_TOLERANCE,
@@ -243,24 +245,37 @@ def test_multiset_helpers():
     assert not multiset_within([1.0, 1.0], [1.0, 3.0], 1e-9)
 
 
-def test_good_signing_bound_modes():
-    assert good_signing_bound(complete_graph(4), "regular") == (2 * math.sqrt(2), 3)
-    assert good_signing_bound(path_graph(3), "maxdeg") == (2.0, 2)
-    with pytest.raises(ValueError):
-        good_signing_bound(path_graph(3), "regular")  # irregular
-    with pytest.raises(ValueError):
-        good_signing_bound(complete_graph(2), "regular")  # d = 1
-    with pytest.raises(ValueError):
-        good_signing_bound(complete_graph(2), "maxdeg")  # max degree 1
-    with pytest.raises(ValueError):
-        good_signing_bound(complete_graph(4), "strict")
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (complete_graph(2), "regular mode needs degree > 1, got d=1"),
+        (Graph.from_edges(3, [(0, 1)]), "maxdeg mode needs max degree > 1, got 1"),
+        (Graph(0, frozenset()), "degree of an empty graph is undefined"),
+    ],
+    ids=["K2", "an edge and an isolated vertex", "empty"],
+)
+def test_a_max_degree_of_at_most_one_is_refused(g, message):
+    for call in (good_signing_bound, min_rho, find_good_signing):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(g)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_good_signing(SignedGraph.all_plus(g))
+
+
+def test_the_bound_functions_take_no_mode():
+    functions = (good_signing_bound, check_good_signing, min_rho, find_good_signing)
+    assert [list(inspect.signature(f).parameters) for f in functions] == [
+        ["g"], ["sg"], ["g", "max_free_edges", "jobs"], ["g", "max_free_edges"]
+    ]
+    with pytest.raises(TypeError):
+        check_good_signing(SignedGraph.all_plus(complete_graph(4)), mode="regular")
 
 
 def test_check_good_signing_on_4_cycle():
     g = cycle_graph(4)
     signs = {e: 1 for e in g.edge_list}
     signs[(0, 1)] = -1
-    report = check_good_signing(SignedGraph(g, signs), mode="regular")
+    report = check_good_signing(SignedGraph(g, signs))
     assert abs(report.rho - math.sqrt(2)) < 1e-9
     assert report.bound == 2.0 and report.is_good
 
@@ -335,7 +350,7 @@ def test_bundled_lift_is_good_in_maxdeg_mode(lift_pair):
 
     g, sigma, sigma_alt = lift_pair
     lifted = two_lift_signed(g, sigma, sigma_alt)
-    report = check_good_signing(lifted, mode="maxdeg")
+    report = check_good_signing(lifted)
     assert report.degree == 3
     assert abs(report.rho - (1 + math.sqrt(17)) / 2) < 1e-9
     assert report.is_good
@@ -355,7 +370,8 @@ def _nontrivial_spectrum(g):
     bipartite graph so is one closest to ``-d``. A connected d-regular graph
     is Ramanujan when the rest lies in ``[-bound, bound]``.
     """
-    bound, d = good_signing_bound(g, "regular")
+    d = g.regular_degree  # raises on an irregular graph
+    bound, _ = good_signing_bound(g)
     eig = list(eigenvalues_symmetric(g.adjacency()))
     removed = [eig.pop(min(range(len(eig)), key=lambda i: abs(eig[i] - d)))]
     if is_bipartite(g) is not None:
