@@ -145,8 +145,7 @@ def _cmd_partition_check(args) -> tuple[str, int]:
 
 
 def _cmd_search(args) -> tuple[str, int]:
-    g = load_graph(args.graph)
-    result = min_rho(g, max_free_edges=args.max_free_edges, jobs=args.jobs)
+    result = min_rho(load_graph(args.graph), max_free_edges=args.max_free_edges)
     payload = {
         "best_rho": result.best_rho,
         "best_signing": signed_graph_to_json_dict(result.best_signing),
@@ -239,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive minimum spectral radius over signings")
     p.add_argument("--graph", required=True)
     p.add_argument("--max-free-edges", type=int, default=DEFAULT_MAX_FREE_EDGES, dest="max_free_edges")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
 

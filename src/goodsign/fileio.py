@@ -241,6 +241,9 @@ def matrix_from_text(text: str) -> np.ndarray:
     """Parse the plain-text matrix format; integral input yields int64."""
     if text.startswith("\ufeff"):  # refused as json.loads refuses it, not as an unparsable entry
         raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)")
+    if not text.isascii() or "_" in text:  # int() and float() take "1_0" as 10 and any Unicode digit
+        bad = next(x for x in text.encode().split() if not x.isascii() or b"_" in x)  # split at ASCII space only
+        raise ValueError(f"matrix entry {bad.decode()!r} holds '_' or a non-ASCII character")
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
     if not rows:
         raise ValueError("empty matrix text")

@@ -53,7 +53,8 @@ eigensolves, and it is skipped in a range's first chunk, where there is no
 running minimum. The rho^4 stage eigensolves the classes at its least bound,
 if within the limit, then the others within the new ``best``'s limit. Only
 this last stage does so: the first ties often (every Petersen class has the
-rho^2 bound 5). Each ``jobs`` range prunes against its own minimum.
+rho^2 bound 5). Each ``jobs`` range, by default one per CPU the process may
+run on, prunes against its own minimum, so ``eigensolved`` varies with them.
 
 Certificates in ``find_good_signing``: ``||A4||_inf <= (bound +
 VERDICT_TOLERANCE / 2)^4`` makes a class good and a rho^4 bound above
@@ -80,6 +81,7 @@ eigensolves every class; only ``eigensolved`` depends on the bounds.
 
 from __future__ import annotations
 
+import os
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -189,9 +191,10 @@ class SearchResult(NamedTuple):
     ``classes_examined`` counts every switching class, ``evaluated`` those
     left after negation pairing, and ``eigensolved`` those actually passed to
     the eigensolver after moment pruning, summed over the ``jobs`` ranges.
-    ``eigensolved`` is a cost counter: it may vary with ``jobs`` and the
-    chunk size, while the winner and every other field do not. ``good_found``
-    is derived: ``best_rho`` judged against ``bound_used`` by ``_is_good``.
+    ``eigensolved`` is a cost counter: it may vary with ``jobs``, and so with
+    the CPUs a default search may use, and with the chunk size, while the
+    winner and every other field do not. ``good_found`` is derived:
+    ``best_rho`` judged against ``bound_used`` by ``_is_good``.
     """
 
     best_rho: float
@@ -292,7 +295,8 @@ def _near_ties(g: Graph, free: list[Edge], lo: int, hi: int) -> tuple[np.ndarray
     return positions, rhos, eigensolved
 
 
-def min_rho(g: Graph, max_free_edges: int = DEFAULT_MAX_FREE_EDGES, jobs: int = 1) -> SearchResult:
+def min_rho(g: Graph, max_free_edges: int = DEFAULT_MAX_FREE_EDGES,
+            jobs: int = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) -> SearchResult:
     """Exact minimum of the spectral radius over every switching class.
 
     ``bound_used`` is ``good_signing_bound(g)``, ``2*sqrt(max_degree-1)``.
@@ -300,12 +304,12 @@ def min_rho(g: Graph, max_free_edges: int = DEFAULT_MAX_FREE_EDGES, jobs: int = 
     order) whose rho lies within ``VERDICT_TOLERANCE`` of the minimum, and
     ``best_rho`` is that class's own rho, so roundoff among near-equal radii,
     moment pruning and ``jobs`` cannot change the result. The evaluated
-    classes are split into at most ``jobs`` disjoint ranges, each holding at
-    least one full ``CHUNK_BYTES`` chunk, and evaluated concurrently. Each
-    range keeps every class within ``VERDICT_TOLERANCE`` of its running
-    minimum, earlier classes included. No running minimum falls below the
-    global one, so the winner is always kept and never pruned, and the merged
-    ranges give it.
+    classes are split into at most ``jobs`` disjoint ranges, by default one
+    per CPU the process may run on at import, each holding at least one full
+    ``CHUNK_BYTES`` chunk, and evaluated concurrently. Each range keeps every
+    class within ``VERDICT_TOLERANCE`` of its running minimum, earlier
+    classes included. No running minimum falls below the global one, so the
+    winner is always kept and never pruned, and the merged ranges give it.
     """
     jobs = _integral(jobs, "jobs")
     if jobs < 1:

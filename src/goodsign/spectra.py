@@ -141,6 +141,8 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
                 pass
         if m.dtype.kind == "c" and not m.imag.any():  # 1+0j is real
             m = m.real
+        if m.dtype.kind == "O" and all(type(x) is int for x in m.flat):  # numpy keeps ints beyond 64 bits as objects
+            raise ValueError(f"matrix entry {next(x for x in m.flat if not -(2**63) <= x < 2**63)} does not fit in int64")
         if m.dtype.kind not in "biuf" or m.shape != np.shape(a):
             raise ValueError("matrix entries must be real numbers")
         if not np.isfinite(m).all():

@@ -81,7 +81,7 @@ def test_reference_data_checksums():
     sums = reference_checksums()
     for name in REFERENCE_NAMES:
         assert f"{name}.txt" in sums
-        reference_matrix(name)  # loads and re-verifies the checksum
+        assert reference_matrix(name).dtype == np.int64  # loads, re-verifies the checksum and reads integers
     # and the other way: no bundled matrix is left out of the names
     assert {key for key in sums if key.endswith(".txt")} == {f"{name}.txt" for name in REFERENCE_NAMES}
     with pytest.raises(KeyError):
@@ -248,7 +248,7 @@ def _encoder_payloads():
     eig = eigenvalues_symmetric(reference_matrix("lift8"))
     w = EquitabilityWitness(1, 2, 1, 2, 1, 0)
     search = min_rho(cycle_graph(4))
-    manifest = RunManifest("search", ("g.json",), {"mode": "regular", "jobs": 1, "out": None}, "-", "0.1.0")
+    manifest = RunManifest("search", ("g.json",), {"graph": "g.json", "max_free_edges": 24}, "-", "0.1.0")
     return {
         "empty graph": graph_to_json_dict(Graph(0, frozenset())),
         "edgeless signed": signed_graph_to_json_dict(SignedGraph.all_plus(Graph(3, frozenset()))),
@@ -658,6 +658,15 @@ def test_cli_sign_complete_matrix_output(capsys):
     assert run(["sign-complete", "--q", "5", "--case", "1", "--format", "matrix"]) == 0
     out = capsys.readouterr().out
     assert np.array_equal(matrix_from_text(out), reference_matrix("k7_case1"))
+    # every case's matrix text loads back as the signing's int64 adjacency
+    from goodsign.graphs import signed_adjacency
+
+    for q in (5, 13):
+        for case in (1, 2, 3):
+            assert run(["sign-complete", "--q", str(q), "--case", str(case), "--format", "matrix"]) == 0
+            loaded = matrix_from_text(capsys.readouterr().out)
+            expected = signed_adjacency(sign_complete_from_conference(paley_conference(q), case))
+            assert loaded.dtype == np.int64 and np.array_equal(loaded, expected)
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
@@ -720,9 +729,11 @@ def test_cli_search_takes_the_mode_from_the_graph(tmp_path, capsys):
     g = write_json(tmp_path / "p3.json", graph_to_json_dict(path_graph(3)))
     assert run(["search", "--graph", g]) == 0
     assert capsys.readouterr() == (dumps_json(payload), "")
-    with pytest.raises(SystemExit) as exc:
-        run(["search", "--graph", g, "--mode", "maxdeg"])
-    assert exc.value.code == 2 and "unrecognized arguments: --mode" in capsys.readouterr().err
+    # --mode and --jobs are usage errors: the bound comes from the graph, the split from the CPUs
+    for option, value in (("--mode", "maxdeg"), ("--jobs", "2")):
+        with pytest.raises(SystemExit) as exc:
+            run(["search", "--graph", g, option, value])
+        assert exc.value.code == 2 and f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
 
 def test_cli_spectrum_deterministic(tmp_path, capsys):
@@ -830,6 +841,20 @@ def test_cli_spectrum_refuses_a_non_finite_spectrum(tmp_path, capsys, text, mess
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("entry", ["1_0", "\u0661", "\uff11"], ids=["underscore", "arabic-indic one", "fullwidth one"])
+def test_cli_spectrum_refuses_an_entry_int_would_misread(tmp_path, capsys, entry):
+    # int() and float() read "1_0" as 10 and any Unicode decimal digit as its value
+    path = tmp_path / "m.txt"
+    path.write_text(f"0 {entry}\n{entry} 0\n")
+    assert run(["spectrum", "--matrix", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: matrix entry {entry!r} holds '_' or a non-ASCII character\n")
+    # the first such entry is named, and a non-ASCII space is refused with the entries it joins
+    for text, first in [("0 1_0\n\u0661 0\n", "1_0"), ("0 \u0661\n1_0 0\n", "\u0661"), ("0\u20031\n1 0\n", "0\u20031")]:
+        with pytest.raises(ValueError) as err:
+            matrix_from_text(text)
+        assert str(err.value) == f"matrix entry {first!r} holds '_' or a non-ASCII character"
 
 
 def test_cli_reports_a_failed_allocation_as_an_input_error(tmp_path, capsys, monkeypatch):
@@ -956,12 +981,10 @@ def test_cli_search(tmp_path, capsys):
 @pytest.mark.parametrize(
     "graph, option, value, message",
     [
-        (cycle_graph(4), "--jobs", "0", "jobs must be at least 1, got 0"),
-        (cycle_graph(4), "--jobs", "-3", "jobs must be at least 1, got -3"),
         (cycle_graph(4), "--max-free-edges", "-1", "max_free_edges must be at least 0, got -1"),
-        (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), "--jobs", "1", "graph must be connected"),
+        (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), "--max-free-edges", "24", "graph must be connected"),
     ],
-    ids=["jobs 0", "jobs -3", "guard -1", "two triangles"],
+    ids=["guard -1", "two triangles"],
 )
 def test_cli_search_refusals_exit_2(tmp_path, capsys, graph, option, value, message):
     g = write_json(tmp_path / "g.json", graph_to_json_dict(graph))

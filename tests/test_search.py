@@ -1,7 +1,12 @@
 import concurrent.futures
+import inspect
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,14 +392,14 @@ def test_thread_pool_only_for_large_class_spaces(monkeypatch):
 )
 def test_moment_pruning_counts_are_pinned(g, evaluated, eigensolved):
     # Cost counters at jobs=1 and the default chunk size.
-    result = min_rho(g)
+    result = min_rho(g, jobs=1)
     assert result.evaluated == evaluated
     assert result.eigensolved == eigensolved
 
 
 def test_min_rho_k8_winner_is_pinned():
     g = complete_graph(8)
-    result = min_rho(g)
+    result = min_rho(g, jobs=1)  # eigensolved is pinned serially
     assert class_index(g, result.best_signing) == 111980
     assert abs(result.best_rho - 3.0) < 1e-9
     assert result.classes_examined == 2**21
@@ -549,7 +554,7 @@ def test_pruning_keeps_every_near_tie_at_a_tight_bound(monkeypatch):
     for position, offset in [(40, 0.95e-9), (41, 0.75e-9), (200, 0.3e-9), (300, 0.0), (301, 0.0)]:
         fake[evaluated[position]] = 3.0 + offset
     stand_in_spectra(monkeypatch, g, fake)
-    result = min_rho(g)
+    result = min_rho(g, jobs=1)
     assert class_index(g, result.best_signing) == evaluated[40]
     assert result.best_rho == fake[evaluated[40]]
     # The two classes at 3.0 tie at the lowest rho^4 bound; the three
@@ -693,6 +698,39 @@ def test_min_rho_matches_the_bit_insert_reference(monkeypatch, g):
         result = min_rho(g, jobs=jobs)
         got = (class_index(g, result.best_signing), result.best_rho, result.evaluated, result.eigensolved)
         assert got == reference_min_rho(g, jobs)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(7)]
+    + [random_connected_graph(seed, bipartite, vertices=(8, 10), free_edges=(13, 15)) for bipartite in (False, True) for seed in (20, 21)],
+    ids=["K7", "general 20", "general 21", "bipartite 20", "bipartite 21"],
+)
+def test_the_default_split_agrees_with_a_serial_search(g):
+    # The default jobs is the number of usable CPUs; on more than one, these
+    # searches of 6 to 12 full chunks are split. Only the cost counter may differ.
+    default, serial = min_rho(g), min_rho(g, jobs=1)
+    assert serial.evaluated >= 6 * search._chunk_classes(g)
+    assert default._replace(eigensolved=0) == serial._replace(eigensolved=0)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no way to restrict a process to one CPU here")
+def test_one_usable_cpu_makes_the_default_search_serial():
+    # min_rho reads the CPUs at import, so the restriction comes first. K7's
+    # 6 chunks would split on more CPUs; eigensolved 420 is its serial count,
+    # and a serial search never loads the thread pool.
+    code = (
+        "import inspect, os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from goodsign.graphs import complete_graph\n"
+        "from goodsign.search import min_rho\n"
+        "result = min_rho(complete_graph(7))\n"
+        "print(inspect.signature(min_rho).parameters['jobs'].default, result.eigensolved, 'concurrent.futures' in sys.modules)\n"
+    )
+    assert inspect.signature(min_rho).parameters["jobs"].default == len(os.sched_getaffinity(0))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", ["1", "420", "False"])
 
 
 def unpruned_scan(g):
