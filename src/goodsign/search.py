@@ -53,8 +53,9 @@ eigensolves, and it is skipped in a range's first chunk, where there is no
 running minimum. The rho^4 stage eigensolves the classes at its least bound,
 if within the limit, then the others within the new ``best``'s limit. Only
 this last stage does so: the first ties often (every Petersen class has the
-rho^2 bound 5). Each ``jobs`` range, by default one per CPU the process may
-run on, prunes against its own minimum, so ``eigensolved`` varies with them.
+rho^2 bound 5). Each ``jobs`` range prunes against its own minimum, so
+``eigensolved`` varies with the ranges, which a default search takes from
+the CPUs.
 
 Certificates in ``find_good_signing``: ``||A4||_inf <= (bound +
 VERDICT_TOLERANCE / 2)^4`` makes a class good and a rho^4 bound above
@@ -91,6 +92,11 @@ from .spectra import VERDICT_TOLERANCE, _eigvalsh, _is_good, _rho, good_signing_
 
 DEFAULT_MAX_FREE_EDGES = 24
 CHUNK_BYTES = 1 << 20
+# Fewest chunks in each range of a split search. On 2 CPUs, a fresh process's
+# first search split in two gained nothing at 32 chunks a range and was faster
+# in 11 of 12 pairs at 64: below that, starting a second range costs more than
+# it saves.
+_SPLIT_CHUNKS = 64
 
 
 class SearchSpaceError(ValueError):
@@ -296,7 +302,7 @@ def _near_ties(g: Graph, free: list[Edge], lo: int, hi: int) -> tuple[np.ndarray
 
 
 def min_rho(g: Graph, max_free_edges: int = DEFAULT_MAX_FREE_EDGES,
-            jobs: int = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) -> SearchResult:
+            jobs: int = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)) -> SearchResult:
     """Exact minimum of the spectral radius over every switching class.
 
     ``bound_used`` is ``good_signing_bound(g)``, ``2*sqrt(max_degree-1)``.
@@ -304,12 +310,14 @@ def min_rho(g: Graph, max_free_edges: int = DEFAULT_MAX_FREE_EDGES,
     order) whose rho lies within ``VERDICT_TOLERANCE`` of the minimum, and
     ``best_rho`` is that class's own rho, so roundoff among near-equal radii,
     moment pruning and ``jobs`` cannot change the result. The evaluated
-    classes are split into at most ``jobs`` disjoint ranges, by default one
-    per CPU the process may run on at import, each holding at least one full
-    ``CHUNK_BYTES`` chunk, and evaluated concurrently. Each range keeps every
-    class within ``VERDICT_TOLERANCE`` of its running minimum, earlier
-    classes included. No running minimum falls below the global one, so the
-    winner is always kept and never pruned, and the merged ranges give it.
+    classes are split into at most ``jobs`` disjoint ranges, each holding at
+    least ``_SPLIT_CHUNKS`` full ``CHUNK_BYTES`` chunks, and evaluated
+    concurrently; K8's 512 chunks split, K7's 6 do not. By default ``jobs``
+    is the number of CPUs the process may run on at import, at most 2, the
+    most the split was measured on. Each range keeps every class within
+    ``VERDICT_TOLERANCE`` of its running minimum, earlier classes included.
+    No running minimum falls below the global one, so the winner is always
+    kept and never pruned, and the merged ranges give it.
     """
     jobs = _integral(jobs, "jobs")
     if jobs < 1:
@@ -317,7 +325,7 @@ def min_rho(g: Graph, max_free_edges: int = DEFAULT_MAX_FREE_EDGES,
     bound, _ = good_signing_bound(g)
     free, classes = _evaluated_free(g, max_free_edges)
     count = 1 << len(free)
-    parts = min(jobs, count // _chunk_classes(g))
+    parts = min(jobs, count // (_SPLIT_CHUNKS * _chunk_classes(g)))
     if parts <= 1:
         found = [_near_ties(g, free, 0, count)]
     else:

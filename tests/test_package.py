@@ -164,9 +164,11 @@ print([m for m in {HEAVY!r} if m in sys.modules])
 print([m for m in sys.modules if m.partition(".")[0] not in {["goodsign", *(m.partition(".")[0] for m in HEAVY)]!r}])
 from goodsign import complete_graph, min_rho
 from goodsign.refdata import reference_matrix
+from goodsign import search
 from goodsign.search import _free_edges
 reference_matrix("c6")
 print("hashlib" in sys.modules, "concurrent.futures" in sys.modules)
+search._SPLIT_CHUNKS = 1  # so that K7's 6 chunks split
 k7 = complete_graph(7)
 signs = min_rho(k7, jobs=2).best_signing.signs
 print("concurrent.futures" in sys.modules, sum(1 << i for i, e in enumerate(_free_edges(k7)[0]) if signs[e] == -1))

@@ -42,6 +42,17 @@ from goodsign.spectra import (
 from references import enumerate_signing_classes
 
 RNG = np.random.default_rng(424242)
+SPLIT_CHUNKS = search._SPLIT_CHUNKS
+
+
+@pytest.fixture(autouse=True)
+def split_at_one_chunk_a_range():
+    # The split tests below ask for jobs > 1 on class spaces of a few chunks,
+    # far below the 64 chunks a range that a real split needs. At one chunk a
+    # range they split, and the results must still not depend on the split.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_SPLIT_CHUNKS", 1)
+        yield
 
 K44 = Graph.from_edges(8, [(u, 4 + v) for u in range(4) for v in range(4)])
 Q3 = Graph.from_edges(8, [(v, v ^ (1 << b)) for v in range(8) for b in range(3) if v < v ^ (1 << b)])
@@ -357,8 +368,8 @@ def test_find_good_signing_stops_early(monkeypatch):
     assert evaluated == [6]
 
 
-def test_thread_pool_only_for_large_class_spaces(monkeypatch):
-    # A stand-in executor that records its worker count and runs serially.
+def recording_pool(monkeypatch):
+    """Swap in an executor that records its worker counts and runs serially."""
     workers = []
 
     class RecordingPool:
@@ -375,6 +386,11 @@ def test_thread_pool_only_for_large_class_spaces(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)  # min_rho imports it from there
+    return workers
+
+
+def test_thread_pool_only_for_large_class_spaces(monkeypatch):
+    workers = recording_pool(monkeypatch)
     min_rho(complete_graph(6), jobs=2)  # 512 evaluated classes, one chunk
     assert workers == []
     k7 = complete_graph(7)
@@ -383,6 +399,21 @@ def test_thread_pool_only_for_large_class_spaces(monkeypatch):
     # Never more workers than full chunks: 16384 evaluated classes of K7.
     assert class_index(k7, min_rho(k7, jobs=10**6).best_signing) == 1749
     assert workers == [2, 16384 // search._chunk_classes(k7)]
+
+
+def test_a_split_range_holds_at_least_64_chunks(monkeypatch):
+    # The rule as shipped. K7's 16384 evaluated classes fill 6 default chunks,
+    # so its search is one range; at 128 classes a chunk they fill 128, two
+    # ranges of 64, and at 129 classes a chunk 127.
+    monkeypatch.setattr(search, "_SPLIT_CHUNKS", SPLIT_CHUNKS)
+    assert SPLIT_CHUNKS == 64
+    workers = recording_pool(monkeypatch)
+    k7 = complete_graph(7)
+    assert class_index(k7, min_rho(k7, jobs=10**6).best_signing) == 1749
+    for classes_per_chunk, jobs in [(129, 10**6), (128, 2), (128, 10**6), (64, 3), (64, 10**6)]:
+        monkeypatch.setattr(search, "CHUNK_BYTES", classes_per_chunk * 8 * k7.n * k7.n)
+        assert class_index(k7, min_rho(k7, jobs=jobs).best_signing) == 1749
+    assert workers == [2, 2, 3, 4]
 
 
 @pytest.mark.parametrize(
@@ -700,34 +731,22 @@ def test_min_rho_matches_the_bit_insert_reference(monkeypatch, g):
         assert got == reference_min_rho(g, jobs)
 
 
-@pytest.mark.parametrize(
-    "g",
-    [complete_graph(7)]
-    + [random_connected_graph(seed, bipartite, vertices=(8, 10), free_edges=(13, 15)) for bipartite in (False, True) for seed in (20, 21)],
-    ids=["K7", "general 20", "general 21", "bipartite 20", "bipartite 21"],
-)
-def test_the_default_split_agrees_with_a_serial_search(g):
-    # The default jobs is the number of usable CPUs; on more than one, these
-    # searches of 6 to 12 full chunks are split. Only the cost counter may differ.
-    default, serial = min_rho(g), min_rho(g, jobs=1)
-    assert serial.evaluated >= 6 * search._chunk_classes(g)
-    assert default._replace(eigensolved=0) == serial._replace(eigensolved=0)
-
-
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no way to restrict a process to one CPU here")
 def test_one_usable_cpu_makes_the_default_search_serial():
-    # min_rho reads the CPUs at import, so the restriction comes first. K7's
-    # 6 chunks would split on more CPUs; eigensolved 420 is its serial count,
-    # and a serial search never loads the thread pool.
+    # min_rho reads the CPUs at import, so the restriction comes first, and
+    # the search splits at one chunk a range, as K7's 6 chunks would on more
+    # CPUs. A serial search never loads the thread pool.
     code = (
         "import inspect, os, sys\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from goodsign import search\n"
         "from goodsign.graphs import complete_graph\n"
-        "from goodsign.search import min_rho\n"
-        "result = min_rho(complete_graph(7))\n"
-        "print(inspect.signature(min_rho).parameters['jobs'].default, result.eigensolved, 'concurrent.futures' in sys.modules)\n"
+        "search._SPLIT_CHUNKS = 1\n"
+        "result = search.min_rho(complete_graph(7))\n"
+        "print(inspect.signature(search.min_rho).parameters['jobs'].default, result.eigensolved, 'concurrent.futures' in sys.modules)\n"
     )
-    assert inspect.signature(min_rho).parameters["jobs"].default == len(os.sched_getaffinity(0))
+    # At most 2: the split was measured on 2 CPUs only.
+    assert inspect.signature(min_rho).parameters["jobs"].default == min(2, len(os.sched_getaffinity(0)))
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", ["1", "420", "False"])
