@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import _exact_matmul, _freeze, _Frozen, _integral, _signed_matrix
+from .graphs import _exact_matmul, _freeze, _Frozen, _integral, _numbers, _signed_matrix
 
 
 def _is_prime(q: int) -> bool:
@@ -31,7 +31,7 @@ def _is_prime(q: int) -> bool:
 def verify_conference(matrix: np.ndarray) -> bool:
     """True iff the matrix is a symmetric conference matrix (exact check)."""
     try:
-        m = _signed_matrix(np.asarray(matrix))
+        m = _signed_matrix(matrix)
     except ValueError:
         return False
     n = len(m)
@@ -52,7 +52,7 @@ class ConferenceMatrix(_Frozen):
     def __init__(self, matrix: np.ndarray) -> None:
         if not verify_conference(matrix):
             raise ValueError("not a symmetric conference matrix")
-        _freeze(self, matrix=np.asarray(matrix).real.astype(np.int64))  # entries 0, +-1: an exact cast
+        _freeze(self, matrix=_numbers(matrix).astype(np.int64))  # entries 0, +-1: an exact cast
 
     @property
     def order(self) -> int:

@@ -17,8 +17,8 @@ list, in that order, one ``_refuse`` line each; each reports the first
 offending row in the order the input iterates.
 
 Adjacency matrices are plain numpy arrays: ``int64`` for exact identity
-checks, ``float64`` only where an eigensolver needs them. ``_signed_matrix``,
-``_exact_matmul`` and ``_not_whole`` are the one copy of each integer-matrix rule.
+checks, ``float64`` only where an eigensolver needs them. ``_numbers`` (entries),
+``_signed_matrix``, ``_exact_matmul`` and ``_not_whole`` are the one copy of each matrix rule.
 """
 
 from __future__ import annotations
@@ -106,14 +106,26 @@ class _EdgeTable:
         return _canon(int(self.rows[i][0]), int(self.rows[i][1]))
 
 
+def _numbers(a) -> np.ndarray:
+    """``a``'s entries as int64 if all are ints or bools, else float64 (1+0j is 1, and an object array is read as numpy's
+    array of its entries); an int64 or float64 array as it is. Refuses an int outside int64 and any other non-real entry."""
+    m = np.asarray(a)
+    if m.dtype.kind in "Ou" or m is not a and m.dtype.kind not in "bi":  # numpy reads [0, 2**63] as floats
+        for x in np.asarray(a, dtype=object).flat:
+            if isinstance(x, (int, np.integer)) and not -(2**63) <= int(x) < 2**63:
+                raise ValueError(f"matrix entry {x} does not fit in int64")
+    m = np.array(m.tolist()) if m.dtype.kind == "O" and not any(map(np.ndim, m.flat)) else m  # a sequence is no number
+    m = m.real if m.dtype.kind == "c" and not m.imag.any() else m
+    if m.dtype.kind not in "biuf":
+        raise ValueError("matrix entries must be real numbers")
+    return m.astype(np.int64 if m.dtype.kind in "biu" else np.float64, copy=False)
+
+
 def _not_whole(a: np.ndarray) -> np.ndarray:
-    """Mark the entries of ``a`` that are not whole numbers: fractions, NaN,
-    infinities, and all of an array that holds no real numbers."""
-    if a.dtype.kind == "O":  # objects count as the array numpy makes of them
-        a = np.array(a.tolist())
+    """Mark the entries of a real array ``a`` that are not whole numbers: fractions, NaN and infinities."""
     if a.dtype.kind == "f":
         return ~(np.isfinite(a) & (a == np.trunc(a)))
-    return np.full(a.shape, a.dtype.kind not in "biu")
+    return np.zeros(a.shape, dtype=bool)
 
 
 def _refuse(mask: np.ndarray, message: Callable[[int], str]) -> None:
@@ -309,7 +321,7 @@ class SignedGraph(_Frozen):
     @staticmethod
     def from_adjacency(a: np.ndarray) -> "SignedGraph":
         """Recover the signed graph of a symmetric {0, +-1} matrix with zero diagonal."""
-        return SignedGraph._of_adjacency(_signed_matrix(np.asarray(a)))
+        return SignedGraph._of_adjacency(_signed_matrix(a))
 
     @classmethod
     def _of_table(cls, n: int, t: np.ndarray) -> "SignedGraph":
@@ -357,10 +369,10 @@ class SignedGraph(_Frozen):
 
     def switched(self, diag: Sequence[int]) -> "SignedGraph":
         """Apply the switching ``sign'(uv) = d_u * sign(uv) * d_v`` for ``d`` in {-1,+1}^n."""
-        d = list(diag)
-        if len(d) != self.graph.n or not all(x == 1 or x == -1 for x in d):
+        d = np.array(list(diag))
+        if d.shape != (self.graph.n,) or not ((d == 1) | (d == -1)).all():
             raise ValueError("switching vector must be a +-1 vector of length n")
-        d = np.array(d, dtype=np.int64)
+        d = d.real.astype(np.int64, copy=False)  # each entry equals 1 or -1: 1.0 and 1+0j read as 1
         uv = self.graph._uv
         return SignedGraph._of(self.graph, d[uv[:, 0]] * self._s * d[uv[:, 1]])
 
@@ -370,16 +382,17 @@ def signed_adjacency(sg: SignedGraph) -> np.ndarray:
     return sg._adjacency.copy()
 
 
-def _signed_matrix(m: np.ndarray) -> np.ndarray:
-    """``m`` as an int64 array if it is square, symmetric, zero on the diagonal
-    and 0, 1 or -1 elsewhere (1.0 is; 1.4, NaN and 1j are not); else a ValueError."""
+def _signed_matrix(a) -> np.ndarray:
+    """``a`` as an int64 array if it is square, symmetric, zero on the diagonal and 0, 1 or -1 elsewhere
+    (1.0 and 1+0j are; 1.4, NaN and 1j are not), read by :func:`_numbers` unless complex; else a ValueError."""
+    m = np.asarray(a) if np.iscomplexobj(a) else _numbers(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("adjacency matrix must be square")
     if not ((m == m.T) | ((m != m) & (m.T != m.T))).all():  # a mirrored NaN breaks a later rule
         raise ValueError("adjacency matrix must be symmetric")
     if m.diagonal().any():
         raise ValueError("adjacency matrix must have zero diagonal")
-    bad = (m < -1) | (m > 1) if m.dtype.kind in "biu" else (m != 0) & (m != 1) & (m != -1)
+    bad = (m < -1) | (m > 1) if m.dtype.kind == "i" else (m != 0) & (m != 1) & (m != -1)
     if bad.any():
         u, v = np.argwhere(bad)[0].tolist()  # above the diagonal, as m is symmetric
         raise ValueError(f"entry ({u}, {v}) = {m[u, v].item()} is not in {{0, -1, +1}}")

@@ -18,8 +18,8 @@ vertices, and compares D with ``B[cell_of]`` once; the first witness, if
 any, is read off that one comparison, the identity ``A @ P == P @ B`` that
 ``partition-check`` reports; ``reproduce``'s case examples test it on that D.
 :func:`verify_quotient_identity` forms its own, for a B given from elsewhere
-and read as a :class:`QuotientMatrix`, whose entries pass ``graphs._not_whole``
-and whose shape and cell-size symmetry are those of a quotient.
+and read as a :class:`QuotientMatrix`, whose entries pass ``graphs._numbers`` and
+``graphs._not_whole`` and whose shape and cell-size symmetry are those of a quotient.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import SignedGraph, _exact_matmul, _freeze, _Frozen, _integral, _not_whole
+from .graphs import SignedGraph, _exact_matmul, _freeze, _Frozen, _integral, _not_whole, _numbers
 from .spectra import _eigvalsh, _snapped
 
 
@@ -153,9 +153,12 @@ class QuotientMatrix(_Frozen):
     partition: Partition
 
     def __init__(self, matrix: np.ndarray, partition: Partition) -> None:
-        m = np.asarray(matrix)
-        if m.dtype != np.int64 and (_not_whole(m).any() or int(np.abs(m).max(initial=0)) >= 2**63):
-            raise ValueError("quotient matrix entries must be whole numbers within int64")
+        try:  # the helper's refusals, and whole floats beyond int64, are refused with one message
+            m = _numbers(matrix)
+            if m.dtype != np.int64 and (_not_whole(m).any() or int(np.abs(m).max(initial=0)) >= 2**63):
+                raise ValueError
+        except ValueError:
+            raise ValueError("quotient matrix entries must be whole numbers within int64") from None
         m = m.astype(np.int64)
         k = partition.size
         if m.shape != (k, k):

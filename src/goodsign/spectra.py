@@ -2,10 +2,10 @@
 
 Every eigenvalue and spectral radius in the package comes from one seam,
 ``_eigvalsh``: LAPACK's symmetric solver through ``numpy.linalg.eigvalsh``,
-on a single matrix or on a stack of them. ``_symmetric`` checks a single
-matrix first, one pass per rule: square, real (a complex entry only with a
-zero imaginary part), finite, and equal to its transpose; ``check_good_signing``
-passes its signing's cached, read-only ``SignedGraph._adjacency`` as it is.
+on a single matrix or on a stack of them. ``_symmetric`` reads a single
+matrix with ``graphs._numbers`` and checks that it is square, finite and equal
+to its transpose; ``check_good_signing`` passes its signing's cached, read-only
+``SignedGraph._adjacency`` as it is.
 Eigenvalues within ``1e-12`` times ``max(1, rho)`` of zero are reported as
 exactly ``0.0``, so printed spectra do not carry solver roundoff.
 
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, SignedGraph
+from .graphs import Graph, SignedGraph, _numbers
 
 JACOBI_RELATIVE_TOLERANCE = 1e-12
 JACOBI_MAX_SWEEPS = 64
@@ -130,23 +130,11 @@ def jacobi_diagonalize(a: np.ndarray) -> JacobiResult:
 
 
 def _symmetric(a: np.ndarray) -> np.ndarray:
-    m = np.asarray(a)
+    m = _numbers(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if m.dtype.kind not in "biu":  # integers are finite
-        if m.dtype.kind == "O":  # objects count as the array numpy makes of them, if it makes one
-            try:
-                m = np.array(m.tolist())
-            except ValueError:
-                pass
-        if m.dtype.kind == "c" and not m.imag.any():  # 1+0j is real
-            m = m.real
-        if m.dtype.kind == "O" and all(type(x) is int for x in m.flat):  # numpy keeps ints beyond 64 bits as objects
-            raise ValueError(f"matrix entry {next(x for x in m.flat if not -(2**63) <= x < 2**63)} does not fit in int64")
-        if m.dtype.kind not in "biuf" or m.shape != np.shape(a):
-            raise ValueError("matrix entries must be real numbers")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
+    if m.dtype.kind == "f" and not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     if not (m == m.T).all():
         raise ValueError("matrix must be symmetric")
     return m
@@ -178,11 +166,11 @@ def _snapped(eig: np.ndarray) -> tuple[np.ndarray, float]:
 def eigenvalues_symmetric(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, as float64.
 
-    Raises ``ValueError`` for non-square input, for entries that are not
-    real numbers (a complex entry counts as real when its imaginary part is
-    zero), for non-finite or non-symmetric input, and for eigenvalues beyond
-    the float64 range. Values within ``ZERO_SNAP_TOLERANCE * max(1, rho)``
-    of zero are returned as ``0.0``.
+    Raises ``ValueError`` for an int outside int64 and for any other entry
+    that is not a real number (1+0j reads as 1), for non-square, non-finite
+    or non-symmetric input, and for eigenvalues beyond the float64 range.
+    Values within ``ZERO_SNAP_TOLERANCE * max(1, rho)`` of zero are returned
+    as ``0.0``.
     """
     return _snapped(_eigvalsh(_symmetric(a)))[0]
 

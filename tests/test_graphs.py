@@ -14,7 +14,7 @@ from goodsign.graphs import (
     signed_adjacency,
     verify_decomposition,
 )
-from goodsign.conference import verify_conference
+from goodsign.conference import ConferenceMatrix, paley_conference, verify_conference
 from goodsign.constructions import lex_k2_signing, lex_k4_signing
 from goodsign.refdata import reference_matrix
 from goodsign.reproduce import cycle_cover_base
@@ -652,6 +652,36 @@ def test_a_mirrored_nan_is_refused_by_the_rule_it_breaks(m, message):
         SignedGraph.from_adjacency(m)
     assert str(err.value) == message
     assert not verify_conference(np.array(m))
+
+
+def test_object_entries_are_read_by_the_matrix_rule_before_the_signed_matrix_rules():
+    # an object 0.5 is an entry outside {0, -1, +1}, an object 1+0j is 1, and a string is no real number;
+    # these were an AttributeError, a TypeError and the zero-diagonal rule
+    half = np.array([[0, 0.5], [0.5, 0]], dtype=object)
+    assert verify_conference(half) is False
+    with pytest.raises(ValueError) as err:
+        SignedGraph.from_adjacency(half)
+    assert str(err.value) == "entry (0, 1) = 0.5 is not in {0, -1, +1}"
+    c = paley_conference(5)
+    ones = c.matrix.astype(complex).astype(object)
+    assert verify_conference(ones) and ConferenceMatrix(ones) == c
+    assert SignedGraph.from_adjacency(ones) == SignedGraph.from_adjacency(c.matrix)
+    for text in ([[0, "1"], ["1", 0]], np.array([[0, "1"], ["1", 0]], dtype=object)):
+        assert verify_conference(text) is False
+        with pytest.raises(ValueError) as err:
+            SignedGraph.from_adjacency(text)
+        assert str(err.value) == "matrix entries must be real numbers"
+
+
+def test_a_switching_vector_holds_numbers_equal_to_one_or_minus_one():
+    sg = SignedGraph.from_edge_triples(3, [(0, 1, 1), (1, 2, -1), (0, 2, 1)])
+    want = sg.switched([1, -1, 1])
+    for d in ([1 + 0j, -1, 1], [1.0, -1 + 0j, True], np.array([1, -1, 1], dtype=np.int8)):
+        assert sg.switched(d) == want
+    # a column of one-entry rows built a signing whose sign vector was a 3 x 3 matrix
+    for d in ([1 + 1j, -1, 1], [1j, -1, 1], ["1", -1, 1], [None, -1, 1], [2, -1, 1], [1, -1], [[1], [-1], [1]]):
+        with pytest.raises(ValueError, match=r"^switching vector must be a \+-1 vector of length n$"):
+            sg.switched(d)
 
 
 def test_sign_maps_of_integers_build_as_their_triples():

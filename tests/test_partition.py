@@ -436,7 +436,7 @@ def test_a_quotient_that_is_not_whole_is_refused_not_truncated(value):
 def test_whole_quotients_of_every_dtype_are_accepted():
     sg, cells = case_signing(1), case_cells(1, 6)
     b = case_quotient_matrix(1, 6)
-    for dtype in (np.int8, np.int16, np.uint8, np.float64, object):
+    for dtype in (np.int8, np.int16, np.uint8, np.float64, complex, object):  # 1+0j reads as 1
         assert verify_quotient_identity(sg, cells, b.astype(dtype))
         q = QuotientMatrix(b.astype(dtype), cells).matrix
         assert q.dtype == np.int64 and np.array_equal(q, b) and not q.flags.writeable

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goodsign.cli import run
 from goodsign.conference import core_matrix, paley_conference
 from goodsign.constructions import sign_complete_from_conference
 from goodsign.graphs import (
@@ -220,13 +222,54 @@ def _off_diagonal_objects(x):
 
 @pytest.mark.parametrize("x", ["1", None, 1j, (1,)], ids=["str", "None", "complex", "tuple"])
 def test_object_arrays_hold_numbers_or_are_refused(x):
-    # read as graphs._not_whole reads them, as the array numpy makes of them;
-    # anything but real numbers is the ValueError the docstring promises, not
-    # numpy's TypeError
+    # read by graphs._numbers, as the array numpy makes of them; anything but
+    # real numbers is the ValueError the docstring promises, not numpy's TypeError
     assert eigenvalues_symmetric(_off_diagonal_objects(1)).tolist() == [-1.0, 1.0]
     for solve in (eigenvalues_symmetric, spectral_radius, jacobi_diagonalize):
         with pytest.raises(ValueError, match="matrix entries must be real numbers"):
             solve(_off_diagonal_objects(x))
+
+
+# -- one entry rule through every door: graphs._numbers ---------------------------
+
+_DOOR_ENTRIES = {
+    # entry: the dtypes an array holding it is built with, its matrix text, and the eigenvalues or the message.
+    # A float array holds 2.0**63, a float the rule accepts, not the int 2**63; text cannot hold a complex entry.
+    "2**63": (2**63, [np.uint64], "9223372036854775808", "matrix entry 9223372036854775808 does not fit in int64"),
+    "-2**63-1": (-(2**63) - 1, [], "-9223372036854775809", "matrix entry -9223372036854775809 does not fit in int64"),
+    "0.5": (0.5, [np.float64, np.complex128], "0.5", [-0.5, 0.5]),
+    "nan": (math.nan, [np.float64, np.complex128], "nan", "matrix entries must be finite"),
+    "inf": (math.inf, [np.float64, np.complex128], "inf", "matrix entries must be finite"),
+    "1+0j": (1 + 0j, [np.complex128], None, [-1.0, 1.0]),
+    "1+1j": (1 + 1j, [np.complex128], None, "matrix entries must be real numbers"),
+}
+
+
+@pytest.mark.parametrize("entry, dtypes, text, want", _DOOR_ENTRIES.values(), ids=_DOOR_ENTRIES.keys())
+def test_every_door_gives_an_entry_the_same_eigenvalues_or_message(tmp_path, capsys, entry, dtypes, text, want):
+    # numpy 2 reads the list [[0, 2**63], [2**63, 0]] as float64 and 1.24 as uint64; both are refused as the text is
+    rows = [[0, entry], [entry, 0]]
+    doors = {"list": rows, "object": np.array(rows, dtype=object), **{t.__name__: np.array(rows, dtype=t) for t in dtypes}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for door, m in doors.items():
+            if isinstance(want, str):
+                for solve in (eigenvalues_symmetric, spectral_radius, jacobi_diagonalize):
+                    with pytest.raises(ValueError) as err:
+                        solve(m)
+                    assert str(err.value) == want, (door, solve.__name__)
+            else:
+                assert eigenvalues_symmetric(m).tolist() == want, door
+                assert spectral_radius(m) == want[-1] and np.allclose(jacobi_diagonalize(m).eigenvalues, want), door
+        if text is not None:
+            path = tmp_path / "m.txt"
+            path.write_text(f"0 {text}\n{text} 0\n")
+            code = run(["spectrum", "--matrix", str(path)])
+            out, err = capsys.readouterr()
+            if isinstance(want, str):
+                assert (code, out, err) == (2, "", f"error: {want}\n")
+            else:
+                assert code == 0 and err == "" and json.loads(out)["eigenvalues"] == want
 
 
 def test_input_matrix_not_modified():
