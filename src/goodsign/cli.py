@@ -43,7 +43,7 @@ from .fileio import (
 from .graphs import signed_adjacency
 from .partition import _cell_degrees
 from .reproduce import example_ids, run_example
-from .search import DEFAULT_MAX_FREE_EDGES, min_rho
+from .search import min_rho
 from .spectra import _rho, check_good_signing, eigenvalues_symmetric
 
 EXIT_OK = 0
@@ -145,7 +145,7 @@ def _cmd_partition_check(args) -> tuple[str, int]:
 
 
 def _cmd_search(args) -> tuple[str, int]:
-    result = min_rho(load_graph(args.graph), max_free_edges=args.max_free_edges)
+    result = min_rho(load_graph(args.graph))
     payload = {
         "best_rho": result.best_rho,
         "best_signing": signed_graph_to_json_dict(result.best_signing),
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive minimum spectral radius over signings")
     p.add_argument("--graph", required=True)
-    p.add_argument("--max-free-edges", type=int, default=DEFAULT_MAX_FREE_EDGES, dest="max_free_edges")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
 

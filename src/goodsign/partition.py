@@ -155,7 +155,7 @@ class QuotientMatrix(_Frozen):
     def __init__(self, matrix: np.ndarray, partition: Partition) -> None:
         try:  # the helper's refusals, and whole floats beyond int64, are refused with one message
             m = _numbers(matrix)
-            if m.dtype != np.int64 and (_not_whole(m).any() or int(np.abs(m).max(initial=0)) >= 2**63):
+            if m.dtype != np.int64 and (_not_whole(m).any() or not -(2**63) <= m.min(initial=0) <= m.max(initial=0) < 2**63):
                 raise ValueError
         except ValueError:
             raise ValueError("quotient matrix entries must be whole numbers within int64") from None

@@ -29,7 +29,8 @@ undecided. One block per search range holds a chunk's matrices, at most
 ``CHUNK_BYTES``, and two work stacks: memory does not grow with the classes.
 ``find_good_signing`` starts at 32 classes and doubles, so it stops soon
 after an early good class; ``min_rho`` never stops early and starts at the
-full chunk size.
+full chunk size. A class costs about n^3, so a search of 2^e evaluated
+classes is refused before any chunk when ``2^e * n^3 > _WORK_LIMIT``.
 
 Moment bounds. For symmetric A and x != 0, ``x^T A^2 x / x^T x <= rho^2``;
 at ``x = A e_i`` and ``x = A^2 e_i``, as ``(A^2k)_ii = sum_j ((A^k)_ij)^2``:
@@ -90,17 +91,19 @@ import numpy as np
 from .graphs import Edge, Graph, SignedGraph, _bfs_forest, _canon, _integral
 from .spectra import VERDICT_TOLERANCE, _eigvalsh, _is_good, _rho, good_signing_bound
 
-DEFAULT_MAX_FREE_EDGES = 24
 CHUNK_BYTES = 1 << 20
-# Fewest chunks in each range of a split search. On 2 CPUs, a fresh process's
-# first search split in two gained nothing at 32 chunks a range and was faster
-# in 11 of 12 pairs at 64: below that, starting a second range costs more than
-# it saves.
-_SPLIT_CHUNKS = 64
+# A search splits only on at most _SPLIT_MAX_N vertices, into ranges of at
+# least _SPLIT_CHUNKS chunks. On 2 CPUs, a fresh process's first search split
+# in two gained nothing at 32 chunks a range and won 11 of 12 pairs at 64; a
+# split won every pair at n = 32 to 64, and lost every pair at n = 65 to 96.
+_SPLIT_CHUNKS, _SPLIT_MAX_N = 64, 64
+# The most work a search may ask for, as evaluated classes times n^3: that of
+# K9 less four disjoint edges, 2^23 classes at n = 9, 4.3 s serial on 2 CPUs.
+_WORK_LIMIT = (1 << 23) * 9**3
 
 
 class SearchSpaceError(ValueError):
-    """Raised when the number of free edges exceeds the search guard."""
+    """Raised when a search's evaluated classes times n^3 exceed ``_WORK_LIMIT``."""
 
 
 def _free_edges(g: Graph) -> tuple[list[Edge], int]:
@@ -123,17 +126,15 @@ def _signing_for_index(g: Graph, free: list[Edge], index: int) -> SignedGraph:
     return SignedGraph._of(g, np.array([-1 if e in flipped else 1 for e in g.edge_list], dtype=np.int64))
 
 
-def _evaluated_free(g: Graph, max_free_edges: int) -> tuple[list[Edge], int]:
+def _evaluated_free(g: Graph) -> tuple[list[Edge], int]:
     # The free edges the search enumerates, without the one negation pairing
-    # holds at +1, and the number of switching classes.
-    max_free_edges = _integral(max_free_edges, "max_free_edges")
-    if max_free_edges < 0:
-        raise ValueError(f"max_free_edges must be at least 0, got {max_free_edges}")
+    # holds at +1, and the number of switching classes; refused over the guard.
     free, mask = _free_edges(g)
-    if len(free) > max_free_edges:
-        raise SearchSpaceError(f"{len(free)} free edges exceed the guard of {max_free_edges}")
     paired = mask.bit_length() - 1  # -1 on a bipartite graph: no edge is held
-    return [e for i, e in enumerate(free) if i != paired], 1 << len(free)
+    evaluated = [e for i, e in enumerate(free) if i != paired]
+    if g.n**3 << len(evaluated) > _WORK_LIMIT:
+        raise SearchSpaceError(f"2^{len(evaluated)} evaluated classes at n={g.n} exceed the work limit: classes * n^3 must be at most 2^23 * 9^3")
+    return evaluated, 1 << len(free)
 
 
 def _chunk_classes(g: Graph) -> int:
@@ -167,7 +168,7 @@ def _class_chunks(g: Graph, free: list[Edge], lo: int, hi: int, first: int) -> I
         size = min(2 * size, cap)
 
 
-def find_good_signing(g: Graph, max_free_edges: int = DEFAULT_MAX_FREE_EDGES) -> SignedGraph | None:
+def find_good_signing(g: Graph) -> SignedGraph | None:
     """First enumerated signing class meeting the bound, or None after exhaustion.
 
     The bound is ``good_signing_bound(g)``, ``2*sqrt(max_degree-1)``. Moment
@@ -176,7 +177,7 @@ def find_good_signing(g: Graph, max_free_edges: int = DEFAULT_MAX_FREE_EDGES) ->
     would find first.
     """
     bound, _ = good_signing_bound(g)
-    free, _ = _evaluated_free(g, max_free_edges)
+    free, _ = _evaluated_free(g)
     for positions, mats, work in _class_chunks(g, free, 0, 1 << len(free), 32):
         moments = _Moments(mats, work)
         lower = moments.lower4()
@@ -301,19 +302,18 @@ def _near_ties(g: Graph, free: list[Edge], lo: int, hi: int) -> tuple[np.ndarray
     return positions, rhos, eigensolved
 
 
-def min_rho(g: Graph, max_free_edges: int = DEFAULT_MAX_FREE_EDGES,
-            jobs: int = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)) -> SearchResult:
+def min_rho(g: Graph, jobs: int = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)) -> SearchResult:
     """Exact minimum of the spectral radius over every switching class.
 
     ``bound_used`` is ``good_signing_bound(g)``, ``2*sqrt(max_degree-1)``.
     Deterministic: the winner is the smallest class index (binary-counter
     order) whose rho lies within ``VERDICT_TOLERANCE`` of the minimum, and
     ``best_rho`` is that class's own rho, so roundoff among near-equal radii,
-    moment pruning and ``jobs`` cannot change the result. The evaluated
-    classes are split into at most ``jobs`` disjoint ranges, each holding at
-    least ``_SPLIT_CHUNKS`` full ``CHUNK_BYTES`` chunks, and evaluated
-    concurrently; K8's 512 chunks split, K7's 6 do not. By default ``jobs``
-    is the number of CPUs the process may run on at import, at most 2, the
+    moment pruning and ``jobs`` cannot change the result. On at most
+    ``_SPLIT_MAX_N`` vertices, the evaluated classes are split into at most
+    ``jobs`` disjoint ranges of at least ``_SPLIT_CHUNKS`` full chunks each,
+    evaluated concurrently; K8's 512 chunks split, K7's 6 do not. ``jobs``
+    defaults to the CPUs the process may run on at import, at most 2, the
     most the split was measured on. Each range keeps every class within
     ``VERDICT_TOLERANCE`` of its running minimum, earlier classes included.
     No running minimum falls below the global one, so the winner is always
@@ -323,9 +323,9 @@ def min_rho(g: Graph, max_free_edges: int = DEFAULT_MAX_FREE_EDGES,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     bound, _ = good_signing_bound(g)
-    free, classes = _evaluated_free(g, max_free_edges)
+    free, classes = _evaluated_free(g)
     count = 1 << len(free)
-    parts = min(jobs, count // (_SPLIT_CHUNKS * _chunk_classes(g)))
+    parts = min(jobs, count // (_SPLIT_CHUNKS * _chunk_classes(g))) if g.n <= _SPLIT_MAX_N else 1
     if parts <= 1:
         found = [_near_ties(g, free, 0, count)]
     else:

@@ -90,13 +90,13 @@ CORPUS = [
     "partition-check --signed <tmp>/lift8.json --partition <tmp>/pairs8.json",
     "partition-check --signed <tmp>/p3_plus.json --partition <tmp>/p3_cut.json",
     "partition-check --signed <tmp>/p3_plus.json --partition <tmp>/null_partition.json",
-    # search: one chunk, an --out file, K7's six chunks (split on more than one CPU), and a search space over the guard
+    # search: one chunk, an --out file, K7's six chunks (one range), and K9, whose work is over the guard
     "search --graph <tmp>/c4.json",
     "search --graph <tmp>/k4.json",
     "search --graph <tmp>/petersen.json",
     "search --graph <tmp>/petersen.json --out <tmp>/petersen.search.json",
     "search --graph <tmp>/k7.json",
-    "search --graph <tmp>/petersen.json --max-free-edges 5",
+    "search --graph <tmp>/k9.json",
     # reproduce
     "reproduce --list",
     "reproduce --all",
@@ -117,6 +117,7 @@ def _write_inputs(tmp: Path) -> None:
         "p3.json": dumps_json(graph_to_json_dict(path_graph(3))),
         "petersen.json": dumps_json(graph_to_json_dict(petersen_graph())),
         "k7.json": dumps_json(graph_to_json_dict(complete_graph(7))),
+        "k9.json": dumps_json(graph_to_json_dict(complete_graph(9))),
         "cover.json": dumps_json(graph_to_json_dict(cover)),
         "h1.json": _signed_text(SignedGraph.all_plus(h1)),
         "h2.json": _signed_text(SignedGraph.all_plus(h2)),

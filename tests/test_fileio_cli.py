@@ -159,14 +159,6 @@ def test_cli_out_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no file, manifest or directory
 
 
-def test_cli_option_defaults_come_from_the_library():
-    from goodsign.cli import build_parser
-    from goodsign.search import DEFAULT_MAX_FREE_EDGES
-
-    args = build_parser().parse_args(["search", "--graph", "g.json"])
-    assert args.max_free_edges == DEFAULT_MAX_FREE_EDGES
-
-
 # -- the JSON encoder ----------------------------------------------------------
 
 
@@ -248,7 +240,7 @@ def _encoder_payloads():
     eig = eigenvalues_symmetric(reference_matrix("lift8"))
     w = EquitabilityWitness(1, 2, 1, 2, 1, 0)
     search = min_rho(cycle_graph(4))
-    manifest = RunManifest("search", ("g.json",), {"graph": "g.json", "max_free_edges": 24}, "-", "0.1.0")
+    manifest = RunManifest("search", ("g.json",), {"graph": "g.json"}, "-", "0.1.0")
     return {
         "empty graph": graph_to_json_dict(Graph(0, frozenset())),
         "edgeless signed": signed_graph_to_json_dict(SignedGraph.all_plus(Graph(3, frozenset()))),
@@ -729,8 +721,9 @@ def test_cli_search_takes_the_mode_from_the_graph(tmp_path, capsys):
     g = write_json(tmp_path / "p3.json", graph_to_json_dict(path_graph(3)))
     assert run(["search", "--graph", g]) == 0
     assert capsys.readouterr() == (dumps_json(payload), "")
-    # --mode and --jobs are usage errors: the bound comes from the graph, the split from the CPUs
-    for option, value in (("--mode", "maxdeg"), ("--jobs", "2")):
+    # --mode, --jobs and --max-free-edges are usage errors: the bound comes from the graph, the split
+    # from the CPUs, and the guard from the work the graph asks for
+    for option, value in (("--mode", "maxdeg"), ("--jobs", "2"), ("--max-free-edges", "24")):
         with pytest.raises(SystemExit) as exc:
             run(["search", "--graph", g, option, value])
         assert exc.value.code == 2 and f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
@@ -979,16 +972,16 @@ def test_cli_search(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "graph, option, value, message",
+    "graph, message",
     [
-        (cycle_graph(4), "--max-free-edges", "-1", "max_free_edges must be at least 0, got -1"),
-        (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), "--max-free-edges", "24", "graph must be connected"),
+        (complete_graph(9), "2^27 evaluated classes at n=9 exceed the work limit: classes * n^3 must be at most 2^23 * 9^3"),
+        (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), "graph must be connected"),
     ],
-    ids=["guard -1", "two triangles"],
+    ids=["K9 over the guard", "two triangles"],
 )
-def test_cli_search_refusals_exit_2(tmp_path, capsys, graph, option, value, message):
+def test_cli_search_refusals_exit_2(tmp_path, capsys, graph, message):
     g = write_json(tmp_path / "g.json", graph_to_json_dict(graph))
-    assert run(["search", "--graph", g, option, value]) == 2
+    assert run(["search", "--graph", g]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 

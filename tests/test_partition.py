@@ -450,7 +450,8 @@ def test_a_whole_quotient_entry_beyond_int64_is_refused_not_wrapped():
         with pytest.raises(ValueError, match="within int64"):
             QuotientMatrix(b, one)
         assert not verify_quotient_identity(SignedGraph.all_plus(Graph(1, [])), one, b)
-    assert QuotientMatrix([[-(2**63)]], one).matrix[0, 0] == -(2**63)
+    for b in ([[-(2**63)]], [[-2.0**63]]):  # the range is [-2**63, 2**63), whatever the dtype
+        assert QuotientMatrix(b, one).matrix[0, 0] == -(2**63)
 
 
 def test_the_cell_size_rule_stays_exact_where_int64_products_would_wrap():

@@ -2,8 +2,10 @@ import concurrent.futures
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -201,9 +203,9 @@ def test_find_good_signing_errors():
     with pytest.raises(ValueError):
         find_good_signing(complete_graph(2))  # degree 1
     with pytest.raises(SearchSpaceError):
-        find_good_signing(petersen_graph(), max_free_edges=3)
+        find_good_signing(complete_graph(9))
     with pytest.raises(SearchSpaceError):
-        min_rho(petersen_graph(), max_free_edges=3)
+        min_rho(complete_graph(9))
 
 
 TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -216,18 +218,77 @@ def test_searches_refuse_a_disconnected_graph(search_fn):
         search_fn(TWO_TRIANGLES)
 
 
+def path_with_chords(n, chords):
+    """A path on n vertices plus the chords (3k, 3k + 2), each closing a triangle."""
+    return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(3 * k, 3 * k + 2) for k in range(chords)])
+
+
+def guard_message(evaluated, n):
+    text = f"2^{evaluated} evaluated classes at n={n} exceed the work limit: classes * n^3 must be at most 2^23 * 9^3"
+    return f"^{re.escape(text)}$"
+
+
+@pytest.mark.parametrize(
+    "g, evaluated, accepted",
+    [
+        (Graph(9, [e for e in combinations(range(9), 2) if e not in {(0, 1), (2, 3), (4, 5), (6, 7)}]), 23, True),
+        (complete_graph(9), 27, False),
+        (complete_graph(8), 20, True),
+        (Graph(10, list(combinations(range(10), 2))[:32]), 22, True),
+        (Graph(10, list(combinations(range(10), 2))[:33]), 23, False),
+        (path_with_chords(200, 10), 9, True),
+        (path_with_chords(200, 11), 10, False),
+        (path_graph(1828), 0, True),
+        (path_graph(1829), 0, False),
+    ],
+    ids=["K9 less 4 disjoint edges", "K9", "K8", "n=10 at 2^22", "n=10 at 2^23",
+         "P200 plus 10 chords", "P200 plus 11 chords", "P1828", "P1829"],
+)
+def test_the_guard_bounds_evaluated_classes_times_n_cubed(monkeypatch, g, evaluated, accepted):
+    # Both sides of each boundary of 2^e * n^3 <= 2^23 * 9^3. No search runs:
+    # an accepted one stops where it would build its first chunk.
+    class FirstChunk(Exception):
+        pass
+
+    def first_chunk(*args):
+        raise FirstChunk
+
+    monkeypatch.setattr(search, "_class_chunks", first_chunk)
+    for search_fn in (min_rho, find_good_signing):
+        with pytest.raises(FirstChunk) if accepted else pytest.raises(SearchSpaceError, match=guard_message(evaluated, g.n)):
+            search_fn(g)
+    if accepted:
+        assert len(search._evaluated_free(g)[0]) == evaluated
+
+
+def test_a_long_path_is_refused_before_any_n_squared_allocation():
+    g = path_graph(10**5)
+    g.edge_list, g._adjacency_lists, g.degrees  # the graph's own O(n) views, cached by any reader; traced, they triple the time
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceError, match=guard_message(0, g.n)):
+            min_rho(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * g.n  # one n x n float64 array would take 8 * 10^10 bytes
+    with pytest.raises(SearchSpaceError, match=guard_message(0, g.n)):
+        find_good_signing(g)
+
+
+@pytest.mark.parametrize("search_fn", [min_rho, find_good_signing])
+def test_the_bound_and_connectivity_are_checked_before_the_guard(search_fn):
+    # Both graphs are far over the guard.
+    with pytest.raises(ValueError, match="^regular mode needs degree > 1, got d=1$"):
+        search_fn(Graph(10**4, [(2 * i, 2 * i + 1) for i in range(5000)]))
+    with pytest.raises(ValueError, match="^graph must be connected$"):
+        search_fn(Graph(10**4, [(i, i + 1) for i in range(10**4 - 1) if i != 5000]))
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_min_rho_refuses_fewer_than_one_job(jobs):
     with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
         min_rho(cycle_graph(4), jobs=jobs)
-
-
-@pytest.mark.parametrize("search_fn", [min_rho, find_good_signing])
-def test_searches_refuse_a_negative_guard(search_fn):
-    with pytest.raises(ValueError, match="^max_free_edges must be at least 0, got -1$"):
-        search_fn(cycle_graph(4), max_free_edges=-1)
-    # a guard of 0 stays valid: a tree has no free edges
-    assert search_fn(path_graph(3), max_free_edges=0) is not None
 
 
 def test_rho_is_switching_invariant():
@@ -414,6 +475,32 @@ def test_a_split_range_holds_at_least_64_chunks(monkeypatch):
         monkeypatch.setattr(search, "CHUNK_BYTES", classes_per_chunk * 8 * k7.n * k7.n)
         assert class_index(k7, min_rho(k7, jobs=jobs).best_signing) == 1749
     assert workers == [2, 2, 3, 4]
+
+
+def test_no_search_above_64_vertices_splits(monkeypatch):
+    # At one chunk a range (the autouse fixture), 2^6 evaluated classes fill
+    # 2 chunks at n = 64 and 3 at n = 65; only the first search splits, and
+    # it finds what a serial one does.
+    assert search._SPLIT_MAX_N == 64
+    workers = recording_pool(monkeypatch)
+    for n in (64, 65):
+        g = path_with_chords(n, 7)
+        assert min_rho(g, jobs=2) == min_rho(g, jobs=1)
+    assert workers == [2]
+
+
+def test_the_shipped_split_rule(monkeypatch):
+    # Ranges are recorded, not searched. K8's 2^20 evaluated classes and
+    # n = 64's 2^12 fill two ranges of 64 chunks, and K7's fill 6 chunks. At
+    # n = 65 2^12 classes would fill two ranges too, but the order keeps it serial.
+    monkeypatch.setattr(search, "_SPLIT_CHUNKS", SPLIT_CHUNKS)
+    recording_pool(monkeypatch)
+    ranges = []
+    monkeypatch.setattr(search, "_near_ties", lambda g, free, lo, hi: ranges.append((g.n, hi - lo)) or (np.array([lo]), np.ones(1), 0))
+    assert 2**12 // (SPLIT_CHUNKS * search._chunk_classes(path_graph(65))) == 2
+    for g in (complete_graph(8), complete_graph(7), path_with_chords(64, 13), path_with_chords(65, 13)):
+        min_rho(g, jobs=2)
+    assert ranges == [(8, 2**19), (8, 2**19), (7, 2**14), (64, 2**11), (64, 2**11), (65, 2**12)]
 
 
 @pytest.mark.parametrize(
@@ -826,24 +913,13 @@ def test_moment_bounds_match_an_unpruned_scan(monkeypatch, bipartite, free_edges
         assert (class_index(g, found) if found is not None else None) == (int(good[0]) if good.size else None)
 
 
-@pytest.mark.parametrize(
-    "option, value",
-    [("max_free_edges", float("nan")), ("max_free_edges", 2.5), ("max_free_edges", "20"),
-     ("jobs", 2.7), ("jobs", "2"), ("jobs", float("nan"))],
-)
-def test_search_options_must_be_whole_numbers(option, value):
-    # neither truncated (jobs=2.7 ran as 2) nor passed by a failed comparison (len(free) > nan is False)
+@pytest.mark.parametrize("value", [2.7, "2", float("nan")], ids=lambda value: f"jobs-{value}")
+def test_search_options_must_be_whole_numbers(value):
+    # not truncated: jobs=2.7 ran as 2
     with pytest.raises(ValueError) as err:
-        min_rho(complete_graph(6), **{option: value})
-    assert str(err.value) == f"{option} {value!r} is not an integer"
-    if option == "max_free_edges":
-        with pytest.raises(ValueError) as err:
-            find_good_signing(complete_graph(6), max_free_edges=value)
-        assert str(err.value) == f"{option} {value!r} is not an integer"
-        with pytest.raises(SearchSpaceError, match="^6 free edges exceed the guard of 3$"):  # read as the int 3
-            min_rho(petersen_graph(), max_free_edges=3.0)
-    whole = min_rho(complete_graph(6), **{option: 2.0 if option == "jobs" else 10.0})
-    assert whole == min_rho(complete_graph(6), **{option: True if option == "jobs" else 10})
+        min_rho(complete_graph(6), jobs=value)
+    assert str(err.value) == f"jobs {value!r} is not an integer"
+    assert min_rho(complete_graph(6), jobs=2.0) == min_rho(complete_graph(6), jobs=True)
 
 
 def test_find_good_signing_returns_none_when_no_class_meets_the_bound(monkeypatch):
