@@ -2,8 +2,9 @@
 
 A conference matrix of order n is a symmetric {0, +-1} matrix with zero
 diagonal satisfying ``C @ C.T == (n-1) * I`` exactly, checked in exact
-arithmetic by ``graphs._signed_matrix`` and ``graphs._exact_matmul`` when a
-:class:`ConferenceMatrix`, a ``graphs._Frozen`` value, is built. The Paley
+arithmetic by ``graphs._signed_matrix`` (after ``graphs._symmetric``, the square,
+finite and symmetric rule every matrix door shares) and ``graphs._exact_matmul``
+when a :class:`ConferenceMatrix`, a ``graphs._Frozen`` value, is built. The Paley
 construction covers orders ``q + 1`` for primes ``q = 1 (mod 4)``; prime
 powers would need finite-field arithmetic and are rejected.
 """
@@ -67,11 +68,14 @@ class ConferenceMatrix(_Frozen):
 def paley_conference(q: int) -> ConferenceMatrix:
     """Conference matrix of order ``q + 1`` from quadratic residues mod ``q``.
 
-    Requires ``q`` prime with ``q = 1 (mod 4)``. The core entry (i, j) is +1
-    exactly when ``j - i`` is a nonzero square mod q, which makes the result
-    normalized as built.
+    Requires ``q`` prime with ``q = 1 (mod 4)``; a q whose order-(q + 1) int64
+    matrix numpy cannot address is refused first, before any trial division.
+    The core entry (i, j) is +1 exactly when ``j - i`` is a nonzero square mod
+    q, which makes the result normalized as built.
     """
     q = _integral(q, "q")
+    if q > 0 and (q + 1) ** 2 * 8 > np.iinfo(np.intp).max:  # before trial division, which grows as sqrt(q)
+        raise ValueError(f"q is too large: no int64 matrix of order q + 1 can be addressed, got {q}")
     if not _is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     if q % 4 != 1:

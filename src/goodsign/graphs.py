@@ -18,6 +18,7 @@ offending row in the order the input iterates.
 
 Adjacency matrices are plain numpy arrays: ``int64`` for exact identity
 checks, ``float64`` only where an eigensolver needs them. ``_numbers`` (entries),
+``_symmetric`` (square, finite, symmetric: every eigen, conference and adjacency door),
 ``_signed_matrix``, ``_exact_matmul`` and ``_not_whole`` are the one copy of each matrix rule.
 """
 
@@ -119,6 +120,17 @@ def _numbers(a) -> np.ndarray:
     if m.dtype.kind not in "biuf":
         raise ValueError("matrix entries must be real numbers")
     return m.astype(np.int64 if m.dtype.kind in "biu" else np.float64, copy=False)
+
+
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    m = _numbers(a)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    if m.dtype.kind == "f" and not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    if not (m == m.T).all():
+        raise ValueError("matrix must be symmetric")
+    return m
 
 
 def _not_whole(a: np.ndarray) -> np.ndarray:
@@ -383,20 +395,16 @@ def signed_adjacency(sg: SignedGraph) -> np.ndarray:
 
 
 def _signed_matrix(a) -> np.ndarray:
-    """``a`` as an int64 array if it is square, symmetric, zero on the diagonal and 0, 1 or -1 elsewhere
-    (1.0 and 1+0j are; 1.4, NaN and 1j are not), read by :func:`_numbers` unless complex; else a ValueError."""
-    m = np.asarray(a) if np.iscomplexobj(a) else _numbers(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("adjacency matrix must be square")
-    if not ((m == m.T) | ((m != m) & (m.T != m.T))).all():  # a mirrored NaN breaks a later rule
-        raise ValueError("adjacency matrix must be symmetric")
+    """``a`` as an int64 array if :func:`_symmetric` accepts it and it is zero on the diagonal and 0, 1 or -1
+    elsewhere (1.0 and 1+0j are; 1.4 is not), else a ValueError."""
+    m = _symmetric(a)
     if m.diagonal().any():
         raise ValueError("adjacency matrix must have zero diagonal")
     bad = (m < -1) | (m > 1) if m.dtype.kind == "i" else (m != 0) & (m != 1) & (m != -1)
     if bad.any():
         u, v = np.argwhere(bad)[0].tolist()  # above the diagonal, as m is symmetric
         raise ValueError(f"entry ({u}, {v}) = {m[u, v].item()} is not in {{0, -1, +1}}")
-    return m.real.astype(np.int64, copy=False)  # exact, as each entry is 0, 1 or -1
+    return m.astype(np.int64, copy=False)  # exact, as each entry is 0, 1 or -1
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

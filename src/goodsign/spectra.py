@@ -2,10 +2,9 @@
 
 Every eigenvalue and spectral radius in the package comes from one seam,
 ``_eigvalsh``: LAPACK's symmetric solver through ``numpy.linalg.eigvalsh``,
-on a single matrix or on a stack of them. ``_symmetric`` reads a single
-matrix with ``graphs._numbers`` and checks that it is square, finite and equal
-to its transpose; ``check_good_signing`` passes its signing's cached, read-only
-``SignedGraph._adjacency`` as it is.
+on a single matrix or on a stack of them. ``graphs._symmetric`` reads a single
+matrix, as it does for the conference and adjacency doors; ``check_good_signing``
+passes its signing's cached, read-only ``SignedGraph._adjacency`` as it is.
 Eigenvalues within ``1e-12`` times ``max(1, rho)`` of zero are reported as
 exactly ``0.0``, so printed spectra do not carry solver roundoff.
 
@@ -29,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, SignedGraph, _numbers
+from .graphs import Graph, SignedGraph, _symmetric
 
 JACOBI_RELATIVE_TOLERANCE = 1e-12
 JACOBI_MAX_SWEEPS = 64
@@ -129,17 +128,6 @@ def jacobi_diagonalize(a: np.ndarray) -> JacobiResult:
     return JacobiResult(tuple(float(x) for x in eig), int(sweeps), math.ldexp(off, e), math.ldexp(fro, e))
 
 
-def _symmetric(a: np.ndarray) -> np.ndarray:
-    m = _numbers(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if m.dtype.kind == "f" and not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    if not (m == m.T).all():
-        raise ValueError("matrix must be symmetric")
-    return m
-
-
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     # The one eigen seam: ascending eigenvalues of an (n, n) matrix or of each
     # matrix in a (B, n, n) stack. LAPACK reads only the lower triangle, so
@@ -195,8 +183,7 @@ def good_signing_bound(g: Graph) -> tuple[float, int]:
     """
     d = g.max_degree
     if d <= 1:
-        raise ValueError(f"regular mode needs degree > 1, got d={d}" if g.is_regular
-                         else f"maxdeg mode needs max degree > 1, got {d}")
+        raise ValueError(f"max degree must be greater than 1, got {d}")
     return 2.0 * math.sqrt(d - 1), d
 
 

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from goodsign.cli import run
 from goodsign.conference import (
     ConferenceMatrix,
     core_matrix,
@@ -33,6 +35,33 @@ def test_paley_rejects_bad_orders(q):
     # composite, even, or 3 mod 4 moduli; prime powers (9, 25) are rejected too
     with pytest.raises(ValueError):
         paley_conference(q)
+
+
+def _too_large(q):
+    return f"q is too large: no int64 matrix of order q + 1 can be addressed, got {q}"
+
+
+@pytest.mark.parametrize("q", [10000000000000061, 100000000000097, 10**16, 2**30 - 1])
+def test_a_q_beyond_numpy_addressing_is_refused_before_trial_division(q):
+    # trial division grows as sqrt(q), to seconds on the prime 10^16 + 61; the composites 10^16 and 2^30 - 1
+    # are refused the same way, not as composites
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        paley_conference(q)
+    assert str(err.value) == _too_large(q)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_address_bound_on_q_is_exact(capsys):
+    # (q + 1)^2 * 8 bytes: 2^30 - 2 is the largest q whose matrix numpy could address, and it is even;
+    # a negative q has no matrix to address
+    assert (2**30 - 1) ** 2 * 8 <= np.iinfo(np.intp).max < 2**30 * 2**30 * 8
+    for q in (2**30 - 2, -(10**16)):
+        with pytest.raises(ValueError, match=f"^q must be prime, got {q}$"):
+            paley_conference(q)
+    for argv in (["conference", "--q", "10000000000000061"], ["sign-complete", "--q", "10000000000000061", "--case", "1"]):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {_too_large(10000000000000061)}\n")
 
 
 def test_verify_conference_small_and_perturbed():

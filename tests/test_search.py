@@ -279,7 +279,7 @@ def test_a_long_path_is_refused_before_any_n_squared_allocation():
 @pytest.mark.parametrize("search_fn", [min_rho, find_good_signing])
 def test_the_bound_and_connectivity_are_checked_before_the_guard(search_fn):
     # Both graphs are far over the guard.
-    with pytest.raises(ValueError, match="^regular mode needs degree > 1, got d=1$"):
+    with pytest.raises(ValueError, match="^max degree must be greater than 1, got 1$"):
         search_fn(Graph(10**4, [(2 * i, 2 * i + 1) for i in range(5000)]))
     with pytest.raises(ValueError, match="^graph must be connected$"):
         search_fn(Graph(10**4, [(i, i + 1) for i in range(10**4 - 1) if i != 5000]))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodsign.cli import run
-from goodsign.conference import core_matrix, paley_conference
+from goodsign.conference import core_matrix, paley_conference, verify_conference
 from goodsign.constructions import sign_complete_from_conference
 from goodsign.graphs import (
     Graph,
@@ -230,7 +230,7 @@ def test_object_arrays_hold_numbers_or_are_refused(x):
             solve(_off_diagonal_objects(x))
 
 
-# -- one entry rule through every door: graphs._numbers ---------------------------
+# -- one entry rule through every door: graphs._numbers and graphs._symmetric ----
 
 _DOOR_ENTRIES = {
     # entry: the dtypes an array holding it is built with, its matrix text, and the eigenvalues or the message.
@@ -254,10 +254,12 @@ def test_every_door_gives_an_entry_the_same_eigenvalues_or_message(tmp_path, cap
         warnings.simplefilter("error")
         for door, m in doors.items():
             if isinstance(want, str):
-                for solve in (eigenvalues_symmetric, spectral_radius, jacobi_diagonalize):
+                # the signed doors share the eigen doors' rules: from_adjacency names the entry as they do
+                for solve in (eigenvalues_symmetric, spectral_radius, jacobi_diagonalize, SignedGraph.from_adjacency):
                     with pytest.raises(ValueError) as err:
                         solve(m)
                     assert str(err.value) == want, (door, solve.__name__)
+                assert verify_conference(m) is False, door
             else:
                 assert eigenvalues_symmetric(m).tolist() == want, door
                 assert spectral_radius(m) == want[-1] and np.allclose(jacobi_diagonalize(m).eigenvalues, want), door
@@ -293,8 +295,8 @@ def test_multiset_helpers():
 @pytest.mark.parametrize(
     "g, message",
     [
-        (complete_graph(2), "regular mode needs degree > 1, got d=1"),
-        (Graph.from_edges(3, [(0, 1)]), "maxdeg mode needs max degree > 1, got 1"),
+        (complete_graph(2), "max degree must be greater than 1, got 1"),
+        (Graph.from_edges(3, [(0, 1)]), "max degree must be greater than 1, got 1"),
         (Graph(0, frozenset()), "degree of an empty graph is undefined"),
     ],
     ids=["K2", "an edge and an isolated vertex", "empty"],
