@@ -1,19 +1,18 @@
 """Symmetric conference matrices: Paley construction, normalization, cores.
 
 A conference matrix of order n is a symmetric {0, +-1} matrix with zero
-diagonal satisfying ``C @ C.T == (n-1) * I`` exactly, checked in exact
-arithmetic by ``graphs._signed_matrix`` (after ``graphs._symmetric``, the square,
-finite and symmetric rule every matrix door shares) and ``graphs._exact_matmul``
-when a :class:`ConferenceMatrix`, a ``graphs._Frozen`` value, is built. The Paley
-construction covers orders ``q + 1`` for primes ``q = 1 (mod 4)``; prime
-powers would need finite-field arithmetic and are rejected.
+diagonal satisfying ``C @ C.T == (n-1) * I`` exactly. One check, ``_conference``, reads the input once by
+``graphs._signed_matrix`` (after ``graphs._symmetric``, the square, finite and symmetric rule every matrix
+door shares) and multiplies by ``graphs._exact_matmul``; a :class:`ConferenceMatrix`, a ``graphs._Frozen``
+value, stores the int64 matrix it read. The Paley construction covers orders ``q + 1`` for primes
+``q = 1 (mod 4)``; prime powers would need finite-field arithmetic and are rejected.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import _exact_matmul, _freeze, _Frozen, _integral, _numbers, _signed_matrix
+from .graphs import _exact_matmul, _freeze, _Frozen, _integral, _signed_matrix
 
 
 def _is_prime(q: int) -> bool:
@@ -29,19 +28,21 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def verify_conference(matrix: np.ndarray) -> bool:
-    """True iff the matrix is a symmetric conference matrix (exact check)."""
+def _conference(matrix) -> np.ndarray | None:
+    """The int64 matrix that ``graphs._signed_matrix`` reads from ``matrix``, if it is a conference matrix; else None."""
     try:
         m = _signed_matrix(matrix)
     except ValueError:
-        return False
-    n = len(m)
-    if n == 0:
-        return False
+        return None
     f = m.astype(np.float64)  # one conversion serves both factors
     g = _exact_matmul(f, f.T)
-    g.reshape(-1)[:: n + 1] -= n - 1  # C C^T - (n-1) I, which must be zero
-    return not g.any()
+    g.reshape(-1)[:: len(m) + 1] -= len(m) - 1  # C C^T - (n-1) I, which must be zero
+    return m if len(m) and not g.any() else None
+
+
+def verify_conference(matrix: np.ndarray) -> bool:
+    """True iff the matrix is a symmetric conference matrix (exact check)."""
+    return _conference(matrix) is not None
 
 
 class ConferenceMatrix(_Frozen):
@@ -51,9 +52,9 @@ class ConferenceMatrix(_Frozen):
     matrix: np.ndarray
 
     def __init__(self, matrix: np.ndarray) -> None:
-        if not verify_conference(matrix):
+        if (m := _conference(matrix)) is None:
             raise ValueError("not a symmetric conference matrix")
-        _freeze(self, matrix=_numbers(matrix).astype(np.int64))  # entries 0, +-1: an exact cast
+        _freeze(self, matrix=m if m is not matrix and m.flags.owndata else m.copy())  # never freeze the caller's array
 
     @property
     def order(self) -> int:
@@ -96,10 +97,8 @@ def normalize(c: ConferenceMatrix | np.ndarray) -> ConferenceMatrix:
     Idempotent, and the conference identity is preserved exactly.
     """
     m = (c if isinstance(c, ConferenceMatrix) else ConferenceMatrix(c)).matrix
-    d = m[0].copy()
-    d[0] = 1
-    switched = d[:, None] * m * d[None, :]
-    return ConferenceMatrix(switched)
+    d = np.concatenate(([1], m[0, 1:]))  # the first row's signs, +1 for the first row itself
+    return ConferenceMatrix(d[:, None] * m * d)
 
 
 def core_matrix(c: ConferenceMatrix) -> np.ndarray:

@@ -105,10 +105,11 @@ def _int_table(a: np.ndarray, pad: str) -> Iterator[str]:
     values = list(map(str, range(lo, hi + 1)))
     breaks = ["],\n" + inner + "["] + [", "] * (a.shape[1] - 1)
     vocabulary = np.array([b + v for b in breaks for v in values], dtype=object)
-    starts = np.arange(0, len(vocabulary), len(values))  # where each column's vocabulary starts
     for first in range(0, len(a), _TABLE_BLOCK_ROWS):
         index = np.subtract(a[first : first + _TABLE_BLOCK_ROWS], base, dtype=np.int64)
-        text = "".join(vocabulary[index + starts].ravel().tolist())
+        for j in range(1, a.shape[1]):  # to column j's vocabulary, a column at a time (a broadcast row loops per row)
+            index[:, j] += j * len(values)
+        text = "".join(vocabulary[index].ravel().tolist())
         yield text if first else "[" + text[2:]  # "],\n    [" less its "]," opens the table
     yield "]\n" + pad + "]"
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -168,8 +169,8 @@ def test_normalize_verifies_a_conference_matrix_once(monkeypatch):
     import goodsign.conference as conference
 
     calls = []
-    real = conference.verify_conference
-    monkeypatch.setattr(conference, "verify_conference", lambda m: calls.append(1) or real(m))
+    real = conference._conference  # the one check, which verify_conference and ConferenceMatrix both run
+    monkeypatch.setattr(conference, "_conference", lambda m: calls.append(1) or real(m))
     c = paley_conference(13)
     calls.clear()
     normalize(c)
@@ -177,6 +178,40 @@ def test_normalize_verifies_a_conference_matrix_once(monkeypatch):
     calls.clear()
     normalize(c.matrix)
     assert len(calls) == 2  # a raw array is checked as it comes in, then as it goes out
+
+
+def test_each_conference_door_reads_its_matrix_once(monkeypatch):
+    # graphs._numbers is the entry rule every read runs; it is spied on under every module's name for it
+    import goodsign.graphs as graphs
+
+    calls = []
+    real = graphs._numbers
+    spy = lambda a: calls.append(1) or real(a)  # noqa: E731
+    for module in [m for name, m in sys.modules.items() if name.startswith("goodsign")]:
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, spy)
+    c6 = reference_matrix("c6")
+    reads = {
+        "list": lambda: ConferenceMatrix(c6.tolist()),
+        "int64 array": lambda: ConferenceMatrix(c6.astype(np.int64)),
+        "paley_conference(13)": lambda: paley_conference(13),
+        "normalize of a raw array": lambda: normalize(-c6),  # read on the way in and on the way out
+    }
+    counts = {}
+    for what, read in reads.items():
+        calls.clear()
+        read()
+        counts[what] = len(calls)
+    assert counts == {"list": 1, "int64 array": 1, "paley_conference(13)": 1, "normalize of a raw array": 2}
+
+
+def test_a_conference_matrix_never_freezes_or_shares_the_callers_array():
+    a = reference_matrix("c6").astype(np.int64)
+    c = ConferenceMatrix(a)
+    assert a.flags.writeable and c.matrix is not a and not np.shares_memory(c.matrix, a)
+    a[0, 1] = -1  # the caller's array is still the caller's to change
+    assert c.matrix[0, 1] == 1 and not c.matrix.flags.writeable
 
 
 def test_core_structure():
