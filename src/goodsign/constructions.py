@@ -202,11 +202,9 @@ def _switching_equivalence(
     # The graphs are equal, so both sign vectors align with the rows of g._uv
     # and t is the per-edge sign product. Fix every BFS root to +1 and force
     # d_v = d_u * t(uv) along the tree edges, whose rows one searchsorted
-    # finds by the key u*n + v. An edge (u, v) contradicts when
-    # d_u * d_v != t(uv); the witness cycle closes through the tree at the
-    # first contradiction in BFS scan order (each vertex in order, its
-    # neighbours ascending), which is the least key
-    # (min(pos[u], pos[v]), the endpoint of larger pos).
+    # finds by the key u*n + v. Tree edges never contradict d, so the witness
+    # closes through the tree at the lowest contradicting row: the lowest free
+    # edge the search's class index of t flips.
     n, uv = g.n, g._uv
     t = sigma._s * sigma_prime._s
     order, parent, depth = _bfs_forest(g)
@@ -220,12 +218,7 @@ def _switching_equivalence(
     bad = np.flatnonzero(d[uv[:, 0]] * d[uv[:, 1]] != t)
     if not len(bad):
         return d, None
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    bu, bv = uv[bad, 0], uv[bad, 1]
-    u_first = pos[bu] < pos[bv]
-    first = bad[np.lexsort((np.where(u_first, bv, bu), np.where(u_first, pos[bu], pos[bv])))[0]]
-    a, b = ([x] for x in uv[first].tolist())
+    a, b = ([x] for x in uv[bad[0]].tolist())
     while a[-1] != b[-1]:  # climb from the deeper end until the two paths meet
         deeper = a if depth[a[-1]] >= depth[b[-1]] else b
         deeper.append(parent[deeper[-1]])
@@ -251,5 +244,6 @@ def switching_witness_cycle(
 
     ``None`` when the signings are switching-equivalent. The cycle is returned
     as a vertex sequence; consecutive vertices (and last-to-first) are edges.
+    It closes through the BFS tree at the lowest contradicting edge of ``edge_list``.
     """
     return _switching_equivalence(g, sigma, sigma_prime)[1]

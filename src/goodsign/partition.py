@@ -146,7 +146,9 @@ def characteristic_matrix(p: Partition) -> np.ndarray:
 
 class QuotientMatrix(_Frozen):
     """Cell-level signed-degree matrix of an equitable partition: k x k for k
-    cells, with ``|C_i| B[i, j] == |C_j| B[j, i]`` in integers, as ``A @ P == P @ B`` implies."""
+    cells, with ``|C_i| B[i, j] == |C_j| B[j, i]`` in integers, as ``A @ P == P @ B`` implies.
+    With g = gcd(|C_i|, |C_j|) that holds exactly when |C_j| / g divides B[i, j] and the
+    quotients agree across the diagonal, a test that forms no product and so cannot overflow."""
 
     _fields = ("matrix", "partition")
     matrix: np.ndarray
@@ -163,13 +165,9 @@ class QuotientMatrix(_Frozen):
         k = partition.size
         if m.shape != (k, k):
             raise ValueError(f"quotient matrix must be {k} x {k} for {k} cells, got shape {m.shape}")
-        if max(int(m.max(initial=0)), -int(m.min(initial=0))) * partition.n < 2**63:  # int64 products are exact
-            s = partition._sizes[:, None] * m
-            balanced = bool((s == s.T).all())
-        else:
-            rows, sizes = m.tolist(), partition._sizes.tolist()  # Python ints: exact
-            balanced = all(sizes[i] * rows[i][j] == sizes[j] * rows[j][i] for i in range(k) for j in range(i))
-        if not balanced:
+        sizes = partition._sizes
+        t, r = np.divmod(m, sizes // np.gcd(sizes[:, None], sizes))
+        if r.any() or not (t == t.T).all():
             raise ValueError("quotient matrix breaks |C_i| B[i, j] == |C_j| B[j, i]")
         _freeze(self, matrix=m, partition=partition)
 

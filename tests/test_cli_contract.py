@@ -70,9 +70,11 @@ CORPUS = [
     "lift2 --sigma <tmp>/sign4.json --sigma-prime <tmp>/sign4_alt.json --out <tmp>/lift8.json",
     "lift2 --sigma <tmp>/sign4.json --sigma-prime <tmp>/sign4_alt.json --graph-only",
     "lift2 --sigma <tmp>/sign4.json --sigma-prime <tmp>/sign4_alt.json --graph-only --out <tmp>/lift8g.json",
-    # equiv: an equivalent and an inequivalent pair
+    # equiv: an equivalent and an inequivalent pair, then Petersen with tree edge (5, 8) flipped,
+    # whose witness closes at the lowest contradicting edge, (3, 8)
     "equiv --sigma <tmp>/c4_plus.json --sigma-prime <tmp>/c4_switched.json",
     "equiv --sigma <tmp>/c4_plus.json --sigma-prime <tmp>/c4_minus.json",
+    "equiv --sigma <tmp>/petersen_plus.json --sigma-prime <tmp>/petersen_58.json",
     # verify: good and not good on regular graphs, good on two irregular ones, then an input error
     "verify --graph <tmp>/c4.json --signing <tmp>/c4_minus.json",
     "verify --graph <tmp>/k4.json --signing <tmp>/k4_plus.json",
@@ -109,13 +111,13 @@ def _signed_text(sg: SignedGraph) -> str:
 
 def _write_inputs(tmp: Path) -> None:
     """The input files of ``CORPUS``; none of them is recorded."""
-    c4 = cycle_graph(4)
+    c4, pet = cycle_graph(4), petersen_graph()
     cover, h1, h2 = cycle_cover_base()
     inputs = {
         "c4.json": dumps_json(graph_to_json_dict(c4)),
         "k4.json": dumps_json(graph_to_json_dict(complete_graph(4))),
         "p3.json": dumps_json(graph_to_json_dict(path_graph(3))),
-        "petersen.json": dumps_json(graph_to_json_dict(petersen_graph())),
+        "petersen.json": dumps_json(graph_to_json_dict(pet)),
         "k7.json": dumps_json(graph_to_json_dict(complete_graph(7))),
         "k9.json": dumps_json(graph_to_json_dict(complete_graph(9))),
         "cover.json": dumps_json(graph_to_json_dict(cover)),
@@ -124,6 +126,8 @@ def _write_inputs(tmp: Path) -> None:
         "c4_plus.json": _signed_text(SignedGraph.all_plus(c4)),
         "c4_switched.json": _signed_text(SignedGraph.all_plus(c4).switched([1, -1, 1, -1])),
         "c4_minus.json": _signed_text(SignedGraph(c4, {**SignedGraph.all_plus(c4).signs, (0, 1): -1})),
+        "petersen_plus.json": _signed_text(SignedGraph.all_plus(pet)),
+        "petersen_58.json": _signed_text(SignedGraph(pet, {**SignedGraph.all_plus(pet).signs, (5, 8): -1})),
         "k4_plus.json": _signed_text(SignedGraph.all_plus(complete_graph(4))),
         "p3_plus.json": _signed_text(SignedGraph.all_plus(path_graph(3))),
         "sign4.json": _signed_text(SignedGraph.from_adjacency(reference_matrix("sign4"))),

@@ -37,6 +37,7 @@ from goodsign.graphs import (
 from goodsign.partition import Partition, characteristic_matrix, is_equitable, quotient_eigenvalues, quotient_matrix
 from goodsign.refdata import reference_matrix
 from goodsign.reproduce import EXPECTED_LIFT_EDGES, cycle_cover_base
+from goodsign.search import _free_edges, _signing_for_index
 from goodsign.spectra import (
     VERDICT_TOLERANCE,
     check_good_signing,
@@ -561,16 +562,27 @@ def test_witness_cycle_has_differing_sign_product():
     assert switching_witness_cycle(c4, plus, plus) is None
     # Petersen: flipping non-tree edge (7, 9) yields its fundamental cycle;
     # flipping tree edge (5, 8) makes several edges contradict, and the
-    # witness closes at the first in BFS scan order, (6, 8), not at (3, 8),
-    # the first in the sorted edge list.
+    # witness closes at the first in the sorted edge list, (3, 8), not at
+    # (6, 8), the first in BFS scan order.
     pet = petersen_graph()
     pet_plus = SignedGraph.all_plus(pet)
-    for edge, witness in (((7, 9), (7, 5, 0, 4, 9)), ((5, 8), (6, 1, 0, 5, 8))):
+    for edge, witness in (((7, 9), (7, 5, 0, 4, 9)), ((5, 8), (3, 4, 0, 5, 8))):
         signs = dict(pet_plus.signs)
         signs[edge] = -1
         flipped = SignedGraph(pet, signs)
         assert signing_equivalence(pet, pet_plus, flipped) is None
         assert switching_witness_cycle(pet, pet_plus, flipped) == witness
+
+
+def test_witness_closes_at_the_lowest_flipped_free_edge():
+    # Against all-plus, class i of the search flips free[j] for each set bit j
+    # of i; every tree edge agrees, so the witness closes at the lowest set bit.
+    for g in (complete_graph(6), complete_graph(7), petersen_graph(), cycle_graph(5)):
+        free, _ = _free_edges(g)
+        plus = SignedGraph.all_plus(g)
+        for i in range(1, 1 << len(free)):
+            cycle = switching_witness_cycle(g, plus, _signing_for_index(g, free, i))
+            assert (cycle[0], cycle[-1]) == free[(i & -i).bit_length() - 1]
 
 
 def test_equivalence_per_component():
@@ -604,15 +616,14 @@ def test_equivalence_rejects_mismatched_graphs():
 
 def _reference_switching_equivalence(g, sigma, sigma_prime):
     """The per-edge form: a dict of sign products, d propagated along the BFS
-    order, and the conflict found by walking every vertex's neighbours."""
+    order, and the conflict found by walking the edges in ``edge_list`` order."""
     target = {e: sigma.signs[e] * sigma_prime.signs[e] for e in g.edge_list}
     order, parent, _ = _bfs_forest(g)
     d = [1] * g.n
     for v in order:
         if parent[v] >= 0:
             d[v] = d[parent[v]] * target[_canon(parent[v], v)]
-    scan = (_canon(u, v) for u in order for v in g.neighbors(u))
-    conflict = next((e for e in scan if d[e[0]] * d[e[1]] != target[e]), None)
+    conflict = next((e for e in g.edge_list if d[e[0]] * d[e[1]] != target[e]), None)
     if conflict is None:
         return np.array(d, dtype=np.int64), None
     u, v = conflict
@@ -712,7 +723,7 @@ def test_switching_equivalence_matches_per_edge_reference():
 
 
 def test_switching_equivalence_matches_reference_on_dense_conflicts():
-    # many contradicting edges at once, so the scan-order choice decides the witness
+    # many contradicting edges at once, so the edge order decides the witness
     rng = np.random.default_rng(77)
     k6_after = [(a, b) for a in range(5, 11) for b in range(a + 1, 11)]
     for g in (complete_graph(12), petersen_graph(), Graph.from_edges(11, [(0, 1), (2, 3), (3, 4), (4, 2)] + k6_after)):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -460,6 +462,39 @@ def test_the_cell_size_rule_stays_exact_where_int64_products_would_wrap():
     with pytest.raises(ValueError, match=r"\|C_i\| B\[i, j\] == \|C_j\| B\[j, i\]"):
         QuotientMatrix([[0, 2**62], [-(2**63), 0]], pair)
     assert QuotientMatrix([[0, 2**61], [2**62, 0]], pair).matrix[1, 0] == 2**62
+
+
+def test_the_cell_size_rule_matches_python_ints_near_the_int64_range():
+    # Balanced quotients come from B[i, j] = t |C_j| / g and B[j, i] = t |C_i| / g
+    # with g = gcd(|C_i|, |C_j|) and t drawn up to the int64 range; a third of
+    # them get one entry redrawn. The verdict must match the rule in Python ints.
+    rng = np.random.default_rng(20261021)
+    verdicts = {True: 0, False: 0}
+    for _ in range(600):
+        sizes = rng.integers(1, 7, size=int(rng.integers(1, 6))).tolist()
+        starts = np.cumsum([0] + sizes).tolist()
+        cells = Partition(tuple(range(a, a + s)) for a, s in zip(starts, sizes))
+        k = len(sizes)
+        b = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                g = math.gcd(sizes[i], sizes[j])
+                bound = (2**63 - 1) // (max(sizes[i], sizes[j]) // g)
+                t = int(rng.integers(-bound, bound, endpoint=True)) if rng.random() < 0.5 else int(rng.integers(-9, 10))
+                b[i][j], b[j][i] = t * sizes[j] // g, t * sizes[i] // g
+        if rng.random() < 1 / 3:
+            i, j = rng.integers(0, k, size=2).tolist()
+            b[i][j] = int(rng.integers(-(2**63), 2**63 - 1, endpoint=True)) if rng.random() < 0.5 else b[i][j] + int(rng.choice([-1, 1]))
+            b[i][j] = min(max(b[i][j], -(2**63)), 2**63 - 1)
+        want = all(sizes[i] * b[i][j] == sizes[j] * b[j][i] for i in range(k) for j in range(i))
+        try:
+            got = np.array_equal(QuotientMatrix(b, cells).matrix, b)
+        except ValueError as err:
+            assert "|C_i| B[i, j] == |C_j| B[j, i]" in str(err)
+            got = False
+        assert got == want, (sizes, b)
+        verdicts[want] += 1
+    assert min(verdicts.values()) >= 100, verdicts
 
 
 def test_a_quotient_without_the_cell_size_symmetry_is_refused():
