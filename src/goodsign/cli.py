@@ -68,7 +68,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _cmd_conference(args) -> tuple[str, int]:
-    # Paley matrices are built normalized, so --raw and --normalized emit the same matrix.
+    # Paley matrices are built normalized, so --normalized emits the default's matrix.
     return matrix_to_text(paley_conference(args.q).matrix), EXIT_OK
 
 
@@ -181,9 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conference", help="emit a Paley conference matrix")
     p.add_argument("--q", type=int, required=True, help="prime congruent to 1 mod 4")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--raw", action="store_true", help="emit as constructed (default)")
-    group.add_argument("--normalized", action="store_true", help="the same matrix as --raw: Paley matrices are built normalized")
+    p.add_argument("--normalized", action="store_true", help="accepted and ignored: Paley matrices are built normalized")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_conference)
 

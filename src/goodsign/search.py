@@ -4,11 +4,11 @@ The spectral radius is invariant under switching (a +-1 diagonal similarity),
 so it suffices to fix a spanning tree's edges to +1 and enumerate the
 2^(|E|-n+1) sign patterns on the non-tree edges: distinct patterns have
 distinct cycle-sign vectors and are pairwise inequivalent. The tree is the
-package's one BFS forest (``graphs._bfs_forest``: each component rooted at
-its smallest vertex, neighbours taken in ascending order), which on a
-connected graph is one tree rooted at vertex 0. Patterns follow
-binary-counter order on the sorted non-tree edges (bit set means -1), so the
-enumeration and all tie-breaking are deterministic.
+package's one BFS forest (``graphs._bfs_forest``), which on a connected graph
+is one tree rooted at vertex 0, neighbours taken in ascending order; an edge
+is a tree edge exactly when it joins a vertex to its BFS parent. Patterns
+follow binary-counter order on the sorted non-tree edges (bit set means -1),
+so the enumeration and all tie-breaking are deterministic.
 
 Negation pairing: rho(-sigma) = rho(sigma), and negating every sign maps
 class ``i`` to class ``i ^ mask``, where ``mask`` holds the bits of the free
@@ -88,7 +88,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .graphs import Edge, Graph, SignedGraph, _bfs_forest, _canon, _integral
+from .graphs import Edge, Graph, SignedGraph, _bfs_forest, _integral
 from .spectra import VERDICT_TOLERANCE, _eigvalsh, _is_good, _rho, good_signing_bound
 
 CHUNK_BYTES = 1 << 20
@@ -115,8 +115,7 @@ def _free_edges(g: Graph) -> tuple[list[Edge], int]:
     _, parent, depth = _bfs_forest(g)
     if parent.count(-1) > 1:
         raise ValueError("graph must be connected")
-    tree = {_canon(p, v) for v, p in enumerate(parent) if p >= 0}
-    free = [e for e in g.edge_list if e not in tree]
+    free = [(u, v) for u, v in g.edge_list if parent[v] != u and parent[u] != v]
     mask = sum(1 << i for i, (u, v) in enumerate(free) if depth[u] % 2 == depth[v] % 2)
     return free, mask
 

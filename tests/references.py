@@ -8,7 +8,7 @@ representatives, so the tests that use it check those.
 
 from typing import Iterable, Iterator
 
-from goodsign.graphs import Graph, SignedGraph, _integral
+from goodsign.graphs import Graph, SignedGraph, _bfs_forest, _integral
 from goodsign.search import _free_edges, _signing_for_index
 
 
@@ -65,6 +65,15 @@ def partition_reference(cells) -> tuple[tuple[tuple[int, ...], ...], int, list[i
         for v in cell:
             cell_of[v] = j
     return fixed, n, cell_of
+
+
+def free_edges_reference(g: Graph) -> tuple[list[tuple[int, int]], int]:
+    """The search's free edges and negation mask on a connected graph, by
+    filtering ``edge_list`` through the set of the BFS forest's parent edges."""
+    _, parent, depth = _bfs_forest(g)
+    tree = {(min(p, v), max(p, v)) for v, p in enumerate(parent) if p >= 0}
+    free = [e for e in g.edge_list if e not in tree]
+    return free, sum(1 << i for i, (u, v) in enumerate(free) if depth[u] % 2 == depth[v] % 2)
 
 
 def enumerate_signing_classes(g: Graph) -> Iterator[SignedGraph]:

@@ -49,8 +49,7 @@ TMP = "<tmp>"
 CORE_TYPES = [("Prescott", "pni"), ("Sandybridge", "avx"), ("Haswell", "avx2"), ("SkylakeX", "avx512f")]
 
 CORPUS = [
-    # conference: both flags, the default, an --out file, and a modulus that is not 1 mod 4
-    "conference --q 5 --raw",
+    # conference: --normalized (ignored), the default, an --out file, and a modulus that is not 1 mod 4
     "conference --q 5 --normalized",
     "conference --q 13 --out <tmp>/c13.txt",
     "conference --q 7",

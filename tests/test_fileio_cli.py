@@ -637,8 +637,12 @@ def test_cli_conference_matches_reference(capsys):
     assert run(["conference", "--q", "5"]) == 0
     out = capsys.readouterr().out
     assert np.array_equal(matrix_from_text(out), reference_matrix("c6"))
+    # --normalized is accepted and ignored, since Paley matrices are built normalized; --raw is gone
     assert run(["conference", "--q", "5", "--normalized"]) == 0
-    assert capsys.readouterr().out == out
+    assert capsys.readouterr() == (out, "")
+    with pytest.raises(SystemExit) as exc:
+        run(["conference", "--q", "5", "--raw"])
+    assert exc.value.code == 2 and "unrecognized arguments: --raw" in capsys.readouterr().err
 
 
 def test_cli_conference_rejects_bad_modulus(capsys):

@@ -17,6 +17,7 @@ from goodsign.constructions import signing_equivalence
 from goodsign.graphs import (
     Graph,
     SignedGraph,
+    _bfs_forest,
     complete_graph,
     cycle_graph,
     is_bipartite,
@@ -41,7 +42,7 @@ from goodsign.spectra import (
     jacobi_diagonalize,
     spectral_radius,
 )
-from references import enumerate_signing_classes
+from references import enumerate_signing_classes, free_edges_reference
 
 RNG = np.random.default_rng(424242)
 SPLIT_CHUNKS = search._SPLIT_CHUNKS
@@ -125,6 +126,27 @@ def test_representatives_fix_tree_edges_to_plus():
                 assert s == 1
     # Petersen's BFS tree leaves six free edges, each closing an odd cycle.
     assert _free_edges(petersen_graph()) == ([(2, 3), (2, 7), (3, 8), (6, 8), (6, 9), (7, 9)], 63)
+
+
+def test_free_edges_match_the_tree_set_reference():
+    # Vertex labels are shuffled, so a BFS parent is often the larger end of
+    # its edge, as in (0, 2), (1, 2): vertex 1's parent is 2.
+    rng = np.random.default_rng(2718)
+    graphs = [Graph(3, [(0, 2), (1, 2)]), Graph(4, [(0, 3), (1, 3), (2, 3), (1, 2)])]
+    for _ in range(1200):
+        n = int(rng.integers(1, 13))
+        label = rng.permutation(n)
+        tree = [(int(label[v]), int(label[rng.integers(v)])) for v in range(1, n)]
+        density = rng.random()
+        extra = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < density]
+        graphs.append(Graph(n, {(min(e), max(e)) for e in tree + extra}))
+    larger_parents = 0
+    for g in graphs:
+        assert _free_edges(g) == free_edges_reference(g)
+        parent = _bfs_forest(g)[1]
+        larger_parents += sum(parent[u] == v for u, v in g.edge_list)
+    assert _free_edges(graphs[0]) == ([], 0) and _free_edges(graphs[1]) == ([(1, 2)], 1)
+    assert larger_parents > 500
 
 
 @pytest.mark.parametrize("g", [cycle_graph(4), cycle_graph(6), complete_graph(4)])
@@ -271,7 +293,7 @@ def test_a_long_path_is_refused_before_any_n_squared_allocation():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1000 * g.n  # one n x n float64 array would take 8 * 10^10 bytes
+    assert peak < 100 * g.n  # one n x n float64 array would take 8 * 10^10 bytes
     with pytest.raises(SearchSpaceError, match=guard_message(0, g.n)):
         find_good_signing(g)
 
